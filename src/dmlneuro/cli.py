@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .equilibria import find_equilibria_2d, find_symmetric_equilibria
+from .equilibria import find_symmetric_equilibria
 from .exceptions import DegenerateDeterminantError, DmlNeuroError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, check_order, mittag_leffler, solve_fde
-from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling, vector_field
+from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 from .experiments import bifurcation_sweep, hopf_curve, run_experiment
 from .stability import BetaStarKind, beta_star, classify, indicators
 
 _MODELS = ("single", "dimer-linear", "dimer-sigmoid")
+_NEGATIVE = re.compile(r"-[0-9.]")
 
 
 @dataclass(frozen=True)
@@ -26,18 +29,18 @@ class RunConfig:
 
     command: str
     model: str = "single"
-    I: float = 0.019
-    A: float = 0.0041
-    alpha: float = 5.276
-    gamma: float = 0.3
+    I: float = DmlParams.I
+    A: float = DmlParams.A
+    alpha: float = DmlParams.alpha
+    gamma: float = DmlParams.gamma
     beta: float = 0.9
     theta: float = 0.008
     sigma: float = 0.001
-    vs: float = 2.0
-    lam: float = 10.0
-    q: float = -0.25
-    h: float = 0.01
-    t_end: float = 6000.0
+    vs: float = SigmoidCoupling.v_s
+    lam: float = SigmoidCoupling.lam
+    q: float = SigmoidCoupling.q
+    h: float = SolverConfig.h
+    t_end: float = SolverConfig.t_end
     discard: int = 100_000
     tail: int = 500
     beta_from: float = 0.9
@@ -46,7 +49,7 @@ class RunConfig:
     I_from: float = 0.016
     I_to: float = 0.03
     I_points: int = 100
-    corrector_iterations: int = 1
+    corrector_iterations: int = SolverConfig.corrector_iterations
     use_fft: bool = False
     y0: Optional[tuple] = None
     out: Optional[str] = None
@@ -81,13 +84,6 @@ class RunConfig:
             return SigmoidCoupling(sigma=self.sigma, v_s=self.vs, lam=self.lam, q=self.q)
         raise ValueError(f"unknown model {self.model!r}")
 
-    def coupling_value(self) -> float:
-        if self.model == "dimer-linear":
-            return self.theta
-        if self.model == "dimer-sigmoid":
-            return self.sigma
-        return 0.0
-
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
             t_start=0.0,
@@ -98,6 +94,7 @@ class RunConfig:
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("model")
@@ -277,7 +274,7 @@ def _trajectory_rows(traj, dim):
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    _, dim = vector_field(cfg.coupling())
+    dim = cfg.coupling().dim
     try:
         summary = run_experiment(
             cfg.params(),
@@ -318,8 +315,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _equilibria_for(cfg: RunConfig):
-    if cfg.model == "single":
-        return find_equilibria_2d(cfg.params())
     return find_symmetric_equilibria(cfg.params(), cfg.coupling())
 
 
@@ -369,7 +364,7 @@ def _cmd_beta_star(cfg: RunConfig) -> int:
             {
                 "model": cfg.model,
                 "I": cfg.I,
-                "coupling_value": cfg.coupling_value(),
+                "coupling_value": cfg.coupling().value,
                 "x_star": float(x_star),
                 "y_star": float(y_star),
                 "tau": ind.tau_plus,
@@ -425,7 +420,8 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
     curve = hopf_curve(
         cfg.params(), cfg.coupling(), (cfg.I_from, cfg.I_to), cfg.I_points
     )
-    rows = [[I, b, cfg.coupling_value()] for I, b in zip(curve.I_values, curve.beta_star_values)]
+    value = cfg.coupling().value
+    rows = [[I, b, value] for I, b in zip(curve.I_values, curve.beta_star_values)]
     _emit(cfg, ["I", "beta_star", "coupling_value"], rows)
     for I, reason in curve.omitted:
         print(f"omitted I={I:g}: {reason}", file=sys.stderr)
@@ -474,10 +470,27 @@ _HANDLERS = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1e-05`` into ``--flag=-1e-05``.
+
+    argparse reads a negative number in exponent notation, or a ``--y0``
+    list that starts with a negative value, as an option string and then
+    reports the flag's value as missing.  No option here starts with a dash
+    and a digit.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:  # argparse reports its own diagnostics
         return int(exc.code or 0)
     try:
@@ -493,7 +506,7 @@ def run_cli(argv=None) -> int:
     except DmlNeuroError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 

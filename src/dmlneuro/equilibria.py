@@ -4,8 +4,8 @@ Equilibria of the single cell sit where the stimulation current ``I`` equals
 the curve ``i_infinity(x)``.  Between the curve's local maximum and minimum
 the cell has three equilibria, exactly at the extrema it has two (a fold),
 and outside that current band it has one.  The symmetric equilibria of the
-coupled models reduce to the same scalar equation, shifted by the sigmoidal
-coupling term when present.
+coupled models reduce to the same scalar equation, shifted by the coupling
+current of a cell with itself as partner; one solver serves all three.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import NoExtremaError, RootWindowExhaustedError
-from .models import (
-    CouplingSpec,
-    DmlParams,
-    LinearCoupling,
-    SigmoidCoupling,
-    _exp,
-    _sigmoid,
-)
+from .models import CouplingSpec, DmlParams, NoCoupling, _exp
 
 DEFAULT_WINDOW = (-1.5, 1.5)
 FOLD_TOL = 1e-12  # absolute tolerance on I for the two-equilibrium fold branch
@@ -83,11 +76,17 @@ def y_infinity(x: float, p: DmlParams) -> float:
     return (p.A / p.gamma) * _exp(p.alpha * x)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-14) -> float:
-    flo = f(lo)
+def _bisect(f: Callable[[float], float], lo: float, hi: float,
+            flo: Optional[float] = None, fhi: Optional[float] = None,
+            xtol: float = 1e-14) -> float:
+    # end values known from a scan are passed in, so that the bracket this
+    # works on is the one the scan saw
+    if flo is None:
+        flo = f(lo)
     if flo == 0.0:
         return lo
-    fhi = f(hi)
+    if fhi is None:
+        fhi = f(hi)
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
@@ -111,10 +110,12 @@ def _refine_root(
     lo: float,
     hi: float,
     fprime: Optional[Callable[[float], float]] = None,
+    flo: Optional[float] = None,
+    fhi: Optional[float] = None,
     newton_steps: int = 5,
 ) -> float:
     """Bisection to ~1e-14 on the bracket, then a few Newton polish steps."""
-    x = _bisect(f, lo, hi)
+    x = _bisect(f, lo, hi, flo, fhi)
     if fprime is not None:
         for _ in range(newton_steps):
             d = fprime(x)
@@ -131,18 +132,34 @@ def _refine_root(
 
 
 def _scan_brackets(f, lo, hi, step):
-    """Sign-change brackets of f on [lo, hi] sampled at the given step."""
+    """Sign-change brackets ``(a, b, f(a), f(b))`` of f on [lo, hi].
+
+    ``f`` is evaluated once, on the whole grid of the given step; a grid
+    point where it vanishes gives the degenerate bracket ``(x, x, 0, 0)``.
+    """
     xs = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
-    vals = np.array([f(x) for x in xs])
+    vals = f(xs)
+    zero = vals == 0.0
+    hits = np.flatnonzero(zero[:-1] | (vals[:-1] * vals[1:] < 0.0)).tolist()
+    if zero[-1]:
+        hits.append(xs.size - 1)
     out = []
-    for i in range(xs.size - 1):
-        if vals[i] == 0.0:
-            out.append((xs[i], xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            out.append((xs[i], xs[i + 1]))
-    if vals[-1] == 0.0:
-        out.append((xs[-1], xs[-1]))
+    for i in hits:
+        if zero[i]:
+            out.append((float(xs[i]), float(xs[i]), 0.0, 0.0))
+        else:
+            out.append((float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1])))
     return out
+
+
+def _scan_roots(f, lo, hi, fprime=None):
+    """All roots of f on [lo, hi] that a sign scan can see, ascending."""
+    roots = []
+    for a, b, fa, fb in _scan_brackets(f, lo, hi, _SCAN_STEP):
+        r = a if a == b else _refine_root(f, a, b, fprime, fa, fb)
+        if not roots or r - roots[-1] > 1e-9:
+            roots.append(r)
+    return roots
 
 
 def find_extrema(p: DmlParams, window=DEFAULT_WINDOW) -> InfCurveExtrema:
@@ -154,24 +171,16 @@ def find_extrema(p: DmlParams, window=DEFAULT_WINDOW) -> InfCurveExtrema:
     when the scan sees no sign change (e.g. the recovery amplitude is too
     large for the curve to fold).
     """
-
-    def d1(x):
-        return i_infinity_derivative(x, p, 1)
-
-    def d2(x):
-        return i_infinity_derivative(x, p, 2)
-
-    brackets = _scan_brackets(d1, window[0], window[1], _SCAN_STEP)
-    roots = []
-    for lo, hi in brackets:
-        r = _refine_root(d1, lo, hi, d2) if lo != hi else lo
-        if not any(abs(r - q) < 1e-9 for q in roots):
-            roots.append(r)
+    roots = _scan_roots(
+        lambda x: i_infinity_derivative(x, p, 1),
+        window[0],
+        window[1],
+        lambda x: i_infinity_derivative(x, p, 2),
+    )
     if len(roots) < 2:
         raise NoExtremaError(
             "no interior extrema of the current-voltage curve on the scan window"
         )
-    roots.sort()
     x_max, x_min = roots[0], roots[1]
     return InfCurveExtrema(
         x_max=x_max,
@@ -190,134 +199,66 @@ def classify_branch(I: float, extrema: InfCurveExtrema, fold_tol: float = FOLD_T
     return Branch.UNIQUE
 
 
-def _equilibrium_set(p: DmlParams, roots) -> EquilibriumSet:
-    roots = sorted(roots)
-    pts = np.array([[x, y_infinity(x, p)] for x in roots])
-    return EquilibriumSet(points=pts, branch=_BRANCH_BY_COUNT[len(roots)])
-
-
 def find_equilibria_2d(
     p: DmlParams,
     window=DEFAULT_WINDOW,
     fold_tol: float = FOLD_TOL,
 ) -> EquilibriumSet:
-    """All single-cell equilibria on the scan window.
-
-    The extrema split the window into three intervals on which the
-    current-voltage curve is monotone, so each interval holds at most one
-    root and bisection brackets are guaranteed.  A tangency root at a fold
-    (where a plain sign scan sees no crossing) is injected directly from the
-    extremum.  If no root lands in the window it is widened once before
-    :class:`RootWindowExhaustedError` is raised.
-    """
-
-    def g(x):
-        return p.I - i_infinity(x, p)
-
-    def gprime(x):
-        return -i_infinity_derivative(x, p, 1)
-
-    try:
-        ex = find_extrema(p, window)
-    except NoExtremaError:
-        ex = None
-
-    for widened, (lo, hi) in enumerate(
-        (window, (2.0 * window[0], 2.0 * window[1]))
-    ):
-        roots = []
-        if ex is None:
-            for blo, bhi in _scan_brackets(g, lo, hi, _SCAN_STEP):
-                r = _refine_root(g, blo, bhi, gprime) if blo != bhi else blo
-                if not any(abs(r - q) < 1e-9 for q in roots):
-                    roots.append(r)
-        else:
-            if abs(p.I - ex.I_max) <= fold_tol:
-                roots.append(ex.x_max)  # tangency pair collapsed to the fold point
-                roots.extend(_monotone_roots(g, gprime, [(ex.x_min, hi)]))
-            elif abs(p.I - ex.I_min) <= fold_tol:
-                roots.append(ex.x_min)
-                roots.extend(_monotone_roots(g, gprime, [(lo, ex.x_max)]))
-            else:
-                segments = [(lo, ex.x_max), (ex.x_max, ex.x_min), (ex.x_min, hi)]
-                roots.extend(_monotone_roots(g, gprime, segments))
-        if roots:
-            return _equilibrium_set(p, roots)
-        if widened:
-            break
-    raise RootWindowExhaustedError(
-        f"no equilibrium found for I={p.I} on the widened scan window"
-    )
-
-
-def _monotone_roots(g, gprime, segments):
-    roots = []
-    for lo, hi in segments:
-        glo, ghi = g(lo), g(hi)
-        if glo == 0.0:
-            roots.append(lo)
-        elif ghi == 0.0:
-            roots.append(hi)
-        elif glo * ghi < 0.0:
-            roots.append(_refine_root(g, lo, hi, gprime))
-    # segment endpoints can duplicate an exact-zero root
-    out = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-9:
-            out.append(r)
-    return out
+    """All single-cell equilibria on the scan window."""
+    return find_symmetric_equilibria(p, NoCoupling(), window, fold_tol)
 
 
 def find_symmetric_equilibria(
     p: DmlParams,
     coupling: CouplingSpec,
     window=DEFAULT_WINDOW,
+    fold_tol: float = FOLD_TOL,
 ) -> EquilibriumSet:
-    """Symmetric equilibria (x*, y*, x*, y*) of a coupled pair, as (x*, y*).
+    """Equilibria of the single cell, or symmetric equilibria (x*, y*, x*, y*)
+    of a coupled pair given as (x*, y*).
 
-    With linear coupling the defining equation is the single-cell one, so the
-    result is independent of theta.  With sigmoidal coupling the equation
-    gains the term ``sigma (v_s - x) / (1 + e^(-lam (x - q)))`` and the roots
-    move with sigma; at ``sigma == 0`` it degenerates to the single-cell
-    equation and is solved by the same path.
+    The voltages solve g(x) = I - i_infinity(x) + current(x, x) = 0, with
+    the coupling's own synaptic current; the linear current vanishes there,
+    so a linear pair shares the single cell's equilibria for any theta.
+    The extrema of g, found by a sign scan of g', split the window into
+    pieces on which g is monotone, so each piece holds at most one root and
+    bisection brackets are guaranteed.  An extremum where ``|g| <= fold_tol``
+    is a tangency root (a fold, which a sign scan cannot see).  If no root
+    lands in the window its outer pieces are widened once before
+    :class:`RootWindowExhaustedError` is raised.
     """
-    if isinstance(coupling, LinearCoupling):
-        return find_equilibria_2d(p, window)
-    if not isinstance(coupling, SigmoidCoupling):
-        raise TypeError("coupling must be LinearCoupling or SigmoidCoupling")
-    if coupling.sigma == 0.0:
-        return find_equilibria_2d(p, window)
-
-    c = coupling
+    current, partials = coupling.current, coupling.partials
 
     def g(x):
-        return (
-            x * x * (1.0 - x)
-            - y_infinity(x, p)
-            + p.I
-            + c.sigma * (c.v_s - x) * _sigmoid(c.lam * (x - c.q))
-        )
+        return p.I - i_infinity(x, p) + current(x, x)
 
     def gprime(x):
-        z = _sigmoid(c.lam * (x - c.q))
-        return (
-            x * (2.0 - 3.0 * x)
-            - p.alpha * y_infinity(x, p)
-            + c.sigma * (-z + (c.v_s - x) * c.lam * z * (1.0 - z))
-        )
+        d_self, d_other = partials(x, x)
+        return -i_infinity_derivative(x, p, 1) + (d_self + d_other)
 
-    for widened, (lo, hi) in enumerate(
-        (window, (2.0 * window[0], 2.0 * window[1]))
-    ):
-        roots = []
-        for blo, bhi in _scan_brackets(g, lo, hi, _SCAN_STEP):
-            r = _refine_root(g, blo, bhi, gprime) if blo != bhi else blo
-            if not any(abs(r - q) < 1e-9 for q in roots):
-                roots.append(r)
+    lo, hi = window
+    extrema = _scan_roots(gprime, lo, hi)
+    g_extrema = [0.0 if abs(v) <= fold_tol else v for v in map(g, extrema)]
+    for a, b in ((lo, hi), (2.0 * lo, 2.0 * hi)):
+        xs = [a, *extrema, b]
+        gs = [g(a), *g_extrema, g(b)]
+        roots = [x for x, v in zip(xs, gs) if v == 0.0]
+        roots.extend(
+            _refine_root(g, x0, x1, gprime, g0, g1)
+            for x0, x1, g0, g1 in zip(xs, xs[1:], gs, gs[1:])
+            if g0 * g1 < 0.0
+        )
         if roots:
             return _equilibrium_set(p, roots)
-        if widened:
-            break
     raise RootWindowExhaustedError(
-        f"no symmetric equilibrium found for I={p.I} on the widened scan window"
+        f"no equilibrium found for I={p.I} on the widened scan window"
     )
+
+
+def _equilibrium_set(p: DmlParams, roots) -> EquilibriumSet:
+    xs = []
+    for r in sorted(roots):
+        if not xs or r - xs[-1] > 1e-9:  # an extremum on the window's edge
+            xs.append(r)
+    pts = np.array([[x, y_infinity(x, p)] for x in xs])
+    return EquilibriumSet(points=pts, branch=_BRANCH_BY_COUNT[len(xs)])

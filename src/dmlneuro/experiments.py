@@ -14,18 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import Branch, find_equilibria_2d, find_symmetric_equilibria
-from .exceptions import InsufficientSamplesError, NonFiniteStateError
+from .equilibria import Branch, find_symmetric_equilibria
+from .exceptions import InsufficientSamplesError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, Trajectory, check_order, solve_fde
-from .models import (
-    CouplingSpec,
-    DmlParams,
-    NoCoupling,
-    LinearCoupling,
-    SigmoidCoupling,
-    vector_field,
-    voltage_columns,
-)
+from .models import CouplingSpec, DmlParams, SigmoidCoupling, vector_field, voltage_columns
 from .stability import BetaStarKind, beta_star
 
 DEFAULT_DISCARD = 100_000
@@ -231,14 +223,6 @@ def bifurcation_sweep(
     )
 
 
-def _coupling_label(coupling: CouplingSpec) -> str:
-    if isinstance(coupling, NoCoupling):
-        return "single"
-    if isinstance(coupling, LinearCoupling):
-        return f"linear(theta={coupling.theta:g})"
-    return f"sigmoid(sigma={coupling.sigma:g})"
-
-
 def hopf_curve(
     p: DmlParams,
     coupling: CouplingSpec,
@@ -260,11 +244,8 @@ def hopf_curve(
     for I in I_values:
         p_at = replace(p, I=float(I))
         try:
-            if isinstance(coupling, NoCoupling):
-                eq = find_equilibria_2d(p_at)
-            else:
-                eq = find_symmetric_equilibria(p_at, coupling)
-        except Exception as err:  # root-window exhaustion and friends
+            eq = find_symmetric_equilibria(p_at, coupling)
+        except NumericalError as err:
             omitted.append((float(I), f"equilibrium search failed: {err}"))
             continue
         if eq.branch is not Branch.UNIQUE:
@@ -273,7 +254,7 @@ def hopf_curve(
         x_star = float(eq.points[0, 0])
         try:
             result = beta_star(x_star, p_at, coupling)
-        except Exception as err:
+        except NumericalError as err:
             omitted.append((float(I), f"threshold undefined: {err}"))
             continue
         if result.kind is not BetaStarKind.THRESHOLD:
@@ -284,6 +265,6 @@ def hopf_curve(
     return HopfCurve(
         I_values=np.array(kept_I),
         beta_star_values=np.array(kept_beta),
-        coupling_label=_coupling_label(coupling),
+        coupling_label=coupling.label,
         omitted=tuple(omitted),
     )

@@ -4,12 +4,24 @@ The single cell pairs a cubic voltage nonlinearity with an exponential
 recovery variable.  Two identical cells can be coupled bidirectionally
 through the voltage, either by a linear flow or by a sigmoidal (fast
 threshold modulation) synapse.
+
+Every coupling record follows one protocol, from which the field, the
+symmetric equilibria and the stability blocks are all derived:
+
+- ``dim``: the state dimension, 2 for the single cell and 4 for a pair;
+- ``current(x_self, x_other)``: the synaptic current a cell at voltage
+  ``x_self`` receives from its partner at ``x_other``;
+- ``partials(x_self, x_other)``: the two partial derivatives of that
+  current, returned as ``(d_self, d_other)``.
+
+Both methods take floats or numpy arrays of voltages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -17,17 +29,24 @@ import numpy as np
 _EXP_MAX = 709.0  # float64 exp() overflow threshold
 
 
-def _exp(u: float) -> float:
-    # overflow maps to inf instead of raising, so blow-up detection can see it
-    return math.exp(u) if u < _EXP_MAX else math.inf
+def _exp(u):
+    # overflow maps to inf instead of raising, so blow-up detection can see it;
+    # floats take the math path, arrays the numpy one
+    if not isinstance(u, np.ndarray):
+        return math.exp(u) if u < _EXP_MAX else math.inf
+    with np.errstate(over="ignore"):
+        return np.where(u < _EXP_MAX, np.exp(u), np.inf)
 
 
-def _sigmoid(u: float) -> float:
+def _sigmoid(u):
     # sign-split form; never exponentiates a large positive argument
-    if u >= 0.0:
-        return 1.0 / (1.0 + math.exp(-u))
-    eu = math.exp(u)
-    return eu / (1.0 + eu)
+    if not isinstance(u, np.ndarray):
+        if u >= 0.0:
+            return 1.0 / (1.0 + math.exp(-u))
+        eu = math.exp(u)
+        return eu / (1.0 + eu)
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -52,16 +71,41 @@ class DmlParams:
 class NoCoupling:
     """Single isolated cell."""
 
+    dim = 2
+    label = "single"
+    value = 0.0
+
+    def current(self, x_self, x_other):
+        return 0.0
+
+    def partials(self, x_self, x_other):
+        return 0.0, 0.0
+
 
 @dataclass(frozen=True)
 class LinearCoupling:
     """Bidirectional linear voltage flow of strength ``theta``."""
 
     theta: float
+    dim = 4
 
     def __post_init__(self):
         if self.theta <= 0.0:
             raise ValueError("theta must be positive for a coupled model")
+
+    @property
+    def label(self) -> str:
+        return f"linear(theta={self.theta:g})"
+
+    @property
+    def value(self) -> float:
+        return self.theta
+
+    def current(self, x_self, x_other):
+        return self.theta * (x_other - x_self)
+
+    def partials(self, x_self, x_other):
+        return -self.theta, self.theta
 
 
 @dataclass(frozen=True)
@@ -78,6 +122,7 @@ class SigmoidCoupling:
     v_s: float = 2.0
     lam: float = 10.0
     q: float = -0.25
+    dim = 4
 
     def __post_init__(self):
         if self.sigma < 0.0:
@@ -85,47 +130,60 @@ class SigmoidCoupling:
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
 
+    @property
+    def label(self) -> str:
+        return f"sigmoid(sigma={self.sigma:g})"
+
+    @property
+    def value(self) -> float:
+        return self.sigma
+
+    def current(self, x_self, x_other):
+        return self.sigma * (self.v_s - x_self) * _sigmoid(self.lam * (x_other - self.q))
+
+    def partials(self, x_self, x_other):
+        z = _sigmoid(self.lam * (x_other - self.q))
+        return -self.sigma * z, self.sigma * (self.v_s - x_self) * (self.lam * z * (1.0 - z))
+
 
 CouplingSpec = Union[NoCoupling, LinearCoupling, SigmoidCoupling]
+
+_SINGLE = NoCoupling()
+# theta = 0 is the uncoupled pair, which LinearCoupling rejects; a synapse of
+# zero strength passes the same zero current
+_UNCOUPLED_PAIR = SigmoidCoupling(sigma=0.0)
+
+
+def _local(x: float, y: float, p: DmlParams):
+    return x * x * (1.0 - x) - y + p.I, p.A * _exp(p.alpha * x) - p.gamma * y
+
+
+def _field(t, state, p: DmlParams, coupling: CouplingSpec) -> np.ndarray:
+    """Local field of each cell plus the current it receives from its partner."""
+    # Python floats run the same IEEE arithmetic as numpy scalars, only faster
+    if coupling.dim == 2:
+        x, y = state.tolist()
+        return np.array(_local(x, y, p))
+    x1, y1, x2, y2 = state.tolist()
+    dx1, dy1 = _local(x1, y1, p)
+    dx2, dy2 = _local(x2, y2, p)
+    current = coupling.current
+    return np.array([dx1 + current(x1, x2), dy1, dx2 + current(x2, x1), dy2])
 
 
 def rhs_single(t, state, p: DmlParams) -> np.ndarray:
     """Single-cell field: (x^2(1-x) - y + I, A e^(alpha x) - gamma y)."""
-    x, y = state
-    return np.array(
-        [
-            x * x * (1.0 - x) - y + p.I,
-            p.A * _exp(p.alpha * x) - p.gamma * y,
-        ]
-    )
+    return _field(t, state, p, _SINGLE)
 
 
 def rhs_coupled_linear(t, state, p: DmlParams, theta: float) -> np.ndarray:
     """Two identical cells exchanging a linear voltage flow theta*(x_j - x_i)."""
-    x1, y1, x2, y2 = state
-    return np.array(
-        [
-            x1 * x1 * (1.0 - x1) - y1 + p.I + theta * (x2 - x1),
-            p.A * _exp(p.alpha * x1) - p.gamma * y1,
-            x2 * x2 * (1.0 - x2) - y2 + p.I + theta * (x1 - x2),
-            p.A * _exp(p.alpha * x2) - p.gamma * y2,
-        ]
-    )
+    return _field(t, state, p, LinearCoupling(theta) if theta else _UNCOUPLED_PAIR)
 
 
 def rhs_coupled_sigmoid(t, state, p: DmlParams, c: SigmoidCoupling) -> np.ndarray:
     """Two identical cells coupled by sigma*(v_s - x_i) / (1 + e^(-lam (x_j - q)))."""
-    x1, y1, x2, y2 = state
-    return np.array(
-        [
-            x1 * x1 * (1.0 - x1) - y1 + p.I
-            + c.sigma * (c.v_s - x1) * _sigmoid(c.lam * (x2 - c.q)),
-            p.A * _exp(p.alpha * x1) - p.gamma * y1,
-            x2 * x2 * (1.0 - x2) - y2 + p.I
-            + c.sigma * (c.v_s - x2) * _sigmoid(c.lam * (x1 - c.q)),
-            p.A * _exp(p.alpha * x2) - p.gamma * y2,
-        ]
-    )
+    return _field(t, state, p, c)
 
 
 def vector_field(coupling: CouplingSpec):
@@ -134,22 +192,10 @@ def vector_field(coupling: CouplingSpec):
     The returned ``rhs(t, y, p)`` matches the solver's calling convention,
     with ``p`` a :class:`DmlParams` record.
     """
-    if isinstance(coupling, NoCoupling):
-        return rhs_single, 2
-    if isinstance(coupling, LinearCoupling):
-        theta = coupling.theta
-
-        def rhs_linear(t, y, p):
-            return rhs_coupled_linear(t, y, p, theta)
-
-        return rhs_linear, 4
-    if isinstance(coupling, SigmoidCoupling):
-
-        def rhs_sigmoid(t, y, p):
-            return rhs_coupled_sigmoid(t, y, p, coupling)
-
-        return rhs_sigmoid, 4
-    raise TypeError(f"unknown coupling spec: {coupling!r}")
+    dim = getattr(coupling, "dim", None)
+    if dim not in (2, 4):
+        raise TypeError(f"unknown coupling spec: {coupling!r}")
+    return partial(_field, coupling=coupling), dim
 
 
 def voltage_columns(dim: int) -> tuple[int, ...]:

@@ -2,7 +2,10 @@
 fractional Hopf thresholds for the single cell and both coupled pairs.
 
 Every model linearizes, at a (symmetric) equilibrium, into one or two 2x2
-blocks of the form ``[[S, -1], [m, -gamma]]`` with ``m = alpha A e^(alpha x*)``.
+blocks of the form ``[[S, -1], [m, -gamma]]`` with ``m = alpha A e^(alpha x*)``
+and ``S = s0 + d_self +/- d_other``: ``s0 = x*(2 - 3x*)`` is the cell's own
+voltage slope and ``d_self``, ``d_other`` are the partial derivatives of the
+coupling current at ``(x*, x*)``.
 All stability questions reduce to the block traces ``tau = S - gamma`` and
 determinants ``delta = -gamma S + m``: an equilibrium of the order-beta
 system is asymptotically stable iff every block satisfies ``delta > 0`` and
@@ -20,15 +23,7 @@ import numpy as np
 
 from .exceptions import DegenerateDeterminantError
 from .fde import check_order
-from .models import (
-    CouplingSpec,
-    DmlParams,
-    LinearCoupling,
-    NoCoupling,
-    SigmoidCoupling,
-    _exp,
-    _sigmoid,
-)
+from .models import CouplingSpec, DmlParams, LinearCoupling, NoCoupling, _exp
 
 DEGENERACY_TOL = 1e-12  # |delta| below this is treated as a fold
 
@@ -81,65 +76,35 @@ def _recovery_slope(x_star: float, p: DmlParams) -> float:
     return p.alpha * p.A * _exp(p.alpha * x_star)
 
 
-def _diagonal_terms(x_star: float, p: DmlParams, coupling: CouplingSpec):
-    """Voltage-equation self-derivatives (S+, S-) of the 2x2 blocks."""
-    s0 = x_star * (2.0 - 3.0 * x_star)
-    if isinstance(coupling, NoCoupling):
-        return s0, None
-    if isinstance(coupling, LinearCoupling):
-        return s0, s0 - 2.0 * coupling.theta
-    if isinstance(coupling, SigmoidCoupling):
-        c = coupling
-        z = _sigmoid(c.lam * (x_star - c.q))
-        r = c.lam * z * (1.0 - z)  # derivative of the sigmoid factor
-        off = c.sigma * (c.v_s - x_star) * r
-        base = s0 - c.sigma * z
-        return base + off, base - off
-    raise TypeError(f"unknown coupling spec: {coupling!r}")
-
-
 def jacobian(x_star: float, p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> np.ndarray:
     """Jacobian at the (symmetric) equilibrium with voltage ``x_star``.
 
     2x2 for the single cell; for a coupled pair the 4x4 block form
     ``[[J, C], [C, J]]`` with the coupling matrix C acting on the voltage row.
     """
-    m = _recovery_slope(x_star, p)
-    s0 = x_star * (2.0 - 3.0 * x_star)
-    if isinstance(coupling, NoCoupling):
-        return np.array([[s0, -1.0], [m, -p.gamma]])
-    if isinstance(coupling, LinearCoupling):
-        diag = np.array([[s0 - coupling.theta, -1.0], [m, -p.gamma]])
-        off = np.array([[coupling.theta, 0.0], [0.0, 0.0]])
-    elif isinstance(coupling, SigmoidCoupling):
-        c = coupling
-        z = _sigmoid(c.lam * (x_star - c.q))
-        r = c.lam * z * (1.0 - z)
-        diag = np.array([[s0 - c.sigma * z, -1.0], [m, -p.gamma]])
-        off = np.array([[c.sigma * (c.v_s - x_star) * r, 0.0], [0.0, 0.0]])
-    else:
-        raise TypeError(f"unknown coupling spec: {coupling!r}")
-    return np.block([[diag, off], [off, diag]])
+    d_self, d_other = coupling.partials(x_star, x_star)
+    block = np.array(
+        [[x_star * (2.0 - 3.0 * x_star) + d_self, -1.0], [_recovery_slope(x_star, p), -p.gamma]]
+    )
+    if coupling.dim == 2:
+        return block
+    off = np.array([[d_other, 0.0], [0.0, 0.0]])
+    return np.block([[block, off], [off, block]])
 
 
 def indicators(
     x_star: float, p: DmlParams, coupling: CouplingSpec = NoCoupling()
 ) -> StabilityIndicators:
     """Trace/determinant indicators of the 2x2 stability blocks."""
-    m = _recovery_slope(x_star, p)
-    s_plus, s_minus = _diagonal_terms(x_star, p, coupling)
+    d_self, d_other = coupling.partials(x_star, x_star)
+    s_plus = x_star * (2.0 - 3.0 * x_star) + (d_self + d_other)
     tau_p = s_plus - p.gamma
-    delta_p = -p.gamma * s_plus + m
-    if s_minus is None:
+    delta_p = -p.gamma * s_plus + _recovery_slope(x_star, p)
+    if coupling.dim == 2:
         return StabilityIndicators(tau_p, delta_p)
-    if isinstance(coupling, LinearCoupling):
-        # exact algebraic shifts of the plus branch
-        theta = coupling.theta
-        return StabilityIndicators(
-            tau_p, delta_p, tau_p - 2.0 * theta, delta_p + 2.0 * theta * p.gamma
-        )
+    # S- = S+ - 2 d_other exactly, so the minus branch is a shift of the plus one
     return StabilityIndicators(
-        tau_p, delta_p, s_minus - p.gamma, -p.gamma * s_minus + m
+        tau_p, delta_p, tau_p - 2.0 * d_other, delta_p + 2.0 * d_other * p.gamma
     )
 
 
@@ -218,24 +183,21 @@ def saddle_node_condition(
     a linear pair (positive coupling lifts it clear of zero, so the fold
     needs vanishing coupling), and either branch for a sigmoidal pair.
     """
-    from .equilibria import find_equilibria_2d, find_symmetric_equilibria
+    from .equilibria import find_symmetric_equilibria
 
     p_at = replace(p, I=I)
-    if isinstance(coupling, NoCoupling):
-        eq = find_equilibria_2d(p_at)
+    eq = find_symmetric_equilibria(p_at, coupling)
+    if coupling.dim == 2:
+        names = ("delta",)
+    elif isinstance(coupling, LinearCoupling):
+        names = (None, "delta-")  # the plus block is the single cell's for every theta
     else:
-        eq = find_symmetric_equilibria(p_at, coupling)
+        names = ("delta+", "delta-")
 
     details = []
     for x_star, _ in eq.points:
-        ind = indicators(x_star, p_at, coupling)
-        if isinstance(coupling, NoCoupling):
-            watched = (("delta", ind.delta_plus),)
-        elif isinstance(coupling, LinearCoupling):
-            watched = (("delta-", ind.delta_minus),)
-        else:
-            watched = (("delta+", ind.delta_plus), ("delta-", ind.delta_minus))
-        for label, value in watched:
-            if abs(value) < tol:
+        branches = indicators(x_star, p_at, coupling).branches
+        for label, (_, value) in zip(names, branches):
+            if label is not None and abs(value) < tol:
                 details.append(f"{label} = {value:.3e} vanishes at x* = {x_star:.6f}")
     return SaddleNodeReport(found=bool(details), details=tuple(details))

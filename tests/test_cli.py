@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dmlneuro import cli
 from dmlneuro.cli import RunConfig, run_cli
 
 
@@ -99,6 +100,25 @@ class TestConfigHandling:
         code, _, err = run(capsys, "beta-star", "--config", str(bad))
         assert code == 2 and "unknown configuration keys" in err
 
+    def test_type_error_in_a_handler_propagates(self, monkeypatch):
+        # a TypeError inside a command is a bug, not a configuration error
+        def broken(cfg):
+            raise TypeError("bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "equilibria", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_cli(["equilibria", "--I", "0.019"])
+
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        args = ["hopf-curve", "--I-from", "0.018", "--I-to", "0.02", "--I-points", "3"]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli(args + ["--out", str(first), "--svg"]) == 0
+        assert run_cli(args + ["--out", str(second)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "first.svg").exists()
+        assert not (tmp_path / "second.svg").exists()
+        assert first.read_text() == second.read_text()
+
     def test_unwritable_output_exits_2(self, capsys):
         code, _, err = run(
             capsys, "equilibria", "--I", "0.019", "--out", "/nonexistent-dir/x.csv"
@@ -114,6 +134,16 @@ class TestEquilibriaCommand:
         assert lines[0] == "I,branch,x_star,y_star"
         assert len(lines) == 4
         assert all(line.startswith("0.011,threefold,") for line in lines[1:])
+
+    def test_negative_current_in_exponent_notation(self, capsys):
+        code, out, err = run(
+            capsys, "equilibria", "--model", "dimer-sigmoid", "--sigma", "0.0001",
+            "--I", "-7.851617706231516e-05",
+        )
+        assert code == 0, err
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 1
+        assert rows[0].startswith("-7.851617706231516e-05,unique,")
 
     def test_written_file(self, tmp_path, capsys):
         out_path = tmp_path / "eq.csv"

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dmlneuro.equilibria import (
     Branch,
+    _scan_brackets,
     classify_branch,
     find_equilibria_2d,
     find_extrema,
@@ -17,6 +21,8 @@ from dmlneuro.models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
+    _exp,
+    _sigmoid,
     rhs_single,
 )
 
@@ -28,6 +34,46 @@ X_MAX = 0.051143193209885154
 I_MAX = 0.015417976156715866
 X_MIN = 0.2863874927043651
 I_MIN = 0.003397079040195275
+
+
+def sigmoid_fold_currents(sigma):
+    """(upper, lower) fold currents of the sigmoid pair's symmetric branch.
+
+    An independent transcription: the folds sit at the critical points of
+    h(x) = A/gamma e^(alpha x) - x^2 (1 - x) - sigma (v_s - x) S(lam (x - q)),
+    the current that puts a symmetric equilibrium at x, found by brentq.
+    """
+    A, alpha, gamma, v_s, lam, q = 0.0041, 5.276, 0.3, 2.0, 10.0, -0.25
+
+    def parts(x):
+        return A / gamma * math.exp(alpha * x), 1.0 / (1.0 + math.exp(-lam * (x - q)))
+
+    def h(x):
+        e, z = parts(x)
+        return e - x * x * (1.0 - x) - sigma * (v_s - x) * z
+
+    def dh(x):
+        e, z = parts(x)
+        return alpha * e - x * (2.0 - 3.0 * x) + sigma * (z - (v_s - x) * lam * z * (1.0 - z))
+
+    upper = brentq(dh, -0.2, 0.17, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    lower = brentq(dh, 0.17, 0.6, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    return h(upper), h(lower)
+
+
+def scan_brackets_reference(f, lo, hi, step):
+    """The per-point scan loop, one scalar call per grid point."""
+    xs = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    vals = np.array([f(float(x)) for x in xs])
+    out = []
+    for i in range(xs.size - 1):
+        if vals[i] == 0.0:
+            out.append((xs[i], xs[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            out.append((xs[i], xs[i + 1]))
+    if vals[-1] == 0.0:
+        out.append((xs[-1], xs[-1]))
+    return out
 
 
 class TestInfCurve:
@@ -224,9 +270,61 @@ class TestSymmetricEquilibria:
             state = np.array([x, y, x, y])
             assert np.abs(rhs_coupled_sigmoid(0.0, state, P, c)).max() < 1e-10
 
-    def test_requires_a_coupled_model(self):
-        with pytest.raises(TypeError):
-            find_symmetric_equilibria(P, NoCoupling())
+    def test_no_coupling_gives_the_single_cell_equilibria(self):
+        for I in (0.0001, 0.011, 0.019):
+            p = DmlParams(I=I)
+            eq = find_symmetric_equilibria(p, NoCoupling())
+            base = find_equilibria_2d(p)
+            assert np.array_equal(eq.points, base.points)
+            assert eq.branch is base.branch
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-3, 3e-3])
+    @pytest.mark.parametrize("fold", ["upper", "lower"])
+    def test_sigmoid_fold_counts(self, sigma, fold):
+        # the fold current itself has the tangency root and one more; 1e-9
+        # inside the band the tangency splits into two roots 1e-4 apart
+        upper, lower = sigmoid_fold_currents(sigma)
+        I_fold, inward = (upper, -1e-9) if fold == "upper" else (lower, 1e-9)
+        c = SigmoidCoupling(sigma=sigma)
+        at_fold = find_symmetric_equilibria(DmlParams(I=I_fold), c)
+        assert at_fold.branch is Branch.TWOFOLD and at_fold.points.shape == (2, 2)
+        inside = find_symmetric_equilibria(DmlParams(I=I_fold + inward), c)
+        assert inside.branch is Branch.THREEFOLD and inside.points.shape == (3, 2)
+
+
+class TestVectorisedScan:
+    def test_elementary_functions_match_the_float_path(self):
+        u = np.linspace(-700.0, 700.0, 20001)
+        np.testing.assert_array_max_ulp(_exp(u), [_exp(float(v)) for v in u], maxulp=4)
+        np.testing.assert_array_max_ulp(_sigmoid(u), [_sigmoid(float(v)) for v in u], maxulp=4)
+        assert _exp(np.array([709.0, 800.0, np.nan])).tolist() == [math.inf] * 3
+        assert _exp(709.0) == _exp(800.0) == _exp(math.nan) == math.inf
+
+    @pytest.mark.parametrize(
+        "coupling", [SigmoidCoupling(1e-4), SigmoidCoupling(1e-3), SigmoidCoupling(3e-3)]
+    )
+    def test_coupling_current_matches_the_float_path(self, coupling):
+        x = np.linspace(-3.0, 3.0, 6001)
+        np.testing.assert_array_max_ulp(
+            coupling.current(x, x), [coupling.current(v, v) for v in x.tolist()], maxulp=4
+        )
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4, 1e-3, 3e-3])
+    @pytest.mark.parametrize("window", [(-1.5, 1.5), (-3.0, 3.0)])
+    def test_brackets_match_the_per_point_loop(self, sigma, window):
+        c = SigmoidCoupling(sigma)
+
+        def gprime(x):
+            d_self, d_other = c.partials(x, x)
+            return -i_infinity_derivative(x, P, 1) + (d_self + d_other)
+
+        for f in (gprime, lambda x: i_infinity_derivative(x, P, 1)):
+            got = _scan_brackets(f, *window, 1e-3)
+            want = scan_brackets_reference(f, *window, 1e-3)
+            assert [(a, b) for a, b, _, _ in got] == want
+            for a, b, fa, fb in got:  # the end values the bisection is handed
+                assert fa == 0.0 or fa * f(a) > 0.0
+                assert fb == 0.0 or fb * f(b) > 0.0
 
 
 def test_y_infinity_matches_recovery_nullcline():

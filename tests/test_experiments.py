@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dmlneuro.exceptions import InsufficientSamplesError
+from dmlneuro import experiments
+from dmlneuro.exceptions import InsufficientSamplesError, RootWindowExhaustedError
 from dmlneuro.fde import SolverConfig, solve_fde
 from dmlneuro.models import (
     DmlParams,
@@ -231,6 +232,22 @@ class TestHopfCurve:
         curve = hopf_curve(P, NoCoupling(), (0.005, 0.015), 11)
         assert curve.omitted
         assert all("branch" in reason or "stable" in reason for _, reason in curve.omitted)
+
+    def test_only_numerical_failures_are_omitted(self, monkeypatch):
+        def exhausted(p, coupling):
+            raise RootWindowExhaustedError("no root")
+
+        monkeypatch.setattr(experiments, "find_symmetric_equilibria", exhausted)
+        curve = hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
+        assert curve.I_values.size == 0 and len(curve.omitted) == 3
+        assert all("no root" in reason for _, reason in curve.omitted)
+
+        def broken(p, coupling):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(experiments, "find_symmetric_equilibria", broken)
+        with pytest.raises(TypeError, match="bug"):
+            hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
 
     def test_coupling_label(self):
         assert hopf_curve(P, NoCoupling(), (0.018, 0.02), 3).coupling_label == "single"
