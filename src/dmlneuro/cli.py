@@ -14,7 +14,7 @@ import numpy as np
 
 from .equilibria import find_symmetric_equilibria
 from .exceptions import DegenerateDeterminantError, DmlNeuroError, NonFiniteStateError, NumericalError
-from .fde import SolverConfig, check_order, mittag_leffler, solve_fde
+from .fde import SolverConfig, mittag_leffler, solve_fde
 from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 from .experiments import bifurcation_sweep, hopf_curve, run_experiment
 from .stability import BetaStarKind, beta_star, classify, indicators
@@ -50,7 +50,6 @@ class RunConfig:
     I_to: float = 0.03
     I_points: int = 100
     corrector_iterations: int = SolverConfig.corrector_iterations
-    use_fft: bool = False
     y0: Optional[tuple] = None
     out: Optional[str] = None
     svg: bool = False
@@ -63,14 +62,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        """Build a config from plain values, each coerced to its field's type.
+
+        Raises ``ValueError`` for an unknown key or a value of the wrong kind.
+        """
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(kinds)
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-        d = dict(d)
-        if d.get("y0") is not None:
-            d["y0"] = tuple(float(v) for v in d["y0"])
-        return cls(**d)
+        return cls(**{key: _coerce(key, kinds[key], value) for key, value in d.items()})
 
     def params(self) -> DmlParams:
         return DmlParams(I=self.I, A=self.A, alpha=self.alpha, gamma=self.gamma)
@@ -90,8 +90,29 @@ class RunConfig:
             t_end=self.t_end,
             h=self.h,
             corrector_iterations=self.corrector_iterations,
-            use_fft=self.use_fft,
         )
+
+
+def _coerce(key: str, kind: str, value):
+    """``value`` as the annotated type ``kind`` of the field ``key``."""
+    if value is None and kind.startswith("Optional"):
+        return None
+    if kind == "Optional[tuple]":
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+        return tuple(_coerce(key, "float", v) for v in value)
+    if kind in ("str", "Optional[str]", "bool"):
+        expected = bool if kind == "bool" else str
+        if not isinstance(value, expected):
+            raise ValueError(f"{key} must be a {expected.__name__}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if kind == "int":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 @functools.cache
@@ -118,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--corrector-iterations", dest="corrector_iterations", type=int,
                    help="corrector passes per step")
     s.add_argument("--use-fft", dest="use_fft", action="store_true", default=None,
-                   help="FFT-accelerated history sums")
+                   help="accepted for older command lines; no effect")
     r = common.add_argument_group("ranges")
     r.add_argument("--beta-from", dest="beta_from", type=float, help="sweep lower order")
     r.add_argument("--beta-to", dest="beta_to", type=float, help="sweep upper order")
@@ -159,30 +180,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if key in ("config", "command") or value is None:
             continue
         merged[key] = value
+    # the history is always blocked; the old switch is accepted and ignored
+    merged.pop("use_fft", None)
     if isinstance(merged.get("y0"), str):
         merged["y0"] = tuple(float(v) for v in merged["y0"].split(","))
-    cfg = RunConfig.from_dict({"command": args.command, **merged})
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    check_order(cfg.beta)
-    if cfg.command == "sweep":
-        check_order(cfg.beta_from)
-        check_order(cfg.beta_to)
-        if cfg.beta_step <= 0.0:
-            raise ValueError("beta-step must be positive")
-    if cfg.h <= 0.0:
-        raise ValueError("h must be positive")
-    if cfg.t_end <= 0.0:
-        raise ValueError("t-end must be positive")
-    if cfg.discard < 0 or cfg.tail < 1:
-        raise ValueError("discard must be >= 0 and tail >= 1")
-    if cfg.I_points < 1:
-        raise ValueError("I-points must be positive")
-    cfg.params()
-    cfg.coupling()
+    return RunConfig.from_dict({"command": args.command, **merged})
 
 
 def _fmt(value) -> str:
@@ -195,24 +197,18 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write(cfg: RunConfig, text: str) -> None:
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(cfg: RunConfig, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_record(cfg: RunConfig, record) -> None:
-    text = json.dumps(record, indent=2) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, "\n".join(lines) + "\n")
 
 
 # fixed 800x500 viewport; purely presentational output
@@ -373,7 +369,7 @@ def _cmd_beta_star(cfg: RunConfig) -> int:
                 "kind": kind,
             }
         )
-    _emit_record(cfg, records[0] if len(records) == 1 else records)
+    _write(cfg, json.dumps(records[0] if len(records) == 1 else records, indent=2) + "\n")
     return 0
 
 

@@ -3,9 +3,10 @@
 The initial value problem is recast as a Volterra integral equation with a
 weakly singular power-law kernel, discretized by product integration on a
 uniform grid, and stepped with an Adams-Bashforth-Moulton predict-evaluate-
-correct-evaluate (PECE) scheme.  The history sums can optionally be
-accelerated with blocked FFT convolutions; the direct summation is the
-reference path.
+correct-evaluate (PECE) scheme.  The history sums are blocked: history
+inside the current block is summed directly, and history older than the
+block is folded in by one FFT convolution per block, so a run shorter than
+one block is the plain direct sum.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .exceptions import (
     NonFiniteStateError,
 )
 
-# Block length for the FFT-accelerated history sums; history older than the
-# current block is folded in by FFT once per block, the rest stays direct.
+# Block length of the history sums: history older than the current block is
+# folded in by FFT once per block, the rest stays direct.
 _FFT_BLOCK = 8192
 
 
@@ -48,15 +49,15 @@ def check_order(order) -> float:
 class SolverConfig:
     """Uniform-grid solver settings.
 
-    ``h`` is the fixed step size; ``corrector_iterations`` is the number of
-    correct-evaluate passes per step (1 gives plain PECE).
+    The grid runs from ``t_start`` to ``t_end`` with the fixed step size
+    ``h``; ``corrector_iterations`` is the number of correct-evaluate passes
+    per step (1 gives plain PECE).
     """
 
     t_start: float = 0.0
     t_end: float = 6000.0
     h: float = 0.01
     corrector_iterations: int = 1
-    use_fft: bool = False
 
     def __post_init__(self):
         if self.h <= 0.0:
@@ -138,17 +139,22 @@ def _far_sums(F: np.ndarray, pk: np.ndarray, ck: np.ndarray, m0: int, block: int
     and ``far_a[r]`` the corrector history sum (including the node-0 term,
     which the caller subtracts) contributed by nodes ``0..m0-1`` to output
     node ``m0 + r``, for ``r`` in ``0..block-1``.
+
+    The transforms run one state column at a time, at the smallest power of
+    two that holds ``m0 + block`` points: the circular wrap-around then only
+    reaches outputs below ``m0 - 1``, which are never read.
     """
-    kmax_b = m0 + block - 1  # largest predictor lag requested, exclusive
-    kmax_a = m0 + block
-    nfft = 1 << int(m0 + block).bit_length()
-    fhat = np.fft.rfft(F[:m0], n=nfft, axis=0)
-    bhat = np.fft.rfft(pk[: min(kmax_b, pk.size)], n=nfft)
-    ahat = np.fft.rfft(ck[: min(kmax_a, ck.size)], n=nfft)
-    conv_b = np.fft.irfft(fhat * bhat[:, None], n=nfft, axis=0)
-    conv_a = np.fft.irfft(fhat * ahat[:, None], n=nfft, axis=0)
+    nfft = 1 << (m0 + block - 1).bit_length()
     # output node m uses predictor lag m-1-j and corrector lag m-j
-    return conv_b[m0 - 1 : m0 - 1 + block], conv_a[m0 : m0 + block]
+    bhat = np.fft.rfft(pk[: m0 + block - 1], n=nfft)
+    ahat = np.fft.rfft(ck[: m0 + block], n=nfft)
+    far_b = np.empty((block, F.shape[1]))
+    far_a = np.empty_like(far_b)
+    for d in range(F.shape[1]):
+        fhat = np.fft.rfft(F[:m0, d], n=nfft)
+        far_b[:, d] = np.fft.irfft(fhat * bhat, n=nfft)[m0 - 1 : m0 - 1 + block]
+        far_a[:, d] = np.fft.irfft(fhat * ahat, n=nfft)[m0 : m0 + block]
+    return far_b, far_a
 
 
 def solve_fde(
@@ -197,34 +203,25 @@ def solve_fde(
     states[0] = y0
     F[0] = f0
 
-    block = _FFT_BLOCK if config.use_fft else 0
+    block = _FFT_BLOCK
+    # first nodes of the direct predictor and corrector sums in this block;
+    # the corrector's node 0 carries its own weight a0
+    q0, j_lo = 0, 1
     far_b = far_a = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_steps):
             m = n + 1
             t1 = times[m]
-            if block:
-                if m % block == 0:
-                    far_b, far_a = _far_sums(F, pk, ck, m, block)
-                q0 = (m // block) * block
+            if m % block == 0:
+                q0 = j_lo = m
+                far_b, far_a = _far_sums(F, pk, ck, m, block)
+            sum_b = pk_flip[n_steps - 1 - n + q0 :] @ F[q0:m]
+            sum_a = ck_flip[n_steps - 1 - n + j_lo : n_steps] @ F[j_lo:m]
+            if far_b is not None:
                 r = m - q0
-                sum_b = pk_flip[n_steps - 1 - (n - q0) :] @ F[q0 : n + 1]
-                if far_b is not None:
-                    sum_b = sum_b + far_b[r]
-                j_lo = max(1, q0)
-                if n >= j_lo:
-                    sum_a = ck_flip[n_steps - n + j_lo - 1 : n_steps] @ F[j_lo : n + 1]
-                else:
-                    sum_a = 0.0
-                if far_a is not None:
-                    sum_a = sum_a + far_a[r] - ck[m] * F[0]
-            else:
-                sum_b = pk_flip[n_steps - 1 - n :] @ F[: n + 1]
-                if n >= 1:
-                    sum_a = ck_flip[n_steps - n : n_steps] @ F[1 : n + 1]
-                else:
-                    sum_a = 0.0
+                sum_b = sum_b + far_b[r]
+                sum_a = sum_a + far_a[r] - ck[m] * F[0]
 
             y_pred = y0 + cb * sum_b
             base = y0 + ca * (a0[n] * F[0] + sum_a)

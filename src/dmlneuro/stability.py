@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import DegenerateDeterminantError
 from .fde import check_order
-from .models import CouplingSpec, DmlParams, LinearCoupling, NoCoupling, _exp
+from .models import CouplingSpec, DmlParams, NoCoupling, _exp
 
 DEGENERACY_TOL = 1e-12  # |delta| below this is treated as a fold
 
@@ -178,26 +178,21 @@ def saddle_node_condition(
 ) -> SaddleNodeReport:
     """Test whether the stimulation current ``I`` sits at a fold.
 
-    The relevant determinant branch must vanish at some equilibrium: the
-    single branch for an isolated cell, the theta-shifted (minus) branch for
-    a linear pair (positive coupling lifts it clear of zero, so the fold
-    needs vanishing coupling), and either branch for a sigmoidal pair.
+    A fold needs a vanishing determinant at some equilibrium: the single
+    block of an isolated cell, or either block of a coupled pair.  The plus
+    block of a linear pair equals the single cell's for every theta, so that
+    pair folds where the cell does.
     """
     from .equilibria import find_symmetric_equilibria
 
     p_at = replace(p, I=I)
     eq = find_symmetric_equilibria(p_at, coupling)
-    if coupling.dim == 2:
-        names = ("delta",)
-    elif isinstance(coupling, LinearCoupling):
-        names = (None, "delta-")  # the plus block is the single cell's for every theta
-    else:
-        names = ("delta+", "delta-")
+    names = ("delta",) if coupling.dim == 2 else ("delta+", "delta-")
 
     details = []
     for x_star, _ in eq.points:
         branches = indicators(x_star, p_at, coupling).branches
         for label, (_, value) in zip(names, branches):
-            if label is not None and abs(value) < tol:
+            if abs(value) < tol:
                 details.append(f"{label} = {value:.3e} vanishes at x* = {x_star:.6f}")
     return SaddleNodeReport(found=bool(details), details=tuple(details))

@@ -100,6 +100,30 @@ class TestConfigHandling:
         code, _, err = run(capsys, "beta-star", "--config", str(bad))
         assert code == 2 and "unknown configuration keys" in err
 
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("equilibria", {"I": "abc"}),
+            ("equilibria", {"I": "0.019"}),
+            ("hopf-curve", {"I_points": 2.5}),
+            ("beta-star", {"svg": "yes"}),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, values):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(values))
+        code, _, err = run(capsys, command, "--config", str(bad))
+        assert code == 2 and "configuration error" in err
+
+    def test_use_fft_is_accepted_and_ignored(self, tmp_path, capsys):
+        args = ["simulate", "--t-end", "5", "--h", "0.1", "--discard", "0", "--tail", "10"]
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"use_fft": True}))
+        _, plain, _ = run(capsys, *args)
+        _, flagged, _ = run(capsys, *args, "--use-fft")
+        code, from_file, _ = run(capsys, *args, "--config", str(cfg_file))
+        assert code == 0 and plain == flagged == from_file
+
     def test_type_error_in_a_handler_propagates(self, monkeypatch):
         # a TypeError inside a command is a bug, not a configuration error
         def broken(cfg):

@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import dmlneuro.fde as fde
@@ -270,22 +272,47 @@ class TestSolveFde:
             assert np.array_equal(s, q)
 
 
+def reference_pece(rhs, order, config, y0, params=None):
+    """Direct-sum PECE: the full product-integration weights at every step.
+
+    The reference the blocked engine is checked against; it reads its
+    weights from ``pi_weights``, which quadrature checks independently.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    n_steps, h = config.n_steps, config.h
+    times = config.t_start + h * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, y0.size))
+    F = np.empty_like(states)
+    states[0], F[0] = y0, rhs(times[0], y0, params)
+    ca = h ** order / math.gamma(order + 2.0)
+    for n in range(n_steps):
+        pred, corr = pi_weights(order, n, h)
+        y_new = y0 + pred @ F[: n + 1] / math.gamma(order)
+        base = y0 + ca * (corr[: n + 1] @ F[: n + 1])
+        f_new = rhs(times[n + 1], y_new, params)
+        for _ in range(config.corrector_iterations):
+            y_new = base + ca * corr[n + 1] * f_new
+            f_new = rhs(times[n + 1], y_new, params)
+        states[n + 1], F[n + 1] = y_new, f_new
+    return states
+
+
 class TestFftPath:
     def test_equivalent_to_direct_on_neuron_run(self):
         # 1e4 steps so the blocked history fold actually engages
         p = DmlParams(I=0.019)
         y0 = [0.1, 0.1]
-        direct = solve_fde(rhs_single, 0.9, SolverConfig(0.0, 100.0, 0.01), y0, p)
-        fast = solve_fde(
-            rhs_single, 0.9, SolverConfig(0.0, 100.0, 0.01, use_fft=True), y0, p
-        )
-        assert np.abs(direct.states - fast.states).max() < 1e-8
+        cfg = SolverConfig(0.0, 100.0, 0.01)
+        fast = solve_fde(rhs_single, 0.9, cfg, y0, p)
+        direct = reference_pece(rhs_single, 0.9, cfg, y0, p)
+        assert np.abs(direct - fast.states).max() < 1e-8
 
     def test_equivalent_across_many_blocks(self, monkeypatch):
         monkeypatch.setattr(fde, "_FFT_BLOCK", 128)
-        direct = solve_fde(decay, 0.6, SolverConfig(0.0, 2.0, 1e-3), [1.0])
-        fast = solve_fde(decay, 0.6, SolverConfig(0.0, 2.0, 1e-3, use_fft=True), [1.0])
-        assert np.abs(direct.states - fast.states).max() < 1e-10
+        cfg = SolverConfig(0.0, 2.0, 1e-3)
+        fast = solve_fde(decay, 0.6, cfg, [1.0])
+        direct = reference_pece(decay, 0.6, cfg, [1.0])
+        assert np.abs(direct - fast.states).max() < 1e-10
 
     def test_equivalent_for_four_dimensional_state(self, monkeypatch):
         from dmlneuro.models import LinearCoupling, vector_field
@@ -294,17 +321,33 @@ class TestFftPath:
         p = DmlParams(I=0.019)
         rhs, _ = vector_field(LinearCoupling(0.008))
         y0 = [0.1, 0.1, -0.2, 0.1]
-        direct = solve_fde(rhs, 0.95, SolverConfig(0.0, 30.0, 0.01), y0, p)
-        fast = solve_fde(rhs, 0.95, SolverConfig(0.0, 30.0, 0.01, use_fft=True), y0, p)
-        assert np.abs(direct.states - fast.states).max() < 1e-8
+        cfg = SolverConfig(0.0, 30.0, 0.01)
+        fast = solve_fde(rhs, 0.95, cfg, y0, p)
+        direct = reference_pece(rhs, 0.95, cfg, y0, p)
+        assert np.abs(direct - fast.states).max() < 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        block=st.integers(2, 64),
+        beta=st.floats(0.3, 1.0),
+        n_steps=st.integers(1, 300),
+    )
+    def test_any_block_size_matches_the_direct_sum(self, block, beta, n_steps):
+        p = DmlParams(I=0.019)
+        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fde, "_FFT_BLOCK", block)
+            fast = solve_fde(rhs_single, beta, cfg, [0.1, 0.1], p)
+        direct = reference_pece(rhs_single, beta, cfg, [0.1, 0.1], p)
+        assert np.abs(direct - fast.states).max() < 1e-10
 
 
 @pytest.mark.slow
 def test_full_resolution_single_cell_converges_to_equilibrium():
-    # the long-run protocol: t in [0, 6000] with h = 0.01; the accelerated
-    # history path keeps this tractable and is separately proven equivalent
+    # the long-run protocol: t in [0, 6000] with h = 0.01; the blocked FFT
+    # history keeps this tractable
     p = DmlParams(I=0.019)
-    cfg = SolverConfig(0.0, 6000.0, 0.01, use_fft=True)
+    cfg = SolverConfig(0.0, 6000.0, 0.01)
     traj = solve_fde(rhs_single, 0.9, cfg, [0.1, 0.1], p)
     final_tenth = traj.states[-(cfg.n_steps // 10) :]
     dev = np.abs(final_tenth - np.array([0.40772, 0.11746])).max()

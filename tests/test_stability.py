@@ -292,10 +292,13 @@ class TestSaddleNodeCondition:
         report = saddle_node_condition(P, NoCoupling(), 0.019)
         assert not report.found and report.details == ()
 
-    def test_positive_linear_coupling_blocks_the_fold(self):
+    def test_linear_pair_folds_where_the_cell_does(self):
+        # the plus block of a linear pair is the single cell's for every theta
         ex = find_extrema(P)
         report = saddle_node_condition(P, LinearCoupling(0.008), ex.I_min)
-        assert not report.found
+        assert report.found
+        assert any(d.startswith("delta+") for d in report.details)
+        assert not saddle_node_condition(P, LinearCoupling(0.008), 0.019).found
 
     def test_sigmoid_fold_tracks_the_shifted_extremum(self):
         # with a tiny sigmoid coupling the fold survives at a slightly
