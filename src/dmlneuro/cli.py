@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -21,6 +22,7 @@ from .stability import BetaStarKind, beta_star, classify, indicators
 
 _MODELS = ("single", "dimer-linear", "dimer-sigmoid")
 _NEGATIVE = re.compile(r"-[0-9.]")
+_CSV_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -197,18 +199,33 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _output(cfg: RunConfig):
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(cfg.out, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _write(cfg: RunConfig, text: str) -> None:
+    with _output(cfg) as fh:
+        fh.write(text)
 
 
 def _emit(cfg: RunConfig, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write(cfg, "\n".join(lines) + "\n")
+    """Write a CSV table, ``_CSV_CHUNK`` rows at a time.
+
+    ``rows`` is a 2-d float array, or a list of mixed rows (strings, ints,
+    ``None``) formatted by ``_fmt``.  The array's floats print through
+    ``%r``, which gives the same text as ``_fmt``.
+    """
+    with _output(cfg) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_CHUNK):
+            chunk = rows[start : start + _CSV_CHUNK]
+            if isinstance(chunk, np.ndarray):
+                line = ",".join(["%r"] * chunk.shape[1]) + "\n"
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            else:
+                fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
 
 
 # fixed 800x500 viewport; purely presentational output
@@ -265,8 +282,7 @@ def _svg_path(cfg: RunConfig) -> str:
 
 def _trajectory_rows(traj, dim):
     header = ["t", "x", "y"] if dim == 2 else ["t", "x1", "y1", "x2", "y2"]
-    rows = ([t, *state] for t, state in zip(traj.times, traj.states))
-    return header, rows
+    return header, np.column_stack((traj.times, traj.states))
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:

@@ -3,10 +3,15 @@
 The initial value problem is recast as a Volterra integral equation with a
 weakly singular power-law kernel, discretized by product integration on a
 uniform grid, and stepped with an Adams-Bashforth-Moulton predict-evaluate-
-correct-evaluate (PECE) scheme.  The history sums are blocked: history
-inside the current block is summed directly, and history older than the
-block is folded in by one FFT convolution per block, so a run shorter than
-one block is the plain direct sum.
+correct-evaluate (PECE) scheme.  The history sums follow the nested
+splitting of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6,
+1985) used in Garrappa's FDE-PI codes.  The grid falls into blocks of
+``_FFT_BLOCK`` nodes, and a node sums the earlier nodes of its own block
+directly.  Every other pair of source and target nodes lies in one square:
+at each node m that is an odd multiple of L = _FFT_BLOCK * 2**l, the sources
+[m - L, m) are added to the far sums of the targets [m, m + L) by a circular
+convolution of size 2L, which cannot wrap.  Each lag range is folded once,
+so a run of N steps costs O(N log^2 N).
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from .exceptions import (
     NonFiniteStateError,
 )
 
-# Block length of the history sums: history older than the current block is
-# folded in by FFT once per block, the rest stays direct.
-_FFT_BLOCK = 8192
+# Length r of the direct history tail: a node sums the earlier nodes of its
+# own block of r directly; all older history reaches it through the squares.
+_FFT_BLOCK = 64
 
 
 def check_order(order) -> float:
@@ -132,31 +137,6 @@ def pi_weights(order, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return predictor, corrector
 
 
-def _far_sums(F: np.ndarray, pk: np.ndarray, ck: np.ndarray, m0: int, block: int):
-    """FFT fold of all history older than the current block.
-
-    Returns ``(far_b, far_a)`` where ``far_b[r]`` is the predictor history sum
-    and ``far_a[r]`` the corrector history sum (including the node-0 term,
-    which the caller subtracts) contributed by nodes ``0..m0-1`` to output
-    node ``m0 + r``, for ``r`` in ``0..block-1``.
-
-    The transforms run one state column at a time, at the smallest power of
-    two that holds ``m0 + block`` points: the circular wrap-around then only
-    reaches outputs below ``m0 - 1``, which are never read.
-    """
-    nfft = 1 << (m0 + block - 1).bit_length()
-    # output node m uses predictor lag m-1-j and corrector lag m-j
-    bhat = np.fft.rfft(pk[: m0 + block - 1], n=nfft)
-    ahat = np.fft.rfft(ck[: m0 + block], n=nfft)
-    far_b = np.empty((block, F.shape[1]))
-    far_a = np.empty_like(far_b)
-    for d in range(F.shape[1]):
-        fhat = np.fft.rfft(F[:m0, d], n=nfft)
-        far_b[:, d] = np.fft.irfft(fhat * bhat, n=nfft)[m0 - 1 : m0 - 1 + block]
-        far_a[:, d] = np.fft.irfft(fhat * ahat, n=nfft)[m0 : m0 + block]
-    return far_b, far_a
-
-
 def solve_fde(
     rhs: Callable,
     order,
@@ -170,10 +150,13 @@ def solve_fde(
     evaluates the vector field there, then applies the requested number of
     product-trapezoid corrector passes.  For ``beta == 1`` the scheme reduces
     to the classical one-step Adams-Bashforth-Moulton trapezoidal PECE method.
+    ``rhs`` returns a float array of shape ``(dim,)``.
 
     Raises :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state, and
     :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree.
+    The check runs once per block of ``_FFT_BLOCK`` steps, so ``rhs`` may be
+    evaluated at non-finite states before the error is raised.
     """
     beta = check_order(order)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -182,6 +165,7 @@ def solve_fde(
     dim = y0.size
     n_steps = config.n_steps
     h = config.h
+    iterations = config.corrector_iterations
     times = config.t_start + h * np.arange(n_steps + 1)
 
     f0 = np.asarray(rhs(times[0], y0, params), dtype=float)
@@ -190,56 +174,68 @@ def solve_fde(
             f"rhs returned shape {f0.shape}, expected ({dim},)"
         )
 
+    # lag-indexed scaled weights, at least r + 1 long: node j enters the
+    # predictor of node m with kb[m - j] and the corrector with ka[m - j]
+    r = _FFT_BLOCK
     cb = h ** beta / math.gamma(beta + 1.0)
     ca = h ** beta / math.gamma(beta + 2.0)
-    pk = _predictor_kernel(beta, n_steps - 1)
-    ck = _corrector_kernel(beta, n_steps)
-    pk_flip = pk[::-1].copy()
-    ck_flip = ck[::-1].copy()
-    a0 = _corrector_initial(beta, np.arange(n_steps))
+    kb = cb * np.concatenate(([0.0], _predictor_kernel(beta, max(n_steps, r) - 1)))
+    ka = ca * _corrector_kernel(beta, max(n_steps, r))
+    # tails[k] weights the first k nodes of a block, oldest first, one row per sum
+    tails = [np.stack((kb[k:0:-1], ka[k:0:-1])) for k in range(r)]
 
+    # Far sums.  Until step m overwrites it, states[m] holds y0 plus the
+    # predictor sum over the nodes the squares have folded in so far;
+    # far_a[m] does the same for the corrector, starting from node 0's own
+    # weight a0 in place of its kernel weight (row 0 is never read).
     states = np.empty((n_steps + 1, dim))
+    states[:] = y0
+    far_a = np.empty_like(states)
+    a0 = _corrector_initial(beta, np.arange(n_steps))
+    far_a[1:] = y0 + (ca * a0 - ka[1 : n_steps + 1])[:, None] * f0
     F = np.empty_like(states)
-    states[0] = y0
     F[0] = f0
-
-    block = _FFT_BLOCK
-    # first nodes of the direct predictor and corrector sums in this block;
-    # the corrector's node 0 carries its own weight a0
-    q0, j_lo = 0, 1
-    far_b = far_a = None
+    spectra = {}
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(n_steps):
-            m = n + 1
-            t1 = times[m]
-            if m % block == 0:
-                q0 = j_lo = m
-                far_b, far_a = _far_sums(F, pk, ck, m, block)
-            sum_b = pk_flip[n_steps - 1 - n + q0 :] @ F[q0:m]
-            sum_a = ck_flip[n_steps - 1 - n + j_lo : n_steps] @ F[j_lo:m]
-            if far_b is not None:
-                r = m - q0
-                sum_b = sum_b + far_b[r]
-                sum_a = sum_a + far_a[r] - ck[m] * F[0]
+        for q0 in range(0, n_steps + 1, r):
+            if q0:
+                # the square of sources [q0 - L, q0) and targets [q0, q0 + L),
+                # L = r * 2**l with q0 an odd multiple of L
+                L = r * ((q0 // r) & -(q0 // r))
+                n = 2 * L
+                if L not in spectra:
+                    spectra[L] = (np.fft.rfft(kb[:n], n=n), np.fft.rfft(ka[:n], n=n))
+                # the next square of this size starts at q0 + 2L
+                hat_b, hat_a = spectra[L] if q0 + n <= n_steps else spectra.pop(L)
+                hi = min(q0 + L, n_steps + 1)
+                for d in range(dim):
+                    hat_f = np.fft.rfft(F[q0 - L : q0, d], n=n)
+                    states[q0:hi, d] += np.fft.irfft(hat_f * hat_b, n=n)[L : L + hi - q0]
+                    far_a[q0:hi, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
 
-            y_pred = y0 + cb * sum_b
-            base = y0 + ca * (a0[n] * F[0] + sum_a)
-            f_new = np.asarray(rhs(t1, y_pred, params), dtype=float)
-            y_new = y_pred
-            for _ in range(config.corrector_iterations):
-                y_new = base + ca * f_new
-                f_new = np.asarray(rhs(t1, y_new, params), dtype=float)
+            lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
+            for m in range(lo, stop):
+                near = tails[m - q0].dot(F[q0:m])
+                y_new = states[m] + near[0]
+                base = far_a[m] + near[1]
+                t1 = times[m]
+                f_new = rhs(t1, y_new, params)
+                for _ in range(iterations):
+                    y_new = base + ca * f_new
+                    f_new = rhs(t1, y_new, params)
+                states[m] = y_new
+                F[m] = f_new
 
-            if not np.isfinite(y_new).all():
-                partial = Trajectory(times[: n + 1].copy(), states[: n + 1].copy())
+            finite = np.isfinite(states[lo:stop]).all(axis=1)
+            if not finite.all():
+                m = lo + int(finite.argmin())
+                partial = Trajectory(times[:m].copy(), states[:m].copy())
                 raise NonFiniteStateError(
-                    f"non-finite state at t = {t1:g} (step {m}); "
+                    f"non-finite state at t = {times[m]:g} (step {m}); "
                     "returning the finite part of the trajectory",
                     trajectory=partial,
                 )
-            states[m] = y_new
-            F[m] = f_new
 
     return Trajectory(times, states)
 

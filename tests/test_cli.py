@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dmlneuro import cli
@@ -284,6 +285,73 @@ class TestSimulateCommand:
         assert svg.startswith("<svg")
         assert 'viewBox="0 0 800 500"' in svg
         assert "<polyline" in svg
+
+
+def row_by_row_csv(header, rows):
+    """The CSV as the row-by-row writer produced it: ``_fmt`` on every value."""
+    lines = [",".join(header)]
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriter:
+    # a chunk of 7 rows splits every table below into several chunks and a
+    # shorter last one
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+
+    def test_trajectory_bytes_match_the_row_by_row_writer(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        real = cli.run_experiment
+
+        def spy(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--model", "dimer-sigmoid", "--beta", "0.95",
+            "--t-end", "5", "--h", "0.05", "--discard", "0", "--tail", "10",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        traj = runs[0].trajectory
+        rows = ([t, *state] for t, state in zip(traj.times, traj.states))
+        expected = row_by_row_csv(["t", "x1", "y1", "x2", "y2"], rows)
+        assert out_path.read_bytes() == expected
+
+    def test_special_floats_match_the_row_by_row_writer(self, tmp_path):
+        table = np.array([
+            [0.0, -0.0, 1e-300, -5e-324],
+            [np.nan, np.inf, -np.inf, 1.7976931348623157e308],
+            [0.1, 1 / 3, -2.5e-17, 123456789.0],
+        ] * 5)
+        out_path = tmp_path / "special.csv"
+        cli._emit(RunConfig(command="simulate", out=str(out_path)), list("abcd"), table)
+        assert out_path.read_bytes() == row_by_row_csv(list("abcd"), table)
+
+    @pytest.mark.parametrize("argv", [
+        ("equilibria", "--model", "dimer-sigmoid", "--sigma", "0.003", "--I", "0.0098"),
+        ("stability", "--I", "0.011", "--beta", "0.9"),
+        ("stability", "--model", "dimer-sigmoid", "--sigma", "0.003", "--I", "0.0098"),
+    ])
+    def test_mixed_rows_match_the_row_by_row_writer(self, tmp_path, capsys, monkeypatch, argv):
+        tables = []
+        real = cli._emit
+
+        def spy(cfg, header, rows):
+            tables.append((header, rows))
+            real(cfg, header, rows)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        out_path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        header, rows = tables[0]
+        assert len(rows) == 3
+        assert out_path.read_bytes() == row_by_row_csv(header, rows)
 
 
 class TestSweepCommand:

@@ -342,6 +342,78 @@ class TestFftPath:
         assert np.abs(direct - fast.states).max() < 1e-10
 
 
+class TestNestedSquares:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        block=st.integers(2, 16),
+        extra=st.integers(0, 600 - 16 * 16),
+        beta=st.floats(0.3, 1.0),
+        model=st.sampled_from(["single", "sigmoid-pair"]),
+        iterations=st.integers(1, 3),
+    )
+    def test_every_level_matches_the_direct_sum(self, block, extra, beta, model, iterations):
+        # at least 16 blocks, so squares of block * 2**l run for l = 0..4
+        from dmlneuro.models import SigmoidCoupling, vector_field
+
+        n_steps = 16 * block + extra
+        p = DmlParams(I=0.019)
+        if model == "single":
+            rhs, y0 = rhs_single, [0.1, 0.1]
+        else:
+            rhs, y0 = vector_field(SigmoidCoupling(0.001))[0], [0.1, 0.1, -0.2, 0.1]
+        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05, corrector_iterations=iterations)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fde, "_FFT_BLOCK", block)
+            fast = solve_fde(rhs, beta, cfg, y0, p)
+        direct = reference_pece(rhs, beta, cfg, y0, p)
+        assert np.abs(direct - fast.states).max() < 1e-10
+
+    def test_blow_up_keeps_the_exact_finite_prefix(self):
+        def explode(t, y, p):
+            return np.exp(y)
+
+        block = 8
+        cfg = SolverConfig(0.0, 1.0, 0.005)
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = reference_pece(explode, 0.8, cfg, [1.0])
+        first_bad = int(np.isfinite(direct).all(axis=1).argmin())
+        # past three squares, and not on a block boundary
+        assert first_bad > 4 * block and first_bad % block > 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fde, "_FFT_BLOCK", block)
+            with pytest.raises(NonFiniteStateError) as info:
+                solve_fde(explode, 0.8, cfg, [1.0])
+        partial = info.value.trajectory
+        assert partial.states.shape[0] == partial.times.shape[0] == first_bad
+        # the last finite states are near the float range, so compare relatively
+        np.testing.assert_allclose(partial.states, direct[:first_bad], rtol=1e-10, atol=0)
+
+    def test_fold_work_grows_as_n_log_n(self):
+        block, n_steps, dim = 8, 20_000, 2
+        lengths, points = [], [0]
+
+        def counting(transform):
+            def counted(a, n=None, *args, **kwargs):
+                a = np.asarray(a)
+                length = n if n is not None else a.shape[-1]
+                lengths.append(length)
+                points[0] += length * (a.size // max(a.shape[-1], 1))
+                return transform(a, n, *args, **kwargs)
+
+            return counted
+
+        p = DmlParams(I=0.019)
+        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fde, "_FFT_BLOCK", block)
+            for name in ("rfft", "irfft"):
+                mp.setattr(np.fft, name, counting(getattr(np.fft, name)))
+            solve_fde(rhs_single, 0.9, cfg, [0.1, 0.1], p)
+        largest_square = block << int(math.log2(n_steps / block))
+        assert max(lengths) <= 2 * largest_square
+        assert points[0] <= 4 * dim * n_steps * math.ceil(math.log2(n_steps / block))
+
+
 @pytest.mark.slow
 def test_full_resolution_single_cell_converges_to_equilibrium():
     # the long-run protocol: t in [0, 6000] with h = 0.01; the blocked FFT
