@@ -29,9 +29,6 @@ from .models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
-    rhs_coupled_linear,
-    rhs_coupled_sigmoid,
-    rhs_single,
     vector_field,
     voltage_columns,
 )

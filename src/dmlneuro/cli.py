@@ -444,7 +444,7 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
 
 def _cmd_validate(cfg: RunConfig) -> int:
     def decay(t, y, _):
-        return -y
+        return [-v for v in y]
 
     steps = (1e-2, 5e-3, 2.5e-3)
     all_ok = True

@@ -10,8 +10,10 @@ splitting of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6,
 directly.  Every other pair of source and target nodes lies in one square:
 at each node m that is an odd multiple of L = _FFT_BLOCK * 2**l, the sources
 [m - L, m) are added to the far sums of the targets [m, m + L) by a circular
-convolution of size 2L, which cannot wrap.  Each lag range is folded once,
-so a run of N steps costs O(N log^2 N).
+convolution of size 2L, which cannot wrap; a last square that the grid's
+end clips to T < L targets uses L + T points, rounded up to a 5-smooth
+length.  Each lag range is folded once, so a run of N steps costs
+O(N log^2 N).
 """
 
 from __future__ import annotations
@@ -137,6 +139,13 @@ def pi_weights(order, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return predictor, corrector
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, a length the FFT handles fast."""
+    odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    # each odd part times the least power of two that lifts it to n or beyond
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
 def solve_fde(
     rhs: Callable,
     order,
@@ -150,7 +159,11 @@ def solve_fde(
     evaluates the vector field there, then applies the requested number of
     product-trapezoid corrector passes.  For ``beta == 1`` the scheme reduces
     to the classical one-step Adams-Bashforth-Moulton trapezoidal PECE method.
-    ``rhs`` returns a float array of shape ``(dim,)``.
+
+    ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a plain list
+    of ``dim`` floats, and returns any sequence of ``dim`` floats: a tuple, a
+    list or an array.  The step runs on Python floats: the same IEEE
+    operations as numpy on a row of 2 or 4, without its call overhead.
 
     Raises :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state, and
@@ -165,10 +178,11 @@ def solve_fde(
     dim = y0.size
     n_steps = config.n_steps
     h = config.h
+    t_start = config.t_start
     iterations = config.corrector_iterations
-    times = config.t_start + h * np.arange(n_steps + 1)
+    times = t_start + h * np.arange(n_steps + 1)
 
-    f0 = np.asarray(rhs(times[0], y0, params), dtype=float)
+    f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
     if f0.shape != (dim,):
         raise DimensionMismatchError(
             f"rhs returned shape {f0.shape}, expected ({dim},)"
@@ -184,16 +198,17 @@ def solve_fde(
     # tails[k] weights the first k nodes of a block, oldest first, one row per sum
     tails = [np.stack((kb[k:0:-1], ka[k:0:-1])) for k in range(r)]
 
-    # Far sums.  Until step m overwrites it, states[m] holds y0 plus the
-    # predictor sum over the nodes the squares have folded in so far;
-    # far_a[m] does the same for the corrector, starting from node 0's own
-    # weight a0 in place of its kernel weight (row 0 is never read).
-    states = np.empty((n_steps + 1, dim))
-    states[:] = y0
-    far_a = np.empty_like(states)
+    # Far sums.  far[m, 0] holds y0 plus the predictor sum over the nodes the
+    # squares have folded in so far, until step m overwrites it with the
+    # state: ``states`` is that column.  far[m, 1] does the same for the
+    # corrector, starting from node 0's own weight a0 in place of its kernel
+    # weight (row 0 is never read).
+    far = np.empty((n_steps + 1, 2, dim))
+    far[:] = y0
+    states = far[:, 0]
     a0 = _corrector_initial(beta, np.arange(n_steps))
-    far_a[1:] = y0 + (ca * a0 - ka[1 : n_steps + 1])[:, None] * f0
-    F = np.empty_like(states)
+    far[1:, 1] += (ca * a0 - ka[1 : n_steps + 1])[:, None] * f0
+    F = np.empty((n_steps + 1, dim))
     F[0] = f0
     spectra = {}
 
@@ -203,26 +218,28 @@ def solve_fde(
                 # the square of sources [q0 - L, q0) and targets [q0, q0 + L),
                 # L = r * 2**l with q0 an odd multiple of L
                 L = r * ((q0 // r) & -(q0 // r))
-                n = 2 * L
-                if L not in spectra:
-                    spectra[L] = (np.fft.rfft(kb[:n], n=n), np.fft.rfft(ka[:n], n=n))
-                # the next square of this size starts at q0 + 2L
-                hat_b, hat_a = spectra[L] if q0 + n <= n_steps else spectra.pop(L)
                 hi = min(q0 + L, n_steps + 1)
+                # a square clipped to T = hi - q0 < L targets needs only L + T
+                # points; a full one's spectra serve the next square of its
+                # size, at q0 + 2L, if that one is full too
+                n = 2 * L if hi == q0 + L else _fft_size(L + hi - q0)
+                hat = spectra.pop(L, None) or (np.fft.rfft(kb[:n], n=n), np.fft.rfft(ka[:n], n=n))
+                if q0 + 3 * L <= n_steps + 1:
+                    spectra[L] = hat
+                hat_b, hat_a = hat
                 for d in range(dim):
                     hat_f = np.fft.rfft(F[q0 - L : q0, d], n=n)
-                    states[q0:hi, d] += np.fft.irfft(hat_f * hat_b, n=n)[L : L + hi - q0]
-                    far_a[q0:hi, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
+                    far[q0:hi, 0, d] += np.fft.irfft(hat_f * hat_b, n=n)[L : L + hi - q0]
+                    far[q0:hi, 1, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
 
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
             for m in range(lo, stop):
-                near = tails[m - q0].dot(F[q0:m])
-                y_new = states[m] + near[0]
-                base = far_a[m] + near[1]
-                t1 = times[m]
+                # predictor state and corrector base in one pass
+                y_new, base = (tails[m - q0].dot(F[q0:m]) + far[m]).tolist()
+                t1 = t_start + h * m
                 f_new = rhs(t1, y_new, params)
                 for _ in range(iterations):
-                    y_new = base + ca * f_new
+                    y_new = [b + ca * f for b, f in zip(base, f_new)]
                     f_new = rhs(t1, y_new, params)
                 states[m] = y_new
                 F[m] = f_new
@@ -237,7 +254,8 @@ def solve_fde(
                     trajectory=partial,
                 )
 
-    return Trajectory(times, states)
+    # a copy, so the trajectory does not keep the corrector sums alive
+    return Trajectory(times, states.copy())
 
 
 def mittag_leffler(order, z: float) -> float:

@@ -148,42 +148,26 @@ class SigmoidCoupling:
 
 CouplingSpec = Union[NoCoupling, LinearCoupling, SigmoidCoupling]
 
-_SINGLE = NoCoupling()
-# theta = 0 is the uncoupled pair, which LinearCoupling rejects; a synapse of
-# zero strength passes the same zero current
-_UNCOUPLED_PAIR = SigmoidCoupling(sigma=0.0)
-
 
 def _local(x: float, y: float, p: DmlParams):
     return x * x * (1.0 - x) - y + p.I, p.A * _exp(p.alpha * x) - p.gamma * y
 
 
-def _field(t, state, p: DmlParams, coupling: CouplingSpec) -> np.ndarray:
-    """Local field of each cell plus the current it receives from its partner."""
-    # Python floats run the same IEEE arithmetic as numpy scalars, only faster
+def _field(t, state, p: DmlParams, coupling: CouplingSpec) -> tuple:
+    """Local field of each cell plus the current it receives from its partner.
+
+    ``state`` is any sequence of ``dim`` floats (the solver hands a list), and
+    the field comes back as a tuple of ``dim`` floats.  A ``(dim, B)`` array
+    unpacks the same way, into ``dim`` rows of ``B`` values each.
+    """
     if coupling.dim == 2:
-        x, y = state.tolist()
-        return np.array(_local(x, y, p))
-    x1, y1, x2, y2 = state.tolist()
+        x, y = state
+        return _local(x, y, p)
+    x1, y1, x2, y2 = state
     dx1, dy1 = _local(x1, y1, p)
     dx2, dy2 = _local(x2, y2, p)
     current = coupling.current
-    return np.array([dx1 + current(x1, x2), dy1, dx2 + current(x2, x1), dy2])
-
-
-def rhs_single(t, state, p: DmlParams) -> np.ndarray:
-    """Single-cell field: (x^2(1-x) - y + I, A e^(alpha x) - gamma y)."""
-    return _field(t, state, p, _SINGLE)
-
-
-def rhs_coupled_linear(t, state, p: DmlParams, theta: float) -> np.ndarray:
-    """Two identical cells exchanging a linear voltage flow theta*(x_j - x_i)."""
-    return _field(t, state, p, LinearCoupling(theta) if theta else _UNCOUPLED_PAIR)
-
-
-def rhs_coupled_sigmoid(t, state, p: DmlParams, c: SigmoidCoupling) -> np.ndarray:
-    """Two identical cells coupled by sigma*(v_s - x_i) / (1 + e^(-lam (x_j - q)))."""
-    return _field(t, state, p, c)
+    return dx1 + current(x1, x2), dy1, dx2 + current(x2, x1), dy2
 
 
 def vector_field(coupling: CouplingSpec):

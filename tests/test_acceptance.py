@@ -128,7 +128,7 @@ def test_criterion_05_solver_against_analytic_oracle():
     t0 = time.perf_counter()
 
     def decay(t, y, p):
-        return -y
+        return [-v for v in y]
 
     ok = True
     for beta in (0.5, 0.7, 0.9):

@@ -23,10 +23,11 @@ from dmlneuro.models import (
     SigmoidCoupling,
     _exp,
     _sigmoid,
-    rhs_single,
+    vector_field,
 )
 
 P = DmlParams(I=0.019)
+single = vector_field(NoCoupling())[0]
 
 # reference values for the default parameter set, cross-checked against an
 # independent root finder at double precision
@@ -223,7 +224,7 @@ class TestFindEquilibria2d:
             xs = eq.points[:, 0]
             assert (np.diff(xs) > 0).all()
             for x, y in eq.points:
-                assert np.abs(rhs_single(0.0, np.array([x, y]), p)).max() < 1e-10
+                assert np.abs(single(0.0, [x, y], p)).max() < 1e-10
 
     def test_branch_count_consistent_with_classification(self):
         ex = find_extrema(P)
@@ -264,11 +265,9 @@ class TestSymmetricEquilibria:
     def test_sigmoid_residuals_tiny(self):
         c = SigmoidCoupling(sigma=0.001)
         eq = find_symmetric_equilibria(P, c)
-        from dmlneuro.models import rhs_coupled_sigmoid
-
+        rhs, _ = vector_field(c)
         for x, y in eq.points:
-            state = np.array([x, y, x, y])
-            assert np.abs(rhs_coupled_sigmoid(0.0, state, P, c)).max() < 1e-10
+            assert np.abs(rhs(0.0, [x, y, x, y], P)).max() < 1e-10
 
     def test_no_coupling_gives_the_single_cell_equilibria(self):
         for I in (0.0001, 0.011, 0.019):
@@ -331,4 +330,4 @@ def test_y_infinity_matches_recovery_nullcline():
     xs = np.linspace(-1.0, 1.0, 7)
     for x in xs:
         y = y_infinity(x, P)
-        assert rhs_single(0.0, np.array([x, y]), P)[1] == pytest.approx(0.0, abs=1e-15)
+        assert single(0.0, [x, y], P)[1] == pytest.approx(0.0, abs=1e-15)

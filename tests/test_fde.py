@@ -20,15 +20,22 @@ from dmlneuro.fde import (
     pi_weights,
     solve_fde,
 )
-from dmlneuro.models import DmlParams, rhs_single
+from dmlneuro.models import DmlParams, NoCoupling, SigmoidCoupling, vector_field
+
+single_field = vector_field(NoCoupling())[0]
 
 
 def decay(t, y, p):
-    return -y
+    return [-v for v in y]
 
 
 def zero_field(t, y, p):
-    return np.zeros_like(y)
+    return [0.0] * len(y)
+
+
+def explode(t, y, p):
+    # y' = e^y, with overflow reported as inf as the model fields do
+    return [math.exp(v) if v < 709.0 else math.inf for v in y]
 
 
 class TestCheckOrder:
@@ -213,9 +220,6 @@ class TestSolveFde:
             solve_fde(decay, [0.9, 0.8], SolverConfig(0.0, 1.0, 0.1), [1.0, 1.0])
 
     def test_blow_up_returns_partial_trajectory(self):
-        def explode(t, y, p):
-            return np.exp(y)
-
         with pytest.raises(NonFiniteStateError) as info:
             solve_fde(explode, 1.0, SolverConfig(0.0, 1.0, 0.01), [1.0])
         partial = info.value.trajectory
@@ -231,9 +235,9 @@ class TestSolveFde:
 
         p = DmlParams(I=0.019)
         cfg = SolverConfig(0.0, 50.0, 0.005)
-        ours = solve_fde(rhs_single, 1.0, cfg, [0.1, 0.1], p)
+        ours = solve_fde(single_field, 1.0, cfg, [0.1, 0.1], p)
         ref = solve_ivp(
-            lambda t, y: rhs_single(t, y, p),
+            lambda t, y: single_field(t, y, p),
             (0.0, 50.0),
             [0.1, 0.1],
             rtol=1e-10,
@@ -254,8 +258,8 @@ class TestSolveFde:
     def test_determinism_bitwise(self):
         p = DmlParams(I=0.019)
         cfg = SolverConfig(0.0, 20.0, 0.01)
-        a = solve_fde(rhs_single, 0.9, cfg, [0.1, 0.1], p)
-        b = solve_fde(rhs_single, 0.9, cfg, [0.1, 0.1], p)
+        a = solve_fde(single_field, 0.9, cfg, [0.1, 0.1], p)
+        b = solve_fde(single_field, 0.9, cfg, [0.1, 0.1], p)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
 
@@ -263,10 +267,10 @@ class TestSolveFde:
         p = DmlParams(I=0.019)
         cfg = SolverConfig(0.0, 10.0, 0.01)
         betas = [0.7, 0.8, 0.9, 1.0]
-        serial = [solve_fde(rhs_single, b, cfg, [0.1, 0.1], p).states for b in betas]
+        serial = [solve_fde(single_field, b, cfg, [0.1, 0.1], p).states for b in betas]
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(
-                pool.map(lambda b: solve_fde(rhs_single, b, cfg, [0.1, 0.1], p).states, betas)
+                pool.map(lambda b: solve_fde(single_field, b, cfg, [0.1, 0.1], p).states, betas)
             )
         for s, q in zip(serial, parallel):
             assert np.array_equal(s, q)
@@ -276,23 +280,28 @@ def reference_pece(rhs, order, config, y0, params=None):
     """Direct-sum PECE: the full product-integration weights at every step.
 
     The reference the blocked engine is checked against; it reads its
-    weights from ``pi_weights``, which quadrature checks independently.
+    weights from ``pi_weights``, which quadrature checks independently, and
+    calls ``rhs`` as the solver does, with a list of floats.
     """
+
+    def field(t, y):
+        return np.asarray(rhs(t, y.tolist(), params), dtype=float)
+
     y0 = np.asarray(y0, dtype=float)
     n_steps, h = config.n_steps, config.h
     times = config.t_start + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, y0.size))
     F = np.empty_like(states)
-    states[0], F[0] = y0, rhs(times[0], y0, params)
+    states[0], F[0] = y0, field(times[0], y0)
     ca = h ** order / math.gamma(order + 2.0)
     for n in range(n_steps):
         pred, corr = pi_weights(order, n, h)
         y_new = y0 + pred @ F[: n + 1] / math.gamma(order)
         base = y0 + ca * (corr[: n + 1] @ F[: n + 1])
-        f_new = rhs(times[n + 1], y_new, params)
+        f_new = field(times[n + 1], y_new)
         for _ in range(config.corrector_iterations):
             y_new = base + ca * corr[n + 1] * f_new
-            f_new = rhs(times[n + 1], y_new, params)
+            f_new = field(times[n + 1], y_new)
         states[n + 1], F[n + 1] = y_new, f_new
     return states
 
@@ -303,8 +312,8 @@ class TestFftPath:
         p = DmlParams(I=0.019)
         y0 = [0.1, 0.1]
         cfg = SolverConfig(0.0, 100.0, 0.01)
-        fast = solve_fde(rhs_single, 0.9, cfg, y0, p)
-        direct = reference_pece(rhs_single, 0.9, cfg, y0, p)
+        fast = solve_fde(single_field, 0.9, cfg, y0, p)
+        direct = reference_pece(single_field, 0.9, cfg, y0, p)
         assert np.abs(direct - fast.states).max() < 1e-8
 
     def test_equivalent_across_many_blocks(self, monkeypatch):
@@ -315,7 +324,7 @@ class TestFftPath:
         assert np.abs(direct - fast.states).max() < 1e-10
 
     def test_equivalent_for_four_dimensional_state(self, monkeypatch):
-        from dmlneuro.models import LinearCoupling, vector_field
+        from dmlneuro.models import LinearCoupling
 
         monkeypatch.setattr(fde, "_FFT_BLOCK", 256)
         p = DmlParams(I=0.019)
@@ -337,9 +346,41 @@ class TestFftPath:
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fde, "_FFT_BLOCK", block)
-            fast = solve_fde(rhs_single, beta, cfg, [0.1, 0.1], p)
-        direct = reference_pece(rhs_single, beta, cfg, [0.1, 0.1], p)
+            fast = solve_fde(single_field, beta, cfg, [0.1, 0.1], p)
+        direct = reference_pece(single_field, beta, cfg, [0.1, 0.1], p)
         assert np.abs(direct - fast.states).max() < 1e-10
+
+
+def assert_exact_finite_prefix(field):
+    """Blow ``field`` up; the error must carry exactly the states before the
+    first non-finite one."""
+    block = 8
+    cfg = SolverConfig(0.0, 1.0, 0.005)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = reference_pece(field, 0.8, cfg, [1.0])
+    first_bad = int(np.isfinite(direct).all(axis=1).argmin())
+    # past three squares, and not on a block boundary
+    assert first_bad > 4 * block and first_bad % block > 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fde, "_FFT_BLOCK", block)
+        with pytest.raises(NonFiniteStateError) as info:
+            solve_fde(field, 0.8, cfg, [1.0])
+    partial = info.value.trajectory
+    assert partial.states.shape[0] == partial.times.shape[0] == first_bad
+    # the last finite states are near the float range, so compare relatively
+    np.testing.assert_allclose(partial.states, direct[:first_bad], rtol=1e-10, atol=0)
+
+
+def smooth_length(n):
+    """Smallest integer >= n with no prime factor above 5, by trial."""
+    while True:
+        k = n
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return n
+        n += 1
 
 
 class TestNestedSquares:
@@ -353,12 +394,10 @@ class TestNestedSquares:
     )
     def test_every_level_matches_the_direct_sum(self, block, extra, beta, model, iterations):
         # at least 16 blocks, so squares of block * 2**l run for l = 0..4
-        from dmlneuro.models import SigmoidCoupling, vector_field
-
         n_steps = 16 * block + extra
         p = DmlParams(I=0.019)
         if model == "single":
-            rhs, y0 = rhs_single, [0.1, 0.1]
+            rhs, y0 = single_field, [0.1, 0.1]
         else:
             rhs, y0 = vector_field(SigmoidCoupling(0.001))[0], [0.1, 0.1, -0.2, 0.1]
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05, corrector_iterations=iterations)
@@ -369,28 +408,13 @@ class TestNestedSquares:
         assert np.abs(direct - fast.states).max() < 1e-10
 
     def test_blow_up_keeps_the_exact_finite_prefix(self):
-        def explode(t, y, p):
-            return np.exp(y)
-
-        block = 8
-        cfg = SolverConfig(0.0, 1.0, 0.005)
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = reference_pece(explode, 0.8, cfg, [1.0])
-        first_bad = int(np.isfinite(direct).all(axis=1).argmin())
-        # past three squares, and not on a block boundary
-        assert first_bad > 4 * block and first_bad % block > 1
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fde, "_FFT_BLOCK", block)
-            with pytest.raises(NonFiniteStateError) as info:
-                solve_fde(explode, 0.8, cfg, [1.0])
-        partial = info.value.trajectory
-        assert partial.states.shape[0] == partial.times.shape[0] == first_bad
-        # the last finite states are near the float range, so compare relatively
-        np.testing.assert_allclose(partial.states, direct[:first_bad], rtol=1e-10, atol=0)
+        assert_exact_finite_prefix(explode)
 
     def test_fold_work_grows_as_n_log_n(self):
         block, n_steps, dim = 8, 20_000, 2
         lengths, points = [], [0]
+        evals = [0]
+        by_square = {}  # q0 -> lengths of the transforms made there
 
         def counting(transform):
             def counted(a, n=None, *args, **kwargs):
@@ -398,9 +422,16 @@ class TestNestedSquares:
                 length = n if n is not None else a.shape[-1]
                 lengths.append(length)
                 points[0] += length * (a.size // max(a.shape[-1], 1))
+                # steps 1 .. q0 - 1 precede the square at q0, two evaluations
+                # each after the one at node 0
+                by_square.setdefault((evals[0] + 1) // 2, []).append(length)
                 return transform(a, n, *args, **kwargs)
 
             return counted
+
+        def field(t, y, p):
+            evals[0] += 1
+            return single_field(t, y, p)
 
         p = DmlParams(I=0.019)
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
@@ -408,10 +439,63 @@ class TestNestedSquares:
             mp.setattr(fde, "_FFT_BLOCK", block)
             for name in ("rfft", "irfft"):
                 mp.setattr(np.fft, name, counting(getattr(np.fft, name)))
-            solve_fde(rhs_single, 0.9, cfg, [0.1, 0.1], p)
+            solve_fde(field, 0.9, cfg, [0.1, 0.1], p)
         largest_square = block << int(math.log2(n_steps / block))
         assert max(lengths) <= 2 * largest_square
         assert points[0] <= 4 * dim * n_steps * math.ceil(math.log2(n_steps / block))
+
+        clipped = 0
+        for q0 in range(block, n_steps + 1, block):
+            side = block * ((q0 // block) & -(q0 // block))
+            targets = min(q0 + side, n_steps + 1) - q0
+            longest = max(by_square[q0])
+            if targets < side:
+                # a clipped square transforms at no more than the least
+                # 5-smooth length that holds sources and targets
+                clipped += 1
+                assert longest <= smooth_length(side + targets)
+            else:
+                assert longest <= 2 * side
+        assert set(by_square) == set(range(block, n_steps + 1, block))
+        assert clipped >= 2
+
+
+class TestFieldContract:
+    P = DmlParams(I=0.019)
+    Y0 = [0.1, 0.1, -0.2, 0.1]
+    # 2000 steps, so squares of several sizes and a clipped last one run
+    CFG = SolverConfig(0.0, 100.0, 0.05)
+
+    def test_rhs_receives_a_list_of_floats(self):
+        pair = vector_field(SigmoidCoupling(0.001))[0]
+        seen = []
+
+        def field(t, y, p):
+            seen.append((type(t), type(y), len(y), frozenset(map(type, y))))
+            return pair(t, y, p)
+
+        cfg = SolverConfig(0.0, 10.0, 0.05, corrector_iterations=2)
+        solve_fde(field, 0.9, cfg, self.Y0, self.P)
+        assert len(seen) == 1 + 3 * 200
+        assert set(seen) == {(float, list, 4, frozenset({float}))}
+
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    def test_any_returned_sequence_gives_the_same_bits(self, wrap):
+        pair = vector_field(SigmoidCoupling(0.001))[0]
+        as_tuple = solve_fde(pair, 0.95, self.CFG, self.Y0, self.P)
+        wrapped = solve_fde(lambda t, y, p: wrap(pair(t, y, p)), 0.95, self.CFG, self.Y0, self.P)
+        assert isinstance(pair(0.0, self.Y0, self.P), tuple)
+        assert np.array_equal(as_tuple.states, wrapped.states)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_returned_tuple_of_wrong_length_is_rejected(self, length):
+        with pytest.raises(DimensionMismatchError):
+            solve_fde(
+                lambda t, y, p: (0.0,) * length, 0.9, SolverConfig(0.0, 1.0, 0.1), [1.0, 2.0]
+            )
+
+    def test_blow_up_keeps_the_exact_finite_prefix_with_tuples(self):
+        assert_exact_finite_prefix(lambda t, y, p: tuple(explode(t, y, p)))
 
 
 @pytest.mark.slow
@@ -420,7 +504,7 @@ def test_full_resolution_single_cell_converges_to_equilibrium():
     # history keeps this tractable
     p = DmlParams(I=0.019)
     cfg = SolverConfig(0.0, 6000.0, 0.01)
-    traj = solve_fde(rhs_single, 0.9, cfg, [0.1, 0.1], p)
+    traj = solve_fde(single_field, 0.9, cfg, [0.1, 0.1], p)
     final_tenth = traj.states[-(cfg.n_steps // 10) :]
     dev = np.abs(final_tenth - np.array([0.40772, 0.11746])).max()
     assert dev < 1e-3

@@ -10,7 +10,7 @@ from dmlneuro.models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
-    rhs_single,
+    vector_field,
 )
 from dmlneuro.stability import (
     BetaStarKind,
@@ -50,10 +50,11 @@ class TestJacobian:
         x, y = 0.0, 0.0041 / 0.3
         J = jacobian(x, P)
         eps = 1e-7
+        single = vector_field(NoCoupling())[0]
         for col, basis in enumerate(np.eye(2)):
             fd = (
-                rhs_single(0.0, np.array([x, y]) + eps * basis, P)
-                - rhs_single(0.0, np.array([x, y]) - eps * basis, P)
+                np.array(single(0.0, np.array([x, y]) + eps * basis, P))
+                - np.array(single(0.0, np.array([x, y]) - eps * basis, P))
             ) / (2 * eps)
             np.testing.assert_allclose(J[:, col], fd, rtol=0, atol=1e-6)
 
