@@ -20,7 +20,6 @@ from .fde import (
     Trajectory,
     check_order,
     mittag_leffler,
-    pi_weights,
     solve_fde,
 )
 from .models import (
@@ -30,14 +29,12 @@ from .models import (
     NoCoupling,
     SigmoidCoupling,
     vector_field,
-    voltage_columns,
 )
 from .equilibria import (
     Branch,
     EquilibriumSet,
     InfCurveExtrema,
     classify_branch,
-    find_equilibria_2d,
     find_extrema,
     find_symmetric_equilibria,
     i_infinity,

@@ -17,7 +17,7 @@ from .equilibria import find_symmetric_equilibria
 from .exceptions import DegenerateDeterminantError, DmlNeuroError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, mittag_leffler, solve_fde
 from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
-from .experiments import bifurcation_sweep, hopf_curve, run_experiment
+from .experiments import DEFAULT_DISCARD, DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
 from .stability import BetaStarKind, beta_star, classify, indicators
 
 _MODELS = ("single", "dimer-linear", "dimer-sigmoid")
@@ -43,8 +43,8 @@ class RunConfig:
     q: float = SigmoidCoupling.q
     h: float = SolverConfig.h
     t_end: float = SolverConfig.t_end
-    discard: int = 100_000
-    tail: int = 500
+    discard: int = DEFAULT_DISCARD
+    tail: int = DEFAULT_TAIL
     beta_from: float = 0.9
     beta_to: float = 1.0
     beta_step: float = 0.002
@@ -318,20 +318,12 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     if cfg.svg:
         kept = traj.states[cfg.discard :]
         times = traj.times[cfg.discard :]
-        series = [(times, kept[:, 0])] if dim == 2 else [
-            (times, kept[:, 0]),
-            (times, kept[:, 2]),
-        ]
-        _svg_plot(_svg_path(cfg), series)
+        _svg_plot(_svg_path(cfg), [(times, v) for v in kept[:, ::2].T])
     return 0
 
 
-def _equilibria_for(cfg: RunConfig):
-    return find_symmetric_equilibria(cfg.params(), cfg.coupling())
-
-
 def _cmd_equilibria(cfg: RunConfig) -> int:
-    eq = _equilibria_for(cfg)
+    eq = find_symmetric_equilibria(cfg.params(), cfg.coupling())
     rows = [[cfg.I, eq.branch.value, x, y] for x, y in eq.points]
     _emit(cfg, ["I", "branch", "x_star", "y_star"], rows)
     return 0
@@ -348,7 +340,7 @@ def _beta_star_cell(x_star: float, cfg: RunConfig):
 
 
 def _cmd_stability(cfg: RunConfig) -> int:
-    eq = _equilibria_for(cfg)
+    eq = find_symmetric_equilibria(cfg.params(), cfg.coupling())
     rows = []
     for x_star, _ in eq.points:
         ind = indicators(x_star, cfg.params(), cfg.coupling())
@@ -367,7 +359,7 @@ def _cmd_stability(cfg: RunConfig) -> int:
 
 
 def _cmd_beta_star(cfg: RunConfig) -> int:
-    eq = _equilibria_for(cfg)
+    eq = find_symmetric_equilibria(cfg.params(), cfg.coupling())
     records = []
     for x_star, y_star in eq.points:
         ind = indicators(x_star, cfg.params(), cfg.coupling())

@@ -76,24 +76,18 @@ def y_infinity(x: float, p: DmlParams) -> float:
     return (p.A / p.gamma) * _exp(p.alpha * x)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            flo: Optional[float] = None, fhi: Optional[float] = None,
-            xtol: float = 1e-14) -> float:
-    # end values known from a scan are passed in, so that the bracket this
-    # works on is the one the scan saw
-    if flo is None:
-        flo = f(lo)
+def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
+    # the end values come from a scan, so that the bracket this works on is
+    # the one the scan saw
     if flo == 0.0:
         return lo
-    if fhi is None:
-        fhi = f(hi)
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
         raise ValueError("root not bracketed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid == lo or mid == hi:
+        if hi - lo <= 1e-14 or mid == lo or mid == hi:
             return mid
         fmid = f(mid)
         if fmid == 0.0:
@@ -109,15 +103,14 @@ def _refine_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    fprime: Optional[Callable[[float], float]] = None,
-    flo: Optional[float] = None,
-    fhi: Optional[float] = None,
-    newton_steps: int = 5,
+    fprime: Optional[Callable[[float], float]],
+    flo: float,
+    fhi: float,
 ) -> float:
     """Bisection to ~1e-14 on the bracket, then a few Newton polish steps."""
     x = _bisect(f, lo, hi, flo, fhi)
     if fprime is not None:
-        for _ in range(newton_steps):
+        for _ in range(5):
             d = fprime(x)
             if d == 0.0 or not math.isfinite(d):
                 break
@@ -162,7 +155,7 @@ def _scan_roots(f, lo, hi, fprime=None):
     return roots
 
 
-def find_extrema(p: DmlParams, window=DEFAULT_WINDOW) -> InfCurveExtrema:
+def find_extrema(p: DmlParams) -> InfCurveExtrema:
     """Locate the local maximum and minimum of the current-voltage curve.
 
     The first derivative is strictly convex here (its own second derivative
@@ -173,8 +166,7 @@ def find_extrema(p: DmlParams, window=DEFAULT_WINDOW) -> InfCurveExtrema:
     """
     roots = _scan_roots(
         lambda x: i_infinity_derivative(x, p, 1),
-        window[0],
-        window[1],
+        *DEFAULT_WINDOW,
         lambda x: i_infinity_derivative(x, p, 2),
     )
     if len(roots) < 2:
@@ -190,29 +182,17 @@ def find_extrema(p: DmlParams, window=DEFAULT_WINDOW) -> InfCurveExtrema:
     )
 
 
-def classify_branch(I: float, extrema: InfCurveExtrema, fold_tol: float = FOLD_TOL) -> Branch:
+def classify_branch(I: float, extrema: InfCurveExtrema) -> Branch:
     """Branch of the equilibrium count for a stimulation current ``I``."""
-    if abs(I - extrema.I_min) <= fold_tol or abs(I - extrema.I_max) <= fold_tol:
+    if abs(I - extrema.I_min) <= FOLD_TOL or abs(I - extrema.I_max) <= FOLD_TOL:
         return Branch.TWOFOLD
     if extrema.I_min < I < extrema.I_max:
         return Branch.THREEFOLD
     return Branch.UNIQUE
 
 
-def find_equilibria_2d(
-    p: DmlParams,
-    window=DEFAULT_WINDOW,
-    fold_tol: float = FOLD_TOL,
-) -> EquilibriumSet:
-    """All single-cell equilibria on the scan window."""
-    return find_symmetric_equilibria(p, NoCoupling(), window, fold_tol)
-
-
 def find_symmetric_equilibria(
-    p: DmlParams,
-    coupling: CouplingSpec,
-    window=DEFAULT_WINDOW,
-    fold_tol: float = FOLD_TOL,
+    p: DmlParams, coupling: CouplingSpec = NoCoupling()
 ) -> EquilibriumSet:
     """Equilibria of the single cell, or symmetric equilibria (x*, y*, x*, y*)
     of a coupled pair given as (x*, y*).
@@ -222,7 +202,7 @@ def find_symmetric_equilibria(
     so a linear pair shares the single cell's equilibria for any theta.
     The extrema of g, found by a sign scan of g', split the window into
     pieces on which g is monotone, so each piece holds at most one root and
-    bisection brackets are guaranteed.  An extremum where ``|g| <= fold_tol``
+    bisection brackets are guaranteed.  An extremum where ``|g| <= FOLD_TOL``
     is a tangency root (a fold, which a sign scan cannot see).  If no root
     lands in the window its outer pieces are widened once before
     :class:`RootWindowExhaustedError` is raised.
@@ -236,9 +216,9 @@ def find_symmetric_equilibria(
         d_self, d_other = partials(x, x)
         return -i_infinity_derivative(x, p, 1) + (d_self + d_other)
 
-    lo, hi = window
+    lo, hi = DEFAULT_WINDOW
     extrema = _scan_roots(gprime, lo, hi)
-    g_extrema = [0.0 if abs(v) <= fold_tol else v for v in map(g, extrema)]
+    g_extrema = [0.0 if abs(v) <= FOLD_TOL else v for v in map(g, extrema)]
     for a, b in ((lo, hi), (2.0 * lo, 2.0 * hi)):
         xs = [a, *extrema, b]
         gs = [g(a), *g_extrema, g(b)]

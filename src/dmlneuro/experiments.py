@@ -17,13 +17,14 @@ import numpy as np
 from .equilibria import Branch, find_symmetric_equilibria
 from .exceptions import InsufficientSamplesError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, Trajectory, check_order, solve_fde
-from .models import CouplingSpec, DmlParams, SigmoidCoupling, vector_field, voltage_columns
+from .models import CouplingSpec, DmlParams, vector_field
 from .stability import BetaStarKind, beta_star
 
 DEFAULT_DISCARD = 100_000
 DEFAULT_TAIL = 500
-CONVERGENCE_TOL = 1e-4
-OSCILLATION_TOL = 1e-4
+# peak-to-peak voltage spread below which a tail counts as converged, at or
+# above which it counts as oscillating
+AMPLITUDE_TOL = 1e-4
 
 DEFAULT_Y0_SINGLE = (0.1, 0.1)
 DEFAULT_Y0_DIMER = (0.1, 0.1, -0.2, 0.1)
@@ -50,7 +51,6 @@ class SimulationSummary:
     tail_amplitude_x: float
     converged: bool
     final_state: np.ndarray
-    discard: int
     excitatory_ok: Optional[bool] = None
 
 
@@ -80,10 +80,6 @@ class HopfCurve:
     coupling_label: str
     omitted: tuple[tuple[float, str], ...] = ()
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.column_stack((self.I_values, self.beta_star_values))
-
 
 def oscillation_metrics(tail) -> OscillationMetrics:
     """Peak-to-peak amplitude, oscillation flag and count of interior extrema."""
@@ -94,7 +90,7 @@ def oscillation_metrics(tail) -> OscillationMetrics:
     signs = np.sign(np.diff(tail))
     signs = signs[signs != 0.0]
     extrema = int(np.count_nonzero(signs[1:] != signs[:-1])) if signs.size else 0
-    return OscillationMetrics(amplitude, amplitude > OSCILLATION_TOL, extrema)
+    return OscillationMetrics(amplitude, amplitude > AMPLITUDE_TOL, extrema)
 
 
 def _resolve_y0(y0, dim):
@@ -114,7 +110,6 @@ def run_experiment(
     y0=None,
     discard: int = DEFAULT_DISCARD,
     tail: int = DEFAULT_TAIL,
-    convergence_tol: float = CONVERGENCE_TOL,
 ) -> SimulationSummary:
     """Integrate one model instance and summarize its tail behavior."""
     beta = check_order(beta)
@@ -128,18 +123,17 @@ def run_experiment(
             f"discard ({discard}) + tail ({tail}) exceeds the {n_samples} grid samples"
         )
     traj = solve_fde(rhs, beta, config, y0, p)
-    cols = voltage_columns(dim)
-    tail_block = traj.states[-tail:, cols]
+    voltages = traj.states[:, ::2]
+    tail_block = voltages[-tail:]
     amplitude = float((tail_block.max(axis=0) - tail_block.min(axis=0)).max())
     excitatory = None
-    if isinstance(coupling, SigmoidCoupling):
-        excitatory = bool(coupling.v_s > traj.states[:, cols].max())
+    if coupling.v_s is not None:
+        excitatory = bool(coupling.v_s > voltages.max())
     return SimulationSummary(
         trajectory=traj,
         tail_amplitude_x=amplitude,
-        converged=amplitude < convergence_tol,
+        converged=amplitude < AMPLITUDE_TOL,
         final_state=traj.states[-1].copy(),
-        discard=discard,
         excitatory_ok=excitatory,
     )
 
@@ -188,9 +182,8 @@ def bifurcation_sweep(
             f"tail window {tail_window} does not fit the {n_samples} grid samples"
         )
     betas = _beta_grid(beta_range, beta_step, descending)
-    cols = voltage_columns(dim)
 
-    tails = np.empty((betas.size, tail_window, len(cols)))
+    tails = np.empty((betas.size, tail_window, dim // 2))
     initials = np.empty((betas.size, dim))
     finals = np.empty((betas.size, dim))
     failed = np.zeros(betas.size, dtype=bool)
@@ -207,12 +200,13 @@ def bifurcation_sweep(
                 current = err.trajectory.states[-1].copy()
             finals[k] = current
             continue
-        tails[k] = traj.states[-tail_window:, cols]
+        tails[k] = traj.states[-tail_window:, ::2]
         finals[k] = traj.states[-1]
         if warm_start:
             current = traj.states[-1].copy()
         else:
             current = start
+        del traj  # so the next solve does not run beside this one's arrays
     return BifurcationScan(
         beta_values=betas,
         tail_samples=tails,

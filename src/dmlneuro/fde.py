@@ -88,10 +88,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    @property
-    def h(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def _predictor_kernel(beta: float, kmax: int) -> np.ndarray:
     # lag-k weight of the product-rectangle rule, unscaled
@@ -113,30 +109,6 @@ def _corrector_initial(beta: float, n) -> np.ndarray:
     # weight attached to the t_0 sample when stepping from node n to n+1
     n = np.asarray(n, dtype=float)
     return n ** (beta + 1.0) - (n - beta) * (n + 1.0) ** beta
-
-
-def pi_weights(order, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Product-integration weights for the step from node ``n`` to ``n+1``.
-
-    Returns ``(predictor, corrector)``.  The predictor weights (length
-    ``n+1``, already carrying the ``h**beta / beta`` factor) multiply the
-    vector-field samples at nodes ``0..n`` under a ``1/gamma(beta)``
-    prefactor.  The corrector weights (length ``n+2``) multiply the samples
-    at nodes ``0..n+1`` and are scaled by ``h**beta / gamma(beta+2)`` at the
-    point of use.
-    """
-    beta = check_order(order)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
-    predictor = (h ** beta / beta) * _predictor_kernel(beta, n)[::-1]
-    corrector = np.empty(n + 2)
-    corrector[0] = _corrector_initial(beta, n)
-    if n >= 1:
-        corrector[1 : n + 1] = _corrector_kernel(beta, n)[1:][::-1]
-    corrector[n + 1] = 1.0
-    return predictor, corrector
 
 
 def _fft_size(n: int) -> int:

@@ -12,9 +12,12 @@ symmetric equilibria and the stability blocks are all derived:
 - ``current(x_self, x_other)``: the synaptic current a cell at voltage
   ``x_self`` receives from its partner at ``x_other``;
 - ``partials(x_self, x_other)``: the two partial derivatives of that
-  current, returned as ``(d_self, d_other)``.
+  current, returned as ``(d_self, d_other)``;
+- ``v_s``: the synaptic reversal potential, or None for a coupling
+  without one.
 
-Both methods take floats or numpy arrays of voltages.
+Both methods take floats or numpy arrays of voltages.  Whatever the
+coupling, the voltages sit in the even columns of a state, ``state[::2]``.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ class NoCoupling:
     dim = 2
     label = "single"
     value = 0.0
+    v_s = None
 
     def current(self, x_self, x_other):
         return 0.0
@@ -88,6 +92,7 @@ class LinearCoupling:
 
     theta: float
     dim = 4
+    v_s = None
 
     def __post_init__(self):
         if self.theta <= 0.0:
@@ -180,12 +185,3 @@ def vector_field(coupling: CouplingSpec):
     if dim not in (2, 4):
         raise TypeError(f"unknown coupling spec: {coupling!r}")
     return partial(_field, coupling=coupling), dim
-
-
-def voltage_columns(dim: int) -> tuple[int, ...]:
-    """Indices of the voltage variables in a state vector of width ``dim``."""
-    if dim == 2:
-        return (0,)
-    if dim == 4:
-        return (0, 2)
-    raise ValueError("state dimension must be 2 or 4")

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .equilibria import find_symmetric_equilibria
 from .exceptions import DegenerateDeterminantError
 from .fde import check_order
 from .models import CouplingSpec, DmlParams, NoCoupling, _exp
@@ -47,10 +48,6 @@ class BetaStarResult:
 
     kind: BetaStarKind
     value: Optional[float] = None
-
-    @property
-    def is_threshold(self) -> bool:
-        return self.kind is BetaStarKind.THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -119,15 +116,13 @@ def eigenvalues(
     return np.array(out)
 
 
-def classify(
-    ind: StabilityIndicators, beta, degenerate_tol: float = DEGENERACY_TOL
-) -> Classification:
+def classify(ind: StabilityIndicators, beta) -> Classification:
     """Matignon classification of an equilibrium at fractional order ``beta``."""
     beta = check_order(beta)
     branches = ind.branches
-    if any(d < -degenerate_tol for _, d in branches):
+    if any(d < -DEGENERACY_TOL for _, d in branches):
         return Classification.SADDLE
-    if any(abs(d) <= degenerate_tol for _, d in branches):
+    if any(abs(d) <= DEGENERACY_TOL for _, d in branches):
         return Classification.SADDLE_NODE_DEGENERATE
     bound = math.cos(beta * math.pi / 2.0)
     if all(t < 2.0 * math.sqrt(d) * bound for t, d in branches):
@@ -170,21 +165,14 @@ class SaddleNodeReport:
     details: tuple[str, ...]
 
 
-def saddle_node_condition(
-    p: DmlParams,
-    coupling: CouplingSpec,
-    I: float,
-    tol: float = 1e-10,
-) -> SaddleNodeReport:
+def saddle_node_condition(p: DmlParams, coupling: CouplingSpec, I: float) -> SaddleNodeReport:
     """Test whether the stimulation current ``I`` sits at a fold.
 
-    A fold needs a vanishing determinant at some equilibrium: the single
-    block of an isolated cell, or either block of a coupled pair.  The plus
-    block of a linear pair equals the single cell's for every theta, so that
-    pair folds where the cell does.
+    A fold needs a vanishing determinant (``|delta| < 1e-10``) at some
+    equilibrium: the single block of an isolated cell, or either block of a
+    coupled pair.  The plus block of a linear pair equals the single cell's
+    for every theta, so that pair folds where the cell does.
     """
-    from .equilibria import find_symmetric_equilibria
-
     p_at = replace(p, I=I)
     eq = find_symmetric_equilibria(p_at, coupling)
     names = ("delta",) if coupling.dim == 2 else ("delta+", "delta-")
@@ -193,6 +181,6 @@ def saddle_node_condition(
     for x_star, _ in eq.points:
         branches = indicators(x_star, p_at, coupling).branches
         for label, (_, value) in zip(names, branches):
-            if abs(value) < tol:
+            if abs(value) < 1e-10:
                 details.append(f"{label} = {value:.3e} vanishes at x* = {x_star:.6f}")
     return SaddleNodeReport(found=bool(details), details=tuple(details))

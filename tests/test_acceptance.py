@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from dmlneuro.equilibria import (
-    find_equilibria_2d,
     find_extrema,
     find_symmetric_equilibria,
     i_infinity_derivative,
@@ -87,7 +86,7 @@ def test_criterion_02_equilibrium_branches():
     )
     ok = True
     for I, expected in cases:
-        eq = find_equilibria_2d(DmlParams(I=I))
+        eq = find_symmetric_equilibria(DmlParams(I=I))
         ok = ok and eq.points.shape[0] == len(expected)
         ok = ok and np.abs(eq.points - np.asarray(expected)).max() < 1e-4
     _report(2, "equilibrium branch counts and points", ok, time.perf_counter() - t0, 1.0)
@@ -95,11 +94,11 @@ def test_criterion_02_equilibrium_branches():
 
 def test_criterion_03_hopf_thresholds_closed_form():
     t0 = time.perf_counter()
-    x19 = find_equilibria_2d(P).points[0, 0]
+    x19 = find_symmetric_equilibria(P).points[0, 0]
     ok = abs(beta_star(x19, P).value - 0.98233) < 1e-4
 
     p22 = DmlParams(I=0.022)
-    x22 = find_equilibria_2d(p22).points[0, 0]
+    x22 = find_symmetric_equilibria(p22).points[0, 0]
     ok = ok and abs(beta_star(x22, p22).value - 0.98772) < 1e-4
 
     linear_values = []

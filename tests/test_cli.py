@@ -284,7 +284,16 @@ class TestSimulateCommand:
         svg = (tmp_path / "traj.svg").read_text()
         assert svg.startswith("<svg")
         assert 'viewBox="0 0 800 500"' in svg
-        assert "<polyline" in svg
+        assert svg.count("<polyline") == 1
+
+    def test_svg_of_a_pair_draws_both_voltages(self, tmp_path, capsys):
+        out_path = tmp_path / "pair.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--model", "dimer-sigmoid", "--beta", "0.9", "--t-end", "10",
+            "--h", "0.1", "--discard", "0", "--tail", "20", "--out", str(out_path), "--svg",
+        )
+        assert code == 0
+        assert (tmp_path / "pair.svg").read_text().count("<polyline") == 2
 
 
 def row_by_row_csv(header, rows):

@@ -8,7 +8,6 @@ from dmlneuro.equilibria import (
     Branch,
     _scan_brackets,
     classify_branch,
-    find_equilibria_2d,
     find_extrema,
     find_symmetric_equilibria,
     i_infinity,
@@ -190,13 +189,13 @@ class TestFindEquilibria2d:
         ],
     )
     def test_reference_points(self, I, expected):
-        eq = find_equilibria_2d(DmlParams(I=I))
+        eq = find_symmetric_equilibria(DmlParams(I=I))
         assert eq.points.shape == (len(expected), 2)
         np.testing.assert_allclose(eq.points, expected, rtol=0, atol=1e-4)
 
     def test_fold_at_lower_current(self):
         ex = find_extrema(P)
-        eq = find_equilibria_2d(DmlParams(I=ex.I_min))
+        eq = find_symmetric_equilibria(DmlParams(I=ex.I_min))
         assert eq.branch is Branch.TWOFOLD
         np.testing.assert_allclose(
             eq.points, [(-0.07386, 0.00926), (0.28639, 0.06193)], rtol=0, atol=1e-4
@@ -204,7 +203,7 @@ class TestFindEquilibria2d:
 
     def test_fold_at_upper_current(self):
         ex = find_extrema(P)
-        eq = find_equilibria_2d(DmlParams(I=ex.I_max))
+        eq = find_symmetric_equilibria(DmlParams(I=ex.I_max))
         assert eq.branch is Branch.TWOFOLD
         np.testing.assert_allclose(
             eq.points, [(0.05114, 0.0179), (0.39491, 0.109785)], rtol=0, atol=1e-4
@@ -212,7 +211,7 @@ class TestFindEquilibria2d:
 
     def test_branch_label_matches_point_count(self):
         for I in (0.0001, 0.011, 0.019):
-            eq = find_equilibria_2d(DmlParams(I=I))
+            eq = find_symmetric_equilibria(DmlParams(I=I))
             assert {1: Branch.UNIQUE, 2: Branch.TWOFOLD, 3: Branch.THREEFOLD}[
                 eq.points.shape[0]
             ] is eq.branch
@@ -220,7 +219,7 @@ class TestFindEquilibria2d:
     def test_points_sorted_and_residuals_tiny(self):
         for I in (0.0001, 0.011, 0.019):
             p = DmlParams(I=I)
-            eq = find_equilibria_2d(p)
+            eq = find_symmetric_equilibria(p)
             xs = eq.points[:, 0]
             assert (np.diff(xs) > 0).all()
             for x, y in eq.points:
@@ -230,17 +229,17 @@ class TestFindEquilibria2d:
         ex = find_extrema(P)
         rng = np.random.default_rng(42)
         for I in rng.uniform(-0.02, 0.05, size=200):
-            eq = find_equilibria_2d(DmlParams(I=I))
+            eq = find_symmetric_equilibria(DmlParams(I=I))
             assert eq.branch is classify_branch(I, ex)
 
     def test_window_exhaustion(self):
         with pytest.raises(RootWindowExhaustedError):
-            find_equilibria_2d(DmlParams(I=-50.0))
+            find_symmetric_equilibria(DmlParams(I=-50.0))
 
 
 class TestSymmetricEquilibria:
     def test_linear_matches_single_cell_for_any_theta(self):
-        base = find_equilibria_2d(P)
+        base = find_symmetric_equilibria(P)
         for theta in (1e-4, 1e-3, 1e-2, 1e-1):
             eq = find_symmetric_equilibria(P, LinearCoupling(theta))
             assert np.array_equal(eq.points, base.points)
@@ -253,12 +252,12 @@ class TestSymmetricEquilibria:
         assert eq.points[0, 0] == pytest.approx(0.40824, abs=1e-4)
 
     def test_sigmoid_zero_strength_degenerates_to_single_cell(self):
-        base = find_equilibria_2d(P)
+        base = find_symmetric_equilibria(P)
         eq = find_symmetric_equilibria(P, SigmoidCoupling(sigma=0.0))
         assert np.array_equal(eq.points, base.points)
 
     def test_sigmoid_continuity_in_small_strength(self):
-        base = find_equilibria_2d(P).points[0, 0]
+        base = find_symmetric_equilibria(P).points[0, 0]
         eq = find_symmetric_equilibria(P, SigmoidCoupling(sigma=1e-5))
         assert abs(eq.points[0, 0] - base) < 1e-3
 
@@ -273,7 +272,7 @@ class TestSymmetricEquilibria:
         for I in (0.0001, 0.011, 0.019):
             p = DmlParams(I=I)
             eq = find_symmetric_equilibria(p, NoCoupling())
-            base = find_equilibria_2d(p)
+            base = find_symmetric_equilibria(p)
             assert np.array_equal(eq.points, base.points)
             assert eq.branch is base.branch
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,6 @@ class TestRunExperiment:
         assert s.converged
         assert s.tail_amplitude_x < 1e-4
         assert abs(s.final_state[0] - 0.40772) < 1e-3
-        assert s.excitatory_ok is None
 
     def test_oscillates_above_threshold_order(self):
         s = run_experiment(P, NoCoupling(), 0.99, FAST, discard=10_000, tail=500)
@@ -79,6 +80,11 @@ class TestRunExperiment:
         )
         assert s.excitatory_ok is True
 
+    @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008)], ids=["single", "linear"])
+    def test_no_reversal_potential_gives_no_excitatory_verdict(self, coupling):
+        s = run_experiment(P, coupling, 0.9, SHORT, discard=0, tail=100)
+        assert s.excitatory_ok is None
+
     def test_discard_tail_budget_checked(self):
         with pytest.raises(InsufficientSamplesError):
             run_experiment(P, NoCoupling(), 0.9, SHORT, discard=990, tail=500)
@@ -103,6 +109,30 @@ class TestBifurcationSweep:
         assert scan.beta_values.shape == (1,)
         s = run_experiment(P, NoCoupling(), 0.95, SHORT, discard=0, tail=100)
         np.testing.assert_array_equal(scan.tail_samples[0, :, 0], s.trajectory.states[-100:, 0])
+
+    def test_pair_tails_are_the_two_voltages(self):
+        c = SigmoidCoupling(sigma=0.001)
+        scan = bifurcation_sweep(P, c, 0.019, (0.95, 0.95), 0.002, SHORT, tail_window=100)
+        assert scan.tail_samples.shape == (1, 100, 2)
+        s = run_experiment(P, c, 0.95, SHORT, discard=0, tail=100)
+        np.testing.assert_array_equal(scan.tail_samples[0], s.trajectory.states[-100:, [0, 2]])
+
+    def test_each_solve_starts_after_the_previous_trajectory_is_freed(self, monkeypatch):
+        # only a run's tail and last state outlive it; holding the whole
+        # trajectory through the next solve would double the sweep's memory
+        refs = []
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            traj = solve_fde(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(experiments, "solve_fde", spy)
+        bifurcation_sweep(
+            P, SigmoidCoupling(sigma=0.001), 0.019, (0.97, 1.0), 0.01, SHORT, tail_window=50
+        )
+        assert len(refs) == 4
 
     def test_grid_is_descending_and_complete(self):
         scan = bifurcation_sweep(

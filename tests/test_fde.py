@@ -17,7 +17,6 @@ from dmlneuro.fde import (
     SolverConfig,
     check_order,
     mittag_leffler,
-    pi_weights,
     solve_fde,
 )
 from dmlneuro.models import DmlParams, NoCoupling, SigmoidCoupling, vector_field
@@ -69,74 +68,6 @@ class TestSolverConfig:
     def test_step_count(self):
         assert SolverConfig(0.0, 1.0, 0.01).n_steps == 100
         assert SolverConfig(0.0, 6000.0, 0.01).n_steps == 600_000
-
-
-class TestPiWeights:
-    def test_classical_corrector_is_trapezoid(self):
-        # at order 1 the opening/closing corrector weights scale to 1/2 each
-        _, corr = pi_weights(1.0, 0, 1.0)
-        scale = 1.0 / math.gamma(3.0)
-        assert corr[0] * scale == pytest.approx(0.5, abs=1e-15)
-        assert corr[-1] * scale == pytest.approx(0.5, abs=1e-15)
-
-    @pytest.mark.parametrize("n", [0, 3, 7])
-    def test_classical_predictor_is_rectangle(self, n):
-        pred, _ = pi_weights(1.0, n, 0.5)
-        assert pred.shape == (n + 1,)
-        np.testing.assert_allclose(pred, 0.5, rtol=0, atol=1e-15)
-
-    def test_lengths_and_finiteness(self):
-        pred, corr = pi_weights(0.6, 10, 0.01)
-        assert pred.shape == (11,) and corr.shape == (12,)
-        assert np.isfinite(pred).all() and np.isfinite(corr).all()
-
-    def test_weights_match_kernel_quadrature(self):
-        # oracle: integrate the power-law kernel against the interpolation
-        # basis on the grid, using quadrature that honors the endpoint
-        # singularity; the rectangle basis gives the predictor weights, the
-        # hat basis the corrector weights.
-        beta, n, h = 0.8, 3, 0.7
-        t_next = (n + 1) * h
-        nodes = h * np.arange(n + 2)
-        pred, corr = pi_weights(beta, n, h)
-
-        def kernel_weight(lo, hi, smooth):
-            # integral of (t_next - tau)^(beta-1) * smooth(tau) over [lo, hi],
-            # in the variable v = (t_next - tau)^beta so the endpoint
-            # singularity disappears
-            u_lo, u_hi = t_next - hi, t_next - lo
-            return quad(
-                lambda v: smooth(t_next - v ** (1.0 / beta)) / beta,
-                u_lo ** beta,
-                u_hi ** beta,
-                epsabs=1e-13,
-                epsrel=1e-12,
-                limit=200,
-            )[0]
-
-        for j in range(n + 1):
-            expected = kernel_weight(nodes[j], nodes[j + 1], lambda tau: 1.0)
-            assert pred[j] == pytest.approx(expected, abs=1e-10)
-
-        def hat(j):
-            def phi(tau):
-                w = 1.0 - abs(tau - nodes[j]) / h
-                return w if w > 0.0 else 0.0
-
-            return phi
-
-        corr_scale = h ** beta / (beta * (beta + 1.0))  # per-weight kernel mass
-        for j in range(n + 2):
-            lo = nodes[max(j - 1, 0)]
-            hi = nodes[min(j + 1, n + 1)]
-            expected = kernel_weight(lo, hi, hat(j))
-            assert corr[j] * corr_scale == pytest.approx(expected, abs=1e-10)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            pi_weights(0.9, -1, 0.1)
-        with pytest.raises(ValueError):
-            pi_weights(0.9, 2, 0.0)
 
 
 class TestMittagLeffler:
@@ -274,6 +205,99 @@ class TestSolveFde:
             )
         for s, q in zip(serial, parallel):
             assert np.array_equal(s, q)
+
+
+def pi_weights(order, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Product-integration weights for the step from node ``n`` to ``n+1``.
+
+    Returns ``(predictor, corrector)``.  The predictor weights (length
+    ``n+1``, already carrying the ``h**beta / beta`` factor) multiply the
+    vector-field samples at nodes ``0..n`` under a ``1/gamma(beta)``
+    prefactor.  The corrector weights (length ``n+2``) multiply the samples
+    at nodes ``0..n+1`` and are scaled by ``h**beta / gamma(beta+2)`` at the
+    point of use.  Built from the engine's own lag kernels, which the
+    quadrature tests below check independently.
+    """
+    beta = check_order(order)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if h <= 0.0:
+        raise ValueError("step size h must be positive")
+    predictor = (h ** beta / beta) * fde._predictor_kernel(beta, n)[::-1]
+    corrector = np.empty(n + 2)
+    corrector[0] = fde._corrector_initial(beta, n)
+    if n >= 1:
+        corrector[1 : n + 1] = fde._corrector_kernel(beta, n)[1:][::-1]
+    corrector[n + 1] = 1.0
+    return predictor, corrector
+
+
+class TestPiWeights:
+    def test_classical_corrector_is_trapezoid(self):
+        # at order 1 the opening/closing corrector weights scale to 1/2 each
+        _, corr = pi_weights(1.0, 0, 1.0)
+        scale = 1.0 / math.gamma(3.0)
+        assert corr[0] * scale == pytest.approx(0.5, abs=1e-15)
+        assert corr[-1] * scale == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 3, 7])
+    def test_classical_predictor_is_rectangle(self, n):
+        pred, _ = pi_weights(1.0, n, 0.5)
+        assert pred.shape == (n + 1,)
+        np.testing.assert_allclose(pred, 0.5, rtol=0, atol=1e-15)
+
+    def test_lengths_and_finiteness(self):
+        pred, corr = pi_weights(0.6, 10, 0.01)
+        assert pred.shape == (11,) and corr.shape == (12,)
+        assert np.isfinite(pred).all() and np.isfinite(corr).all()
+
+    def test_weights_match_kernel_quadrature(self):
+        # oracle: integrate the power-law kernel against the interpolation
+        # basis on the grid, using quadrature that honors the endpoint
+        # singularity; the rectangle basis gives the predictor weights, the
+        # hat basis the corrector weights.
+        beta, n, h = 0.8, 3, 0.7
+        t_next = (n + 1) * h
+        nodes = h * np.arange(n + 2)
+        pred, corr = pi_weights(beta, n, h)
+
+        def kernel_weight(lo, hi, smooth):
+            # integral of (t_next - tau)^(beta-1) * smooth(tau) over [lo, hi],
+            # in the variable v = (t_next - tau)^beta so the endpoint
+            # singularity disappears
+            u_lo, u_hi = t_next - hi, t_next - lo
+            return quad(
+                lambda v: smooth(t_next - v ** (1.0 / beta)) / beta,
+                u_lo ** beta,
+                u_hi ** beta,
+                epsabs=1e-13,
+                epsrel=1e-12,
+                limit=200,
+            )[0]
+
+        for j in range(n + 1):
+            expected = kernel_weight(nodes[j], nodes[j + 1], lambda tau: 1.0)
+            assert pred[j] == pytest.approx(expected, abs=1e-10)
+
+        def hat(j):
+            def phi(tau):
+                w = 1.0 - abs(tau - nodes[j]) / h
+                return w if w > 0.0 else 0.0
+
+            return phi
+
+        corr_scale = h ** beta / (beta * (beta + 1.0))  # per-weight kernel mass
+        for j in range(n + 2):
+            lo = nodes[max(j - 1, 0)]
+            hi = nodes[min(j + 1, n + 1)]
+            expected = kernel_weight(lo, hi, hat(j))
+            assert corr[j] * corr_scale == pytest.approx(expected, abs=1e-10)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            pi_weights(0.9, -1, 0.1)
+        with pytest.raises(ValueError):
+            pi_weights(0.9, 2, 0.0)
 
 
 def reference_pece(rhs, order, config, y0, params=None):

@@ -9,7 +9,6 @@ from dmlneuro.models import (
     NoCoupling,
     SigmoidCoupling,
     vector_field,
-    voltage_columns,
     _sigmoid,
 )
 
@@ -192,9 +191,3 @@ class TestDispatch:
     def test_unknown_coupling_rejected(self):
         with pytest.raises(TypeError):
             vector_field("linear")
-
-    def test_voltage_columns(self):
-        assert voltage_columns(2) == (0,)
-        assert voltage_columns(4) == (0, 2)
-        with pytest.raises(ValueError):
-            voltage_columns(3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmlneuro.equilibria import find_equilibria_2d, find_extrema, find_symmetric_equilibria
+from dmlneuro.equilibria import find_extrema, find_symmetric_equilibria
 from dmlneuro.exceptions import DegenerateDeterminantError
 from dmlneuro.models import (
     DmlParams,
@@ -151,17 +151,17 @@ class TestClassify:
 
 class TestBetaStar:
     def test_single_cell_reference_thresholds(self):
-        eq = find_equilibria_2d(P)
+        eq = find_symmetric_equilibria(P)
         result = beta_star(eq.points[0, 0], P)
         assert result.kind is BetaStarKind.THRESHOLD
         assert result.value == pytest.approx(0.98233, abs=1e-4)
 
         p22 = DmlParams(I=0.022)
-        eq22 = find_equilibria_2d(p22)
+        eq22 = find_symmetric_equilibria(p22)
         assert beta_star(eq22.points[0, 0], p22).value == pytest.approx(0.98772, abs=1e-4)
 
     def test_linear_pair_threshold_is_theta_independent(self):
-        eq = find_equilibria_2d(P)
+        eq = find_symmetric_equilibria(P)
         x = eq.points[0, 0]
         base = beta_star(x, P).value
         values = [
@@ -192,7 +192,7 @@ class TestBetaStar:
     def test_negative_trace_stable_for_all_orders(self):
         # at the low-current equilibrium the trace is negative
         p = DmlParams(I=0.0001)
-        eq = find_equilibria_2d(p)
+        eq = find_symmetric_equilibria(p)
         result = beta_star(eq.points[0, 0], p)
         assert result.kind is BetaStarKind.STABLE_FOR_ALL_ORDERS
         assert result.value is None
@@ -209,14 +209,14 @@ class TestBetaStar:
     def test_degenerate_determinant_raises(self):
         ex = find_extrema(P)
         p = DmlParams(I=ex.I_min)
-        eq = find_equilibria_2d(p)
+        eq = find_symmetric_equilibria(p)
         with pytest.raises(DegenerateDeterminantError):
             beta_star(eq.points[-1, 0], p)  # the fold point
 
     def test_threshold_brackets_the_classification_flip(self):
         cases = [
-            (find_equilibria_2d(P).points[0, 0], NoCoupling()),
-            (find_equilibria_2d(P).points[0, 0], LinearCoupling(0.008)),
+            (find_symmetric_equilibria(P).points[0, 0], NoCoupling()),
+            (find_symmetric_equilibria(P).points[0, 0], LinearCoupling(0.008)),
             (
                 find_symmetric_equilibria(P, SigmoidCoupling(sigma=0.001)).points[0, 0],
                 SigmoidCoupling(sigma=0.001),
