@@ -12,8 +12,10 @@ at each node m that is an odd multiple of L = _FFT_BLOCK * 2**l, the sources
 [m - L, m) are added to the far sums of the targets [m, m + L) by a circular
 convolution of size 2L, which cannot wrap; a last square that the grid's
 end clips to T < L targets uses L + T points, rounded up to a 5-smooth
-length.  Each lag range is folded once, so a run of N steps costs
-O(N log^2 N).
+length.  A square whose transform length is at most ``_FFT_BATCH`` folds
+every column and both sums in one transform pair; a larger one transforms
+column by column, which keeps its buffers small.  Each lag range is folded
+once, so a run of N steps costs O(N log^2 N).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .exceptions import (
 # Length r of the direct history tail: a node sums the earlier nodes of its
 # own block of r directly; all older history reaches it through the squares.
 _FFT_BLOCK = 64
+# Longest transform folded in one batched pair.  Below it the per-call
+# overhead dominates; above it the batched buffers would raise peak memory.
+_FFT_BATCH = 2**11
 
 
 def check_order(order) -> float:
@@ -67,6 +72,12 @@ class SolverConfig:
     corrector_iterations: int = 1
 
     def __post_init__(self):
+        for name in ("t_start", "t_end", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        iterations = self.corrector_iterations
+        if isinstance(iterations, bool) or not isinstance(iterations, int):
+            raise ValueError(f"corrector_iterations must be an integer, got {iterations!r}")
         if self.h <= 0.0:
             raise ValueError("step size h must be positive")
         if self.t_end <= self.t_start:
@@ -195,14 +206,24 @@ def solve_fde(
                 # points; a full one's spectra serve the next square of its
                 # size, at q0 + 2L, if that one is full too
                 n = 2 * L if hi == q0 + L else _fft_size(L + hi - q0)
-                hat = spectra.pop(L, None) or (np.fft.rfft(kb[:n], n=n), np.fft.rfft(ka[:n], n=n))
+                batched = n <= _FFT_BATCH
+                hat = spectra.pop(L, None)
+                if hat is None:
+                    hat = (np.fft.rfft(kb[:n], n=n), np.fft.rfft(ka[:n], n=n))
+                    if batched:
+                        # (n//2 + 1, sum, 1): broadcasts over the columns
+                        hat = np.stack(hat, axis=1)[:, :, None]
                 if q0 + 3 * L <= n_steps + 1:
                     spectra[L] = hat
-                hat_b, hat_a = hat
-                for d in range(dim):
-                    hat_f = np.fft.rfft(F[q0 - L : q0, d], n=n)
-                    far[q0:hi, 0, d] += np.fft.irfft(hat_f * hat_b, n=n)[L : L + hi - q0]
-                    far[q0:hi, 1, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
+                if batched:
+                    hat_f = np.fft.rfft(F[q0 - L : q0], n=n, axis=0)
+                    far[q0:hi] += np.fft.irfft(hat_f[:, None] * hat, n=n, axis=0)[L : L + hi - q0]
+                else:
+                    hat_b, hat_a = hat
+                    for d in range(dim):
+                        hat_f = np.fft.rfft(F[q0 - L : q0, d], n=n)
+                        far[q0:hi, 0, d] += np.fft.irfft(hat_f * hat_b, n=n)[L : L + hi - q0]
+                        far[q0:hi, 1, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
 
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
             for m in range(lo, stop):

@@ -158,7 +158,7 @@ def _local(x: float, y: float, p: DmlParams):
     return x * x * (1.0 - x) - y + p.I, p.A * _exp(p.alpha * x) - p.gamma * y
 
 
-def _field(t, state, p: DmlParams, coupling: CouplingSpec) -> tuple:
+def _field(coupling: CouplingSpec, t, state, p: DmlParams) -> tuple:
     """Local field of each cell plus the current it receives from its partner.
 
     ``state`` is any sequence of ``dim`` floats (the solver hands a list), and
@@ -184,4 +184,6 @@ def vector_field(coupling: CouplingSpec):
     dim = getattr(coupling, "dim", None)
     if dim not in (2, 4):
         raise TypeError(f"unknown coupling spec: {coupling!r}")
-    return partial(_field, coupling=coupling), dim
+    # positional, so no keyword dict is built per call; unlike a closure, a
+    # partial pickles
+    return partial(_field, coupling), dim

@@ -71,6 +71,11 @@ class TestConfigHandling:
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(["simulate", "--nope", "1"]) == 2
 
+    def test_infinite_end_time_exits_2(self, capsys):
+        code, _, err = run(capsys, "simulate", "--t-end", "inf")
+        assert code == 2
+        assert "t_end must be finite" in err
+
     def test_config_file_supplies_values(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"model": "single", "I": 0.022}))

@@ -19,7 +19,7 @@ from dmlneuro.fde import (
     mittag_leffler,
     solve_fde,
 )
-from dmlneuro.models import DmlParams, NoCoupling, SigmoidCoupling, vector_field
+from dmlneuro.models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling, vector_field
 
 single_field = vector_field(NoCoupling())[0]
 
@@ -64,6 +64,24 @@ class TestSolverConfig:
             SolverConfig(0.0, 0.005, 0.01)  # less than one step
         with pytest.raises(ValueError):
             SolverConfig(0.0, 1.0, 0.01, corrector_iterations=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_start", math.nan),
+            ("t_start", -math.inf),
+            ("t_end", math.inf),
+            ("h", math.nan),
+            ("h", math.inf),
+            ("corrector_iterations", 1.5),
+            ("corrector_iterations", True),
+        ],
+    )
+    def test_rejects_a_non_finite_grid_and_non_integer_iterations(self, field, value):
+        kwargs = dict(t_start=0.0, t_end=1.0, h=0.01, corrector_iterations=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**kwargs)
 
     def test_step_count(self):
         assert SolverConfig(0.0, 1.0, 0.01).n_steps == 100
@@ -407,6 +425,31 @@ def smooth_length(n):
         n += 1
 
 
+def count_transforms(mp, evals):
+    """Patch numpy's rfft and irfft to log each call as (name, length, points, q0).
+
+    ``points`` counts the length times every column along ``axis``.  ``q0``
+    is the square that made the call, read from ``evals``, the field
+    evaluations so far: steps 1 .. q0 - 1 precede the square at q0, two
+    evaluations each after the one at node 0.
+    """
+    log = []
+
+    def counting(name, transform):
+        def counted(a, n=None, axis=-1, *args, **kwargs):
+            a = np.asarray(a)
+            length = n if n is not None else a.shape[axis]
+            columns = a.size // max(a.shape[axis], 1)
+            log.append((name, length, length * columns, (evals[0] + 1) // 2))
+            return transform(a, n, axis, *args, **kwargs)
+
+        return counted
+
+    for name in ("rfft", "irfft"):
+        mp.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return log
+
+
 class TestNestedSquares:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -436,22 +479,8 @@ class TestNestedSquares:
 
     def test_fold_work_grows_as_n_log_n(self):
         block, n_steps, dim = 8, 20_000, 2
-        lengths, points = [], [0]
         evals = [0]
         by_square = {}  # q0 -> lengths of the transforms made there
-
-        def counting(transform):
-            def counted(a, n=None, *args, **kwargs):
-                a = np.asarray(a)
-                length = n if n is not None else a.shape[-1]
-                lengths.append(length)
-                points[0] += length * (a.size // max(a.shape[-1], 1))
-                # steps 1 .. q0 - 1 precede the square at q0, two evaluations
-                # each after the one at node 0
-                by_square.setdefault((evals[0] + 1) // 2, []).append(length)
-                return transform(a, n, *args, **kwargs)
-
-            return counted
 
         def field(t, y, p):
             evals[0] += 1
@@ -461,12 +490,14 @@ class TestNestedSquares:
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fde, "_FFT_BLOCK", block)
-            for name in ("rfft", "irfft"):
-                mp.setattr(np.fft, name, counting(getattr(np.fft, name)))
+            log = count_transforms(mp, evals)
             solve_fde(field, 0.9, cfg, [0.1, 0.1], p)
+        for _, length, _, q0 in log:
+            by_square.setdefault(q0, []).append(length)
         largest_square = block << int(math.log2(n_steps / block))
-        assert max(lengths) <= 2 * largest_square
-        assert points[0] <= 4 * dim * n_steps * math.ceil(math.log2(n_steps / block))
+        assert max(length for _, length, _, _ in log) <= 2 * largest_square
+        points = sum(points for _, _, points, _ in log)
+        assert points <= 4 * dim * n_steps * math.ceil(math.log2(n_steps / block))
 
         clipped = 0
         for q0 in range(block, n_steps + 1, block):
@@ -482,6 +513,53 @@ class TestNestedSquares:
                 assert longest <= 2 * side
         assert set(by_square) == set(range(block, n_steps + 1, block))
         assert clipped >= 2
+
+
+    @pytest.mark.parametrize("coupling", [NoCoupling(), SigmoidCoupling(0.001)], ids=["dim2", "dim4"])
+    def test_a_small_square_folds_in_one_transform_pair(self, coupling):
+        rhs, dim = vector_field(coupling)
+        evals = [0]
+
+        def field(t, y, p):
+            evals[0] += 1
+            return rhs(t, y, p)
+
+        # with 64-node blocks, every square of 2000 steps transforms at
+        # 2048 points or fewer, and the last few are clipped
+        r, n_steps = fde._FFT_BLOCK, 2000
+        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
+        with pytest.MonkeyPatch.context() as mp:
+            log = count_transforms(mp, evals)
+            solve_fde(field, 0.9, cfg, [0.1, 0.1, -0.2, 0.1][:dim], DmlParams(I=0.019))
+        assert max(length for _, length, _, _ in log) <= fde._FFT_BATCH
+        by_square = {}
+        for name, _, _, q0 in log:
+            by_square.setdefault(q0, []).append(name)
+        assert set(by_square) == set(range(r, n_steps + 1, r))
+        for q0, names in by_square.items():
+            side = r * ((q0 // r) & -(q0 // r))
+            # the kernel spectra are transformed at the first square of a
+            # size and at a clipped one; every other square reuses them
+            fresh = q0 == side or q0 + side > n_steps + 1
+            assert names == ["rfft"] * (1 + 2 * fresh) + ["irfft"], q0
+
+    @pytest.mark.parametrize(
+        "coupling",
+        [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)],
+        ids=["single", "linear", "sigmoid"],
+    )
+    def test_batched_and_per_column_folds_give_the_same_bits(self, coupling):
+        rhs, dim = vector_field(coupling)
+        # 5000 steps transform at 128 .. 5120 points, so the default batch
+        # size splits them; the grid ends in clipped squares
+        n_steps = 5000
+        args = (rhs, 0.9, SolverConfig(0.0, 0.05 * n_steps, 0.05), [0.1, 0.1, -0.2, 0.1][:dim])
+        p = DmlParams(I=0.019)
+        default = solve_fde(*args, p).states
+        for batch in (0, 4 * n_steps):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fde, "_FFT_BATCH", batch)
+                assert np.array_equal(solve_fde(*args, p).states, default), batch
 
 
 class TestFieldContract:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -187,6 +188,13 @@ class TestDispatch:
                 np.testing.assert_allclose(
                     columns[:, k], rhs(0.0, states[:dim, k].tolist(), params), rtol=1e-15, atol=0
                 )
+
+    @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)])
+    def test_field_survives_pickling(self, coupling, params):
+        # worker processes receive the field pickled; a closure would not pickle
+        rhs, dim = vector_field(coupling)
+        y = [0.1, 0.1, -0.2, 0.1][:dim]
+        assert pickle.loads(pickle.dumps(rhs))(0.0, y, params) == rhs(0.0, y, params)
 
     def test_unknown_coupling_rejected(self):
         with pytest.raises(TypeError):
