@@ -21,6 +21,7 @@ from .experiments import DEFAULT_DISCARD, DEFAULT_TAIL, bifurcation_sweep, hopf_
 from .stability import BetaStarKind, beta_star, classify, indicators
 
 _MODELS = ("single", "dimer-linear", "dimer-sigmoid")
+_PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
 _CSV_CHUNK = 4096
 
@@ -186,7 +187,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     merged.pop("use_fft", None)
     if isinstance(merged.get("y0"), str):
         merged["y0"] = tuple(float(v) for v in merged["y0"].split(","))
-    return RunConfig.from_dict({"command": args.command, **merged})
+    cfg = RunConfig.from_dict({"command": args.command, **merged})
+    # the SVG goes next to the CSV file, so it needs one; checked before any work
+    if cfg.svg and not cfg.out and cfg.command in _PLOTTING:
+        raise ValueError("--svg requires --out")
+    return cfg
 
 
 def _fmt(value) -> str:
@@ -275,8 +280,6 @@ def _svg_plot(path: str, series, kind: str = "line") -> None:
 
 
 def _svg_path(cfg: RunConfig) -> str:
-    if not cfg.out:
-        raise ValueError("--svg requires --out")
     return cfg.out.rsplit(".", 1)[0] + ".svg" if "." in cfg.out else cfg.out + ".svg"
 
 
@@ -298,10 +301,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             tail=cfg.tail,
         )
     except NonFiniteStateError as err:
-        if err.trajectory is not None and cfg.out:
-            header, rows = _trajectory_rows(err.trajectory, dim)
-            _emit(cfg, header, rows)
-        print(f"numerical failure: {err} (partial output flagged)", file=sys.stderr)
+        # the finite prefix goes where the whole run would have gone
+        partial = err.trajectory
+        if partial is not None:
+            _emit(cfg, *_trajectory_rows(partial, dim))
+        kept = 0 if partial is None else len(partial.times)
+        print(f"numerical failure: {err}; {kept} finite rows written to "
+              f"{cfg.out or 'stdout'}", file=sys.stderr)
         return 1
     traj = summary.trajectory
     header, rows = _trajectory_rows(traj, dim)

@@ -7,7 +7,10 @@ correct-evaluate (PECE) scheme.  The history sums follow the nested
 splitting of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6,
 1985) used in Garrappa's FDE-PI codes.  The grid falls into blocks of
 ``_FFT_BLOCK`` nodes, and a node sums the earlier nodes of its own block
-directly.  Every other pair of source and target nodes lies in one square:
+directly: a block buffer holds the block's vector-field rows and its far
+sums, and one product of a fixed weight row pair with that buffer gives a
+node its predictor state and corrector base.  Every other pair of source
+and target nodes lies in one square:
 at each node m that is an odd multiple of L = _FFT_BLOCK * 2**l, the sources
 [m - L, m) are added to the far sums of the targets [m, m + L) by a circular
 convolution of size 2L, which cannot wrap; a last square that the grid's
@@ -145,8 +148,12 @@ def solve_fde(
 
     ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a plain list
     of ``dim`` floats, and returns any sequence of ``dim`` floats: a tuple, a
-    list or an array.  The step runs on Python floats: the same IEEE
-    operations as numpy on a row of 2 or 4, without its call overhead.
+    list or an array.  Each step makes one matrix product: a ``(2, 3r)``
+    weight table, r = ``_FFT_BLOCK``, times a ``(3r, dim)`` buffer that holds
+    the vector field at the block's nodes (zero until a step writes it) and
+    the block's far sums, copied in once per block.  The rest of the step
+    runs on Python floats, and the block's states and field rows are stored
+    once per block.
 
     Raises :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state, and
@@ -178,12 +185,21 @@ def solve_fde(
     ca = h ** beta / math.gamma(beta + 2.0)
     kb = cb * np.concatenate(([0.0], _predictor_kernel(beta, max(n_steps, r) - 1)))
     ka = ca * _corrector_kernel(beta, max(n_steps, r))
-    # tails[k] weights the first k nodes of a block, oldest first, one row per sum
-    tails = [np.stack((kb[k:0:-1], ka[k:0:-1])) for k in range(r)]
+    # The block buffer Z holds r rows of the block's F, zero until written,
+    # then the block's far rows, two per node.  W[k] turns it into the
+    # predictor state and the corrector base of block node k in one product:
+    # the kernel weights of the k earlier nodes, oldest first, and ones that
+    # pick node k's own far rows.
+    W = np.zeros((r, 2, 3 * r))
+    for k in range(r):
+        W[k, :, :k] = kb[k:0:-1], ka[k:0:-1]
+        W[k, (0, 1), (r + 2 * k, r + 2 * k + 1)] = 1.0
+    W = list(W)  # views, cheaper to index than the 3-d table
+    Z = np.zeros((3 * r, dim))
 
     # Far sums.  far[m, 0] holds y0 plus the predictor sum over the nodes the
-    # squares have folded in so far, until step m overwrites it with the
-    # state: ``states`` is that column.  far[m, 1] does the same for the
+    # squares have folded in so far, until m's block stores its states
+    # there: ``states`` is that column.  far[m, 1] does the same for the
     # corrector, starting from node 0's own weight a0 in place of its kernel
     # weight (row 0 is never read).
     far = np.empty((n_steps + 1, 2, dim))
@@ -226,16 +242,25 @@ def solve_fde(
                         far[q0:hi, 1, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
 
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
+            # cleared, so that a zero weight never meets a stale row
+            Z[:] = 0.0
+            if not q0:
+                Z[0] = f0
+            Z[r : r + 2 * (stop - q0)] = far[q0:stop].reshape(-1, dim)
+            block = []
             for m in range(lo, stop):
-                # predictor state and corrector base in one pass
-                y_new, base = (tails[m - q0].dot(F[q0:m]) + far[m]).tolist()
+                k = m - q0
+                # predictor state and corrector base in one product
+                y_new, base = W[k].dot(Z).tolist()
                 t1 = t_start + h * m
                 f_new = rhs(t1, y_new, params)
                 for _ in range(iterations):
                     y_new = [b + ca * f for b, f in zip(base, f_new)]
                     f_new = rhs(t1, y_new, params)
-                states[m] = y_new
-                F[m] = f_new
+                block.append(y_new)
+                Z[k] = f_new
+            states[lo:stop] = block
+            F[lo:stop] = Z[lo - q0 : stop - q0]
 
             finite = np.isfinite(states[lo:stop]).all(axis=1)
             if not finite.all():

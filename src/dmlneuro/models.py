@@ -34,8 +34,9 @@ _EXP_MAX = 709.0  # float64 exp() overflow threshold
 
 def _exp(u):
     # overflow maps to inf instead of raising, so blow-up detection can see it;
-    # floats take the math path, arrays the numpy one
-    if not isinstance(u, np.ndarray):
+    # scalars take the math path (a float, the solver's case, is tested
+    # first) and arrays the numpy one
+    if type(u) is float or not isinstance(u, np.ndarray):
         return math.exp(u) if u < _EXP_MAX else math.inf
     with np.errstate(over="ignore"):
         return np.where(u < _EXP_MAX, np.exp(u), np.inf)
@@ -43,7 +44,7 @@ def _exp(u):
 
 def _sigmoid(u):
     # sign-split form; never exponentiates a large positive argument
-    if not isinstance(u, np.ndarray):
+    if type(u) is float or not isinstance(u, np.ndarray):
         if u >= 0.0:
             return 1.0 / (1.0 + math.exp(-u))
         eu = math.exp(u)
@@ -158,20 +159,18 @@ def _local(x: float, y: float, p: DmlParams):
     return x * x * (1.0 - x) - y + p.I, p.A * _exp(p.alpha * x) - p.gamma * y
 
 
-def _field(coupling: CouplingSpec, t, state, p: DmlParams) -> tuple:
-    """Local field of each cell plus the current it receives from its partner.
+def _cell(t, state, p: DmlParams) -> tuple:
+    """Field of the single cell; ``state`` is any sequence of 2 floats."""
+    x, y = state
+    return _local(x, y, p)
 
-    ``state`` is any sequence of ``dim`` floats (the solver hands a list), and
-    the field comes back as a tuple of ``dim`` floats.  A ``(dim, B)`` array
-    unpacks the same way, into ``dim`` rows of ``B`` values each.
-    """
-    if coupling.dim == 2:
-        x, y = state
-        return _local(x, y, p)
+
+def _pair(current, t, state, p: DmlParams) -> tuple:
+    """Local field of each cell of a pair plus the ``current`` it receives
+    from its partner; ``state`` is any sequence of 4 floats."""
     x1, y1, x2, y2 = state
     dx1, dy1 = _local(x1, y1, p)
     dx2, dy2 = _local(x2, y2, p)
-    current = coupling.current
     return dx1 + current(x1, x2), dy1, dx2 + current(x2, x1), dy2
 
 
@@ -179,11 +178,16 @@ def vector_field(coupling: CouplingSpec):
     """Return ``(rhs, dimension)`` for the model selected by the coupling spec.
 
     The returned ``rhs(t, y, p)`` matches the solver's calling convention,
-    with ``p`` a :class:`DmlParams` record.
+    with ``p`` a :class:`DmlParams` record.  It takes any sequence of
+    ``dim`` floats (the solver hands a list) and returns a tuple of ``dim``
+    floats; a ``(dim, B)`` array unpacks the same way, into ``dim`` rows of
+    ``B`` values each.
     """
     dim = getattr(coupling, "dim", None)
     if dim not in (2, 4):
         raise TypeError(f"unknown coupling spec: {coupling!r}")
-    # positional, so no keyword dict is built per call; unlike a closure, a
-    # partial pickles
-    return partial(_field, coupling), dim
+    if dim == 2:
+        return _cell, dim
+    # the body and the coupling's current are bound once, positionally, so a
+    # call builds no keyword dict; unlike a closure, a partial pickles
+    return partial(_pair, coupling.current), dim

@@ -279,6 +279,17 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_blow_up_without_out_prints_the_finite_prefix(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--I", "1e6", "--beta", "0.9", "--t-end", "5",
+            "--h", "0.01", "--discard", "0", "--tail", "10",
+        )
+        assert code == 1
+        lines = out.strip().split("\n")
+        assert lines[0] == "t,x,y" and len(lines) >= 2
+        assert np.isfinite(np.array([line.split(",") for line in lines[1:]], dtype=float)).all()
+        assert f"{len(lines) - 1} finite rows written to stdout" in err
+
     def test_svg_written(self, tmp_path, capsys):
         out_path = tmp_path / "traj.csv"
         code, _, _ = run(
@@ -456,6 +467,30 @@ class TestHopfCurveCommand:
         assert "<polyline" in (tmp_path / "curve.svg").read_text()
 
 
+class TestSvgWithoutOut:
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["simulate", "--t-end", "5", "--h", "0.1", "--discard", "0", "--tail", "10"],
+             "run_experiment"),
+            (["sweep", "--beta-from", "0.99", "--beta-to", "1.0", "--beta-step", "0.01",
+              "--t-end", "10", "--h", "0.05", "--tail", "20"], "bifurcation_sweep"),
+            (["hopf-curve", "--I-from", "0.018", "--I-to", "0.02", "--I-points", "5"],
+             "hopf_curve"),
+        ],
+        ids=["simulate", "sweep", "hopf-curve"],
+    )
+    def test_rejected_before_any_work(self, argv, work, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, no_work)
+        code, out, err = run(capsys, *argv, "--svg")
+        assert code == 2
+        assert out == ""
+        assert "--svg requires --out" in err
+
+
 class TestValidateCommand:
     def test_validate_passes(self, capsys):
         code, out, _ = run(capsys, "validate")
@@ -473,3 +508,11 @@ def test_console_script_entry_point():
     # bare invocation must fail cleanly with usage, not a traceback
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the package runs on numpy alone
+    code = "import sys, dmlneuro.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

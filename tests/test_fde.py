@@ -1,3 +1,4 @@
+import collections
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -393,16 +394,27 @@ class TestFftPath:
         assert np.abs(direct - fast.states).max() < 1e-10
 
 
+BLOW_UP_BLOCK = 8
+BLOW_UP_CFG = SolverConfig(0.0, 1.0, 0.005)
+
+
 def assert_exact_finite_prefix(field):
     """Blow ``field`` up; the error must carry exactly the states before the
     first non-finite one."""
-    block = 8
-    cfg = SolverConfig(0.0, 1.0, 0.005)
+    first_bad = check_finite_prefix(field)
+    # past three squares, and not on a block boundary
+    assert first_bad > 4 * BLOW_UP_BLOCK and first_bad % BLOW_UP_BLOCK > 1
+
+
+def check_finite_prefix(field):
+    """Blow ``field`` up on blocks of ``BLOW_UP_BLOCK`` nodes; the error must
+    carry exactly the states before the first non-finite one, whose index is
+    returned."""
+    block, cfg = BLOW_UP_BLOCK, BLOW_UP_CFG
     with np.errstate(over="ignore", invalid="ignore"):
         direct = reference_pece(field, 0.8, cfg, [1.0])
     first_bad = int(np.isfinite(direct).all(axis=1).argmin())
-    # past three squares, and not on a block boundary
-    assert first_bad > 4 * block and first_bad % block > 1
+    assert first_bad > 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fde, "_FFT_BLOCK", block)
         with pytest.raises(NonFiniteStateError) as info:
@@ -411,6 +423,7 @@ def assert_exact_finite_prefix(field):
     assert partial.states.shape[0] == partial.times.shape[0] == first_bad
     # the last finite states are near the float range, so compare relatively
     np.testing.assert_allclose(partial.states, direct[:first_bad], rtol=1e-10, atol=0)
+    return first_bad
 
 
 def smooth_length(n):
@@ -476,6 +489,23 @@ class TestNestedSquares:
 
     def test_blow_up_keeps_the_exact_finite_prefix(self):
         assert_exact_finite_prefix(explode)
+
+    def test_non_finite_f_at_a_block_end_keeps_the_exact_finite_prefix(self):
+        # F turns infinite at node 39, the last of its block, while the
+        # state there stays finite: the block stores that state and F row
+        # once, and the run stops at node 40 with the 40 direct-sum states
+        target = 5 * BLOW_UP_BLOCK - 1
+        evaluations = collections.Counter()
+
+        def field(t, y, p):
+            node = round(t / BLOW_UP_CFG.h)
+            evaluations[node] += 1
+            # the second evaluation at a node is the one at its corrected state
+            if node == target and evaluations[node] % 2 == 0:
+                return [math.inf]
+            return decay(t, y, p)
+
+        assert check_finite_prefix(field) == target + 1
 
     def test_fold_work_grows_as_n_log_n(self):
         block, n_steps, dim = 8, 20_000, 2

@@ -10,6 +10,7 @@ from dmlneuro.models import (
     NoCoupling,
     SigmoidCoupling,
     vector_field,
+    _exp,
     _sigmoid,
 )
 
@@ -49,6 +50,29 @@ class TestParameterRecords:
     def test_sigmoid_defaults(self):
         c = SigmoidCoupling(sigma=0.001)
         assert (c.v_s, c.lam, c.q) == (2.0, 10.0, -0.25)
+
+
+class TestScalarHelpers:
+    # around the overflow threshold of exp, and far beyond it either way
+    EDGES = [708.9, 709.0, 709.5, 800.0, -800.0, 1e6, -1e6, 1e300, -1e300]
+
+    @pytest.mark.parametrize("helper", [_exp, _sigmoid])
+    def test_float_and_array_paths_agree_at_the_edges(self, helper):
+        on_array = helper(np.array(self.EDGES))
+        assert [helper(u) for u in self.EDGES] == on_array.tolist()
+
+    @pytest.mark.parametrize("helper", [_exp, _sigmoid])
+    def test_float_and_array_paths_agree_in_range(self, helper):
+        # math and numpy may round exp differently in the last bit
+        u = np.linspace(-700.0, 700.0, 2801)
+        np.testing.assert_allclose([helper(v) for v in u.tolist()], helper(u), rtol=5e-16, atol=0)
+
+    @pytest.mark.parametrize("helper", [_exp, _sigmoid])
+    @pytest.mark.parametrize("u", [1, 709, -800, np.int64(3), np.float64(0.5), np.float64(709.5)])
+    def test_other_scalars_return_python_floats(self, helper, u):
+        out = helper(u)
+        assert type(out) is float
+        assert out == helper(float(u))
 
 
 class TestSingleCell:
