@@ -233,14 +233,16 @@ def _emit(cfg: RunConfig, header: list[str], rows) -> None:
                 fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
 
 
-# fixed 800x500 viewport; purely presentational output
+# fixed 800x500 viewport; purely presentational output, skipped with a
+# note on stderr when no point is finite
 def _svg_plot(path: str, series, kind: str = "line") -> None:
     width, height, margin = 800.0, 500.0, 45.0
     xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     finite = np.isfinite(xs_all) & np.isfinite(ys_all)
     if not finite.any():
-        raise ValueError("nothing finite to plot")
+        print("no finite samples to plot; SVG skipped", file=sys.stderr)
+        return
     x_lo, x_hi = xs_all[finite].min(), xs_all[finite].max()
     y_lo, y_hi = ys_all[finite].min(), ys_all[finite].max()
     x_span = (x_hi - x_lo) or 1.0
@@ -415,10 +417,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
              scan.tail_samples[:, :, nv].reshape(-1))
             for nv in range(scan.tail_samples.shape[2])
         ]
-        try:
-            _svg_plot(_svg_path(cfg), series, kind="scatter")
-        except ValueError:
-            print("no finite samples to plot; SVG skipped", file=sys.stderr)
+        _svg_plot(_svg_path(cfg), series, kind="scatter")
     if scan.failed.any():
         bad = ", ".join(f"{b:g}" for b in scan.beta_values[scan.failed])
         print(f"numerical failure at beta = {bad} (cells flagged as nan)", file=sys.stderr)

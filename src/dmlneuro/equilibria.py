@@ -200,24 +200,43 @@ def find_symmetric_equilibria(
     The voltages solve g(x) = I - i_infinity(x) + current(x, x) = 0, with
     the coupling's own synaptic current; the linear current vanishes there,
     so a linear pair shares the single cell's equilibria for any theta.
-    The extrema of g, found by a sign scan of g', split the window into
-    pieces on which g is monotone, so each piece holds at most one root and
-    bisection brackets are guaranteed.  An extremum where ``|g| <= FOLD_TOL``
-    is a tangency root (a fold, which a sign scan cannot see).  If no root
-    lands in the window its outer pieces are widened once before
-    :class:`RootWindowExhaustedError` is raised.
+    The search runs in two stages.  The first finds the extrema of g by a
+    sign scan of g', which does not depend on I, so a sweep over currents
+    runs it once.  The second works at the given current: the extrema split
+    the window into pieces on which g is monotone, so each piece holds at
+    most one root and bisection brackets are guaranteed.  An extremum where
+    ``|g| <= FOLD_TOL`` is a tangency root (a fold, which a sign scan cannot
+    see).  If no root lands in the window its outer pieces are widened once
+    before :class:`RootWindowExhaustedError` is raised.
     """
-    current, partials = coupling.current, coupling.partials
+    return _equilibria_at(p, coupling, _g_extrema(p, coupling))
 
-    def g(x):
-        return p.I - i_infinity(x, p) + current(x, x)
+
+def _g_prime(p: DmlParams, coupling: CouplingSpec):
+    # g' reads A, alpha, gamma and the coupling, never I
+    partials = coupling.partials
 
     def gprime(x):
         d_self, d_other = partials(x, x)
         return -i_infinity_derivative(x, p, 1) + (d_self + d_other)
 
+    return gprime
+
+
+def _g_extrema(p: DmlParams, coupling: CouplingSpec) -> list:
+    """Stage one: the voltages of the extrema of g, the same for every I."""
+    return _scan_roots(_g_prime(p, coupling), *DEFAULT_WINDOW)
+
+
+def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> EquilibriumSet:
+    """Stage two: the roots of g at ``p.I``, given the extrema of g."""
+    current = coupling.current
+    gprime = _g_prime(p, coupling)
+
+    def g(x):
+        return p.I - i_infinity(x, p) + current(x, x)
+
     lo, hi = DEFAULT_WINDOW
-    extrema = _scan_roots(gprime, lo, hi)
     g_extrema = [0.0 if abs(v) <= FOLD_TOL else v for v in map(g, extrema)]
     for a, b in ((lo, hi), (2.0 * lo, 2.0 * hi)):
         xs = [a, *extrema, b]

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import Branch, find_symmetric_equilibria
+from .equilibria import Branch, _equilibria_at, _g_extrema
 from .exceptions import InsufficientSamplesError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, Trajectory, check_order, solve_fde
 from .models import CouplingSpec, DmlParams, vector_field
@@ -225,20 +225,28 @@ def hopf_curve(
 ) -> HopfCurve:
     """Trace the Hopf threshold over a band of stimulation currents.
 
-    Entirely closed-form: each sampled current is solved for its equilibrium
-    and the critical order evaluated there.  Currents whose equilibrium is
-    not on the unique branch, or whose threshold degenerates, are omitted
-    with a diagnostic.
+    Entirely closed-form.  The extrema of the equilibrium equation do not
+    depend on the current, so they are found once per curve; each sampled
+    current is then solved for its equilibrium from them, as
+    :func:`find_symmetric_equilibria` does, and the critical order evaluated
+    there.  Currents whose equilibrium is not on the unique branch, or whose
+    threshold degenerates, are omitted with a diagnostic.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
     lo, hi = float(I_range[0]), float(I_range[1])
     I_values = np.linspace(lo, hi, n_points)
+    try:
+        extrema = _g_extrema(p, coupling)
+    except NumericalError as err:  # no current gets an equilibrium
+        reason = f"equilibrium search failed: {err}"
+        return HopfCurve(np.array([]), np.array([]), coupling.label,
+                         tuple((float(I), reason) for I in I_values))
     kept_I, kept_beta, omitted = [], [], []
     for I in I_values:
         p_at = replace(p, I=float(I))
         try:
-            eq = find_symmetric_equilibria(p_at, coupling)
+            eq = _equilibria_at(p_at, coupling, extrema)
         except NumericalError as err:
             omitted.append((float(I), f"equilibrium search failed: {err}"))
             continue

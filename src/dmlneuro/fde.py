@@ -132,6 +132,17 @@ def _fft_size(n: int) -> int:
     return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
 
+def _length_fault(block, f_new, dim, lo, m, times):
+    """Where the vector field first returned a sequence of the wrong length
+    within a block, or None when it never did."""
+    short = [i for i, y in enumerate(block) if len(y) != dim]
+    if not short and len(f_new) == dim:
+        return None
+    at = lo + short[0] if short else m
+    return (f"rhs returned a sequence of the wrong length at t = {times[at]:g} "
+            f"(step {at}); expected {dim} values")
+
+
 def solve_fde(
     rhs: Callable,
     order,
@@ -157,9 +168,11 @@ def solve_fde(
 
     Raises :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state, and
-    :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree.
-    The check runs once per block of ``_FFT_BLOCK`` steps, so ``rhs`` may be
-    evaluated at non-finite states before the error is raised.
+    :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
+    at node 0 or at any later node.  Both checks run once per block of
+    ``_FFT_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite states,
+    or at a state cut short by its own short output, before the error is
+    raised.  A ``ValueError`` that ``rhs`` raises itself propagates as it is.
     """
     beta = check_order(order)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -172,7 +185,8 @@ def solve_fde(
     iterations = config.corrector_iterations
     times = t_start + h * np.arange(n_steps + 1)
 
-    f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
+    # f_new is also the last output that a failed block's length check reads
+    f_new = f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
     if f0.shape != (dim,):
         raise DimensionMismatchError(
             f"rhs returned shape {f0.shape}, expected ({dim},)"
@@ -248,18 +262,29 @@ def solve_fde(
                 Z[0] = f0
             Z[r : r + 2 * (stop - q0)] = far[q0:stop].reshape(-1, dim)
             block = []
-            for m in range(lo, stop):
-                k = m - q0
-                # predictor state and corrector base in one product
-                y_new, base = W[k].dot(Z).tolist()
-                t1 = t_start + h * m
-                f_new = rhs(t1, y_new, params)
-                for _ in range(iterations):
-                    y_new = [b + ca * f for b, f in zip(base, f_new)]
+            try:
+                for m in range(lo, stop):
+                    k = m - q0
+                    # predictor state and corrector base in one product
+                    y_new, base = W[k].dot(Z).tolist()
+                    t1 = t_start + h * m
                     f_new = rhs(t1, y_new, params)
-                block.append(y_new)
-                Z[k] = f_new
-            states[lo:stop] = block
+                    for _ in range(iterations):
+                        y_new = [b + ca * f for b, f in zip(base, f_new)]
+                        f_new = rhs(t1, y_new, params)
+                    block.append(y_new)
+                    Z[k] = f_new
+                states[lo:stop] = block
+            except ValueError as err:
+                # a longer output fails at the row write, a shorter one at
+                # the store; any other ValueError is the field's own
+                fault = _length_fault(block, f_new, dim, lo, m, times)
+                if fault is None:
+                    raise
+                raise DimensionMismatchError(fault) from err
+            if len(block[0]) != dim:
+                # rows of one value broadcast into the store without a word
+                raise DimensionMismatchError(_length_fault(block, f_new, dim, lo, m, times))
             F[lo:stop] = Z[lo - q0 : stop - q0]
 
             finite = np.isfinite(states[lo:stop]).all(axis=1)

@@ -466,6 +466,18 @@ class TestHopfCurveCommand:
         assert code == 0
         assert "<polyline" in (tmp_path / "curve.svg").read_text()
 
+    def test_svg_skipped_when_every_current_is_omitted(self, tmp_path, capsys):
+        out_path = tmp_path / "curve.csv"
+        code, _, err = run(
+            capsys, "hopf-curve", "--I-from", "0", "--I-to", "0.005",
+            "--I-points", "5", "--out", str(out_path), "--svg",
+        )
+        assert code == 0
+        assert out_path.read_text() == "I,beta_star,coupling_value\n"
+        assert err.count("omitted I=") == 5
+        assert "SVG skipped" in err and "configuration error" not in err
+        assert not (tmp_path / "curve.svg").exists()
+
 
 class TestSvgWithoutOut:
     @pytest.mark.parametrize(

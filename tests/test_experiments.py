@@ -1,10 +1,18 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dmlneuro import experiments
-from dmlneuro.exceptions import InsufficientSamplesError, RootWindowExhaustedError
+from dmlneuro.equilibria import Branch, _g_extrema, find_symmetric_equilibria, i_infinity
+from dmlneuro.exceptions import (
+    InsufficientSamplesError,
+    NoExtremaError,
+    RootWindowExhaustedError,
+)
 from dmlneuro.fde import SolverConfig, solve_fde
 from dmlneuro.models import (
     DmlParams,
@@ -19,6 +27,7 @@ from dmlneuro.experiments import (
     oscillation_metrics,
     run_experiment,
 )
+from dmlneuro.stability import BetaStarKind, beta_star
 
 P = DmlParams(I=0.019)
 # desk-scale grid: same dichotomy as the full protocol at a fraction of the cost
@@ -264,20 +273,85 @@ class TestHopfCurve:
         assert all("branch" in reason or "stable" in reason for _, reason in curve.omitted)
 
     def test_only_numerical_failures_are_omitted(self, monkeypatch):
-        def exhausted(p, coupling):
+        # the per-current stage of the equilibrium search
+        def exhausted(p, coupling, extrema):
             raise RootWindowExhaustedError("no root")
 
-        monkeypatch.setattr(experiments, "find_symmetric_equilibria", exhausted)
+        monkeypatch.setattr(experiments, "_equilibria_at", exhausted)
         curve = hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
         assert curve.I_values.size == 0 and len(curve.omitted) == 3
         assert all("no root" in reason for _, reason in curve.omitted)
 
-        def broken(p, coupling):
+        def broken(p, coupling, extrema):
             raise TypeError("bug")
 
-        monkeypatch.setattr(experiments, "find_symmetric_equilibria", broken)
+        monkeypatch.setattr(experiments, "_equilibria_at", broken)
         with pytest.raises(TypeError, match="bug"):
             hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
+
+    def test_a_failed_extremum_search_omits_every_current(self, monkeypatch):
+        def no_extrema(p, coupling):
+            raise NoExtremaError("no fold")
+
+        monkeypatch.setattr(experiments, "_g_extrema", no_extrema)
+        curve = hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
+        assert curve.I_values.size == 0 and curve.beta_star_values.size == 0
+        assert curve.omitted == tuple(
+            (I, "equilibrium search failed: no fold") for I in (0.018, 0.019, 0.02)
+        )
+
+    def test_extrema_are_found_once_per_curve(self, monkeypatch):
+        calls = []
+
+        def spy(p, coupling):
+            calls.append(p)
+            return _g_extrema(p, coupling)
+
+        monkeypatch.setattr(experiments, "_g_extrema", spy)
+        curve = hopf_curve(P, SigmoidCoupling(0.001), (0.005, 0.025), 40)
+        assert len(calls) == 1
+        assert curve.I_values.size and curve.omitted
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        A=st.floats(0.0037, 0.0045),
+        alpha=st.floats(5.0, 5.5),
+        gamma=st.floats(0.28, 0.32),
+        coupling=st.one_of(
+            st.just(NoCoupling()),
+            st.floats(0.0, 0.05, exclude_min=True).map(LinearCoupling),
+            st.floats(0.0, 0.05).map(SigmoidCoupling),
+        ),
+        below=st.floats(0.0, 0.01),
+        above=st.floats(0.0, 0.01),
+        n_points=st.integers(2, 40),
+    )
+    def test_one_pass_curve_equals_the_per_point_path(
+        self, A, alpha, gamma, coupling, below, above, n_points
+    ):
+        p = DmlParams(I=0.0, A=A, alpha=alpha, gamma=gamma)
+        # g = I - i_infinity + current vanishes at an extremum at the fold current
+        folds = [i_infinity(x, p) - coupling.current(x, x) for x in _g_extrema(p, coupling)]
+        assume(len(folds) == 2)
+        band = (min(folds) - below, max(folds) + above)
+        curve = hopf_curve(p, coupling, band, n_points)
+
+        kept_I, kept_beta, omitted = [], [], []
+        for I in np.linspace(*band, n_points):
+            p_at = replace(p, I=float(I))
+            eq = find_symmetric_equilibria(p_at, coupling)
+            if eq.branch is not Branch.UNIQUE:
+                omitted.append((float(I), f"equilibrium branch is {eq.branch.value}"))
+                continue
+            result = beta_star(float(eq.points[0, 0]), p_at, coupling)
+            if result.kind is not BetaStarKind.THRESHOLD:
+                omitted.append((float(I), result.kind.value))
+                continue
+            kept_I.append(float(I))
+            kept_beta.append(result.value)
+        assert curve.I_values.tolist() == kept_I
+        assert curve.beta_star_values.tolist() == kept_beta
+        assert list(curve.omitted) == omitted
 
     def test_coupling_label(self):
         assert hopf_curve(P, NoCoupling(), (0.018, 0.02), 3).coupling_label == "single"

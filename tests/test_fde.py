@@ -626,6 +626,33 @@ class TestFieldContract:
                 lambda t, y, p: (0.0,) * length, 0.9, SolverConfig(0.0, 1.0, 0.1), [1.0, 2.0]
             )
 
+    @staticmethod
+    def changes_length_at(step, length):
+        # a decaying pair whose output takes ``length`` values from ``step`` on
+        def field(t, y, p):
+            if t < 0.01 * step - 1e-9:
+                return (-y[0], -y[1])
+            return (-y[0],) * length
+
+        return field
+
+    # step 64 opens a block, step 100 lies inside one: a block made only of
+    # one-value rows broadcasts into the store, a mixed one does not
+    @pytest.mark.parametrize("step", [64, 100])
+    @pytest.mark.parametrize("length", [1, 3], ids=["shortens", "lengthens"])
+    def test_output_changing_length_mid_run_is_rejected(self, length, step):
+        field = self.changes_length_at(step, length)
+        with pytest.raises(DimensionMismatchError, match=rf"\(step {step}\); expected 2 values"):
+            solve_fde(field, 0.9, SolverConfig(0.0, 3.0, 0.01), [1.0, 1.0])
+
+    def test_value_error_of_the_field_itself_propagates(self):
+        def field(t, y, p):
+            return (math.sqrt(1.0 - t), -y[1])  # a math domain error past t = 1
+
+        with pytest.raises(ValueError, match="math domain error") as info:
+            solve_fde(field, 0.9, SolverConfig(0.0, 3.0, 0.01), [1.0, 1.0])
+        assert type(info.value) is ValueError
+
     def test_blow_up_keeps_the_exact_finite_prefix_with_tuples(self):
         assert_exact_finite_prefix(lambda t, y, p: tuple(explode(t, y, p)))
 
