@@ -10,10 +10,9 @@ current of a cell with itself as partner; one solver serves all three.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -76,52 +75,49 @@ def y_infinity(x: float, p: DmlParams) -> float:
     return (p.A / p.gamma) * _exp(p.alpha * x)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
-    # the end values come from a scan, so that the bracket this works on is
-    # the one the scan saw
+def _refine_root(
+    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
+) -> float:
+    """Root of f in [lo, hi] by Illinois regula falsi, to a bracket of ~1e-14.
+
+    The end values come from a scan, so that the bracket this works on is
+    the one the scan saw; a zero end value is returned as the root.  Each
+    step takes the secant point of the bracket, or its midpoint when that
+    point is not strictly inside, and halves the end value that the step
+    keeps for the second time running, which makes both ends converge.
+    """
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    # signs are compared, never multiplied: the product of a near-root value
+    # and a halved one can underflow to zero
+    lo_negative = flo < 0.0
+    if (fhi < 0.0) == lo_negative:
         raise ValueError("root not bracketed")
+    kept = 0  # +1 when the last step kept lo, -1 when it kept hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-14 or mid == lo or mid == hi:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
+        if hi - lo <= 1e-14:
+            break
+        x = lo - flo * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) != lo_negative:
+            hi, fhi = x, fx
+            if kept == 1:
+                flo *= 0.5
+            kept = 1
         else:
-            lo, flo = mid, fmid
+            lo, flo = x, fx
+            if kept == -1:
+                fhi *= 0.5
+            kept = -1
     return 0.5 * (lo + hi)
-
-
-def _refine_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    fprime: Optional[Callable[[float], float]],
-    flo: float,
-    fhi: float,
-) -> float:
-    """Bisection to ~1e-14 on the bracket, then a few Newton polish steps."""
-    x = _bisect(f, lo, hi, flo, fhi)
-    if fprime is not None:
-        for _ in range(5):
-            d = fprime(x)
-            if d == 0.0 or not math.isfinite(d):
-                break
-            step = f(x) / d
-            x_new = x - step
-            if not math.isfinite(x_new):
-                break
-            x = x_new
-            if abs(step) < 1e-16 * max(1.0, abs(x)):
-                break
-    return x
 
 
 def _scan_brackets(f, lo, hi, step):
@@ -145,30 +141,17 @@ def _scan_brackets(f, lo, hi, step):
     return out
 
 
-def _scan_roots(f, lo, hi, fprime=None):
-    """All roots of f on [lo, hi] that a sign scan can see, ascending."""
-    roots = []
-    for a, b, fa, fb in _scan_brackets(f, lo, hi, _SCAN_STEP):
-        r = a if a == b else _refine_root(f, a, b, fprime, fa, fb)
-        if not roots or r - roots[-1] > 1e-9:
-            roots.append(r)
-    return roots
-
-
 def find_extrema(p: DmlParams) -> InfCurveExtrema:
     """Locate the local maximum and minimum of the current-voltage curve.
 
     The first derivative is strictly convex here (its own second derivative
-    is positive everywhere), so it has at most two roots; both are found by
-    sign scan, bisection and Newton polish.  Raises :class:`NoExtremaError`
-    when the scan sees no sign change (e.g. the recovery amplitude is too
-    large for the curve to fold).
+    is positive everywhere), so it has at most two roots.  They are the
+    extrema of g for the single cell, found by the same sign scan and
+    bracketed solve as every symmetric equilibrium search.  Raises
+    :class:`NoExtremaError` when the scan sees no sign change (e.g. the
+    recovery amplitude is too large for the curve to fold).
     """
-    roots = _scan_roots(
-        lambda x: i_infinity_derivative(x, p, 1),
-        *DEFAULT_WINDOW,
-        lambda x: i_infinity_derivative(x, p, 2),
-    )
+    roots = _g_extrema(p, NoCoupling())
     if len(roots) < 2:
         raise NoExtremaError(
             "no interior extrema of the current-voltage curve on the scan window"
@@ -204,7 +187,9 @@ def find_symmetric_equilibria(
     sign scan of g', which does not depend on I, so a sweep over currents
     runs it once.  The second works at the given current: the extrema split
     the window into pieces on which g is monotone, so each piece holds at
-    most one root and bisection brackets are guaranteed.  An extremum where
+    most one root, and a piece whose ends differ in sign brackets it.  Each
+    bracket is solved by Illinois regula falsi to a width of ~1e-14, about
+    ten evaluations of g per root.  An extremum where
     ``|g| <= FOLD_TOL`` is a tangency root (a fold, which a sign scan cannot
     see).  If no root lands in the window its outer pieces are widened once
     before :class:`RootWindowExhaustedError` is raised.
@@ -212,7 +197,8 @@ def find_symmetric_equilibria(
     return _equilibria_at(p, coupling, _g_extrema(p, coupling))
 
 
-def _g_prime(p: DmlParams, coupling: CouplingSpec):
+def _g_extrema(p: DmlParams, coupling: CouplingSpec) -> list:
+    """Stage one: the voltages of the extrema of g, the same for every I."""
     # g' reads A, alpha, gamma and the coupling, never I
     partials = coupling.partials
 
@@ -220,18 +206,17 @@ def _g_prime(p: DmlParams, coupling: CouplingSpec):
         d_self, d_other = partials(x, x)
         return -i_infinity_derivative(x, p, 1) + (d_self + d_other)
 
-    return gprime
-
-
-def _g_extrema(p: DmlParams, coupling: CouplingSpec) -> list:
-    """Stage one: the voltages of the extrema of g, the same for every I."""
-    return _scan_roots(_g_prime(p, coupling), *DEFAULT_WINDOW)
+    extrema = []
+    for a, b, fa, fb in _scan_brackets(gprime, *DEFAULT_WINDOW, _SCAN_STEP):
+        x = _refine_root(gprime, a, b, fa, fb)
+        if not extrema or x - extrema[-1] > 1e-9:
+            extrema.append(x)
+    return extrema
 
 
 def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> EquilibriumSet:
     """Stage two: the roots of g at ``p.I``, given the extrema of g."""
     current = coupling.current
-    gprime = _g_prime(p, coupling)
 
     def g(x):
         return p.I - i_infinity(x, p) + current(x, x)
@@ -243,7 +228,7 @@ def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> Equilibrium
         gs = [g(a), *g_extrema, g(b)]
         roots = [x for x, v in zip(xs, gs) if v == 0.0]
         roots.extend(
-            _refine_root(g, x0, x1, gprime, g0, g1)
+            _refine_root(g, x0, x1, g0, g1)
             for x0, x1, g0, g1 in zip(xs, xs[1:], gs, gs[1:])
             if g0 * g1 < 0.0
         )

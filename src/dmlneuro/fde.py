@@ -214,13 +214,14 @@ def solve_fde(
     # Far sums.  far[m, 0] holds y0 plus the predictor sum over the nodes the
     # squares have folded in so far, until m's block stores its states
     # there: ``states`` is that column.  far[m, 1] does the same for the
-    # corrector, starting from node 0's own weight a0 in place of its kernel
+    # corrector, starting from node 0's own weight in place of its kernel
     # weight (row 0 is never read).
     far = np.empty((n_steps + 1, 2, dim))
     far[:] = y0
     states = far[:, 0]
-    a0 = _corrector_initial(beta, np.arange(n_steps))
-    far[1:, 1] += (ca * a0 - ka[1 : n_steps + 1])[:, None] * f0
+    far[1:, 1] += (
+        ca * _corrector_initial(beta, np.arange(n_steps)) - ka[1 : n_steps + 1]
+    )[:, None] * f0
     F = np.empty((n_steps + 1, dim))
     F[0] = f0
     spectra = {}

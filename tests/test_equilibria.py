@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from dmlneuro import equilibria
 from dmlneuro.equilibria import (
+    DEFAULT_WINDOW,
     Branch,
+    _g_extrema,
+    _refine_root,
     _scan_brackets,
     classify_branch,
     find_extrema,
@@ -74,6 +80,22 @@ def scan_brackets_reference(f, lo, hi, step):
     if vals[-1] == 0.0:
         out.append((xs[-1], xs[-1]))
     return out
+
+
+def bisect_reference(f, lo, hi):
+    """Plain bisection of a sign change of f down to adjacent doubles."""
+    flo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
 
 
 class TestInfCurve:
@@ -320,9 +342,92 @@ class TestVectorisedScan:
             got = _scan_brackets(f, *window, 1e-3)
             want = scan_brackets_reference(f, *window, 1e-3)
             assert [(a, b) for a, b, _, _ in got] == want
-            for a, b, fa, fb in got:  # the end values the bisection is handed
+            for a, b, fa, fb in got:  # the end values the root solve is handed
                 assert fa == 0.0 or fa * f(a) > 0.0
                 assert fb == 0.0 or fb * f(b) > 0.0
+
+
+def _never(x):
+    raise AssertionError("evaluated")
+
+
+class TestRootSolve:
+    @pytest.mark.parametrize("coupling", [NoCoupling(), SigmoidCoupling(0.001)])
+    def test_about_ten_evaluations_per_bracketed_root(self, monkeypatch, coupling):
+        solve = equilibria._refine_root
+        solves = evals = 0
+
+        def counted(f, *bracket):
+            nonlocal solves
+
+            def f_counted(x):
+                nonlocal evals
+                evals += 1
+                return f(x)
+
+            solves += 1
+            return solve(f_counted, *bracket)
+
+        monkeypatch.setattr(equilibria, "_refine_root", counted)
+        for I in np.linspace(-0.005, 0.025, 200):
+            find_symmetric_equilibria(DmlParams(I=float(I)), coupling)
+        assert solves >= 3 * 200  # two extrema and at least one root per current
+        assert evals / solves <= 12.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        A=st.floats(0.0037, 0.0045),
+        alpha=st.floats(5.0, 5.5),
+        gamma=st.floats(0.28, 0.32),
+        coupling=st.one_of(
+            st.just(NoCoupling()),
+            st.floats(0.0, 0.05, exclude_min=True).map(LinearCoupling),
+            st.floats(0.0, 0.05).map(SigmoidCoupling),
+        ),
+        I=st.floats(-0.01, 0.03),
+    )
+    # near-exact roots whose g is subnormal: a product sign test underflows
+    @example(A=0.0037, alpha=5.0, gamma=0.28, coupling=NoCoupling(), I=5e-324)
+    @example(A=0.00390625, alpha=5.0, gamma=0.296875,
+             coupling=SigmoidCoupling(2.225073858507203e-309), I=0.0)
+    def test_roots_match_a_reference_bisection(self, A, alpha, gamma, coupling, I):
+        p = DmlParams(I=I, A=A, alpha=alpha, gamma=gamma)
+
+        def g(x):
+            return p.I - i_infinity(x, p) + coupling.current(x, x)
+
+        def gprime(x):
+            d_self, d_other = coupling.partials(x, x)
+            return -i_infinity_derivative(x, p, 1) + (d_self + d_other)
+
+        extrema = [bisect_reference(gprime, a, b)
+                   for a, b, _, _ in _scan_brackets(gprime, *DEFAULT_WINDOW, 1e-3)]
+        np.testing.assert_allclose(_g_extrema(p, coupling), extrema, rtol=0, atol=1e-13)
+        # a root near a fold is ill-conditioned; the fold tests cover folds
+        assume(all(abs(g(x)) > 1e-6 for x in extrema))
+        ends = [DEFAULT_WINDOW[0], *extrema, DEFAULT_WINDOW[1]]
+        pieces = [(a, b) for a, b in zip(ends, ends[1:]) if g(a) * g(b) < 0.0]
+        roots = find_symmetric_equilibria(p, coupling).points[:, 0]
+        assert len(roots) == len(pieces)
+        for x, (a, b) in zip(roots, pieces):
+            assert a < x < b
+            assert abs(x - bisect_reference(g, a, b)) <= 1e-13
+
+    def test_zero_end_value_is_the_root(self):
+        assert _refine_root(_never, 0.1, 0.2, 0.0, 1.0) == 0.1
+        assert _refine_root(_never, 0.1, 0.2, -1.0, 0.0) == 0.2
+
+    def test_bracket_without_sign_change_is_rejected(self):
+        with pytest.raises(ValueError, match="not bracketed"):
+            _refine_root(_never, 0.1, 0.2, 1.0, 2.0)
+
+    def test_infinite_end_value_takes_the_midpoint(self):
+        # an overflowed e^(alpha x) makes the secant point the bracket's own
+        # end, which is not strictly inside it
+        def f(x):
+            return 0.3 - x if x < 0.9 else -math.inf
+
+        assert _refine_root(f, 0.0, 1.0, 0.3, -math.inf) == pytest.approx(0.3, abs=1e-14)
 
 
 def test_y_infinity_matches_recovery_nullcline():
