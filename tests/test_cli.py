@@ -1,3 +1,4 @@
+import contextlib
 import json
 import subprocess
 import sys
@@ -311,12 +312,40 @@ class TestSimulateCommand:
         assert code == 0
         assert (tmp_path / "pair.svg").read_text().count("<polyline") == 2
 
+    def test_svg_beside_an_out_path_in_a_dotted_directory(self, tmp_path, capsys):
+        (tmp_path / "results.v2").mkdir()
+        code, _, _ = run(
+            capsys, "simulate", "--beta", "0.9", "--t-end", "5", "--h", "0.1",
+            "--discard", "0", "--tail", "20", "--out", str(tmp_path / "results.v2" / "run"), "--svg",
+        )
+        assert code == 0
+        assert (tmp_path / "results.v2" / "run.svg").exists()
+        assert not (tmp_path / "results.svg").exists()
+
+    def test_svg_beside_a_relative_out_path_without_extension(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(
+            capsys, "simulate", "--beta", "0.9", "--t-end", "5", "--h", "0.1",
+            "--discard", "0", "--tail", "20", "--out", "./run", "--svg",
+        )
+        assert code == 0
+        assert (tmp_path / "run.svg").exists()
+        assert not (tmp_path / ".svg").exists()
+
 
 def row_by_row_csv(header, rows):
     """The CSV as the row-by-row writer produced it: ``_fmt`` on every value."""
     lines = [",".join(header)]
     lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
     return ("\n".join(lines) + "\n").encode()
+
+
+def emit_to_file(tmp_path, table):
+    """The bytes ``_emit`` writes for a float table, and the row-by-row bytes."""
+    header = [f"c{i}" for i in range(table.shape[1])]
+    out_path = tmp_path / "table.csv"
+    cli._emit(RunConfig(command="simulate", out=str(out_path)), header, table)
+    return out_path.read_bytes(), row_by_row_csv(header, table)
 
 
 class TestCsvWriter:
@@ -377,6 +406,101 @@ class TestCsvWriter:
         header, rows = tables[0]
         assert len(rows) == 3
         assert out_path.read_bytes() == row_by_row_csv(header, rows)
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """Every helper process started, with tables longer than 30 rows split."""
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
+        started = []
+
+        class Spy(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Spy)
+        return started
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("n", [29, 30, 31, 100])
+    def test_split_bytes_match_the_row_by_row_writer(self, tmp_path, helpers, n, dim):
+        table = np.random.default_rng(n).standard_normal((n, 1 + dim)) * 10.0 ** np.arange(1 + dim)
+        written, expected = emit_to_file(tmp_path, table)
+        assert written == expected
+        assert len(helpers) == (n > 30)
+        assert all(p.returncode == 0 for p in helpers)
+
+    def test_split_special_floats_match_the_row_by_row_writer(self, tmp_path, helpers):
+        values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, np.nan, np.inf, -np.inf,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+        written, expected = emit_to_file(tmp_path, np.resize(values, (40, 4)))
+        assert written == expected
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+
+    def test_split_to_stdout_matches_the_row_by_row_writer(self, capsys, helpers):
+        table = np.random.default_rng(1).standard_normal((45, 3))
+        cli._emit(RunConfig(command="simulate"), ["t", "x", "y"], table)
+        assert capsys.readouterr().out.encode() == row_by_row_csv(["t", "x", "y"], table)
+        assert len(helpers) == 1
+
+    def test_split_finite_prefix_of_a_blow_up(self, tmp_path, capsys, monkeypatch, helpers):
+        # three finite rows: one formatted here, two by the helper
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 2)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 1)
+        tables = []
+        real = cli._emit
+
+        def spy(cfg, header, rows):
+            tables.append((header, rows))
+            real(cfg, header, rows)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        out_path = tmp_path / "boom.csv"
+        code, _, err = run(
+            capsys, "simulate", "--I", "1e3", "--beta", "0.9", "--t-end", "5",
+            "--h", "0.01", "--discard", "0", "--tail", "10", "--out", str(out_path),
+        )
+        assert code == 1 and "3 finite rows" in err
+        header, rows = tables[0]
+        assert out_path.read_bytes() == row_by_row_csv(header, rows)
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+
+    def test_mixed_rows_start_no_helper(self, tmp_path, capsys, monkeypatch, helpers):
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 0)
+        code, _, _ = run(
+            capsys, "hopf-curve", "--I-from", "0.016", "--I-to", "0.0235", "--I-points", "50",
+            "--out", str(tmp_path / "curve.csv"),
+        )
+        assert code == 0
+        assert helpers == []
+
+    def test_helper_is_reaped_when_the_parent_fails_to_write(self, monkeypatch, helpers):
+        class Failing:
+            def write(self, text):
+                if text != "t,x,y\n":
+                    raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_output", lambda cfg: contextlib.nullcontext(Failing()))
+        table = np.random.default_rng(2).standard_normal((100, 3))
+        with pytest.raises(OSError, match="disk full"):
+            cli._emit(RunConfig(command="simulate"), ["t", "x", "y"], table)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    def test_helper_that_cannot_start_falls_back(self, tmp_path, monkeypatch, helpers):
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
+        written, expected = emit_to_file(tmp_path, np.random.default_rng(3).standard_normal((100, 3)))
+        assert written == expected
+        assert helpers == []
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="runs a shell script as the helper")
+    def test_failed_helper_output_is_discarded(self, tmp_path, monkeypatch, helpers):
+        script = tmp_path / "failing-helper"
+        script.write_text("#!/bin/sh\necho 1.0,2.0,3.0\nexit 1\n")
+        script.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(script))
+        written, expected = emit_to_file(tmp_path, np.random.default_rng(4).standard_normal((100, 3)))
+        assert written == expected
+        assert len(helpers) == 1 and helpers[0].returncode == 1
 
 
 class TestSweepCommand:
