@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -25,21 +26,22 @@ _MODELS = ("single", "dimer-linear", "dimer-sigmoid")
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
 _CSV_CHUNK = 4096
-# a float table longer than this is formatted by two processes.  The helper
-# interpreter starts in about 25 ms, the time this process takes to format
-# about 7000 rows, so a split pays from about 14 000 rows; at this length
-# the start-up is about a quarter of the time saved
+# a float table longer than this, or a trajectory that will be, is formatted
+# by two processes.  The helper interpreter starts in about 25 ms, the time
+# this process takes to format about 7000 rows, so a split pays from about
+# 14 000 rows; at this length the start-up is about a quarter of the time
+# saved
 _CSV_SPLIT_ROWS = 1 << 16
-# the helper: raw doubles on stdin, their CSV rows on stdout, by the same
-# template as ``_float_rows``; argv: columns, rows per chunk
+# the helper: raw doubles on stdin, read one chunk at a time as they
+# arrive, and their CSV rows on stdout, by the same template as
+# ``_float_rows``; argv: columns, rows per chunk
 _CSV_HELPER = """\
 import array, sys
 cols, chunk = int(sys.argv[1]), int(sys.argv[2])
-values = array.array("d", sys.stdin.buffer.read())
 line = ",".join(["%r"] * cols) + "\\n"
-for start in range(0, len(values), cols * chunk):
-    part = values[start : start + cols * chunk]
-    sys.stdout.buffer.write((line * (len(part) // cols) % tuple(part)).encode())
+read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
+while part := array.array("d", read(8 * cols * chunk)):
+    write((line * (len(part) // cols) % tuple(part)).encode())
 """
 
 
@@ -208,6 +210,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     # the SVG goes next to the CSV file, so it needs one; checked before any work
     if cfg.svg and not cfg.out and cfg.command in _PLOTTING:
         raise ValueError("--svg requires --out")
+    # the file is opened only after the work, which may take minutes
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ValueError(f"--out directory does not exist: {os.path.dirname(cfg.out)}")
     return cfg
 
 
@@ -232,16 +237,19 @@ def _write(cfg: RunConfig, text: str) -> None:
         fh.write(text)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows) -> None:
+def _emit(cfg: RunConfig, header: list[str], rows, stream=None) -> None:
     """Write a CSV table, ``_CSV_CHUNK`` rows at a time.
 
     ``rows`` is a 2-d float array, or a list of mixed rows (strings, ints,
     ``None``) formatted by ``_fmt``.  The array's floats print through
     ``%r``, which gives the same text as ``_fmt``.  A float64 array longer
-    than ``_CSV_SPLIT_ROWS`` rows, such as a long trajectory, is formatted by
-    two processes (see ``_split_float_rows``); its bytes are exactly those
-    of the one-process text.  The helper process is reaped before this
-    returns, also when writing fails, and nothing configures it.
+    than ``_CSV_SPLIT_ROWS`` rows goes through a ``_CsvStream``, whose
+    helper process formats part of it.  ``simulate`` passes the ``stream``
+    it fed while the solve ran, so that the helper has formatted nearly all
+    of a long trajectory by the time the solve ends; any other long table
+    gets a fresh stream.  Either way the bytes are exactly those of the
+    one-process text.  The helper is reaped before this returns, also when
+    writing fails, and nothing configures it.
     """
     with _output(cfg) as fh:
         fh.write(",".join(header) + "\n")
@@ -249,8 +257,9 @@ def _emit(cfg: RunConfig, header: list[str], rows) -> None:
             for start in range(0, len(rows), _CSV_CHUNK):
                 chunk = rows[start : start + _CSV_CHUNK]
                 fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
-        elif rows.dtype == np.float64 and len(rows) > _CSV_SPLIT_ROWS:
-            _split_float_rows(fh, rows)
+        elif stream is not None or (rows.dtype == np.float64 and len(rows) > _CSV_SPLIT_ROWS):
+            with stream or _CsvStream() as stream:
+                stream.write(fh, rows)
         else:
             _float_rows(fh, rows)
 
@@ -262,47 +271,96 @@ def _float_rows(fh, rows: np.ndarray) -> None:
         fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def _split_float_rows(fh, rows: np.ndarray) -> None:
-    """Format the rows up to a chunk boundary near the middle here, while a
-    helper interpreter formats the rest into a temporary file; then append
-    its text.
+class _CsvStream:
+    """A float64 table whose leading rows a helper interpreter formats.
 
-    The helper gets its rows as raw doubles in another temporary file, so
-    neither side waits on a pipe and this process never holds the helper's
-    text.  If the helper cannot start or fails, its rows are formatted here
-    and its output is discarded.
+    ``feed`` hands the helper whole ``_CSV_CHUNK``s of rows while the table
+    is still being computed, and ``write`` writes the finished table: the
+    helper's text, then the rest, formatted here.  When more than
+    ``_CSV_SPLIT_ROWS`` rows were never handed over, the helper also takes
+    those up to the first chunk boundary at or past their middle, and this
+    process formats the others meanwhile.
+
+    The helper starts at the first rows handed over.  It reads raw doubles
+    from a pipe and writes their text, by the template of ``_float_rows``,
+    to a temporary file rather than back through a pipe, so it never waits
+    on this process.  If it cannot start, a send to it fails, or it exits
+    non-zero, every row it was given is formatted here and its text is
+    discarded.  ``close`` reaps it; the stream is a context manager for that.
     """
-    import shutil
-    import subprocess
-    import tempfile
 
-    # the first chunk boundary at or past the middle
-    cut = (len(rows) // 2 + _CSV_CHUNK - 1) // _CSV_CHUNK * _CSV_CHUNK
-    head, tail = rows[:cut], np.ascontiguousarray(rows[cut:])
-    with tempfile.TemporaryFile() as source, \
-            tempfile.TemporaryFile("w+", encoding="ascii", newline="") as text:
-        source.write(tail.data)
-        source.seek(0)
+    def __init__(self):
+        self.helper = None
+        self.text = None  # the helper's output file
+        self.sent = 0  # rows handed to the helper
+        self.broken = False  # no helper could start, or a send failed
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def feed(self, times: np.ndarray, states: np.ndarray) -> None:
+        """Hand over the whole chunks of the final rows ``(times, states)``
+        that the helper has not had yet."""
+        stop = self.sent + (len(times) - self.sent) // _CSV_CHUNK * _CSV_CHUNK
+        if stop > self.sent and not self.broken:
+            self._send(np.column_stack((times[self.sent : stop], states[self.sent : stop])))
+
+    def _send(self, rows: np.ndarray) -> None:
+        import subprocess
+        import tempfile
+
         try:
-            helper = subprocess.Popen(
-                [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(rows.shape[1]), str(_CSV_CHUNK)],
-                stdin=source, stdout=text, stderr=subprocess.DEVNULL,
-            )
+            if self.helper is None:
+                self.text = tempfile.TemporaryFile("w+", encoding="ascii", newline="")
+                self.helper = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(rows.shape[1]), str(_CSV_CHUNK)],
+                    stdin=subprocess.PIPE, stdout=self.text, stderr=subprocess.DEVNULL,
+                )
+            self.helper.stdin.write(np.ascontiguousarray(rows).data)
+            self.helper.stdin.flush()
         except OSError:
+            self.broken = True
+            self.close()
+            return
+        self.sent += len(rows)
+
+    def write(self, fh, rows: np.ndarray) -> None:
+        """Write the finished table ``rows``, whose first ``sent`` rows the
+        helper already has."""
+        import shutil
+
+        unsent = len(rows) - self.sent
+        if unsent > _CSV_SPLIT_ROWS and not self.broken:
+            # up to the first chunk boundary at or past the unsent rows' middle
+            cut = self.sent + (unsent // 2 + _CSV_CHUNK - 1) // _CSV_CHUNK * _CSV_CHUNK
+            self._send(rows[self.sent : cut])
+        if self.helper is None:
             _float_rows(fh, rows)
             return
-        with helper:
-            try:
-                _float_rows(fh, head)
-            except BaseException:
-                helper.kill()
-                helper.wait()
-                raise
-        if helper.returncode != 0:
-            _float_rows(fh, tail)
-            return
-        text.seek(0)
-        shutil.copyfileobj(text, fh)
+        self.helper.stdin.close()
+        own = io.StringIO()
+        _float_rows(own, rows[self.sent :])
+        if self.helper.wait() == 0:
+            self.text.seek(0)
+            shutil.copyfileobj(self.text, fh)
+        else:
+            _float_rows(fh, rows[: self.sent])
+        fh.write(own.getvalue())
+
+    def close(self) -> None:
+        """Kill the helper if it still runs, wait for it and drop its text."""
+        if self.helper is not None:
+            self.helper.kill()
+            # after a failed send, closing flushes its bytes again, and fails
+            with contextlib.suppress(OSError):
+                self.helper.stdin.close()
+            self.helper.wait()
+        if self.text is not None:
+            self.text.close()
+        self.helper = self.text = None
 
 
 # fixed 800x500 viewport; purely presentational output, skipped with a
@@ -364,28 +422,31 @@ def _trajectory_rows(traj, dim):
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     dim = cfg.coupling().dim
-    try:
-        summary = run_experiment(
-            cfg.params(),
-            cfg.coupling(),
-            cfg.beta,
-            cfg.solver_config(),
-            y0=cfg.y0,
-            discard=cfg.discard,
-            tail=cfg.tail,
-        )
-    except NonFiniteStateError as err:
-        # the finite prefix goes where the whole run would have gone
-        partial = err.trajectory
-        if partial is not None:
-            _emit(cfg, *_trajectory_rows(partial, dim))
-        kept = 0 if partial is None else len(partial.times)
-        print(f"numerical failure: {err}; {kept} finite rows written to "
-              f"{cfg.out or 'stdout'}", file=sys.stderr)
-        return 1
-    traj = summary.trajectory
-    header, rows = _trajectory_rows(traj, dim)
-    _emit(cfg, header, rows)
+    # a long trajectory's rows go to the CSV helper while the solve runs
+    streamed = cfg.solver_config().n_steps + 1 > _CSV_SPLIT_ROWS
+    with _CsvStream() as stream:
+        try:
+            summary = run_experiment(
+                cfg.params(),
+                cfg.coupling(),
+                cfg.beta,
+                cfg.solver_config(),
+                y0=cfg.y0,
+                discard=cfg.discard,
+                tail=cfg.tail,
+                _on_rows=stream.feed if streamed else None,
+            )
+        except NonFiniteStateError as err:
+            # the finite prefix goes where the whole run would have gone
+            partial = err.trajectory
+            if partial is not None:
+                _emit(cfg, *_trajectory_rows(partial, dim), stream)
+            kept = 0 if partial is None else len(partial.times)
+            print(f"numerical failure: {err}; {kept} finite rows written to "
+                  f"{cfg.out or 'stdout'}", file=sys.stderr)
+            return 1
+        traj = summary.trajectory
+        _emit(cfg, *_trajectory_rows(traj, dim), stream)
     if cfg.out:
         record = {
             "converged": summary.converged,

@@ -110,8 +110,13 @@ def run_experiment(
     y0=None,
     discard: int = DEFAULT_DISCARD,
     tail: int = DEFAULT_TAIL,
+    *,
+    _on_rows=None,
 ) -> SimulationSummary:
-    """Integrate one model instance and summarize its tail behavior."""
+    """Integrate one model instance and summarize its tail behavior.
+
+    ``_on_rows`` is handed to :func:`solve_fde` as it is.
+    """
     beta = check_order(beta)
     rhs, dim = vector_field(coupling)
     y0 = _resolve_y0(y0, dim)
@@ -122,7 +127,7 @@ def run_experiment(
         raise InsufficientSamplesError(
             f"discard ({discard}) + tail ({tail}) exceeds the {n_samples} grid samples"
         )
-    traj = solve_fde(rhs, beta, config, y0, p)
+    traj = solve_fde(rhs, beta, config, y0, p, _on_rows=_on_rows)
     voltages = traj.states[:, ::2]
     tail_block = voltages[-tail:]
     amplitude = float((tail_block.max(axis=0) - tail_block.min(axis=0)).max())

@@ -149,6 +149,8 @@ def solve_fde(
     config: SolverConfig,
     y0,
     params=None,
+    *,
+    _on_rows=None,
 ) -> Trajectory:
     """Integrate ``D^beta y = rhs(t, y, params)`` with Caputo memory.
 
@@ -173,6 +175,15 @@ def solve_fde(
     ``_FFT_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite states,
     or at a state cut short by its own short output, before the error is
     raised.  A ``ValueError`` that ``rhs`` raises itself propagates as it is.
+
+    The private hook ``_on_rows(times, states)``, when given, is called once
+    per block, after that block passes the finiteness check, with views of
+    every row final so far.  Each call's rows are therefore a prefix of the
+    returned trajectory, or of the finite part a blow-up carries.  The
+    command line uses it to hand a long trajectory's rows to a helper
+    process, which formats their CSV text while the solve runs; the bytes
+    match the one-process text, the helper is reaped on every path out of
+    the command, and nothing configures it.
     """
     beta = check_order(order)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -297,6 +308,8 @@ def solve_fde(
                     "returning the finite part of the trajectory",
                     trajectory=partial,
                 )
+            if _on_rows is not None:
+                _on_rows(times[:stop], states[:stop])
 
     # a copy, so the trajectory does not keep the corrector sums alive
     return Trajectory(times, states.copy())

@@ -1,13 +1,17 @@
 import contextlib
+import itertools
 import json
+import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dmlneuro import cli
+from dmlneuro import cli, experiments
 from dmlneuro.cli import RunConfig, run_cli
+from dmlneuro.exceptions import NonFiniteStateError
 
 
 def run(capsys, *argv):
@@ -340,6 +344,20 @@ def row_by_row_csv(header, rows):
     return ("\n".join(lines) + "\n").encode()
 
 
+def trajectory_csv(traj):
+    """The row-by-row CSV of a trajectory, as ``simulate`` writes it."""
+    dim = traj.states.shape[1]
+    header = ["t", "x", "y"] if dim == 2 else ["t", "x1", "y1", "x2", "y2"]
+    return row_by_row_csv(header, ([t, *state] for t, state in zip(traj.times, traj.states)))
+
+
+def simulate_argv(n_rows, dim=2):
+    """``simulate`` on a grid of ``n_rows`` rows, with nothing discarded."""
+    model = "single" if dim == 2 else "dimer-sigmoid"
+    return ["simulate", "--model", model, "--beta", "0.95", "--h", "0.05",
+            "--t-end", repr((n_rows - 1) / 20), "--discard", "0", "--tail", "10"]
+
+
 def emit_to_file(tmp_path, table):
     """The bytes ``_emit`` writes for a float table, and the row-by-row bytes."""
     header = [f"c{i}" for i in range(table.shape[1])]
@@ -444,15 +462,16 @@ class TestCsvWriter:
         assert len(helpers) == 1
 
     def test_split_finite_prefix_of_a_blow_up(self, tmp_path, capsys, monkeypatch, helpers):
-        # three finite rows: one formatted here, two by the helper
+        # three finite rows, none handed over during the solve: one formatted
+        # by the helper, two here
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 2)
         monkeypatch.setattr(cli, "_CSV_CHUNK", 1)
         tables = []
         real = cli._emit
 
-        def spy(cfg, header, rows):
+        def spy(cfg, header, rows, *stream):
             tables.append((header, rows))
-            real(cfg, header, rows)
+            real(cfg, header, rows, *stream)
 
         monkeypatch.setattr(cli, "_emit", spy)
         out_path = tmp_path / "boom.csv"
@@ -501,6 +520,153 @@ class TestCsvWriter:
         written, expected = emit_to_file(tmp_path, np.random.default_rng(4).standard_normal((100, 3)))
         assert written == expected
         assert len(helpers) == 1 and helpers[0].returncode == 1
+
+    @pytest.fixture
+    def sends(self, monkeypatch, helpers):
+        """Each write to a helper's stdin, as whether the solve was still
+        running then; and the trajectory, or finite part, of each solve."""
+        seen = SimpleNamespace(solving=False, writes=[], trajectories=[])
+
+        class Stdin:
+            def __init__(self, pipe):
+                self.pipe = pipe
+
+            def write(self, data):
+                seen.writes.append(seen.solving)
+                return self.pipe.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.pipe, name)
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.stdin = Stdin(self.stdin)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        real = cli.run_experiment
+
+        def solve(*args, **kwargs):
+            seen.solving = True
+            try:
+                summary = real(*args, **kwargs)
+            except NonFiniteStateError as err:
+                seen.trajectories.append(err.trajectory)
+                raise
+            finally:
+                seen.solving = False
+            seen.trajectories.append(summary.trajectory)
+            return summary
+
+        monkeypatch.setattr(cli, "run_experiment", solve)
+        return seen
+
+    # the solver hands its rows over in blocks of 64; 150 rows are three
+    # chunks of 50, and tables longer than 100 rows are streamed
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("n", [99, 100, 101, 149, 150, 151])
+    def test_streamed_bytes_match_the_row_by_row_writer(self, tmp_path, capsys, monkeypatch,
+                                                        helpers, sends, n, dim):
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 100)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 50)
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, *simulate_argv(n, dim), "--out", str(out_path))
+        assert code == 0
+        assert len(sends.trajectories[0].times) == n
+        assert out_path.read_bytes() == trajectory_csv(sends.trajectories[0])
+        assert len(helpers) == (n > 100)
+        assert all(p.returncode == 0 for p in helpers)
+        # every chunk went over while the solve ran, none after it
+        assert sends.writes == [True] * (n // 50 if n > 100 else 0)
+
+    def test_streamed_stdout_matches_the_row_by_row_writer(self, capsys, monkeypatch, helpers,
+                                                           sends):
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 100)
+        code, out, _ = run(capsys, *simulate_argv(400))
+        assert code == 0
+        assert out.encode() == trajectory_csv(sends.trajectories[0])
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+        assert sends.writes and all(sends.writes)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="runs a shell script as the helper")
+    def test_helper_that_dies_mid_stream_is_replaced_here(self, tmp_path, capsys, monkeypatch,
+                                                          helpers, sends):
+        # the script exits at once: a later send hits a closed pipe, or its exit
+        # status shows the failure once the solve is over
+        script = tmp_path / "dying-helper"
+        script.write_text("#!/bin/sh\nexit 1\n")
+        script.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(script))
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, *simulate_argv(2001), "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == trajectory_csv(sends.trajectories[0])
+        assert len(helpers) == 1 and helpers[0].returncode not in (None, 0)
+
+    def test_broken_pipe_on_a_send_is_replaced_here(self, tmp_path, capsys, monkeypatch, helpers,
+                                                    sends):
+        class Breaking(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                send, sent = self.stdin.write, itertools.count()
+
+                def write(data):
+                    if next(sent) == 1:
+                        raise BrokenPipeError("helper went away")
+                    return send(data)
+
+                self.stdin.write = write
+
+        monkeypatch.setattr(subprocess, "Popen", Breaking)
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, *simulate_argv(500), "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == trajectory_csv(sends.trajectories[0])
+        # one helper, killed at the failed second send and never replaced
+        assert len(helpers) == 1 and helpers[0].returncode not in (None, 0)
+        assert sends.writes == [True]
+
+    @pytest.mark.parametrize("fault", ["short row", "interrupt", "non-finite"])
+    def test_helper_is_reaped_when_the_solve_fails(self, tmp_path, capsys, monkeypatch, helpers,
+                                                   sends, fault):
+        # the field fails at about step 200, after three blocks went over
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
+        real = experiments.vector_field
+
+        def faulty(coupling):
+            rhs, dim = real(coupling)
+            calls = itertools.count()
+
+            def field(t, y, p):
+                if next(calls) < 400:
+                    return rhs(t, y, p)
+                if fault == "interrupt":
+                    raise KeyboardInterrupt
+                return [0.0] if fault == "short row" else [math.nan] * dim
+
+            return field, dim
+
+        monkeypatch.setattr(experiments, "vector_field", faulty)
+        out_path = tmp_path / "traj.csv"
+        argv = [*simulate_argv(1001), "--out", str(out_path)]
+        if fault == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(argv)
+        else:
+            code, _, err = run(capsys, *argv)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert sends.writes and all(sends.writes)
+        if fault == "short row":
+            assert code == 2 and "wrong length" in err
+            assert not out_path.exists()
+        elif fault == "non-finite":
+            partial = sends.trajectories[0]
+            assert code == 1 and f"{len(partial.times)} finite rows" in err
+            assert 192 < len(partial.times) < 256
+            assert out_path.read_bytes() == trajectory_csv(partial)
+            assert helpers[0].returncode == 0
 
 
 class TestSweepCommand:
@@ -603,28 +769,46 @@ class TestHopfCurveCommand:
         assert not (tmp_path / "curve.svg").exists()
 
 
-class TestSvgWithoutOut:
-    @pytest.mark.parametrize(
-        "argv, work",
-        [
-            (["simulate", "--t-end", "5", "--h", "0.1", "--discard", "0", "--tail", "10"],
-             "run_experiment"),
-            (["sweep", "--beta-from", "0.99", "--beta-to", "1.0", "--beta-step", "0.01",
-              "--t-end", "10", "--h", "0.05", "--tail", "20"], "bifurcation_sweep"),
-            (["hopf-curve", "--I-from", "0.018", "--I-to", "0.02", "--I-points", "5"],
-             "hopf_curve"),
-        ],
-        ids=["simulate", "sweep", "hopf-curve"],
-    )
-    def test_rejected_before_any_work(self, argv, work, monkeypatch, capsys):
-        def no_work(*args, **kwargs):
-            raise AssertionError(f"{work} ran")
+# a command line of each plotting command, and the function that does its work
+PLOTTING_WORK = pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["simulate", "--t-end", "5", "--h", "0.1", "--discard", "0", "--tail", "10"],
+         "run_experiment"),
+        (["sweep", "--beta-from", "0.99", "--beta-to", "1.0", "--beta-step", "0.01",
+          "--t-end", "10", "--h", "0.05", "--tail", "20"], "bifurcation_sweep"),
+        (["hopf-curve", "--I-from", "0.018", "--I-to", "0.02", "--I-points", "5"],
+         "hopf_curve"),
+    ],
+    ids=["simulate", "sweep", "hopf-curve"],
+)
 
-        monkeypatch.setattr(cli, work, no_work)
+
+def forbid(monkeypatch, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, no_work)
+
+
+class TestSvgWithoutOut:
+    @PLOTTING_WORK
+    def test_rejected_before_any_work(self, argv, work, monkeypatch, capsys):
+        forbid(monkeypatch, work)
         code, out, err = run(capsys, *argv, "--svg")
         assert code == 2
         assert out == ""
         assert "--svg requires --out" in err
+
+
+class TestOutInMissingDirectory:
+    @PLOTTING_WORK
+    def test_rejected_before_any_work(self, argv, work, tmp_path, monkeypatch, capsys):
+        forbid(monkeypatch, work)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "run.csv"))
+        assert code == 2
+        assert out == ""
+        assert "--out directory does not exist" in err
 
 
 class TestValidateCommand:
