@@ -10,7 +10,6 @@ from .exceptions import (
     DimensionMismatchError,
     DmlNeuroError,
     InsufficientSamplesError,
-    NoExtremaError,
     NonFiniteStateError,
     NumericalError,
     RootWindowExhaustedError,
@@ -33,10 +32,8 @@ from .models import (
 from .equilibria import (
     Branch,
     EquilibriumSet,
-    InfCurveExtrema,
-    classify_branch,
-    find_extrema,
     find_symmetric_equilibria,
+    fold_voltages,
     i_infinity,
     i_infinity_derivative,
     y_infinity,

@@ -26,11 +26,10 @@ _MODELS = ("single", "dimer-linear", "dimer-sigmoid")
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
 _CSV_CHUNK = 4096
-# a float table longer than this, or a trajectory that will be, is formatted
-# by two processes.  The helper interpreter starts in about 25 ms, the time
-# this process takes to format about 7000 rows, so a split pays from about
-# 14 000 rows; at this length the start-up is about a quarter of the time
-# saved
+# a trajectory longer than this is handed, as the solve runs, to a helper
+# interpreter that formats its rows.  The helper starts in about 25 ms, the
+# time this process takes to format about 7000 rows; at this length the
+# start-up is about a quarter of the time saved
 _CSV_SPLIT_ROWS = 1 << 16
 # the helper: raw doubles on stdin, read one chunk at a time as they
 # arrive, and their CSV rows on stdout, by the same template as
@@ -213,6 +212,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     # the file is opened only after the work, which may take minutes
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         raise ValueError(f"--out directory does not exist: {os.path.dirname(cfg.out)}")
+    if cfg.out and os.path.isdir(cfg.out):
+        raise ValueError(f"--out names a directory: {cfg.out}")
     return cfg
 
 
@@ -240,28 +241,20 @@ def _write(cfg: RunConfig, text: str) -> None:
 def _emit(cfg: RunConfig, header: list[str], rows, stream=None) -> None:
     """Write a CSV table, ``_CSV_CHUNK`` rows at a time.
 
-    ``rows`` is a 2-d float array, or a list of mixed rows (strings, ints,
-    ``None``) formatted by ``_fmt``.  The array's floats print through
-    ``%r``, which gives the same text as ``_fmt``.  A float64 array longer
-    than ``_CSV_SPLIT_ROWS`` rows goes through a ``_CsvStream``, whose
-    helper process formats part of it.  ``simulate`` passes the ``stream``
-    it fed while the solve ran, so that the helper has formatted nearly all
-    of a long trajectory by the time the solve ends; any other long table
-    gets a fresh stream.  Either way the bytes are exactly those of the
-    one-process text.  The helper is reaped before this returns, also when
-    writing fails, and nothing configures it.
+    ``rows`` is a list of mixed rows (strings, ints, ``None``) formatted by
+    ``_fmt``, or, with ``stream``, the 2-d float array of a trajectory that
+    ``simulate`` fed to that ``_CsvStream`` while the solve ran.  The stream
+    writes the array's floats through ``%r``, which gives the same text as
+    ``_fmt``, and the bytes are exactly those of the one-process text.
     """
     with _output(cfg) as fh:
         fh.write(",".join(header) + "\n")
-        if not isinstance(rows, np.ndarray):
-            for start in range(0, len(rows), _CSV_CHUNK):
-                chunk = rows[start : start + _CSV_CHUNK]
-                fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
-        elif stream is not None or (rows.dtype == np.float64 and len(rows) > _CSV_SPLIT_ROWS):
-            with stream or _CsvStream() as stream:
-                stream.write(fh, rows)
-        else:
-            _float_rows(fh, rows)
+        if stream is not None:
+            stream.write(fh, rows)
+            return
+        for start in range(0, len(rows), _CSV_CHUNK):
+            chunk = rows[start : start + _CSV_CHUNK]
+            fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
 
 
 def _float_rows(fh, rows: np.ndarray) -> None:
@@ -276,10 +269,8 @@ class _CsvStream:
 
     ``feed`` hands the helper whole ``_CSV_CHUNK``s of rows while the table
     is still being computed, and ``write`` writes the finished table: the
-    helper's text, then the rest, formatted here.  When more than
-    ``_CSV_SPLIT_ROWS`` rows were never handed over, the helper also takes
-    those up to the first chunk boundary at or past their middle, and this
-    process formats the others meanwhile.
+    helper's text, then the rest, formatted here while the helper finishes.
+    A table that was never fed is formatted here alone.
 
     The helper starts at the first rows handed over.  It reads raw doubles
     from a pipe and writes their text, by the template of ``_float_rows``,
@@ -304,14 +295,13 @@ class _CsvStream:
     def feed(self, times: np.ndarray, states: np.ndarray) -> None:
         """Hand over the whole chunks of the final rows ``(times, states)``
         that the helper has not had yet."""
-        stop = self.sent + (len(times) - self.sent) // _CSV_CHUNK * _CSV_CHUNK
-        if stop > self.sent and not self.broken:
-            self._send(np.column_stack((times[self.sent : stop], states[self.sent : stop])))
-
-    def _send(self, rows: np.ndarray) -> None:
         import subprocess
         import tempfile
 
+        stop = self.sent + (len(times) - self.sent) // _CSV_CHUNK * _CSV_CHUNK
+        if stop == self.sent or self.broken:
+            return
+        rows = np.column_stack((times[self.sent : stop], states[self.sent : stop]))
         try:
             if self.helper is None:
                 self.text = tempfile.TemporaryFile("w+", encoding="ascii", newline="")
@@ -319,24 +309,19 @@ class _CsvStream:
                     [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(rows.shape[1]), str(_CSV_CHUNK)],
                     stdin=subprocess.PIPE, stdout=self.text, stderr=subprocess.DEVNULL,
                 )
-            self.helper.stdin.write(np.ascontiguousarray(rows).data)
+            self.helper.stdin.write(rows.data)
             self.helper.stdin.flush()
         except OSError:
             self.broken = True
             self.close()
             return
-        self.sent += len(rows)
+        self.sent = stop
 
     def write(self, fh, rows: np.ndarray) -> None:
         """Write the finished table ``rows``, whose first ``sent`` rows the
         helper already has."""
         import shutil
 
-        unsent = len(rows) - self.sent
-        if unsent > _CSV_SPLIT_ROWS and not self.broken:
-            # up to the first chunk boundary at or past the unsent rows' middle
-            cut = self.sent + (unsent // 2 + _CSV_CHUNK - 1) // _CSV_CHUNK * _CSV_CHUNK
-            self._send(rows[self.sent : cut])
         if self.helper is None:
             _float_rows(fh, rows)
             return

@@ -1,4 +1,4 @@
-"""Equilibrium structure: the current-voltage curve, its extrema, and roots.
+"""Equilibrium structure: the current-voltage curve, its folds, and roots.
 
 Equilibria of the single cell sit where the stimulation current ``I`` equals
 the curve ``i_infinity(x)``.  Between the curve's local maximum and minimum
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import NoExtremaError, RootWindowExhaustedError
+from .exceptions import RootWindowExhaustedError
 from .models import CouplingSpec, DmlParams, NoCoupling, _exp
 
 DEFAULT_WINDOW = (-1.5, 1.5)
@@ -31,16 +31,6 @@ class Branch(Enum):
 
 
 _BRANCH_BY_COUNT = {1: Branch.UNIQUE, 2: Branch.TWOFOLD, 3: Branch.THREEFOLD}
-
-
-@dataclass(frozen=True)
-class InfCurveExtrema:
-    """Local maximum and minimum of the current-voltage curve."""
-
-    x_max: float
-    I_max: float
-    x_min: float
-    I_min: float
 
 
 @dataclass(frozen=True)
@@ -141,39 +131,6 @@ def _scan_brackets(f, lo, hi, step):
     return out
 
 
-def find_extrema(p: DmlParams) -> InfCurveExtrema:
-    """Locate the local maximum and minimum of the current-voltage curve.
-
-    The first derivative is strictly convex here (its own second derivative
-    is positive everywhere), so it has at most two roots.  They are the
-    extrema of g for the single cell, found by the same sign scan and
-    bracketed solve as every symmetric equilibrium search.  Raises
-    :class:`NoExtremaError` when the scan sees no sign change (e.g. the
-    recovery amplitude is too large for the curve to fold).
-    """
-    roots = _g_extrema(p, NoCoupling())
-    if len(roots) < 2:
-        raise NoExtremaError(
-            "no interior extrema of the current-voltage curve on the scan window"
-        )
-    x_max, x_min = roots[0], roots[1]
-    return InfCurveExtrema(
-        x_max=x_max,
-        I_max=i_infinity(x_max, p),
-        x_min=x_min,
-        I_min=i_infinity(x_min, p),
-    )
-
-
-def classify_branch(I: float, extrema: InfCurveExtrema) -> Branch:
-    """Branch of the equilibrium count for a stimulation current ``I``."""
-    if abs(I - extrema.I_min) <= FOLD_TOL or abs(I - extrema.I_max) <= FOLD_TOL:
-        return Branch.TWOFOLD
-    if extrema.I_min < I < extrema.I_max:
-        return Branch.THREEFOLD
-    return Branch.UNIQUE
-
-
 def find_symmetric_equilibria(
     p: DmlParams, coupling: CouplingSpec = NoCoupling()
 ) -> EquilibriumSet:
@@ -194,11 +151,19 @@ def find_symmetric_equilibria(
     see).  If no root lands in the window its outer pieces are widened once
     before :class:`RootWindowExhaustedError` is raised.
     """
-    return _equilibria_at(p, coupling, _g_extrema(p, coupling))
+    return _equilibria_at(p, coupling, fold_voltages(p, coupling))
 
 
-def _g_extrema(p: DmlParams, coupling: CouplingSpec) -> list:
-    """Stage one: the voltages of the extrema of g, the same for every I."""
+def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
+    """Voltages of the extrema of g on the scan window, ascending, or ``[]``
+    when g is monotone there.
+
+    Since g'(x) = -delta_plus(x) / gamma, these are where the plus block's
+    determinant vanishes, and ``i_infinity(x, p) - coupling.current(x, x)``
+    is the fold current of each.  They do not depend on ``p.I``; this is
+    stage one of :func:`find_symmetric_equilibria`, which a sweep over
+    currents runs once.
+    """
     # g' reads A, alpha, gamma and the coupling, never I
     partials = coupling.partials
 

@@ -31,10 +31,6 @@ class ConvergenceError(NumericalError):
     """A series or iteration exhausted its budget before converging."""
 
 
-class NoExtremaError(NumericalError):
-    """The equilibrium-current curve has no interior extrema for these parameters."""
-
-
 class RootWindowExhaustedError(NumericalError):
     """No root was found on the scan window, even after widening it once."""
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import Branch, _equilibria_at, _g_extrema
+from .equilibria import Branch, _equilibria_at, fold_voltages
 from .exceptions import InsufficientSamplesError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, Trajectory, check_order, solve_fde
 from .models import CouplingSpec, DmlParams, vector_field
@@ -68,7 +68,6 @@ class BifurcationScan:
     initial_states: np.ndarray
     final_states: np.ndarray
     failed: np.ndarray
-    warm_start: bool
 
 
 @dataclass(frozen=True)
@@ -143,20 +142,18 @@ def run_experiment(
     )
 
 
-def _beta_grid(beta_range, beta_step, descending=True):
+def _beta_grid(beta_range, beta_step):
     # honors the step exactly; the last node may stop short of the far end
     # when the range is not an integral multiple of the step
     lo, hi = float(min(beta_range)), float(max(beta_range))
     check_order(lo)
     check_order(hi)
     if lo == hi:
-        grid = np.array([hi])
-    else:
-        if beta_step <= 0.0:
-            raise ValueError("beta_step must be positive")
-        n = int(math.floor((hi - lo) / beta_step + 1e-9))
-        grid = hi - beta_step * np.arange(n + 1)
-    return grid if descending else grid[::-1].copy()
+        return np.array([hi])
+    if beta_step <= 0.0:
+        raise ValueError("beta_step must be positive")
+    n = int(math.floor((hi - lo) / beta_step + 1e-9))
+    return hi - beta_step * np.arange(n + 1)
 
 
 def bifurcation_sweep(
@@ -168,32 +165,27 @@ def bifurcation_sweep(
     config: SolverConfig,
     y0=None,
     tail_window: int = DEFAULT_TAIL,
-    descending: bool = True,
-    warm_start: bool = True,
 ) -> BifurcationScan:
     """Continuation sweep over the fractional order at fixed current.
 
-    Runs descend from the top of the range by default, each warm-started
-    from the previous run's final state.  A run that blows up leaves a
-    NaN-filled, flagged cell and the sweep continues from the last finite
-    state.
+    Runs descend from the top of the range, each warm-started from the
+    previous run's final state.  A run that blows up leaves a NaN-filled,
+    flagged cell and the sweep continues from the last finite state.
     """
     p = replace(p, I=float(I))
     rhs, dim = vector_field(coupling)
-    start = _resolve_y0(y0, dim)
+    current = _resolve_y0(y0, dim)
     n_samples = config.n_steps + 1
     if tail_window < 1 or tail_window > n_samples:
         raise InsufficientSamplesError(
             f"tail window {tail_window} does not fit the {n_samples} grid samples"
         )
-    betas = _beta_grid(beta_range, beta_step, descending)
+    betas = _beta_grid(beta_range, beta_step)
 
     tails = np.empty((betas.size, tail_window, dim // 2))
     initials = np.empty((betas.size, dim))
     finals = np.empty((betas.size, dim))
     failed = np.zeros(betas.size, dtype=bool)
-
-    current = start
     for k, beta in enumerate(betas):
         initials[k] = current
         try:
@@ -207,10 +199,7 @@ def bifurcation_sweep(
             continue
         tails[k] = traj.states[-tail_window:, ::2]
         finals[k] = traj.states[-1]
-        if warm_start:
-            current = traj.states[-1].copy()
-        else:
-            current = start
+        current = traj.states[-1].copy()
         del traj  # so the next solve does not run beside this one's arrays
     return BifurcationScan(
         beta_values=betas,
@@ -218,7 +207,6 @@ def bifurcation_sweep(
         initial_states=initials,
         final_states=finals,
         failed=failed,
-        warm_start=warm_start,
     )
 
 
@@ -241,12 +229,7 @@ def hopf_curve(
         raise ValueError("n_points must be positive")
     lo, hi = float(I_range[0]), float(I_range[1])
     I_values = np.linspace(lo, hi, n_points)
-    try:
-        extrema = _g_extrema(p, coupling)
-    except NumericalError as err:  # no current gets an equilibrium
-        reason = f"equilibrium search failed: {err}"
-        return HopfCurve(np.array([]), np.array([]), coupling.label,
-                         tuple((float(I), reason) for I in I_values))
+    extrema = fold_voltages(p, coupling)
     kept_I, kept_beta, omitted = [], [], []
     for I in I_values:
         p_at = replace(p, I=float(I))

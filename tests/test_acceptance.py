@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from dmlneuro.equilibria import (
-    find_extrema,
     find_symmetric_equilibria,
+    fold_voltages,
+    i_infinity,
     i_infinity_derivative,
 )
 from dmlneuro.fde import SolverConfig, mittag_leffler, solve_fde
@@ -56,12 +57,12 @@ def _report(num: int, name: str, ok: bool, elapsed: float, limit: float) -> None
 
 def test_criterion_01_current_curve_table():
     t0 = time.perf_counter()
-    ex = find_extrema(P)
+    x_max, x_min = fold_voltages(P)
     ok = (
-        abs(ex.x_max - 0.0511432) < 1e-6
-        and abs(ex.I_max - 0.0154180) < 1e-6
-        and abs(ex.x_min - 0.2863875) < 1e-6
-        and abs(ex.I_min - 0.0033971) < 1e-6
+        abs(x_max - 0.0511432) < 1e-6
+        and abs(i_infinity(x_max, P) - 0.0154180) < 1e-6
+        and abs(x_min - 0.2863875) < 1e-6
+        and abs(i_infinity(x_min, P) - 0.0033971) < 1e-6
     )
     rows = (
         (0.05351939825528394, -0.0028148833020992196),
@@ -76,12 +77,12 @@ def test_criterion_01_current_curve_table():
 
 def test_criterion_02_equilibrium_branches():
     t0 = time.perf_counter()
-    ex = find_extrema(P)
+    I_max, I_min = (i_infinity(x, P) for x in fold_voltages(P))
     cases = (
         (0.0001, [(-0.08827, 0.00858)]),
         (0.019, [(0.40772, 0.11746)]),
-        (ex.I_min, [(-0.07386, 0.00926), (0.28639, 0.06193)]),
-        (ex.I_max, [(0.05114, 0.0179), (0.39491, 0.109785)]),
+        (I_min, [(-0.07386, 0.00926), (0.28639, 0.06193)]),
+        (I_max, [(0.05114, 0.0179), (0.39491, 0.109785)]),
         (0.011, [(-0.027865, 0.0118), (0.15041, 0.03022), (0.37528, 0.09898)]),
     )
     ok = True

@@ -358,11 +358,14 @@ def simulate_argv(n_rows, dim=2):
             "--t-end", repr((n_rows - 1) / 20), "--discard", "0", "--tail", "10"]
 
 
-def emit_to_file(tmp_path, table):
-    """The bytes ``_emit`` writes for a float table, and the row-by-row bytes."""
+def stream_to_file(tmp_path, table):
+    """The bytes ``_emit`` writes for a float table fed whole to a
+    ``_CsvStream``, and the row-by-row bytes."""
     header = [f"c{i}" for i in range(table.shape[1])]
     out_path = tmp_path / "table.csv"
-    cli._emit(RunConfig(command="simulate", out=str(out_path)), header, table)
+    with cli._CsvStream() as stream:
+        stream.feed(table[:, 0], table[:, 1:])
+        cli._emit(RunConfig(command="simulate", out=str(out_path)), header, table, stream)
     return out_path.read_bytes(), row_by_row_csv(header, table)
 
 
@@ -401,7 +404,9 @@ class TestCsvWriter:
             [0.1, 1 / 3, -2.5e-17, 123456789.0],
         ] * 5)
         out_path = tmp_path / "special.csv"
-        cli._emit(RunConfig(command="simulate", out=str(out_path)), list("abcd"), table)
+        # a stream that was never fed formats the whole table in this process
+        cli._emit(RunConfig(command="simulate", out=str(out_path)), list("abcd"), table,
+                  cli._CsvStream())
         assert out_path.read_bytes() == row_by_row_csv(list("abcd"), table)
 
     @pytest.mark.parametrize("argv", [
@@ -427,7 +432,8 @@ class TestCsvWriter:
 
     @pytest.fixture
     def helpers(self, monkeypatch):
-        """Every helper process started, with tables longer than 30 rows split."""
+        """Every helper process started, with trajectories longer than 30 rows
+        streamed."""
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
         started = []
 
@@ -439,31 +445,30 @@ class TestCsvWriter:
         monkeypatch.setattr(subprocess, "Popen", Spy)
         return started
 
+    # chunks of 30 rows: the helper gets none, all, all but one, or all but
+    # the last 10 of the table
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("n", [29, 30, 31, 100])
-    def test_split_bytes_match_the_row_by_row_writer(self, tmp_path, helpers, n, dim):
+    def test_split_bytes_match_the_row_by_row_writer(self, tmp_path, monkeypatch, helpers, n,
+                                                     dim):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 30)
         table = np.random.default_rng(n).standard_normal((n, 1 + dim)) * 10.0 ** np.arange(1 + dim)
-        written, expected = emit_to_file(tmp_path, table)
+        written, expected = stream_to_file(tmp_path, table)
         assert written == expected
-        assert len(helpers) == (n > 30)
+        assert len(helpers) == (n >= 30)
         assert all(p.returncode == 0 for p in helpers)
 
     def test_split_special_floats_match_the_row_by_row_writer(self, tmp_path, helpers):
         values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, np.nan, np.inf, -np.inf,
                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
-        written, expected = emit_to_file(tmp_path, np.resize(values, (40, 4)))
+        written, expected = stream_to_file(tmp_path, np.resize(values, (40, 4)))
         assert written == expected
         assert len(helpers) == 1 and helpers[0].returncode == 0
 
-    def test_split_to_stdout_matches_the_row_by_row_writer(self, capsys, helpers):
-        table = np.random.default_rng(1).standard_normal((45, 3))
-        cli._emit(RunConfig(command="simulate"), ["t", "x", "y"], table)
-        assert capsys.readouterr().out.encode() == row_by_row_csv(["t", "x", "y"], table)
-        assert len(helpers) == 1
-
-    def test_split_finite_prefix_of_a_blow_up(self, tmp_path, capsys, monkeypatch, helpers):
-        # three finite rows, none handed over during the solve: one formatted
-        # by the helper, two here
+    def test_blow_up_in_the_first_block_starts_no_helper(self, tmp_path, capsys, monkeypatch,
+                                                         helpers):
+        # a streamed run with three finite rows: the solver hands rows over
+        # only once a block of 64 passes its finiteness check
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 2)
         monkeypatch.setattr(cli, "_CSV_CHUNK", 1)
         tables = []
@@ -482,10 +487,9 @@ class TestCsvWriter:
         assert code == 1 and "3 finite rows" in err
         header, rows = tables[0]
         assert out_path.read_bytes() == row_by_row_csv(header, rows)
-        assert len(helpers) == 1 and helpers[0].returncode == 0
+        assert helpers == []
 
-    def test_mixed_rows_start_no_helper(self, tmp_path, capsys, monkeypatch, helpers):
-        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 0)
+    def test_mixed_rows_start_no_helper(self, tmp_path, capsys, helpers):
         code, _, _ = run(
             capsys, "hopf-curve", "--I-from", "0.016", "--I-to", "0.0235", "--I-points", "50",
             "--out", str(tmp_path / "curve.csv"),
@@ -493,21 +497,21 @@ class TestCsvWriter:
         assert code == 0
         assert helpers == []
 
-    def test_helper_is_reaped_when_the_parent_fails_to_write(self, monkeypatch, helpers):
+    def test_helper_is_reaped_when_the_parent_fails_to_write(self, capsys, monkeypatch, helpers):
+        # the header fails, while the helper still waits for the end of its input
         class Failing:
             def write(self, text):
-                if text != "t,x,y\n":
-                    raise OSError("disk full")
+                raise OSError("disk full")
 
         monkeypatch.setattr(cli, "_output", lambda cfg: contextlib.nullcontext(Failing()))
-        table = np.random.default_rng(2).standard_normal((100, 3))
-        with pytest.raises(OSError, match="disk full"):
-            cli._emit(RunConfig(command="simulate"), ["t", "x", "y"], table)
+        code, _, err = run(capsys, *simulate_argv(100))
+        assert code == 2 and "disk full" in err
         assert len(helpers) == 1 and helpers[0].returncode is not None
 
     def test_helper_that_cannot_start_falls_back(self, tmp_path, monkeypatch, helpers):
         monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
-        written, expected = emit_to_file(tmp_path, np.random.default_rng(3).standard_normal((100, 3)))
+        table = np.random.default_rng(3).standard_normal((100, 3))
+        written, expected = stream_to_file(tmp_path, table)
         assert written == expected
         assert helpers == []
 
@@ -517,7 +521,8 @@ class TestCsvWriter:
         script.write_text("#!/bin/sh\necho 1.0,2.0,3.0\nexit 1\n")
         script.chmod(0o755)
         monkeypatch.setattr(sys, "executable", str(script))
-        written, expected = emit_to_file(tmp_path, np.random.default_rng(4).standard_normal((100, 3)))
+        table = np.random.default_rng(4).standard_normal((100, 3))
+        written, expected = stream_to_file(tmp_path, table)
         assert written == expected
         assert len(helpers) == 1 and helpers[0].returncode == 1
 
@@ -770,18 +775,15 @@ class TestHopfCurveCommand:
 
 
 # a command line of each plotting command, and the function that does its work
-PLOTTING_WORK = pytest.mark.parametrize(
-    "argv, work",
-    [
-        (["simulate", "--t-end", "5", "--h", "0.1", "--discard", "0", "--tail", "10"],
-         "run_experiment"),
-        (["sweep", "--beta-from", "0.99", "--beta-to", "1.0", "--beta-step", "0.01",
-          "--t-end", "10", "--h", "0.05", "--tail", "20"], "bifurcation_sweep"),
-        (["hopf-curve", "--I-from", "0.018", "--I-to", "0.02", "--I-points", "5"],
-         "hopf_curve"),
-    ],
-    ids=["simulate", "sweep", "hopf-curve"],
-)
+PLOTTING = {
+    "simulate": (["simulate", "--t-end", "5", "--h", "0.1", "--discard", "0", "--tail", "10"],
+                 "run_experiment"),
+    "sweep": (["sweep", "--beta-from", "0.99", "--beta-to", "1.0", "--beta-step", "0.01",
+               "--t-end", "10", "--h", "0.05", "--tail", "20"], "bifurcation_sweep"),
+    "hopf-curve": (["hopf-curve", "--I-from", "0.018", "--I-to", "0.02", "--I-points", "5"],
+                   "hopf_curve"),
+}
+PLOTTING_WORK = pytest.mark.parametrize("argv, work", PLOTTING.values(), ids=PLOTTING.keys())
 
 
 def forbid(monkeypatch, work):
@@ -802,13 +804,21 @@ class TestSvgWithoutOut:
 
 
 class TestOutInMissingDirectory:
-    @PLOTTING_WORK
-    def test_rejected_before_any_work(self, argv, work, tmp_path, monkeypatch, capsys):
+    # an --out in a missing directory, for each plotting command, and an --out
+    # that names an existing directory
+    @pytest.mark.parametrize(
+        "argv, work, target, message",
+        [(*case, "missing/run.csv", "--out directory does not exist") for case in PLOTTING.values()]
+        + [(*PLOTTING["simulate"], ".", "--out names a directory")],
+        ids=[*PLOTTING, "simulate-directory"],
+    )
+    def test_rejected_before_any_work(self, argv, work, target, message, tmp_path, monkeypatch,
+                                      capsys):
         forbid(monkeypatch, work)
-        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "run.csv"))
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
         assert code == 2
         assert out == ""
-        assert "--out directory does not exist" in err
+        assert message in err
 
 
 class TestValidateCommand:

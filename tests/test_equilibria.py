@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,15 @@ from dmlneuro import equilibria
 from dmlneuro.equilibria import (
     DEFAULT_WINDOW,
     Branch,
-    _g_extrema,
     _refine_root,
     _scan_brackets,
-    classify_branch,
-    find_extrema,
     find_symmetric_equilibria,
+    fold_voltages,
     i_infinity,
     i_infinity_derivative,
     y_infinity,
 )
-from dmlneuro.exceptions import NoExtremaError, RootWindowExhaustedError
+from dmlneuro.exceptions import RootWindowExhaustedError
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -30,6 +29,7 @@ from dmlneuro.models import (
     _sigmoid,
     vector_field,
 )
+from dmlneuro.stability import indicators
 
 P = DmlParams(I=0.019)
 single = vector_field(NoCoupling())[0]
@@ -40,6 +40,16 @@ X_MAX = 0.051143193209885154
 I_MAX = 0.015417976156715866
 X_MIN = 0.2863874927043651
 I_MIN = 0.003397079040195275
+
+
+def fold_currents(p):
+    """(I_max, I_min): the currents at the cell's folds, ascending in x."""
+    x_max, x_min = fold_voltages(p)
+    return i_infinity(x_max, p), i_infinity(x_min, p)
+
+
+def branch_at(I):
+    return find_symmetric_equilibria(replace(P, I=I)).branch
 
 
 def sigmoid_fold_currents(sigma):
@@ -142,34 +152,35 @@ class TestInfCurve:
 
 class TestFindExtrema:
     def test_default_parameters(self):
-        ex = find_extrema(P)
-        assert ex.x_max == pytest.approx(X_MAX, abs=1e-6)
-        assert ex.I_max == pytest.approx(I_MAX, abs=1e-6)
-        assert ex.x_min == pytest.approx(X_MIN, abs=1e-6)
-        assert ex.I_min == pytest.approx(I_MIN, abs=1e-6)
-        assert ex.x_max < ex.x_min and ex.I_max > ex.I_min
+        x_max, x_min = fold_voltages(P)
+        I_max, I_min = fold_currents(P)
+        assert x_max == pytest.approx(X_MAX, abs=1e-6)
+        assert I_max == pytest.approx(I_MAX, abs=1e-6)
+        assert x_min == pytest.approx(X_MIN, abs=1e-6)
+        assert I_min == pytest.approx(I_MIN, abs=1e-6)
+        assert x_max < x_min and I_max > I_min
 
     def test_extrema_are_critical_to_tolerance(self):
-        ex = find_extrema(P)
-        assert abs(i_infinity_derivative(ex.x_max, P, 1)) < 1e-12
-        assert abs(i_infinity_derivative(ex.x_min, P, 1)) < 1e-12
+        x_max, x_min = fold_voltages(P)
+        assert abs(i_infinity_derivative(x_max, P, 1)) < 1e-12
+        assert abs(i_infinity_derivative(x_min, P, 1)) < 1e-12
 
     def test_curve_decreases_between_extrema(self):
-        ex = find_extrema(P)
-        xs = np.linspace(ex.x_max, ex.x_min, 102)[1:-1]
+        x_max, x_min = fold_voltages(P)
+        xs = np.linspace(x_max, x_min, 102)[1:-1]
         assert all(i_infinity_derivative(x, P, 1) < 0.0 for x in xs)
 
     def test_monotone_outside_the_fold(self):
-        ex = find_extrema(P)
-        left = np.linspace(-1.5, ex.x_max, 1001)[:-1]
-        right = np.linspace(ex.x_min, 1.5, 1001)[1:]
+        x_max, x_min = fold_voltages(P)
+        left = np.linspace(-1.5, x_max, 1001)[:-1]
+        right = np.linspace(x_min, 1.5, 1001)[1:]
         assert all(i_infinity_derivative(x, P, 1) > 0.0 for x in left)
         assert all(i_infinity_derivative(x, P, 1) > 0.0 for x in right)
 
     def test_against_dense_grid_oracle(self):
         # brute-force local extrema of the curve on a 1e-5 grid
         p = DmlParams(I=0.019, gamma=0.6)
-        ex = find_extrema(p)
+        x_max, x_min = fold_voltages(p)
         xs = np.arange(-1.0, 1.0, 1e-5)
         ys = np.array([i_infinity(x, p) for x in xs])
         interior = slice(1, -1)
@@ -177,28 +188,36 @@ class TestFindExtrema:
         is_min = (ys[interior] <= ys[:-2]) & (ys[interior] <= ys[2:])
         grid_max = xs[1:-1][is_max]
         grid_min = xs[1:-1][is_min]
-        assert np.abs(grid_max - ex.x_max).min() < 2e-5
-        assert np.abs(grid_min - ex.x_min).min() < 2e-5
+        assert np.abs(grid_max - x_max).min() < 2e-5
+        assert np.abs(grid_min - x_min).min() < 2e-5
 
     def test_no_extrema_for_large_recovery_amplitude(self):
-        with pytest.raises(NoExtremaError):
-            find_extrema(DmlParams(I=0.0, A=1.0))
+        assert fold_voltages(DmlParams(I=0.0, A=1.0)) == []
+
+    @pytest.mark.parametrize(
+        "coupling", [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)]
+    )
+    def test_plus_determinant_vanishes_at_each_fold_voltage(self, coupling):
+        xs = fold_voltages(P, coupling)
+        assert len(xs) == 2 and xs[0] < xs[1]
+        for x in xs:
+            assert abs(indicators(x, P, coupling).delta_plus) < 1e-12
 
 
 class TestClassifyBranch:
     def test_reference_cases(self):
-        ex = find_extrema(P)
-        assert classify_branch(0.019, ex) is Branch.UNIQUE
-        assert classify_branch(0.0001, ex) is Branch.UNIQUE
-        assert classify_branch(ex.I_max, ex) is Branch.TWOFOLD
-        assert classify_branch(ex.I_min, ex) is Branch.TWOFOLD
-        assert classify_branch(0.011, ex) is Branch.THREEFOLD
+        I_max, I_min = fold_currents(P)
+        assert branch_at(0.019) is Branch.UNIQUE
+        assert branch_at(0.0001) is Branch.UNIQUE
+        assert branch_at(I_max) is Branch.TWOFOLD
+        assert branch_at(I_min) is Branch.TWOFOLD
+        assert branch_at(0.011) is Branch.THREEFOLD
 
     def test_fold_tolerance_band(self):
-        ex = find_extrema(P)
-        assert classify_branch(ex.I_max + 5e-13, ex) is Branch.TWOFOLD
-        assert classify_branch(ex.I_max + 1e-9, ex) is Branch.UNIQUE
-        assert classify_branch(ex.I_max - 1e-9, ex) is Branch.THREEFOLD
+        I_max, _ = fold_currents(P)
+        assert branch_at(I_max + 5e-13) is Branch.TWOFOLD
+        assert branch_at(I_max + 1e-9) is Branch.UNIQUE
+        assert branch_at(I_max - 1e-9) is Branch.THREEFOLD
 
 
 class TestFindEquilibria2d:
@@ -216,16 +235,16 @@ class TestFindEquilibria2d:
         np.testing.assert_allclose(eq.points, expected, rtol=0, atol=1e-4)
 
     def test_fold_at_lower_current(self):
-        ex = find_extrema(P)
-        eq = find_symmetric_equilibria(DmlParams(I=ex.I_min))
+        _, I_min = fold_currents(P)
+        eq = find_symmetric_equilibria(DmlParams(I=I_min))
         assert eq.branch is Branch.TWOFOLD
         np.testing.assert_allclose(
             eq.points, [(-0.07386, 0.00926), (0.28639, 0.06193)], rtol=0, atol=1e-4
         )
 
     def test_fold_at_upper_current(self):
-        ex = find_extrema(P)
-        eq = find_symmetric_equilibria(DmlParams(I=ex.I_max))
+        I_max, _ = fold_currents(P)
+        eq = find_symmetric_equilibria(DmlParams(I=I_max))
         assert eq.branch is Branch.TWOFOLD
         np.testing.assert_allclose(
             eq.points, [(0.05114, 0.0179), (0.39491, 0.109785)], rtol=0, atol=1e-4
@@ -248,11 +267,12 @@ class TestFindEquilibria2d:
                 assert np.abs(single(0.0, [x, y], p)).max() < 1e-10
 
     def test_branch_count_consistent_with_classification(self):
-        ex = find_extrema(P)
+        # no random current lands within FOLD_TOL of a fold
+        I_max, I_min = fold_currents(P)
         rng = np.random.default_rng(42)
         for I in rng.uniform(-0.02, 0.05, size=200):
             eq = find_symmetric_equilibria(DmlParams(I=I))
-            assert eq.branch is classify_branch(I, ex)
+            assert eq.branch is (Branch.THREEFOLD if I_min < I < I_max else Branch.UNIQUE)
 
     def test_window_exhaustion(self):
         with pytest.raises(RootWindowExhaustedError):
@@ -402,7 +422,7 @@ class TestRootSolve:
 
         extrema = [bisect_reference(gprime, a, b)
                    for a, b, _, _ in _scan_brackets(gprime, *DEFAULT_WINDOW, 1e-3)]
-        np.testing.assert_allclose(_g_extrema(p, coupling), extrema, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(fold_voltages(p, coupling), extrema, rtol=0, atol=1e-13)
         # a root near a fold is ill-conditioned; the fold tests cover folds
         assume(all(abs(g(x)) > 1e-6 for x in extrema))
         ends = [DEFAULT_WINDOW[0], *extrema, DEFAULT_WINDOW[1]]

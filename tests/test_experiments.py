@@ -7,12 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmlneuro import experiments
-from dmlneuro.equilibria import Branch, _g_extrema, find_symmetric_equilibria, i_infinity
-from dmlneuro.exceptions import (
-    InsufficientSamplesError,
-    NoExtremaError,
-    RootWindowExhaustedError,
-)
+from dmlneuro.equilibria import Branch, find_symmetric_equilibria, fold_voltages, i_infinity
+from dmlneuro.exceptions import InsufficientSamplesError, RootWindowExhaustedError
 from dmlneuro.fde import SolverConfig, solve_fde
 from dmlneuro.models import (
     DmlParams,
@@ -165,17 +161,9 @@ class TestBifurcationSweep:
         scan = bifurcation_sweep(
             P, NoCoupling(), 0.019, (0.97, 1.0), 0.01, SHORT, tail_window=50
         )
-        assert scan.warm_start
         for k in range(scan.beta_values.size - 1):
             np.testing.assert_array_equal(scan.initial_states[k + 1], scan.final_states[k])
         np.testing.assert_array_equal(scan.initial_states[0], [0.1, 0.1])
-
-    def test_ascending_direction_available(self):
-        scan = bifurcation_sweep(
-            P, NoCoupling(), 0.019, (0.97, 1.0), 0.01, SHORT,
-            tail_window=50, descending=False,
-        )
-        assert (np.diff(scan.beta_values) > 0).all()
 
     def test_blow_up_flags_cell_and_continues(self):
         # an enormous drive pushes the voltage past the exp overflow range
@@ -289,25 +277,14 @@ class TestHopfCurve:
         with pytest.raises(TypeError, match="bug"):
             hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
 
-    def test_a_failed_extremum_search_omits_every_current(self, monkeypatch):
-        def no_extrema(p, coupling):
-            raise NoExtremaError("no fold")
-
-        monkeypatch.setattr(experiments, "_g_extrema", no_extrema)
-        curve = hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
-        assert curve.I_values.size == 0 and curve.beta_star_values.size == 0
-        assert curve.omitted == tuple(
-            (I, "equilibrium search failed: no fold") for I in (0.018, 0.019, 0.02)
-        )
-
     def test_extrema_are_found_once_per_curve(self, monkeypatch):
         calls = []
 
         def spy(p, coupling):
             calls.append(p)
-            return _g_extrema(p, coupling)
+            return fold_voltages(p, coupling)
 
-        monkeypatch.setattr(experiments, "_g_extrema", spy)
+        monkeypatch.setattr(experiments, "fold_voltages", spy)
         curve = hopf_curve(P, SigmoidCoupling(0.001), (0.005, 0.025), 40)
         assert len(calls) == 1
         assert curve.I_values.size and curve.omitted
@@ -331,7 +308,7 @@ class TestHopfCurve:
     ):
         p = DmlParams(I=0.0, A=A, alpha=alpha, gamma=gamma)
         # g = I - i_infinity + current vanishes at an extremum at the fold current
-        folds = [i_infinity(x, p) - coupling.current(x, x) for x in _g_extrema(p, coupling)]
+        folds = [i_infinity(x, p) - coupling.current(x, x) for x in fold_voltages(p, coupling)]
         assume(len(folds) == 2)
         band = (min(folds) - below, max(folds) + above)
         curve = hopf_curve(p, coupling, band, n_points)

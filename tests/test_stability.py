@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmlneuro.equilibria import find_extrema, find_symmetric_equilibria
+from dmlneuro.equilibria import find_symmetric_equilibria, fold_voltages, i_infinity
 from dmlneuro.exceptions import DegenerateDeterminantError
 from dmlneuro.models import (
     DmlParams,
@@ -26,6 +26,8 @@ from dmlneuro.stability import (
 
 P = DmlParams(I=0.019)
 X_STAR = 0.40772  # unique equilibrium voltage at the default drive
+# the cell's fold currents, at the extrema of its current-voltage curve
+I_MAX, I_MIN = (i_infinity(x, P) for x in fold_voltages(P))
 
 
 def matignon_stable(matrix: np.ndarray, beta: float) -> bool:
@@ -207,8 +209,7 @@ class TestBetaStar:
         assert beta_star(x, p).kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
 
     def test_degenerate_determinant_raises(self):
-        ex = find_extrema(P)
-        p = DmlParams(I=ex.I_min)
+        p = DmlParams(I=I_MIN)
         eq = find_symmetric_equilibria(p)
         with pytest.raises(DegenerateDeterminantError):
             beta_star(eq.points[-1, 0], p)  # the fold point
@@ -280,14 +281,12 @@ class TestEigenvalueOracleEquivalence:
 
 class TestSaddleNodeCondition:
     def test_fold_detected_at_lower_extremum(self):
-        ex = find_extrema(P)
-        report = saddle_node_condition(P, NoCoupling(), ex.I_min)
+        report = saddle_node_condition(P, NoCoupling(), I_MIN)
         assert report.found
         assert any("delta" in d and "x* = 0.286" in d for d in report.details)
 
     def test_fold_detected_at_upper_extremum(self):
-        ex = find_extrema(P)
-        assert saddle_node_condition(P, NoCoupling(), ex.I_max).found
+        assert saddle_node_condition(P, NoCoupling(), I_MAX).found
 
     def test_no_fold_at_generic_current(self):
         report = saddle_node_condition(P, NoCoupling(), 0.019)
@@ -295,8 +294,7 @@ class TestSaddleNodeCondition:
 
     def test_linear_pair_folds_where_the_cell_does(self):
         # the plus block of a linear pair is the single cell's for every theta
-        ex = find_extrema(P)
-        report = saddle_node_condition(P, LinearCoupling(0.008), ex.I_min)
+        report = saddle_node_condition(P, LinearCoupling(0.008), I_MIN)
         assert report.found
         assert any(d.startswith("delta+") for d in report.details)
         assert not saddle_node_condition(P, LinearCoupling(0.008), 0.019).found
@@ -305,5 +303,4 @@ class TestSaddleNodeCondition:
         # with a tiny sigmoid coupling the fold survives at a slightly
         # shifted current; scan for a vanishing branch determinant nearby
         c = SigmoidCoupling(sigma=0.0)
-        ex = find_extrema(P)
-        assert saddle_node_condition(P, c, ex.I_min).found
+        assert saddle_node_condition(P, c, I_MIN).found
