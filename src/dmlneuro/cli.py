@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import os
 import re
@@ -269,8 +268,8 @@ class _CsvStream:
 
     ``feed`` hands the helper whole ``_CSV_CHUNK``s of rows while the table
     is still being computed, and ``write`` writes the finished table: the
-    helper's text, then the rest, formatted here while the helper finishes.
-    A table that was never fed is formatted here alone.
+    helper's text, then the rest, formatted here.  A table that was never
+    fed is formatted here alone.
 
     The helper starts at the first rows handed over.  It reads raw doubles
     from a pipe and writes their text, by the template of ``_float_rows``,
@@ -322,18 +321,14 @@ class _CsvStream:
         helper already has."""
         import shutil
 
-        if self.helper is None:
-            _float_rows(fh, rows)
-            return
-        self.helper.stdin.close()
-        own = io.StringIO()
-        _float_rows(own, rows[self.sent :])
-        if self.helper.wait() == 0:
-            self.text.seek(0)
-            shutil.copyfileobj(self.text, fh)
-        else:
-            _float_rows(fh, rows[: self.sent])
-        fh.write(own.getvalue())
+        done = 0  # rows whose text the helper wrote
+        if self.helper is not None:
+            self.helper.stdin.close()
+            if self.helper.wait() == 0:
+                self.text.seek(0)
+                shutil.copyfileobj(self.text, fh)
+                done = self.sent
+        _float_rows(fh, rows[done:])
 
     def close(self) -> None:
         """Kill the helper if it still runs, wait for it and drop its text."""
@@ -436,7 +431,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         record = {
             "converged": summary.converged,
             "tail_amplitude_x": summary.tail_amplitude_x,
-            "final_state": [float(v) for v in summary.final_state],
+            "final_state": [float(v) for v in traj.states[-1]],
         }
         if summary.excitatory_ok is not None:
             record["excitatory_ok"] = summary.excitatory_ok
@@ -455,9 +450,11 @@ def _cmd_equilibria(cfg: RunConfig) -> int:
     return 0
 
 
-def _beta_star_cell(x_star: float, cfg: RunConfig):
+def _beta_star_cell(x_star: float, p: DmlParams, coupling):
+    """The threshold's value and kind, as ``stability`` and ``beta-star``
+    print them."""
     try:
-        result = beta_star(x_star, cfg.params(), cfg.coupling())
+        result = beta_star(x_star, p, coupling)
     except DegenerateDeterminantError:
         return "undefined", "undefined"
     if result.kind is BetaStarKind.THRESHOLD:
@@ -465,16 +462,20 @@ def _beta_star_cell(x_star: float, cfg: RunConfig):
     return result.kind.value, result.kind.value
 
 
+def _equilibrium_points(cfg: RunConfig):
+    """Yield ``(x_star, y_star, indicators, (beta_star, kind))`` for each
+    symmetric equilibrium of the configured model."""
+    p, coupling = cfg.params(), cfg.coupling()
+    for x_star, y_star in find_symmetric_equilibria(p, coupling).points:
+        yield x_star, y_star, indicators(x_star, p, coupling), _beta_star_cell(x_star, p, coupling)
+
+
 def _cmd_stability(cfg: RunConfig) -> int:
-    eq = find_symmetric_equilibria(cfg.params(), cfg.coupling())
-    rows = []
-    for x_star, _ in eq.points:
-        ind = indicators(x_star, cfg.params(), cfg.coupling())
-        label = classify(ind, cfg.beta).value
-        bs_value, _ = _beta_star_cell(x_star, cfg)
-        rows.append(
-            [x_star, ind.tau_plus, ind.delta_plus, ind.tau_minus, ind.delta_minus, label, bs_value]
-        )
+    rows = [
+        [x_star, ind.tau_plus, ind.delta_plus, ind.tau_minus, ind.delta_minus,
+         classify(ind, cfg.beta).value, bs_value]
+        for x_star, _, ind, (bs_value, _) in _equilibrium_points(cfg)
+    ]
     _emit(
         cfg,
         ["x_star", "tau_plus", "delta_plus", "tau_minus", "delta_minus",
@@ -485,24 +486,21 @@ def _cmd_stability(cfg: RunConfig) -> int:
 
 
 def _cmd_beta_star(cfg: RunConfig) -> int:
-    eq = find_symmetric_equilibria(cfg.params(), cfg.coupling())
-    records = []
-    for x_star, y_star in eq.points:
-        ind = indicators(x_star, cfg.params(), cfg.coupling())
-        bs_value, kind = _beta_star_cell(x_star, cfg)
-        records.append(
-            {
-                "model": cfg.model,
-                "I": cfg.I,
-                "coupling_value": cfg.coupling().value,
-                "x_star": float(x_star),
-                "y_star": float(y_star),
-                "tau": ind.tau_plus,
-                "delta": ind.delta_plus,
-                "beta_star": bs_value,
-                "kind": kind,
-            }
-        )
+    value = cfg.coupling().value
+    records = [
+        {
+            "model": cfg.model,
+            "I": cfg.I,
+            "coupling_value": value,
+            "x_star": float(x_star),
+            "y_star": float(y_star),
+            "tau": ind.tau_plus,
+            "delta": ind.delta_plus,
+            "beta_star": bs_value,
+            "kind": kind,
+        }
+        for x_star, y_star, ind, (bs_value, kind) in _equilibrium_points(cfg)
+    ]
     _write(cfg, json.dumps(records[0] if len(records) == 1 else records, indent=2) + "\n")
     return 0
 
@@ -511,7 +509,6 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     scan = bifurcation_sweep(
         cfg.params(),
         cfg.coupling(),
-        cfg.I,
         (cfg.beta_from, cfg.beta_to),
         cfg.beta_step,
         cfg.solver_config(),
@@ -622,7 +619,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     try:
@@ -630,10 +627,12 @@ def run_cli(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
-    except DmlNeuroError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
+    # the inputs were all checked before the work, so an OSError here is a
+    # failed open or write of an output
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (DmlNeuroError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 

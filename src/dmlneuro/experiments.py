@@ -50,7 +50,6 @@ class SimulationSummary:
     trajectory: Trajectory
     tail_amplitude_x: float
     converged: bool
-    final_state: np.ndarray
     excitatory_ok: Optional[bool] = None
 
 
@@ -59,13 +58,13 @@ class BifurcationScan:
     """Continuation sweep over the fractional order.
 
     ``tail_samples[k]`` holds the last W voltage samples (one column per
-    neuron) at ``beta_values[k]``; ``initial_states``/``final_states`` expose
-    the warm-start chain; failed cells are NaN-filled and flagged.
+    neuron) at ``beta_values[k]``; ``final_states[k]`` is the state that
+    order ended in and the next one starts from; failed cells are NaN-filled
+    and flagged.
     """
 
     beta_values: np.ndarray
     tail_samples: np.ndarray  # shape (n_beta, W, n_voltage)
-    initial_states: np.ndarray
     final_states: np.ndarray
     failed: np.ndarray
 
@@ -89,7 +88,7 @@ def oscillation_metrics(tail) -> OscillationMetrics:
     signs = np.sign(np.diff(tail))
     signs = signs[signs != 0.0]
     extrema = int(np.count_nonzero(signs[1:] != signs[:-1])) if signs.size else 0
-    return OscillationMetrics(amplitude, amplitude > AMPLITUDE_TOL, extrema)
+    return OscillationMetrics(amplitude, amplitude >= AMPLITUDE_TOL, extrema)
 
 
 def _resolve_y0(y0, dim):
@@ -117,8 +116,8 @@ def run_experiment(
     ``_on_rows`` is handed to :func:`solve_fde` as it is.
     """
     beta = check_order(beta)
-    rhs, dim = vector_field(coupling)
-    y0 = _resolve_y0(y0, dim)
+    rhs = vector_field(coupling)
+    y0 = _resolve_y0(y0, coupling.dim)
     n_samples = config.n_steps + 1
     if discard < 0 or tail < 1:
         raise ValueError("discard must be >= 0 and tail >= 1")
@@ -137,7 +136,6 @@ def run_experiment(
         trajectory=traj,
         tail_amplitude_x=amplitude,
         converged=amplitude < AMPLITUDE_TOL,
-        final_state=traj.states[-1].copy(),
         excitatory_ok=excitatory,
     )
 
@@ -159,53 +157,40 @@ def _beta_grid(beta_range, beta_step):
 def bifurcation_sweep(
     p: DmlParams,
     coupling: CouplingSpec,
-    I: float,
     beta_range,
     beta_step: float,
     config: SolverConfig,
     y0=None,
     tail_window: int = DEFAULT_TAIL,
 ) -> BifurcationScan:
-    """Continuation sweep over the fractional order at fixed current.
+    """Continuation sweep over the fractional order at the current ``p.I``.
 
     Runs descend from the top of the range, each warm-started from the
-    previous run's final state.  A run that blows up leaves a NaN-filled,
+    previous run's final state, and run by :func:`run_experiment` with no
+    transient discarded.  A run that blows up leaves a NaN-filled,
     flagged cell and the sweep continues from the last finite state.
     """
-    p = replace(p, I=float(I))
-    rhs, dim = vector_field(coupling)
-    current = _resolve_y0(y0, dim)
-    n_samples = config.n_steps + 1
-    if tail_window < 1 or tail_window > n_samples:
-        raise InsufficientSamplesError(
-            f"tail window {tail_window} does not fit the {n_samples} grid samples"
-        )
+    current = _resolve_y0(y0, coupling.dim)
     betas = _beta_grid(beta_range, beta_step)
-
-    tails = np.empty((betas.size, tail_window, dim // 2))
-    initials = np.empty((betas.size, dim))
-    finals = np.empty((betas.size, dim))
+    tails, finals = [], []
     failed = np.zeros(betas.size, dtype=bool)
     for k, beta in enumerate(betas):
-        initials[k] = current
         try:
-            traj = solve_fde(rhs, float(beta), config, current, p)
+            run = run_experiment(p, coupling, beta, config, current, discard=0, tail=tail_window)
         except NonFiniteStateError as err:
             failed[k] = True
-            tails[k] = np.nan
+            tails.append(np.full((tail_window, coupling.dim // 2), np.nan))
             if err.trajectory is not None and err.trajectory.states.shape[0] > 0:
                 current = err.trajectory.states[-1].copy()
-            finals[k] = current
-            continue
-        tails[k] = traj.states[-tail_window:, ::2]
-        finals[k] = traj.states[-1]
-        current = traj.states[-1].copy()
-        del traj  # so the next solve does not run beside this one's arrays
+        else:
+            tails.append(run.trajectory.states[-tail_window:, ::2].copy())
+            current = run.trajectory.states[-1].copy()
+            del run  # so the next solve does not run beside this one's arrays
+        finals.append(current)
     return BifurcationScan(
         beta_values=betas,
-        tail_samples=tails,
-        initial_states=initials,
-        final_states=finals,
+        tail_samples=np.array(tails),
+        final_states=np.array(finals),
         failed=failed,
     )
 

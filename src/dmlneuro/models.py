@@ -175,19 +175,19 @@ def _pair(current, t, state, p: DmlParams) -> tuple:
 
 
 def vector_field(coupling: CouplingSpec):
-    """Return ``(rhs, dimension)`` for the model selected by the coupling spec.
+    """Return the field ``rhs(t, y, p)`` of the model selected by the coupling.
 
-    The returned ``rhs(t, y, p)`` matches the solver's calling convention,
-    with ``p`` a :class:`DmlParams` record.  It takes any sequence of
-    ``dim`` floats (the solver hands a list) and returns a tuple of ``dim``
-    floats; a ``(dim, B)`` array unpacks the same way, into ``dim`` rows of
-    ``B`` values each.
+    It matches the solver's calling convention, with ``p`` a
+    :class:`DmlParams` record, and its dimension is ``coupling.dim``.  It
+    takes any sequence of ``dim`` floats (the solver hands a list) and
+    returns a tuple of ``dim`` floats; a ``(dim, B)`` array unpacks the same
+    way, into ``dim`` rows of ``B`` values each.
     """
     dim = getattr(coupling, "dim", None)
     if dim not in (2, 4):
         raise TypeError(f"unknown coupling spec: {coupling!r}")
     if dim == 2:
-        return _cell, dim
+        return _cell
     # the body and the coupling's current are bound once, positionally, so a
     # call builds no keyword dict; unlike a closure, a partial pickles
-    return partial(_pair, coupling.current), dim
+    return partial(_pair, coupling.current)

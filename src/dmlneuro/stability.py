@@ -15,7 +15,7 @@ system is asymptotically stable iff every block satisfies ``delta > 0`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -165,21 +165,20 @@ class SaddleNodeReport:
     details: tuple[str, ...]
 
 
-def saddle_node_condition(p: DmlParams, coupling: CouplingSpec, I: float) -> SaddleNodeReport:
-    """Test whether the stimulation current ``I`` sits at a fold.
+def saddle_node_condition(p: DmlParams, coupling: CouplingSpec) -> SaddleNodeReport:
+    """Test whether the stimulation current ``p.I`` sits at a fold.
 
     A fold needs a vanishing determinant (``|delta| < 1e-10``) at some
     equilibrium: the single block of an isolated cell, or either block of a
     coupled pair.  The plus block of a linear pair equals the single cell's
     for every theta, so that pair folds where the cell does.
     """
-    p_at = replace(p, I=I)
-    eq = find_symmetric_equilibria(p_at, coupling)
+    eq = find_symmetric_equilibria(p, coupling)
     names = ("delta",) if coupling.dim == 2 else ("delta+", "delta-")
 
     details = []
     for x_star, _ in eq.points:
-        branches = indicators(x_star, p_at, coupling).branches
+        branches = indicators(x_star, p, coupling).branches
         for label, (_, value) in zip(names, branches):
             if abs(value) < 1e-10:
                 details.append(f"{label} = {value:.3e} vanishes at x* = {x_star:.6f}")

@@ -505,7 +505,7 @@ class TestCsvWriter:
 
         monkeypatch.setattr(cli, "_output", lambda cfg: contextlib.nullcontext(Failing()))
         code, _, err = run(capsys, *simulate_argv(100))
-        assert code == 2 and "disk full" in err
+        assert code == 2 and err.startswith("output error: disk full")
         assert len(helpers) == 1 and helpers[0].returncode is not None
 
     def test_helper_that_cannot_start_falls_back(self, tmp_path, monkeypatch, helpers):
@@ -641,7 +641,7 @@ class TestCsvWriter:
         real = experiments.vector_field
 
         def faulty(coupling):
-            rhs, dim = real(coupling)
+            rhs, dim = real(coupling), coupling.dim
             calls = itertools.count()
 
             def field(t, y, p):
@@ -651,7 +651,7 @@ class TestCsvWriter:
                     raise KeyboardInterrupt
                 return [0.0] if fault == "short row" else [math.nan] * dim
 
-            return field, dim
+            return field
 
         monkeypatch.setattr(experiments, "vector_field", faulty)
         out_path = tmp_path / "traj.csv"

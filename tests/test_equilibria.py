@@ -32,7 +32,7 @@ from dmlneuro.models import (
 from dmlneuro.stability import indicators
 
 P = DmlParams(I=0.019)
-single = vector_field(NoCoupling())[0]
+single = vector_field(NoCoupling())
 
 # reference values for the default parameter set, cross-checked against an
 # independent root finder at double precision
@@ -306,7 +306,7 @@ class TestSymmetricEquilibria:
     def test_sigmoid_residuals_tiny(self):
         c = SigmoidCoupling(sigma=0.001)
         eq = find_symmetric_equilibria(P, c)
-        rhs, _ = vector_field(c)
+        rhs = vector_field(c)
         for x, y in eq.points:
             assert np.abs(rhs(0.0, [x, y, x, y], P)).max() < 1e-10
 

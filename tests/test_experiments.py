@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dmlneuro import experiments
 from dmlneuro.equilibria import Branch, find_symmetric_equilibria, fold_voltages, i_infinity
 from dmlneuro.exceptions import InsufficientSamplesError, RootWindowExhaustedError
-from dmlneuro.fde import SolverConfig, solve_fde
+from dmlneuro.fde import SolverConfig, Trajectory, solve_fde
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -51,13 +51,27 @@ class TestOscillationMetrics:
         m = oscillation_metrics(np.linspace(0.0, 1.0, 50))
         assert m.extrema_count == 0 and m.is_oscillating
 
+    def test_amplitude_at_the_tolerance_oscillates_in_both_verdicts(self, monkeypatch):
+        # a spread of exactly AMPLITUDE_TOL counts as oscillating, for the
+        # metrics and for run_experiment alike
+        tail = [0.0, 1e-4, 0.0]
+        assert oscillation_metrics(tail).is_oscillating
+        states = np.array([[v, 0.0] for v in tail])
+
+        def solved(*args, **kwargs):
+            return Trajectory(np.arange(3.0), states)
+
+        monkeypatch.setattr(experiments, "solve_fde", solved)
+        s = run_experiment(P, NoCoupling(), 0.9, SolverConfig(0.0, 2.0, 1.0), discard=0, tail=3)
+        assert s.tail_amplitude_x == 1e-4 and not s.converged
+
 
 class TestRunExperiment:
     def test_converges_below_threshold_order(self):
         s = run_experiment(P, NoCoupling(), 0.9, FAST, discard=10_000, tail=500)
         assert s.converged
         assert s.tail_amplitude_x < 1e-4
-        assert abs(s.final_state[0] - 0.40772) < 1e-3
+        assert abs(s.trajectory.states[-1, 0] - 0.40772) < 1e-3
 
     def test_oscillates_above_threshold_order(self):
         s = run_experiment(P, NoCoupling(), 0.99, FAST, discard=10_000, tail=500)
@@ -77,7 +91,7 @@ class TestRunExperiment:
         assert s.converged
         tail = s.trajectory.states[-500:]
         assert np.abs(tail[:, 0] - tail[:, 2]).max() < 1e-4
-        assert abs(s.final_state[0] - 0.40772) < 1e-3
+        assert abs(s.trajectory.states[-1, 0] - 0.40772) < 1e-3
 
     def test_sigmoid_pair_reports_excitatory_synapse(self):
         s = run_experiment(
@@ -109,7 +123,7 @@ class TestRunExperiment:
 class TestBifurcationSweep:
     def test_degenerate_single_point_equals_plain_run(self):
         scan = bifurcation_sweep(
-            P, NoCoupling(), 0.019, (0.95, 0.95), 0.002, SHORT, tail_window=100
+            P, NoCoupling(), (0.95, 0.95), 0.002, SHORT, tail_window=100
         )
         assert scan.beta_values.shape == (1,)
         s = run_experiment(P, NoCoupling(), 0.95, SHORT, discard=0, tail=100)
@@ -117,7 +131,7 @@ class TestBifurcationSweep:
 
     def test_pair_tails_are_the_two_voltages(self):
         c = SigmoidCoupling(sigma=0.001)
-        scan = bifurcation_sweep(P, c, 0.019, (0.95, 0.95), 0.002, SHORT, tail_window=100)
+        scan = bifurcation_sweep(P, c, (0.95, 0.95), 0.002, SHORT, tail_window=100)
         assert scan.tail_samples.shape == (1, 100, 2)
         s = run_experiment(P, c, 0.95, SHORT, discard=0, tail=100)
         np.testing.assert_array_equal(scan.tail_samples[0], s.trajectory.states[-100:, [0, 2]])
@@ -135,13 +149,13 @@ class TestBifurcationSweep:
 
         monkeypatch.setattr(experiments, "solve_fde", spy)
         bifurcation_sweep(
-            P, SigmoidCoupling(sigma=0.001), 0.019, (0.97, 1.0), 0.01, SHORT, tail_window=50
+            P, SigmoidCoupling(sigma=0.001), (0.97, 1.0), 0.01, SHORT, tail_window=50
         )
         assert len(refs) == 4
 
     def test_grid_is_descending_and_complete(self):
         scan = bifurcation_sweep(
-            P, NoCoupling(), 0.019, (0.99, 1.0), 0.002, SHORT, tail_window=50
+            P, NoCoupling(), (0.99, 1.0), 0.002, SHORT, tail_window=50
         )
         np.testing.assert_allclose(
             scan.beta_values, [1.0, 0.998, 0.996, 0.994, 0.992, 0.99], atol=1e-12
@@ -153,22 +167,47 @@ class TestBifurcationSweep:
         # the step is the contract; the grid stops short of the far end
         # rather than silently re-spacing
         scan = bifurcation_sweep(
-            P, NoCoupling(), 0.019, (0.975, 1.0), 0.01, SHORT, tail_window=20
+            P, NoCoupling(), (0.975, 1.0), 0.01, SHORT, tail_window=20
         )
         np.testing.assert_allclose(scan.beta_values, [1.0, 0.99, 0.98], atol=1e-12)
 
-    def test_warm_start_chain_is_bitwise(self):
+    def test_warm_start_chain_is_bitwise(self, monkeypatch):
+        starts = []
+
+        def spy(rhs, beta, config, y0, p, **kwargs):
+            starts.append(np.array(y0))
+            return solve_fde(rhs, beta, config, y0, p, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_fde", spy)
         scan = bifurcation_sweep(
-            P, NoCoupling(), 0.019, (0.97, 1.0), 0.01, SHORT, tail_window=50
+            P, NoCoupling(), (0.97, 1.0), 0.01, SHORT, tail_window=50
         )
+        assert len(starts) == scan.beta_values.size
+        np.testing.assert_array_equal(starts[0], [0.1, 0.1])
         for k in range(scan.beta_values.size - 1):
-            np.testing.assert_array_equal(scan.initial_states[k + 1], scan.final_states[k])
-        np.testing.assert_array_equal(scan.initial_states[0], [0.1, 0.1])
+            np.testing.assert_array_equal(starts[k + 1], scan.final_states[k])
+
+    def test_current_comes_from_the_params(self):
+        low, high = (
+            bifurcation_sweep(DmlParams(I=I), NoCoupling(), (0.95, 0.95), 0.002, SHORT, tail_window=50)
+            for I in (0.01, 0.019)
+        )
+        assert not np.array_equal(low.tail_samples, high.tail_samples)
+        s = run_experiment(DmlParams(I=0.01), NoCoupling(), 0.95, SHORT, discard=0, tail=50)
+        np.testing.assert_array_equal(low.tail_samples[0, :, 0], s.trajectory.states[-50:, 0])
+
+    def test_empty_tail_window_rejected_before_any_solve(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("solve_fde called")
+
+        monkeypatch.setattr(experiments, "solve_fde", spy)
+        with pytest.raises(ValueError, match="tail >= 1"):
+            bifurcation_sweep(P, NoCoupling(), (0.97, 1.0), 0.01, SHORT, tail_window=0)
 
     def test_blow_up_flags_cell_and_continues(self):
         # an enormous drive pushes the voltage past the exp overflow range
         scan = bifurcation_sweep(
-            DmlParams(I=1e6), NoCoupling(), 1e6, (0.9, 1.0), 0.05,
+            DmlParams(I=1e6), NoCoupling(), (0.9, 1.0), 0.05,
             SolverConfig(0.0, 5.0, 0.05), tail_window=20,
         )
         assert scan.failed.all()
@@ -177,12 +216,12 @@ class TestBifurcationSweep:
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
-            bifurcation_sweep(P, NoCoupling(), 0.019, (0.9, 1.1), 0.01, SHORT)
+            bifurcation_sweep(P, NoCoupling(), (0.9, 1.1), 0.01, SHORT)
         with pytest.raises(ValueError):
-            bifurcation_sweep(P, NoCoupling(), 0.019, (0.9, 1.0), -0.01, SHORT)
+            bifurcation_sweep(P, NoCoupling(), (0.9, 1.0), -0.01, SHORT)
         with pytest.raises(InsufficientSamplesError):
             bifurcation_sweep(
-                P, NoCoupling(), 0.019, (0.9, 1.0), 0.05, SHORT, tail_window=5000
+                P, NoCoupling(), (0.9, 1.0), 0.05, SHORT, tail_window=5000
             )
 
 
@@ -190,7 +229,7 @@ class TestSweepOnset:
     def test_onset_tracks_the_threshold_at_higher_drive(self):
         # second operating point: threshold 0.98772 at I = 0.022
         scan = bifurcation_sweep(
-            DmlParams(I=0.022), NoCoupling(), 0.022, (0.976, 1.0), 0.002,
+            DmlParams(I=0.022), NoCoupling(), (0.976, 1.0), 0.002,
             FAST, tail_window=500,
         )
         oscillating = [
@@ -206,7 +245,7 @@ class TestPermutationSymmetry:
         "coupling", [LinearCoupling(0.008), SigmoidCoupling(sigma=0.001)]
     )
     def test_swapped_initial_conditions_swap_trajectories(self, coupling):
-        rhs, _ = vector_field(coupling)
+        rhs = vector_field(coupling)
         cfg = SolverConfig(0.0, 100.0, 0.05)
         y0 = np.array([0.1, 0.1, -0.2, 0.1])
         forward = solve_fde(rhs, 0.95, cfg, y0, P)

@@ -22,7 +22,7 @@ from dmlneuro.fde import (
 )
 from dmlneuro.models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling, vector_field
 
-single_field = vector_field(NoCoupling())[0]
+single_field = vector_field(NoCoupling())
 
 
 def decay(t, y, p):
@@ -371,7 +371,7 @@ class TestFftPath:
 
         monkeypatch.setattr(fde, "_FFT_BLOCK", 256)
         p = DmlParams(I=0.019)
-        rhs, _ = vector_field(LinearCoupling(0.008))
+        rhs = vector_field(LinearCoupling(0.008))
         y0 = [0.1, 0.1, -0.2, 0.1]
         cfg = SolverConfig(0.0, 30.0, 0.01)
         fast = solve_fde(rhs, 0.95, cfg, y0, p)
@@ -479,7 +479,7 @@ class TestNestedSquares:
         if model == "single":
             rhs, y0 = single_field, [0.1, 0.1]
         else:
-            rhs, y0 = vector_field(SigmoidCoupling(0.001))[0], [0.1, 0.1, -0.2, 0.1]
+            rhs, y0 = vector_field(SigmoidCoupling(0.001)), [0.1, 0.1, -0.2, 0.1]
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05, corrector_iterations=iterations)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fde, "_FFT_BLOCK", block)
@@ -547,7 +547,7 @@ class TestNestedSquares:
 
     @pytest.mark.parametrize("coupling", [NoCoupling(), SigmoidCoupling(0.001)], ids=["dim2", "dim4"])
     def test_a_small_square_folds_in_one_transform_pair(self, coupling):
-        rhs, dim = vector_field(coupling)
+        rhs, dim = vector_field(coupling), coupling.dim
         evals = [0]
 
         def field(t, y, p):
@@ -579,7 +579,7 @@ class TestNestedSquares:
         ids=["single", "linear", "sigmoid"],
     )
     def test_batched_and_per_column_folds_give_the_same_bits(self, coupling):
-        rhs, dim = vector_field(coupling)
+        rhs, dim = vector_field(coupling), coupling.dim
         # 5000 steps transform at 128 .. 5120 points, so the default batch
         # size splits them; the grid ends in clipped squares
         n_steps = 5000
@@ -599,7 +599,7 @@ class TestFieldContract:
     CFG = SolverConfig(0.0, 100.0, 0.05)
 
     def test_rhs_receives_a_list_of_floats(self):
-        pair = vector_field(SigmoidCoupling(0.001))[0]
+        pair = vector_field(SigmoidCoupling(0.001))
         seen = []
 
         def field(t, y, p):
@@ -613,7 +613,7 @@ class TestFieldContract:
 
     @pytest.mark.parametrize("wrap", [list, np.array])
     def test_any_returned_sequence_gives_the_same_bits(self, wrap):
-        pair = vector_field(SigmoidCoupling(0.001))[0]
+        pair = vector_field(SigmoidCoupling(0.001))
         as_tuple = solve_fde(pair, 0.95, self.CFG, self.Y0, self.P)
         wrapped = solve_fde(lambda t, y, p: wrap(pair(t, y, p)), 0.95, self.CFG, self.Y0, self.P)
         assert isinstance(pair(0.0, self.Y0, self.P), tuple)

@@ -14,14 +14,14 @@ from dmlneuro.models import (
     _sigmoid,
 )
 
-single = vector_field(NoCoupling())[0]
+single = vector_field(NoCoupling())
 # theta = 0 is the uncoupled pair, which LinearCoupling rejects; a synapse of
 # zero strength passes the same zero current
-uncoupled_pair = vector_field(SigmoidCoupling(0.0))[0]
+uncoupled_pair = vector_field(SigmoidCoupling(0.0))
 
 
 def pair(coupling):
-    return vector_field(coupling)[0]
+    return vector_field(coupling)
 
 
 @pytest.fixture
@@ -182,9 +182,11 @@ class TestSigmoidPair:
 
 class TestDispatch:
     def test_vector_field_dimensions(self):
-        assert vector_field(NoCoupling())[1] == 2
-        assert vector_field(LinearCoupling(0.01))[1] == 4
-        assert vector_field(SigmoidCoupling(sigma=0.001))[1] == 4
+        assert NoCoupling().dim == 2
+        assert LinearCoupling(0.01).dim == 4
+        assert SigmoidCoupling(sigma=0.001).dim == 4
+        for c in (NoCoupling(), LinearCoupling(0.01), SigmoidCoupling(sigma=0.001)):
+            assert callable(vector_field(c))
 
     def test_dispatched_fields_agree_with_raw_functions(self, params):
         # a pair's field is each cell's single-cell field plus the current
@@ -192,7 +194,7 @@ class TestDispatch:
         x1, y1, x2, y2 = state4 = [0.1, 0.1, -0.2, 0.1]
         (dx1, dy1), (dx2, dy2) = single(0.0, [x1, y1], params), single(0.0, [x2, y2], params)
         for c in (LinearCoupling(0.008), SigmoidCoupling(sigma=0.001)):
-            rhs, _ = vector_field(c)
+            rhs = vector_field(c)
             expected = (dx1 + c.current(x1, x2), dy1, dx2 + c.current(x2, x1), dy2)
             assert rhs(0.0, state4, params) == expected
 
@@ -205,7 +207,7 @@ class TestDispatch:
         rng = np.random.default_rng(3)
         states = rng.uniform(-1.0, 1.0, size=(4, 5))
         for c in (NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(sigma=0.003)):
-            rhs, dim = vector_field(c)
+            rhs, dim = vector_field(c), c.dim
             columns = np.array(rhs(0.0, states[:dim], params))
             assert columns.shape == (dim, 5)
             for k in range(5):
@@ -216,7 +218,7 @@ class TestDispatch:
     @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)])
     def test_field_survives_pickling(self, coupling, params):
         # worker processes receive the field pickled; a closure would not pickle
-        rhs, dim = vector_field(coupling)
+        rhs, dim = vector_field(coupling), coupling.dim
         y = [0.1, 0.1, -0.2, 0.1][:dim]
         assert pickle.loads(pickle.dumps(rhs))(0.0, y, params) == rhs(0.0, y, params)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ class TestJacobian:
         x, y = 0.0, 0.0041 / 0.3
         J = jacobian(x, P)
         eps = 1e-7
-        single = vector_field(NoCoupling())[0]
+        single = vector_field(NoCoupling())
         for col, basis in enumerate(np.eye(2)):
             fd = (
                 np.array(single(0.0, np.array([x, y]) + eps * basis, P))
@@ -281,26 +282,26 @@ class TestEigenvalueOracleEquivalence:
 
 class TestSaddleNodeCondition:
     def test_fold_detected_at_lower_extremum(self):
-        report = saddle_node_condition(P, NoCoupling(), I_MIN)
+        report = saddle_node_condition(replace(P, I=I_MIN), NoCoupling())
         assert report.found
         assert any("delta" in d and "x* = 0.286" in d for d in report.details)
 
     def test_fold_detected_at_upper_extremum(self):
-        assert saddle_node_condition(P, NoCoupling(), I_MAX).found
+        assert saddle_node_condition(replace(P, I=I_MAX), NoCoupling()).found
 
     def test_no_fold_at_generic_current(self):
-        report = saddle_node_condition(P, NoCoupling(), 0.019)
+        report = saddle_node_condition(P, NoCoupling())
         assert not report.found and report.details == ()
 
     def test_linear_pair_folds_where_the_cell_does(self):
         # the plus block of a linear pair is the single cell's for every theta
-        report = saddle_node_condition(P, LinearCoupling(0.008), I_MIN)
+        report = saddle_node_condition(replace(P, I=I_MIN), LinearCoupling(0.008))
         assert report.found
         assert any(d.startswith("delta+") for d in report.details)
-        assert not saddle_node_condition(P, LinearCoupling(0.008), 0.019).found
+        assert not saddle_node_condition(P, LinearCoupling(0.008)).found
 
     def test_sigmoid_fold_tracks_the_shifted_extremum(self):
         # with a tiny sigmoid coupling the fold survives at a slightly
         # shifted current; scan for a vanishing branch determinant nearby
         c = SigmoidCoupling(sigma=0.0)
-        assert saddle_node_condition(P, c, I_MIN).found
+        assert saddle_node_condition(replace(P, I=I_MIN), c).found
