@@ -132,7 +132,10 @@ def _coerce(key: str, kind: str, value):
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
         return int(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float, got {value!r}") from None
 
 
 @functools.cache
@@ -256,8 +259,10 @@ def _emit(cfg: RunConfig, header: list[str], rows, stream=None) -> None:
             fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
 
 
-def _float_rows(fh, rows: np.ndarray) -> None:
-    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+def _float_rows(fh, rows: np.ndarray, line: Optional[str] = None) -> None:
+    """Write a float table by the ``%``-template ``line``, one ``%r`` per
+    column unless given; an integral column may take ``%d``."""
+    line = (line or ",".join(["%r"] * rows.shape[1])) + "\n"
     for start in range(0, len(rows), _CSV_CHUNK):
         chunk = rows[start : start + _CSV_CHUNK]
         fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
@@ -358,12 +363,6 @@ def _svg_plot(path: str, series, kind: str = "line") -> None:
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
-    def sx(x):
-        return margin + (x - x_lo) / x_span * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
-
     colors = ("#1f77b4", "#2ca02c", "#000000", "#d62728")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">',
@@ -378,13 +377,17 @@ def _svg_plot(path: str, series, kind: str = "line") -> None:
         ys = np.asarray(ys, dtype=float)
         ok = np.isfinite(xs) & np.isfinite(ys)
         color = colors[i % len(colors)]
+        # viewport coordinates, interleaved x, y
+        xy = np.column_stack((
+            margin + (xs[ok] - x_lo) / x_span * (width - 2 * margin),
+            height - margin - (ys[ok] - y_lo) / y_span * (height - 2 * margin),
+        )).ravel().tolist()
         if kind == "scatter":
-            parts.extend(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1" fill="{color}"/>'
-                for x, y in zip(xs[ok], ys[ok])
-            )
+            if xy:  # an empty part would write a blank line
+                circle = f'<circle cx="%.2f" cy="%.2f" r="1" fill="{color}"/>'
+                parts.append("\n".join([circle] * (len(xy) // 2)) % tuple(xy))
         else:
-            pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs[ok], ys[ok]))
+            pts = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -515,22 +518,24 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         y0=cfg.y0,
         tail_window=cfg.tail,
     )
-    dimer = scan.tail_samples.shape[2] > 1
-    header = ["beta", "sample_index", "x"] + (["neuron"] if dimer else [])
-    rows = []
-    for k, beta in enumerate(scan.beta_values):
-        for nv in range(scan.tail_samples.shape[2]):
-            for i in range(scan.tail_samples.shape[1]):
-                row = [beta, i, scan.tail_samples[k, i, nv]]
-                if dimer:
-                    row.append(nv + 1)
-                rows.append(row)
-    _emit(cfg, header, rows)
+    n_beta, n_tail, n_cells = scan.tail_samples.shape
+    # one row per order, neuron and tail sample, in that nesting
+    columns = [
+        np.repeat(scan.beta_values, n_cells * n_tail),
+        np.tile(np.arange(n_tail), n_beta * n_cells),
+        scan.tail_samples.transpose(0, 2, 1).reshape(-1),
+    ]
+    header, line = ["beta", "sample_index", "x"], "%r,%d,%r"
+    if n_cells > 1:
+        columns.append(np.tile(np.repeat(np.arange(1, n_cells + 1), n_tail), n_beta))
+        header, line = header + ["neuron"], line + ",%d"
+    with _output(cfg) as fh:
+        fh.write(",".join(header) + "\n")
+        _float_rows(fh, np.column_stack(columns), line)
     if cfg.svg:
         series = [
-            (np.repeat(scan.beta_values, scan.tail_samples.shape[1]),
-             scan.tail_samples[:, :, nv].reshape(-1))
-            for nv in range(scan.tail_samples.shape[2])
+            (np.repeat(scan.beta_values, n_tail), scan.tail_samples[:, :, nv].reshape(-1))
+            for nv in range(n_cells)
         ]
         _svg_plot(_svg_path(cfg), series, kind="scatter")
     if scan.failed.any():

@@ -80,10 +80,17 @@ class HopfCurve:
 
 
 def oscillation_metrics(tail) -> OscillationMetrics:
-    """Peak-to-peak amplitude, oscillation flag and count of interior extrema."""
+    """Peak-to-peak amplitude, oscillation flag and count of interior extrema.
+
+    Raises :class:`NonFiniteStateError` for a tail with a non-finite sample,
+    such as the NaN-filled cell of a failed sweep order, which has no
+    amplitude to judge.
+    """
     tail = np.asarray(tail, dtype=float)
     if tail.ndim != 1 or tail.size < 3:
         raise InsufficientSamplesError("oscillation metrics need at least 3 samples")
+    if not np.isfinite(tail).all():
+        raise NonFiniteStateError("oscillation metrics need a finite tail")
     amplitude = float(tail.max() - tail.min())
     signs = np.sign(np.diff(tail))
     signs = signs[signs != 0.0]

@@ -7,10 +7,11 @@ correct-evaluate (PECE) scheme.  The history sums follow the nested
 splitting of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6,
 1985) used in Garrappa's FDE-PI codes.  The grid falls into blocks of
 ``_FFT_BLOCK`` nodes, and a node sums the earlier nodes of its own block
-directly: a block buffer holds the block's vector-field rows and its far
-sums, and one product of a fixed weight row pair with that buffer gives a
-node its predictor state and corrector base.  Every other pair of source
-and target nodes lies in one square:
+directly.  A block buffer interleaves, node by node, the two far sums and
+the vector-field row, so block node k finds everything it reads in the
+buffer's first 3k + 2 rows: one product of a fixed ``(2, 3k + 2)`` weight
+row pair with that prefix gives it its predictor state and corrector base.
+Every other pair of source and target nodes lies in one square:
 at each node m that is an odd multiple of L = _FFT_BLOCK * 2**l, the sources
 [m - L, m) are added to the far sums of the targets [m, m + L) by a circular
 convolution of size 2L, which cannot wrap; a last square that the grid's
@@ -161,12 +162,14 @@ def solve_fde(
 
     ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a plain list
     of ``dim`` floats, and returns any sequence of ``dim`` floats: a tuple, a
-    list or an array.  Each step makes one matrix product: a ``(2, 3r)``
-    weight table, r = ``_FFT_BLOCK``, times a ``(3r, dim)`` buffer that holds
-    the vector field at the block's nodes (zero until a step writes it) and
-    the block's far sums, copied in once per block.  The rest of the step
-    runs on Python floats, and the block's states and field rows are stored
-    once per block.
+    list or an array.  Each step makes one matrix product.  A ``(3r, dim)``
+    block buffer, r = ``_FFT_BLOCK``, holds three rows per block node j: its
+    two far sums at 3j and 3j + 1, copied in once per block, and its vector
+    field at 3j + 2, written by node j's step.  Block node k multiplies a
+    ``(2, 3k + 2)`` weight row pair by the buffer's first 3k + 2 rows, the
+    ones it reads, which halves the product's work on average.  The rest of
+    the step runs on Python floats, and the block's states and field rows
+    are stored once per block.
 
     Raises :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state, and
@@ -210,17 +213,22 @@ def solve_fde(
     ca = h ** beta / math.gamma(beta + 2.0)
     kb = cb * np.concatenate(([0.0], _predictor_kernel(beta, max(n_steps, r) - 1)))
     ka = ca * _corrector_kernel(beta, max(n_steps, r))
-    # The block buffer Z holds r rows of the block's F, zero until written,
-    # then the block's far rows, two per node.  W[k] turns it into the
-    # predictor state and the corrector base of block node k in one product:
-    # the kernel weights of the k earlier nodes, oldest first, and ones that
-    # pick node k's own far rows.
-    W = np.zeros((r, 2, 3 * r))
-    for k in range(r):
-        W[k, :, :k] = kb[k:0:-1], ka[k:0:-1]
-        W[k, (0, 1), (r + 2 * k, r + 2 * k + 1)] = 1.0
-    W = list(W)  # views, cheaper to index than the 3-d table
+    # The block buffer Z interleaves three rows per block node j: its two
+    # far rows at 3j and 3j + 1, copied in once per block, and its F row at
+    # 3j + 2, written by node j's step.  W[k] turns the prefix Zk[k] =
+    # Z[:3k + 2] into the predictor state and the corrector base of block
+    # node k in one product: the kernel weights of the k earlier nodes'
+    # F rows, oldest first, zero on their far rows, and ones that pick node
+    # k's own far rows.  No row past the prefix is read.
     Z = np.zeros((3 * r, dim))
+    nodes = Z.reshape(r, 3, dim)  # a view: nodes[j] is node j's three rows
+    W, Zk = [], []
+    for k in range(r):
+        w = np.zeros((2, 3 * k + 2))
+        w[:, 2 : 3 * k : 3] = kb[k:0:-1], ka[k:0:-1]
+        w[(0, 1), (3 * k, 3 * k + 1)] = 1.0
+        W.append(w)
+        Zk.append(Z[: 3 * k + 2])
 
     # Far sums.  far[m, 0] holds y0 plus the predictor sum over the nodes the
     # squares have folded in so far, until m's block stores its states
@@ -268,24 +276,24 @@ def solve_fde(
                         far[q0:hi, 1, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
 
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
-            # cleared, so that a zero weight never meets a stale row
-            Z[:] = 0.0
+            # every row of a node's prefix is written in this block before
+            # the node reads it, so no stale row from an earlier block is read
             if not q0:
-                Z[0] = f0
-            Z[r : r + 2 * (stop - q0)] = far[q0:stop].reshape(-1, dim)
+                nodes[0, 2] = f0
+            nodes[: stop - q0, :2] = far[q0:stop]
             block = []
             try:
                 for m in range(lo, stop):
                     k = m - q0
                     # predictor state and corrector base in one product
-                    y_new, base = W[k].dot(Z).tolist()
+                    y_new, base = W[k].dot(Zk[k]).tolist()
                     t1 = t_start + h * m
                     f_new = rhs(t1, y_new, params)
                     for _ in range(iterations):
                         y_new = [b + ca * f for b, f in zip(base, f_new)]
                         f_new = rhs(t1, y_new, params)
                     block.append(y_new)
-                    Z[k] = f_new
+                    Z[3 * k + 2] = f_new
                 states[lo:stop] = block
             except ValueError as err:
                 # a longer output fails at the row write, a shorter one at
@@ -297,7 +305,7 @@ def solve_fde(
             if len(block[0]) != dim:
                 # rows of one value broadcast into the store without a word
                 raise DimensionMismatchError(_length_fault(block, f_new, dim, lo, m, times))
-            F[lo:stop] = Z[lo - q0 : stop - q0]
+            F[lo:stop] = nodes[lo - q0 : stop - q0, 2]
 
             finite = np.isfinite(states[lo:stop]).all(axis=1)
             if not finite.all():

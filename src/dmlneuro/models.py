@@ -5,8 +5,8 @@ recovery variable.  Two identical cells can be coupled bidirectionally
 through the voltage, either by a linear flow or by a sigmoidal (fast
 threshold modulation) synapse.
 
-Every coupling record follows one protocol, from which the field, the
-symmetric equilibria and the stability blocks are all derived:
+Every coupling record follows one protocol, from which the symmetric
+equilibria and the stability blocks are derived:
 
 - ``dim``: the state dimension, 2 for the single cell and 4 for a pair;
 - ``current(x_self, x_other)``: the synaptic current a cell at voltage
@@ -14,10 +14,13 @@ symmetric equilibria and the stability blocks are all derived:
 - ``partials(x_self, x_other)``: the two partial derivatives of that
   current, returned as ``(d_self, d_other)``;
 - ``v_s``: the synaptic reversal potential, or None for a coupling
-  without one.
+  without one;
+- ``field``: the model's vector field ``rhs(t, state, p)``, a float body
+  that adds the same current inline.
 
-Both methods take floats or numpy arrays of voltages.  Whatever the
-coupling, the voltages sit in the even columns of a state, ``state[::2]``.
+Both methods take floats or numpy arrays of voltages; the field takes the
+floats of one state.  Whatever the coupling, the voltages sit in the even
+columns of a state, ``state[::2]``.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ class NoCoupling:
     def partials(self, x_self, x_other):
         return 0.0, 0.0
 
+    @property
+    def field(self):
+        return _cell
+
 
 @dataclass(frozen=True)
 class LinearCoupling:
@@ -112,6 +119,10 @@ class LinearCoupling:
 
     def partials(self, x_self, x_other):
         return -self.theta, self.theta
+
+    @property
+    def field(self):
+        return partial(_linear_pair, self.theta)
 
 
 @dataclass(frozen=True)
@@ -151,43 +162,79 @@ class SigmoidCoupling:
         z = _sigmoid(self.lam * (x_other - self.q))
         return -self.sigma * z, self.sigma * (self.v_s - x_self) * (self.lam * z * (1.0 - z))
 
+    @property
+    def field(self):
+        return partial(_sigmoid_pair, self.sigma, self.v_s, self.lam, self.q)
+
 
 CouplingSpec = Union[NoCoupling, LinearCoupling, SigmoidCoupling]
 
 
-def _local(x: float, y: float, p: DmlParams):
-    return x * x * (1.0 - x) - y + p.I, p.A * _exp(p.alpha * x) - p.gamma * y
-
+# The fields are straight-line float bodies: each writes the cell kinetics,
+# the exponential's overflow guard and its coupling current inline, in the
+# operation order of ``_exp``, ``_sigmoid`` and ``current``, so a field value
+# is bitwise the sum of those pieces at a fraction of the calls.  Parameters
+# are bound positionally with ``functools.partial``, which builds no keyword
+# dict per call and, unlike a closure, pickles.
 
 def _cell(t, state, p: DmlParams) -> tuple:
     """Field of the single cell; ``state`` is any sequence of 2 floats."""
     x, y = state
-    return _local(x, y, p)
+    a = p.alpha * x
+    return (
+        x * x * (1.0 - x) - y + p.I,
+        p.A * (math.exp(a) if a < _EXP_MAX else math.inf) - p.gamma * y,
+    )
 
 
-def _pair(current, t, state, p: DmlParams) -> tuple:
-    """Local field of each cell of a pair plus the ``current`` it receives
-    from its partner; ``state`` is any sequence of 4 floats."""
+def _linear_pair(theta, t, state, p: DmlParams) -> tuple:
+    """Field of a linearly coupled pair; ``state`` is any sequence of 4 floats."""
     x1, y1, x2, y2 = state
-    dx1, dy1 = _local(x1, y1, p)
-    dx2, dy2 = _local(x2, y2, p)
-    return dx1 + current(x1, x2), dy1, dx2 + current(x2, x1), dy2
+    I, A, alpha, gamma = p.I, p.A, p.alpha, p.gamma
+    a1, a2 = alpha * x1, alpha * x2
+    return (
+        x1 * x1 * (1.0 - x1) - y1 + I + theta * (x2 - x1),
+        A * (math.exp(a1) if a1 < _EXP_MAX else math.inf) - gamma * y1,
+        x2 * x2 * (1.0 - x2) - y2 + I + theta * (x1 - x2),
+        A * (math.exp(a2) if a2 < _EXP_MAX else math.inf) - gamma * y2,
+    )
+
+
+def _sigmoid_pair(sigma, v_s, lam, q, t, state, p: DmlParams) -> tuple:
+    """Field of a pair coupled by sigmoid synapses; ``state`` is any sequence
+    of 4 floats."""
+    x1, y1, x2, y2 = state
+    I, A, alpha, gamma = p.I, p.A, p.alpha, p.gamma
+    a1, a2 = alpha * x1, alpha * x2
+    # each cell's synapse opens with its partner's voltage
+    u1, u2 = lam * (x2 - q), lam * (x1 - q)
+    if u1 >= 0.0:
+        s1 = 1.0 / (1.0 + math.exp(-u1))
+    else:
+        e = math.exp(u1)
+        s1 = e / (1.0 + e)
+    if u2 >= 0.0:
+        s2 = 1.0 / (1.0 + math.exp(-u2))
+    else:
+        e = math.exp(u2)
+        s2 = e / (1.0 + e)
+    return (
+        x1 * x1 * (1.0 - x1) - y1 + I + sigma * (v_s - x1) * s1,
+        A * (math.exp(a1) if a1 < _EXP_MAX else math.inf) - gamma * y1,
+        x2 * x2 * (1.0 - x2) - y2 + I + sigma * (v_s - x2) * s2,
+        A * (math.exp(a2) if a2 < _EXP_MAX else math.inf) - gamma * y2,
+    )
 
 
 def vector_field(coupling: CouplingSpec):
     """Return the field ``rhs(t, y, p)`` of the model selected by the coupling.
 
-    It matches the solver's calling convention, with ``p`` a
-    :class:`DmlParams` record, and its dimension is ``coupling.dim``.  It
-    takes any sequence of ``dim`` floats (the solver hands a list) and
-    returns a tuple of ``dim`` floats; a ``(dim, B)`` array unpacks the same
-    way, into ``dim`` rows of ``B`` values each.
+    It is the coupling's own ``field``, matches the solver's calling
+    convention, with ``p`` a :class:`DmlParams` record, and its dimension is
+    ``coupling.dim``.  It takes any sequence of ``dim`` floats (the solver
+    hands a list) and returns a tuple of ``dim`` floats.
     """
-    dim = getattr(coupling, "dim", None)
-    if dim not in (2, 4):
-        raise TypeError(f"unknown coupling spec: {coupling!r}")
-    if dim == 2:
-        return _cell
-    # the body and the coupling's current are bound once, positionally, so a
-    # call builds no keyword dict; unlike a closure, a partial pickles
-    return partial(_pair, coupling.current)
+    try:
+        return coupling.field
+    except AttributeError:
+        raise TypeError(f"unknown coupling spec: {coupling!r}") from None

@@ -118,6 +118,9 @@ class TestConfigHandling:
             ("equilibria", {"I": "0.019"}),
             ("hopf-curve", {"I_points": 2.5}),
             ("beta-star", {"svg": "yes"}),
+            # 401-digit integers, too large for a float
+            ("equilibria", {"I": 10**400}),
+            ("simulate", {"y0": [10**400, 0.1]}),
         ],
     )
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, values):

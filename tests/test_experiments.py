@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dmlneuro import experiments
 from dmlneuro.equilibria import Branch, find_symmetric_equilibria, fold_voltages, i_infinity
-from dmlneuro.exceptions import InsufficientSamplesError, RootWindowExhaustedError
+from dmlneuro.exceptions import InsufficientSamplesError, NonFiniteStateError, RootWindowExhaustedError
 from dmlneuro.fde import SolverConfig, Trajectory, solve_fde
 from dmlneuro.models import (
     DmlParams,
@@ -46,6 +46,12 @@ class TestOscillationMetrics:
     def test_requires_three_samples(self):
         with pytest.raises(InsufficientSamplesError):
             oscillation_metrics([1.0, 2.0])
+
+    @pytest.mark.parametrize("tail", [np.full(5, np.nan), [0.0, 1.0, np.inf, 1.0], [0.0, 0.0, -np.inf]])
+    def test_non_finite_tail_is_an_error_not_a_quiet_verdict(self, tail):
+        # a failed sweep order leaves a NaN-filled tail
+        with pytest.raises(NonFiniteStateError):
+            oscillation_metrics(tail)
 
     def test_monotone_ramp_has_no_extrema(self):
         m = oscillation_metrics(np.linspace(0.0, 1.0, 50))

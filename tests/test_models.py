@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmlneuro.models import (
     DmlParams,
@@ -13,6 +15,10 @@ from dmlneuro.models import (
     _exp,
     _sigmoid,
 )
+
+# voltages in the dynamics' band, and far enough out that alpha x and
+# lam (x - q) pass the exp range either way
+VOLTAGE = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0))
 
 single = vector_field(NoCoupling())
 # theta = 0 is the uncoupled pair, which LinearCoupling rejects; a synapse of
@@ -188,32 +194,52 @@ class TestDispatch:
         for c in (NoCoupling(), LinearCoupling(0.01), SigmoidCoupling(sigma=0.001)):
             assert callable(vector_field(c))
 
-    def test_dispatched_fields_agree_with_raw_functions(self, params):
-        # a pair's field is each cell's single-cell field plus the current
-        # its partner sends
-        x1, y1, x2, y2 = state4 = [0.1, 0.1, -0.2, 0.1]
-        (dx1, dy1), (dx2, dy2) = single(0.0, [x1, y1], params), single(0.0, [x2, y2], params)
-        for c in (LinearCoupling(0.008), SigmoidCoupling(sigma=0.001)):
-            rhs = vector_field(c)
-            expected = (dx1 + c.current(x1, x2), dy1, dx2 + c.current(x2, x1), dy2)
-            assert rhs(0.0, state4, params) == expected
+    @settings(max_examples=300, deadline=None)
+    @given(
+        state=st.lists(VOLTAGE, min_size=4, max_size=4),
+        p=st.builds(
+            DmlParams,
+            I=st.floats(-0.1, 0.1),
+            A=st.floats(1e-4, 1.0),
+            alpha=st.floats(0.1, 10.0),
+            gamma=st.floats(0.01, 1.0),
+        ),
+        theta=st.floats(1e-4, 1.0),
+        synapse=st.builds(
+            SigmoidCoupling,
+            sigma=st.floats(0.0, 1.0),
+            v_s=st.floats(-3.0, 3.0),
+            lam=st.floats(0.1, 100.0),
+            q=st.floats(-1.0, 1.0),
+        ),
+    )
+    # alpha x1 = 709 exactly and 712, so dy1 is inf; lam (x1 - q) = 802.5
+    # and lam (x2 - q) = -797.5 both lie beyond the exp range
+    @example(state=[709.0, 0.1, -0.2, 0.1], p=DmlParams(alpha=1.0), theta=0.008, synapse=SigmoidCoupling(0.001))
+    @example(state=[135.0, 0.1, -0.2, 0.1], p=DmlParams(), theta=0.008, synapse=SigmoidCoupling(0.001))
+    @example(state=[80.0, 0.1, -80.0, 0.1], p=DmlParams(), theta=0.008, synapse=SigmoidCoupling(0.001))
+    @example(state=[0.1, 0.1, -0.2, 0.1], p=DmlParams(), theta=0.008, synapse=SigmoidCoupling(0.001))
+    def test_dispatched_fields_agree_with_raw_functions(self, state, p, theta, synapse):
+        # each field is bitwise the cubic, the recovery A exp(alpha x) -
+        # gamma y and, for a pair, the current its partner sends
+        def reference(coupling):
+            cells = [state[i : i + 2] for i in range(0, coupling.dim, 2)]
+            out = []
+            for i, (x, y) in enumerate(cells):
+                dx = x * x * (1.0 - x) - y + p.I
+                if coupling.dim == 4:
+                    dx = dx + coupling.current(x, cells[1 - i][0])
+                out += [dx, p.A * _exp(p.alpha * x) - p.gamma * y]
+            return out
+
+        for coupling in (NoCoupling(), LinearCoupling(theta), synapse):
+            got = vector_field(coupling)(0.0, state[: coupling.dim], p)
+            assert np.array(got).tobytes() == np.array(reference(coupling)).tobytes()
 
     def test_fields_take_and_return_plain_floats(self, params):
         assert type(single(0.0, [0.1, 0.1], params)) is tuple
         out = pair(SigmoidCoupling(sigma=0.001))(0.0, [0.1, 0.1, -0.2, 0.1], params)
         assert type(out) is tuple and {type(v) for v in out} == {float}
-
-    def test_columns_of_a_state_array_evaluate_like_single_states(self, params):
-        rng = np.random.default_rng(3)
-        states = rng.uniform(-1.0, 1.0, size=(4, 5))
-        for c in (NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(sigma=0.003)):
-            rhs, dim = vector_field(c), c.dim
-            columns = np.array(rhs(0.0, states[:dim], params))
-            assert columns.shape == (dim, 5)
-            for k in range(5):
-                np.testing.assert_allclose(
-                    columns[:, k], rhs(0.0, states[:dim, k].tolist(), params), rtol=1e-15, atol=0
-                )
 
     @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)])
     def test_field_survives_pickling(self, coupling, params):
