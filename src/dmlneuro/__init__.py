@@ -32,6 +32,7 @@ from .models import (
 from .equilibria import (
     Branch,
     EquilibriumSet,
+    critical_points,
     find_symmetric_equilibria,
     fold_voltages,
     i_infinity,
@@ -42,14 +43,12 @@ from .stability import (
     BetaStarKind,
     BetaStarResult,
     Classification,
-    SaddleNodeReport,
     StabilityIndicators,
     beta_star,
     classify,
     eigenvalues,
     indicators,
     jacobian,
-    saddle_node_condition,
 )
 from .experiments import (
     BifurcationScan,

@@ -1,4 +1,5 @@
-"""Equilibrium structure: the current-voltage curve, its folds, and roots.
+"""Equilibrium structure: the current-voltage curve, its critical points,
+and roots.
 
 Equilibria of the single cell sit where the stimulation current ``I`` equals
 the curve ``i_infinity(x)``.  Between the curve's local maximum and minimum
@@ -28,9 +29,8 @@ class Branch(Enum):
     UNIQUE = "unique"
     TWOFOLD = "twofold"
     THREEFOLD = "threefold"
-
-
-_BRANCH_BY_COUNT = {1: Branch.UNIQUE, 2: Branch.TWOFOLD, 3: Branch.THREEFOLD}
+    FOURFOLD = "fourfold"
+    FIVEFOLD = "fivefold"
 
 
 @dataclass(frozen=True)
@@ -164,19 +164,47 @@ def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
     stage one of :func:`find_symmetric_equilibria`, which a sweep over
     currents runs once.
     """
-    # g' reads A, alpha, gamma and the coupling, never I
+    return _block_zeros(p, coupling, 1.0)
+
+
+def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
+    """Critical points ``(kind, x, I)`` of the symmetric branch on the scan
+    window, ascending in x, the fold first at a shared voltage.
+
+    A ``"fold"`` (saddle-node) is a zero of delta_plus, a ``"branch-point"``
+    (symmetry breaking, pairs only) one of delta_minus.  On the diagonal
+    both depend on x alone, and the symmetric equilibrium at x sits at the
+    current ``I = i_infinity(x, p) - coupling.current(x, x)``; ``p.I`` is
+    not read.
+    """
+    kinds = (("fold", 1.0),) if coupling.dim == 2 else (("fold", 1.0), ("branch-point", -1.0))
+    points = [
+        (kind, x, i_infinity(x, p) - coupling.current(x, x))
+        for kind, sign in kinds
+        for x in _block_zeros(p, coupling, sign)
+    ]
+    return sorted(points, key=lambda point: point[1])
+
+
+def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
+    """Zeros of the plus (``sign`` 1.0) or minus (-1.0) block determinant on
+    the diagonal, ascending: the sign changes of
+    -delta/gamma = -i_infinity'(x) + d_self + sign * d_other on a grid of
+    the scan window, each refined on its bracket."""
+    # reads A, alpha, gamma and the coupling, never I; sign 1.0 leaves
+    # d_other exact, so the plus scan is g' bit for bit
     partials = coupling.partials
 
-    def gprime(x):
+    def scaled(x):
         d_self, d_other = partials(x, x)
-        return -i_infinity_derivative(x, p, 1) + (d_self + d_other)
+        return -i_infinity_derivative(x, p, 1) + (d_self + sign * d_other)
 
-    extrema = []
-    for a, b, fa, fb in _scan_brackets(gprime, *DEFAULT_WINDOW, _SCAN_STEP):
-        x = _refine_root(gprime, a, b, fa, fb)
-        if not extrema or x - extrema[-1] > 1e-9:
-            extrema.append(x)
-    return extrema
+    zeros = []
+    for a, b, fa, fb in _scan_brackets(scaled, *DEFAULT_WINDOW, _SCAN_STEP):
+        x = _refine_root(scaled, a, b, fa, fb)
+        if not zeros or x - zeros[-1] > 1e-9:
+            zeros.append(x)
+    return zeros
 
 
 def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> EquilibriumSet:
@@ -210,4 +238,4 @@ def _equilibrium_set(p: DmlParams, roots) -> EquilibriumSet:
         if not xs or r - xs[-1] > 1e-9:  # an extremum on the window's edge
             xs.append(r)
     pts = np.array([[x, y_infinity(x, p)] for x in xs])
-    return EquilibriumSet(points=pts, branch=_BRANCH_BY_COUNT[len(xs)])
+    return EquilibriumSet(points=pts, branch=list(Branch)[len(xs) - 1])

@@ -75,7 +75,6 @@ class HopfCurve:
 
     I_values: np.ndarray
     beta_star_values: np.ndarray
-    coupling_label: str
     omitted: tuple[tuple[float, str], ...] = ()
 
 
@@ -155,7 +154,7 @@ def _beta_grid(beta_range, beta_step):
     check_order(hi)
     if lo == hi:
         return np.array([hi])
-    if beta_step <= 0.0:
+    if not beta_step > 0.0:
         raise ValueError("beta_step must be positive")
     n = int(math.floor((hi - lo) / beta_step + 1e-9))
     return hi - beta_step * np.arange(n + 1)
@@ -247,6 +246,5 @@ def hopf_curve(
     return HopfCurve(
         I_values=np.array(kept_I),
         beta_star_values=np.array(kept_beta),
-        coupling_label=coupling.label,
         omitted=tuple(omitted),
     )

@@ -26,7 +26,7 @@ columns of a state, ``state[::2]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Union
 
@@ -56,6 +56,13 @@ def _sigmoid(u):
     return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _check_finite(record) -> None:
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DmlParams:
     """Local neuron parameters.
@@ -70,7 +77,8 @@ class DmlParams:
     gamma: float = 0.3
 
     def __post_init__(self):
-        if self.A <= 0.0 or self.alpha <= 0.0 or self.gamma <= 0.0:
+        _check_finite(self)
+        if not (self.A > 0.0 and self.alpha > 0.0 and self.gamma > 0.0):
             raise ValueError("A, alpha and gamma must all be positive")
 
 
@@ -79,7 +87,6 @@ class NoCoupling:
     """Single isolated cell."""
 
     dim = 2
-    label = "single"
     value = 0.0
     v_s = None
 
@@ -103,12 +110,9 @@ class LinearCoupling:
     v_s = None
 
     def __post_init__(self):
-        if self.theta <= 0.0:
+        _check_finite(self)
+        if not self.theta > 0.0:
             raise ValueError("theta must be positive for a coupled model")
-
-    @property
-    def label(self) -> str:
-        return f"linear(theta={self.theta:g})"
 
     @property
     def value(self) -> float:
@@ -142,14 +146,11 @@ class SigmoidCoupling:
     dim = 4
 
     def __post_init__(self):
-        if self.sigma < 0.0:
+        _check_finite(self)
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise ValueError("lam must be positive")
-
-    @property
-    def label(self) -> str:
-        return f"sigmoid(sigma={self.sigma:g})"
 
     @property
     def value(self) -> float:

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import find_symmetric_equilibria
 from .exceptions import DegenerateDeterminantError
 from .fde import check_order
 from .models import CouplingSpec, DmlParams, NoCoupling, _exp
@@ -156,30 +155,3 @@ def beta_star(
         return BetaStarResult(BetaStarKind.STABLE_FOR_ALL_ORDERS)
     return BetaStarResult(BetaStarKind.THRESHOLD, worst)
 
-
-@dataclass(frozen=True)
-class SaddleNodeReport:
-    """Outcome of the fold test, naming any vanishing determinant branch."""
-
-    found: bool
-    details: tuple[str, ...]
-
-
-def saddle_node_condition(p: DmlParams, coupling: CouplingSpec) -> SaddleNodeReport:
-    """Test whether the stimulation current ``p.I`` sits at a fold.
-
-    A fold needs a vanishing determinant (``|delta| < 1e-10``) at some
-    equilibrium: the single block of an isolated cell, or either block of a
-    coupled pair.  The plus block of a linear pair equals the single cell's
-    for every theta, so that pair folds where the cell does.
-    """
-    eq = find_symmetric_equilibria(p, coupling)
-    names = ("delta",) if coupling.dim == 2 else ("delta+", "delta-")
-
-    details = []
-    for x_star, _ in eq.points:
-        branches = indicators(x_star, p, coupling).branches
-        for label, (_, value) in zip(names, branches):
-            if abs(value) < 1e-10:
-                details.append(f"{label} = {value:.3e} vanishes at x* = {x_star:.6f}")
-    return SaddleNodeReport(found=bool(details), details=tuple(details))

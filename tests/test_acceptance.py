@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dmlneuro.equilibria import (
+    critical_points,
     find_symmetric_equilibria,
     fold_voltages,
     i_infinity,
@@ -77,7 +78,7 @@ def test_criterion_01_current_curve_table():
 
 def test_criterion_02_equilibrium_branches():
     t0 = time.perf_counter()
-    I_max, I_min = (i_infinity(x, P) for x in fold_voltages(P))
+    I_max, I_min = (I for _, _, I in critical_points(P))
     cases = (
         (0.0001, [(-0.08827, 0.00858)]),
         (0.019, [(0.40772, 0.11746)]),

@@ -81,6 +81,28 @@ class TestConfigHandling:
         assert code == 2
         assert "t_end must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equilibria", "--A", "nan"],
+            ["equilibria", "--gamma", "nan"],
+            ["equilibria", "--model", "dimer-linear", "--theta", "nan"],
+            ["equilibria", "--model", "dimer-sigmoid", "--sigma", "nan"],
+            ["equilibria", "--model", "dimer-sigmoid", "--vs", "nan"],
+            ["equilibria", "--model", "dimer-sigmoid", "--lambda", "nan"],
+            ["hopf-curve", "--I-from", "nan", "--I-points", "3"],
+        ],
+    )
+    def test_non_finite_model_parameter_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: ") and "must be finite, got nan" in err
+
+    def test_nan_order_step_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--beta-step", "nan", "--t-end", "10")
+        assert code == 2
+        assert err == "configuration error: beta_step must be positive\n"
+
     def test_config_file_supplies_values(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"model": "single", "I": 0.022}))
@@ -182,6 +204,18 @@ class TestEquilibriaCommand:
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 1
         assert rows[0].startswith("-7.851617706231516e-05,unique,")
+
+    def test_five_symmetric_equilibria(self, capsys):
+        # a steep synapse opening at 0 gives the pair's equilibrium equation
+        # four extrema, and five roots at this current
+        code, out, err = run(
+            capsys, "equilibria", "--model", "dimer-sigmoid", "--sigma", "0.0016102620275609393",
+            "--lambda", "100", "--q", "0", "--I", "0.012005578808211124",
+        )
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert lines[0] == "I,branch,x_star,y_star" and len(lines) == 6
+        assert all(line.startswith("0.012005578808211124,fivefold,") for line in lines[1:])
 
     def test_written_file(self, tmp_path, capsys):
         out_path = tmp_path / "eq.csv"

@@ -13,6 +13,7 @@ from dmlneuro.equilibria import (
     Branch,
     _refine_root,
     _scan_brackets,
+    critical_points,
     find_symmetric_equilibria,
     fold_voltages,
     i_infinity,
@@ -330,6 +331,83 @@ class TestSymmetricEquilibria:
         assert at_fold.branch is Branch.TWOFOLD and at_fold.points.shape == (2, 2)
         inside = find_symmetric_equilibria(DmlParams(I=I_fold + inward), c)
         assert inside.branch is Branch.THREEFOLD and inside.points.shape == (3, 2)
+
+
+# fold ("F") and branch-point ("B") currents of the pairs at the default
+# parameters, ascending in voltage
+CRITICAL_CURRENTS = [
+    (LinearCoupling(0.008), [("F", 0.015417976), ("B", 0.015303007), ("B", 0.003493649),
+                             ("F", 0.003397079)]),
+    (SigmoidCoupling(1e-3), [("F", 0.013560547), ("B", 0.013559294), ("B", 0.001691171),
+                             ("F", 0.001691162)]),
+    (SigmoidCoupling(1e-4), [("F", 0.015232233), ("B", 0.015232220), ("B", 0.003226514),
+                             ("F", 0.003226514)]),
+]
+# a steep synapse that opens at 0: g has four extrema, and at this current
+# the pair has five symmetric equilibria
+FIVE_ROOTS = (DmlParams(I=0.012005578808211124),
+              SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0))
+
+
+class TestCriticalPoints:
+    @pytest.mark.parametrize("coupling, table", CRITICAL_CURRENTS)
+    def test_reproduces_the_table_of_currents(self, coupling, table):
+        points = critical_points(P, coupling)
+        assert [kind[0].upper() for kind, _, _ in points] == [kind for kind, _ in table]
+        np.testing.assert_allclose([I for _, _, I in points], [I for _, I in table],
+                                   rtol=0, atol=1e-9)
+        assert [x for _, x, _ in points] == sorted(x for _, x, _ in points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        A=st.floats(0.0037, 0.0045),
+        alpha=st.floats(5.0, 5.5),
+        gamma=st.floats(0.28, 0.32),
+        coupling=st.one_of(
+            st.just(NoCoupling()),
+            st.floats(0.0, 0.05, exclude_min=True).map(LinearCoupling),
+            st.floats(0.0, 0.05).map(SigmoidCoupling),
+        ),
+    )
+    def test_each_point_is_a_zero_of_its_block_determinant(self, A, alpha, gamma, coupling):
+        p = DmlParams(I=0.0, A=A, alpha=alpha, gamma=gamma)
+        points = critical_points(p, coupling)
+        for kind, x, I in points:
+            ind = indicators(x, p, coupling)
+            assert abs(ind.delta_plus if kind == "fold" else ind.delta_minus) < 1e-12
+            assert I == i_infinity(x, p) - coupling.current(x, x)
+        assert [x for kind, x, _ in points if kind == "fold"] == fold_voltages(p, coupling)
+        if coupling.dim == 2:
+            assert {kind for kind, _, _ in points} <= {"fold"}
+        if isinstance(coupling, LinearCoupling):
+            # delta_minus = 0 is i_infinity'(x) = -2 theta on the diagonal
+            def f(x):
+                return i_infinity_derivative(x, p, 1) + 2.0 * coupling.theta
+
+            xs = np.linspace(*DEFAULT_WINDOW, 3001)
+            fs = [f(x) for x in xs]
+            expected = [brentq(f, a, b, xtol=1e-15)
+                        for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]) if fa * fb < 0.0]
+            found = [x for kind, x, _ in points if kind == "branch-point"]
+            np.testing.assert_allclose(found, expected, rtol=0, atol=1e-12)
+
+    def test_five_symmetric_equilibria(self):
+        p, c = FIVE_ROOTS
+        eq = find_symmetric_equilibria(p, c)
+        assert eq.branch is Branch.FIVEFOLD and eq.points.shape == (5, 2)
+        deltas = []
+        for x, _ in eq.points:
+            assert abs(p.I - i_infinity(x, p) + c.current(x, x)) <= 1e-15
+            deltas.append(indicators(x, p, c).delta_plus)
+        signs = np.sign(deltas)
+        assert (signs[1:] == -signs[:-1]).all()
+        folds = [I for kind, _, I in critical_points(p, c) if kind == "fold"]
+        assert len(folds) == 4
+        # five equilibria between the second and third fold currents, three
+        # just past the third
+        assert sorted(folds)[1] < p.I < sorted(folds)[2]
+        past = find_symmetric_equilibria(replace(p, I=sorted(folds)[2] + 1e-6), c)
+        assert past.branch is Branch.THREEFOLD
 
 
 class TestVectorisedScan:

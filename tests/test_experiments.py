@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmlneuro import experiments
-from dmlneuro.equilibria import Branch, find_symmetric_equilibria, fold_voltages, i_infinity
+from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria, fold_voltages
 from dmlneuro.exceptions import InsufficientSamplesError, NonFiniteStateError, RootWindowExhaustedError
 from dmlneuro.fde import SolverConfig, Trajectory, solve_fde
 from dmlneuro.models import (
@@ -305,6 +305,14 @@ class TestHopfCurve:
         assert curve.omitted
         assert all("branch" in reason or "stable" in reason for _, reason in curve.omitted)
 
+    def test_currents_with_five_equilibria_are_omitted(self):
+        # a steep synapse opening at 0 gives g four extrema; between two of
+        # its fold currents near 0.012 the pair has five equilibria
+        c = SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0)
+        curve = hopf_curve(P, c, (0.0, 0.03), 31)
+        assert (0.012, "equilibrium branch is fivefold") in curve.omitted
+        assert curve.I_values.size == 14
+
     def test_only_numerical_failures_are_omitted(self, monkeypatch):
         # the per-current stage of the equilibrium search
         def exhausted(p, coupling, extrema):
@@ -353,7 +361,7 @@ class TestHopfCurve:
     ):
         p = DmlParams(I=0.0, A=A, alpha=alpha, gamma=gamma)
         # g = I - i_infinity + current vanishes at an extremum at the fold current
-        folds = [i_infinity(x, p) - coupling.current(x, x) for x in fold_voltages(p, coupling)]
+        folds = [I for kind, _, I in critical_points(p, coupling) if kind == "fold"]
         assume(len(folds) == 2)
         band = (min(folds) - below, max(folds) + above)
         curve = hopf_curve(p, coupling, band, n_points)
@@ -374,9 +382,3 @@ class TestHopfCurve:
         assert curve.I_values.tolist() == kept_I
         assert curve.beta_star_values.tolist() == kept_beta
         assert list(curve.omitted) == omitted
-
-    def test_coupling_label(self):
-        assert hopf_curve(P, NoCoupling(), (0.018, 0.02), 3).coupling_label == "single"
-        assert "sigma=0.001" in hopf_curve(
-            P, SigmoidCoupling(sigma=0.001), (0.018, 0.02), 3
-        ).coupling_label

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ class TestParameterRecords:
             SigmoidCoupling(sigma=-0.1)
         with pytest.raises(ValueError):
             SigmoidCoupling(sigma=0.1, lam=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "record, field",
+        [(DmlParams(), "I"), (DmlParams(), "A"), (DmlParams(), "alpha"), (DmlParams(), "gamma"),
+         (LinearCoupling(0.008), "theta"), (SigmoidCoupling(0.001), "sigma"),
+         (SigmoidCoupling(0.001), "v_s"), (SigmoidCoupling(0.001), "lam"),
+         (SigmoidCoupling(0.001), "q")],
+    )
+    def test_non_finite_values_rejected(self, record, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(record, **{field: value})
 
     def test_sigmoid_defaults(self):
         c = SigmoidCoupling(sigma=0.001)

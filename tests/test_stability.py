@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmlneuro.equilibria import find_symmetric_equilibria, fold_voltages, i_infinity
+from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria
 from dmlneuro.exceptions import DegenerateDeterminantError
 from dmlneuro.models import (
     DmlParams,
@@ -22,13 +22,12 @@ from dmlneuro.stability import (
     eigenvalues,
     indicators,
     jacobian,
-    saddle_node_condition,
 )
 
 P = DmlParams(I=0.019)
 X_STAR = 0.40772  # unique equilibrium voltage at the default drive
 # the cell's fold currents, at the extrema of its current-voltage curve
-I_MAX, I_MIN = (i_infinity(x, P) for x in fold_voltages(P))
+I_MAX, I_MIN = (I for _, _, I in critical_points(P))
 
 
 def matignon_stable(matrix: np.ndarray, beta: float) -> bool:
@@ -281,27 +280,46 @@ class TestEigenvalueOracleEquivalence:
 
 
 class TestSaddleNodeCondition:
+    """The saddle-node (fold) condition delta_plus = 0, and the branch
+    condition delta_minus = 0 of a pair, as ``critical_points`` lists them."""
+
     def test_fold_detected_at_lower_extremum(self):
-        report = saddle_node_condition(replace(P, I=I_MIN), NoCoupling())
-        assert report.found
-        assert any("delta" in d and "x* = 0.286" in d for d in report.details)
+        kind, x, I = critical_points(P)[1]
+        assert kind == "fold" and round(x, 3) == 0.286
+        assert I == pytest.approx(0.003397079, abs=1e-9)
+        eq = find_symmetric_equilibria(replace(P, I=I))
+        assert eq.branch is Branch.TWOFOLD and x in eq.points[:, 0]
+        assert abs(indicators(x, P).delta_plus) < 1e-12
 
     def test_fold_detected_at_upper_extremum(self):
-        assert saddle_node_condition(replace(P, I=I_MAX), NoCoupling()).found
+        kind, x, I = critical_points(P)[0]
+        assert kind == "fold" and I == pytest.approx(0.015417976, abs=1e-9)
+        eq = find_symmetric_equilibria(replace(P, I=I))
+        assert eq.branch is Branch.TWOFOLD and x in eq.points[:, 0]
+        assert abs(indicators(x, P).delta_plus) < 1e-12
 
     def test_no_fold_at_generic_current(self):
-        report = saddle_node_condition(P, NoCoupling())
-        assert not report.found and report.details == ()
+        points = critical_points(P)
+        assert critical_points(replace(P, I=I_MIN)) == points  # p.I is not read
+        assert all(abs(I - P.I) > 1e-3 for _, _, I in points)
+        (x_star, _), = find_symmetric_equilibria(P).points
+        assert abs(indicators(x_star, P).delta_plus) > 1e-2
 
     def test_linear_pair_folds_where_the_cell_does(self):
         # the plus block of a linear pair is the single cell's for every theta
-        report = saddle_node_condition(replace(P, I=I_MIN), LinearCoupling(0.008))
-        assert report.found
-        assert any(d.startswith("delta+") for d in report.details)
-        assert not saddle_node_condition(P, LinearCoupling(0.008)).found
+        pair = critical_points(P, LinearCoupling(0.008))
+        assert [point for point in pair if point[0] == "fold"] == critical_points(P)
+        assert [kind for kind, _, _ in pair] == ["fold", "branch-point", "branch-point", "fold"]
+        assert all(abs(I - P.I) > 1e-3 for _, _, I in pair)
 
     def test_sigmoid_fold_tracks_the_shifted_extremum(self):
-        # with a tiny sigmoid coupling the fold survives at a slightly
-        # shifted current; scan for a vanishing branch determinant nearby
-        c = SigmoidCoupling(sigma=0.0)
-        assert saddle_node_condition(replace(P, I=I_MIN), c).found
+        # with no synaptic strength each branch point sits on a fold of the
+        # cell; a tiny strength moves both a little, and apart
+        zero = critical_points(P, SigmoidCoupling(sigma=0.0))
+        assert zero[0::2] == critical_points(P)
+        assert [(x, I) for _, x, I in zero[1::2]] == [(x, I) for _, x, I in zero[0::2]]
+        assert [kind for kind, _, _ in zero] == ["fold", "branch-point"] * 2
+        tiny = critical_points(P, SigmoidCoupling(sigma=1e-4))
+        for (kind, x, I), (_, x0, I0) in zip(tiny, zero):
+            assert kind != "fold" or 0.0 < abs(I - I0) < 2e-4
+            assert abs(x - x0) < 2e-4
