@@ -9,7 +9,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,6 @@ from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 from .experiments import DEFAULT_DISCARD, DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
 from .stability import BetaStarKind, beta_star, classify, indicators
 
-_MODELS = ("single", "dimer-linear", "dimer-sigmoid")
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
 _CSV_CHUNK = 4096
@@ -32,7 +32,7 @@ _CSV_CHUNK = 4096
 _CSV_SPLIT_ROWS = 1 << 16
 # the helper: raw doubles on stdin, read one chunk at a time as they
 # arrive, and their CSV rows on stdout, by the same template as
-# ``_float_rows``; argv: columns, rows per chunk
+# ``_csv_rows``; argv: columns, rows per chunk
 _CSV_HELPER = """\
 import array, sys
 cols, chunk = int(sys.argv[1]), int(sys.argv[2])
@@ -41,38 +41,55 @@ read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
 while part := array.array("d", read(8 * cols * chunk)):
     write((line * (len(part) // cols) % tuple(part)).encode())
 """
+# model name -> its coupling record, built from a run configuration
+_MODELS = {
+    "single": lambda cfg: NoCoupling(),
+    "dimer-linear": lambda cfg: LinearCoupling(theta=cfg.theta),
+    "dimer-sigmoid": lambda cfg: SigmoidCoupling(sigma=cfg.sigma, v_s=cfg.vs, lam=cfg.lam, q=cfg.q),
+}
+
+
+def _option(default, group: str, help: str, **flag):
+    """A run input's default, and its flag's help group, help and keywords."""
+    return field(default=default, metadata={"group": group, "help": help, **flag})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (defaults < config file < flags)."""
+    """Fully resolved run configuration (defaults < config file < flags).
+
+    Each field but ``command`` is the config-file key of the same name and
+    the flag ``--name`` with ``_`` as ``-`` (``lam`` is ``--lambda``).
+    """
 
     command: str
-    model: str = "single"
-    I: float = DmlParams.I
-    A: float = DmlParams.A
-    alpha: float = DmlParams.alpha
-    gamma: float = DmlParams.gamma
-    beta: float = 0.9
-    theta: float = 0.008
-    sigma: float = 0.001
-    vs: float = SigmoidCoupling.v_s
-    lam: float = SigmoidCoupling.lam
-    q: float = SigmoidCoupling.q
-    h: float = SolverConfig.h
-    t_end: float = SolverConfig.t_end
-    discard: int = DEFAULT_DISCARD
-    tail: int = DEFAULT_TAIL
-    beta_from: float = 0.9
-    beta_to: float = 1.0
-    beta_step: float = 0.002
-    I_from: float = 0.016
-    I_to: float = 0.03
-    I_points: int = 100
-    corrector_iterations: int = SolverConfig.corrector_iterations
-    y0: Optional[tuple] = None
-    out: Optional[str] = None
-    svg: bool = False
+    model: str = _option("single", "model", "model variant", choices=tuple(_MODELS))
+    I: float = _option(DmlParams.I, "model", "external stimulation current")
+    A: float = _option(DmlParams.A, "model", "recovery amplitude")
+    alpha: float = _option(DmlParams.alpha, "model", "recovery exponential rate")
+    gamma: float = _option(DmlParams.gamma, "model", "recovery decay")
+    beta: float = _option(0.9, "model", "fractional order in (0, 1]")
+    theta: float = _option(0.008, "model", "linear coupling strength")
+    sigma: float = _option(0.001, "model", "sigmoid coupling strength")
+    vs: float = _option(SigmoidCoupling.v_s, "model", "sigmoid reversal potential")
+    lam: float = _option(SigmoidCoupling.lam, "model", "sigmoid slope")
+    q: float = _option(SigmoidCoupling.q, "model", "sigmoid synaptic threshold")
+    h: float = _option(SolverConfig.h, "simulation", "time step")
+    t_end: float = _option(SolverConfig.t_end, "simulation", "end of the time span")
+    discard: int = _option(DEFAULT_DISCARD, "simulation", "transient samples to discard")
+    tail: int = _option(DEFAULT_TAIL, "simulation", "tail window length in samples")
+    y0: Optional[tuple] = _option(None, "simulation", "comma-separated initial state")
+    corrector_iterations: int = _option(
+        SolverConfig.corrector_iterations, "simulation", "corrector passes per step"
+    )
+    beta_from: float = _option(0.9, "ranges", "sweep lower order")
+    beta_to: float = _option(1.0, "ranges", "sweep upper order")
+    beta_step: float = _option(0.002, "ranges", "sweep order step")
+    I_from: float = _option(0.016, "ranges", "curve lower current")
+    I_to: float = _option(0.03, "ranges", "curve upper current")
+    I_points: int = _option(100, "ranges", "curve sample count")
+    out: Optional[str] = _option(None, "output", "output file (default: stdout)")
+    svg: bool = _option(False, "output", "emit an SVG plot next to --out")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -96,21 +113,14 @@ class RunConfig:
         return DmlParams(I=self.I, A=self.A, alpha=self.alpha, gamma=self.gamma)
 
     def coupling(self):
-        if self.model == "single":
-            return NoCoupling()
-        if self.model == "dimer-linear":
-            return LinearCoupling(theta=self.theta)
-        if self.model == "dimer-sigmoid":
-            return SigmoidCoupling(sigma=self.sigma, v_s=self.vs, lam=self.lam, q=self.q)
-        raise ValueError(f"unknown model {self.model!r}")
+        try:
+            build = _MODELS[self.model]
+        except KeyError:
+            raise ValueError(f"unknown model {self.model!r}") from None
+        return build(self)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            t_start=0.0,
-            t_end=self.t_end,
-            h=self.h,
-            corrector_iterations=self.corrector_iterations,
-        )
+        return SolverConfig(0.0, self.t_end, self.h, self.corrector_iterations)
 
 
 def _coerce(key: str, kind: str, value):
@@ -141,52 +151,29 @@ def _coerce(key: str, kind: str, value):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("model")
-    g.add_argument("--model", choices=_MODELS, help="model variant")
-    g.add_argument("--I", type=float, help="external stimulation current")
-    g.add_argument("--A", type=float, help="recovery amplitude")
-    g.add_argument("--alpha", type=float, help="recovery exponential rate")
-    g.add_argument("--gamma", type=float, help="recovery decay")
-    g.add_argument("--beta", type=float, help="fractional order in (0, 1]")
-    g.add_argument("--theta", type=float, help="linear coupling strength")
-    g.add_argument("--sigma", type=float, help="sigmoid coupling strength")
-    g.add_argument("--vs", type=float, help="sigmoid reversal potential")
-    g.add_argument("--lambda", dest="lam", type=float, help="sigmoid slope")
-    g.add_argument("--q", type=float, help="sigmoid synaptic threshold")
-    s = common.add_argument_group("simulation")
-    s.add_argument("--h", type=float, help="time step")
-    s.add_argument("--t-end", dest="t_end", type=float, help="end of the time span")
-    s.add_argument("--discard", type=int, help="transient samples to discard")
-    s.add_argument("--tail", type=int, help="tail window length in samples")
-    s.add_argument("--y0", type=str, help="comma-separated initial state")
-    s.add_argument("--corrector-iterations", dest="corrector_iterations", type=int,
-                   help="corrector passes per step")
-    s.add_argument("--use-fft", dest="use_fft", action="store_true", default=None,
-                   help="accepted for older command lines; no effect")
-    r = common.add_argument_group("ranges")
-    r.add_argument("--beta-from", dest="beta_from", type=float, help="sweep lower order")
-    r.add_argument("--beta-to", dest="beta_to", type=float, help="sweep upper order")
-    r.add_argument("--beta-step", dest="beta_step", type=float, help="sweep order step")
-    r.add_argument("--I-from", dest="I_from", type=float, help="curve lower current")
-    r.add_argument("--I-to", dest="I_to", type=float, help="curve upper current")
-    r.add_argument("--I-points", dest="I_points", type=int, help="curve sample count")
-    o = common.add_argument_group("output")
-    o.add_argument("--config", type=str, help="JSON configuration file")
-    o.add_argument("--out", type=str, help="output file (default: stdout)")
-    o.add_argument("--svg", action="store_true", default=None, help="emit an SVG plot next to --out")
+    groups = {name: common.add_argument_group(name)
+              for name in ("model", "simulation", "ranges", "output")}
+    groups["output"].add_argument("--config", type=str, help="JSON configuration file")
+    for f in fields(RunConfig):
+        if not f.metadata:
+            continue  # the subcommand
+        flag = dict(f.metadata)
+        group = groups[flag.pop("group")]
+        if f.type == "bool":
+            flag["action"] = "store_true"
+        else:
+            flag["type"] = {"float": float, "int": int}.get(f.type, str)
+        name = "lambda" if f.name == "lam" else f.name.replace("_", "-")
+        group.add_argument(f"--{name}", dest=f.name, default=None, **flag)
+    groups["simulation"].add_argument(
+        "--use-fft", dest="use_fft", action="store_true", default=None,
+        help="accepted for older command lines; no effect")
 
     parser = argparse.ArgumentParser(
-        prog="dmlneuro",
-        description="Fractional-order denatured Morris-Lecar neuron toolkit",
-    )
+        prog="dmlneuro", description="Fractional-order denatured Morris-Lecar neuron toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common], help="integrate one model instance")
-    sub.add_parser("equilibria", parents=[common], help="equilibrium points and branch")
-    sub.add_parser("stability", parents=[common], help="indicators and classification per equilibrium")
-    sub.add_parser("beta-star", parents=[common], help="closed-form Hopf threshold")
-    sub.add_parser("sweep", parents=[common], help="continuation sweep over the order")
-    sub.add_parser("hopf-curve", parents=[common], help="Hopf threshold versus current")
-    sub.add_parser("validate", parents=[common], help="solver-versus-oracle convergence checks")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -199,10 +186,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError("configuration file must hold a JSON object")
         file_values.pop("command", None)  # the subcommand comes from the argv
         merged.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        merged[key] = value
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key not in ("config", "command") and value is not None)
     # the history is always blocked; the old switch is accepted and ignored
     merged.pop("use_fft", None)
     if isinstance(merged.get("y0"), str):
@@ -219,53 +204,41 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _output(cfg: RunConfig):
     if cfg.out:
         return open(cfg.out, "w", encoding="utf-8", newline="")
     return contextlib.nullcontext(sys.stdout)
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    with _output(cfg) as fh:
-        fh.write(text)
+def _emit(cfg: RunConfig, header: list[str], rows, line: Optional[str] = None,
+          stream=None) -> None:
+    """Write a CSV table: its header, then ``rows`` by ``_csv_rows``.
 
-
-def _emit(cfg: RunConfig, header: list[str], rows, stream=None) -> None:
-    """Write a CSV table, ``_CSV_CHUNK`` rows at a time.
-
-    ``rows`` is a list of mixed rows (strings, ints, ``None``) formatted by
-    ``_fmt``, or, with ``stream``, the 2-d float array of a trajectory that
-    ``simulate`` fed to that ``_CsvStream`` while the solve ran.  The stream
-    writes the array's floats through ``%r``, which gives the same text as
-    ``_fmt``, and the bytes are exactly those of the one-process text.
+    With ``stream``, ``rows`` is the 2-d float array of a trajectory that
+    ``simulate`` fed to that ``_CsvStream`` while the solve ran; the bytes
+    are exactly those of the one-process text.
     """
     with _output(cfg) as fh:
         fh.write(",".join(header) + "\n")
         if stream is not None:
             stream.write(fh, rows)
-            return
-        for start in range(0, len(rows), _CSV_CHUNK):
-            chunk = rows[start : start + _CSV_CHUNK]
-            fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in chunk))
+        else:
+            _csv_rows(fh, rows, line)
 
 
-def _float_rows(fh, rows: np.ndarray, line: Optional[str] = None) -> None:
-    """Write a float table by the ``%``-template ``line``, one ``%r`` per
-    column unless given; an integral column may take ``%d``."""
+def _csv_rows(fh, rows, line: Optional[str] = None) -> None:
+    """Write table rows, ``_CSV_CHUNK`` at a time, by the ``%``-template
+    ``line``: ``%r`` for a float, ``%d`` for an integral float column and
+    ``%s`` for a label, one ``%r`` per column unless given.
+
+    ``rows`` is a 2-d float array, or a list of rows of Python values (the
+    ``%r`` of a numpy scalar would name its type).
+    """
     line = (line or ",".join(["%r"] * rows.shape[1])) + "\n"
     for start in range(0, len(rows), _CSV_CHUNK):
         chunk = rows[start : start + _CSV_CHUNK]
-        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        values = chunk.ravel().tolist() if isinstance(chunk, np.ndarray) else [*chain(*chunk)]
+        fh.write(line * len(chunk) % tuple(values))
 
 
 class _CsvStream:
@@ -277,7 +250,7 @@ class _CsvStream:
     fed is formatted here alone.
 
     The helper starts at the first rows handed over.  It reads raw doubles
-    from a pipe and writes their text, by the template of ``_float_rows``,
+    from a pipe and writes their text, by the template of ``_csv_rows``,
     to a temporary file rather than back through a pipe, so it never waits
     on this process.  If it cannot start, a send to it fails, or it exits
     non-zero, every row it was given is formatted here and its text is
@@ -333,7 +306,7 @@ class _CsvStream:
                 self.text.seek(0)
                 shutil.copyfileobj(self.text, fh)
                 done = self.sent
-        _float_rows(fh, rows[done:])
+        _csv_rows(fh, rows[done:])
 
     def close(self) -> None:
         """Kill the helper if it still runs, wait for it and drop its text."""
@@ -423,13 +396,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             # the finite prefix goes where the whole run would have gone
             partial = err.trajectory
             if partial is not None:
-                _emit(cfg, *_trajectory_rows(partial, dim), stream)
+                _emit(cfg, *_trajectory_rows(partial, dim), stream=stream)
             kept = 0 if partial is None else len(partial.times)
             print(f"numerical failure: {err}; {kept} finite rows written to "
                   f"{cfg.out or 'stdout'}", file=sys.stderr)
             return 1
         traj = summary.trajectory
-        _emit(cfg, *_trajectory_rows(traj, dim), stream)
+        _emit(cfg, *_trajectory_rows(traj, dim), stream=stream)
     if cfg.out:
         record = {
             "converged": summary.converged,
@@ -448,8 +421,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _cmd_equilibria(cfg: RunConfig) -> int:
     eq = find_symmetric_equilibria(cfg.params(), cfg.coupling())
-    rows = [[cfg.I, eq.branch.value, x, y] for x, y in eq.points]
-    _emit(cfg, ["I", "branch", "x_star", "y_star"], rows)
+    rows = [[cfg.I, eq.branch.value, x, y] for x, y in eq.points.tolist()]
+    _emit(cfg, ["I", "branch", "x_star", "y_star"], rows, "%r,%s,%r,%r")
     return 0
 
 
@@ -469,22 +442,20 @@ def _equilibrium_points(cfg: RunConfig):
     """Yield ``(x_star, y_star, indicators, (beta_star, kind))`` for each
     symmetric equilibrium of the configured model."""
     p, coupling = cfg.params(), cfg.coupling()
-    for x_star, y_star in find_symmetric_equilibria(p, coupling).points:
+    for x_star, y_star in find_symmetric_equilibria(p, coupling).points.tolist():
         yield x_star, y_star, indicators(x_star, p, coupling), _beta_star_cell(x_star, p, coupling)
 
 
 def _cmd_stability(cfg: RunConfig) -> int:
     rows = [
-        [x_star, ind.tau_plus, ind.delta_plus, ind.tau_minus, ind.delta_minus,
-         classify(ind, cfg.beta).value, bs_value]
+        [x_star, *chain(*ind.branches), classify(ind, cfg.beta).value, bs_value]
         for x_star, _, ind, (bs_value, _) in _equilibrium_points(cfg)
     ]
-    _emit(
-        cfg,
-        ["x_star", "tau_plus", "delta_plus", "tau_minus", "delta_minus",
-         "classification", "beta_star"],
-        rows,
-    )
+    # the single cell has no minus block: its two columns stay empty
+    minus = "%r,%r," if cfg.coupling().dim == 4 else ",,"
+    header = ["x_star", "tau_plus", "delta_plus", "tau_minus", "delta_minus", "classification",
+              "beta_star"]
+    _emit(cfg, header, rows, "%r,%r,%r," + minus + "%s,%s")
     return 0
 
 
@@ -495,8 +466,8 @@ def _cmd_beta_star(cfg: RunConfig) -> int:
             "model": cfg.model,
             "I": cfg.I,
             "coupling_value": value,
-            "x_star": float(x_star),
-            "y_star": float(y_star),
+            "x_star": x_star,
+            "y_star": y_star,
             "tau": ind.tau_plus,
             "delta": ind.delta_plus,
             "beta_star": bs_value,
@@ -504,19 +475,15 @@ def _cmd_beta_star(cfg: RunConfig) -> int:
         }
         for x_star, y_star, ind, (bs_value, kind) in _equilibrium_points(cfg)
     ]
-    _write(cfg, json.dumps(records[0] if len(records) == 1 else records, indent=2) + "\n")
+    with _output(cfg) as fh:
+        fh.write(json.dumps(records[0] if len(records) == 1 else records, indent=2) + "\n")
     return 0
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     scan = bifurcation_sweep(
-        cfg.params(),
-        cfg.coupling(),
-        (cfg.beta_from, cfg.beta_to),
-        cfg.beta_step,
-        cfg.solver_config(),
-        y0=cfg.y0,
-        tail_window=cfg.tail,
+        cfg.params(), cfg.coupling(), (cfg.beta_from, cfg.beta_to), cfg.beta_step,
+        cfg.solver_config(), y0=cfg.y0, tail_window=cfg.tail,
     )
     n_beta, n_tail, n_cells = scan.tail_samples.shape
     # one row per order, neuron and tail sample, in that nesting
@@ -529,9 +496,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if n_cells > 1:
         columns.append(np.tile(np.repeat(np.arange(1, n_cells + 1), n_tail), n_beta))
         header, line = header + ["neuron"], line + ",%d"
-    with _output(cfg) as fh:
-        fh.write(",".join(header) + "\n")
-        _float_rows(fh, np.column_stack(columns), line)
+    _emit(cfg, header, np.column_stack(columns), line)
     if cfg.svg:
         series = [
             (np.repeat(scan.beta_values, n_tail), scan.tail_samples[:, :, nv].reshape(-1))
@@ -549,9 +514,9 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
     curve = hopf_curve(
         cfg.params(), cfg.coupling(), (cfg.I_from, cfg.I_to), cfg.I_points
     )
-    value = cfg.coupling().value
-    rows = [[I, b, value] for I, b in zip(curve.I_values, curve.beta_star_values)]
-    _emit(cfg, ["I", "beta_star", "coupling_value"], rows)
+    values = np.full(len(curve.I_values), cfg.coupling().value)
+    _emit(cfg, ["I", "beta_star", "coupling_value"],
+          np.column_stack((curve.I_values, curve.beta_star_values, values)))
     for I, reason in curve.omitted:
         print(f"omitted I={I:g}: {reason}", file=sys.stderr)
     if cfg.svg:
@@ -588,14 +553,15 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "equilibria": _cmd_equilibria,
-    "stability": _cmd_stability,
-    "beta-star": _cmd_beta_star,
-    "sweep": _cmd_sweep,
-    "hopf-curve": _cmd_hopf_curve,
-    "validate": _cmd_validate,
+# subcommand -> (handler, help)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "integrate one model instance"),
+    "equilibria": (_cmd_equilibria, "equilibrium points and branch"),
+    "stability": (_cmd_stability, "indicators and classification per equilibrium"),
+    "beta-star": (_cmd_beta_star, "closed-form Hopf threshold"),
+    "sweep": (_cmd_sweep, "continuation sweep over the order"),
+    "hopf-curve": (_cmd_hopf_curve, "Hopf threshold versus current"),
+    "validate": (_cmd_validate, "solver-versus-oracle convergence checks"),
 }
 
 
@@ -628,7 +594,8 @@ def run_cli(argv=None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[cfg.command](cfg)
+        handler, _ = _COMMANDS[cfg.command]
+        return handler(cfg)
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1

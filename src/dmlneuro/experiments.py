@@ -156,6 +156,8 @@ def _beta_grid(beta_range, beta_step):
         return np.array([hi])
     if not beta_step > 0.0:
         raise ValueError("beta_step must be positive")
+    if beta_step == math.inf:
+        raise ValueError(f"beta_step must be positive and finite, got {beta_step!r}")
     n = int(math.floor((hi - lo) / beta_step + 1e-9))
     return hi - beta_step * np.arange(n + 1)
 

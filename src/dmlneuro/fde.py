@@ -171,13 +171,15 @@ def solve_fde(
     the step runs on Python floats, and the block's states and field rows
     are stored once per block.
 
-    Raises :class:`NonFiniteStateError` (carrying the finite part of the
-    trajectory) at the first non-finite state, and
+    Raises ``ValueError`` for a non-finite ``y0``, before any work,
+    :class:`NonFiniteStateError` (carrying the finite part of the
+    trajectory) at the first non-finite state after it, and
     :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
-    at node 0 or at any later node.  Both checks run once per block of
-    ``_FFT_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite states,
-    or at a state cut short by its own short output, before the error is
-    raised.  A ``ValueError`` that ``rhs`` raises itself propagates as it is.
+    at node 0 or at any later node.  The last two checks run once per block
+    of ``_FFT_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite
+    states, or at a state cut short by its own short output, before the
+    error is raised.  A ``ValueError`` that ``rhs`` raises itself
+    propagates as it is.
 
     The private hook ``_on_rows(times, states)``, when given, is called once
     per block, after that block passes the finiteness check, with views of
@@ -192,6 +194,8 @@ def solve_fde(
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if y0.ndim != 1:
         raise DimensionMismatchError("y0 must be a one-dimensional state vector")
+    if not np.isfinite(y0).all():
+        raise ValueError(f"y0 must be finite, got {y0.tolist()}")
     dim = y0.size
     n_steps = config.n_steps
     h = config.h

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,12 @@ import pytest
 from dmlneuro import cli, experiments
 from dmlneuro.cli import RunConfig, run_cli
 from dmlneuro.exceptions import NonFiniteStateError
+
+
+def flag_of(field):
+    """The flag of a ``RunConfig`` field: ``--`` plus its name with ``_`` as
+    ``-``, and ``--lambda`` for ``lam``."""
+    return "--" + ("lambda" if field.name == "lam" else field.name.replace("_", "-"))
 
 
 def run(capsys, *argv):
@@ -39,6 +46,40 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown configuration keys"):
             RunConfig.from_dict({"command": "simulate", "stepsize": 0.1})
+
+    # a value other than the default, as a flag's text and as a config value
+    OTHER = {
+        "float": ("0.5", 0.5),
+        "int": ("7", 7),
+        "str": ("dimer-linear", "dimer-linear"),
+        "Optional[tuple]": ("0.5,-0.25", [0.5, -0.25]),
+        "Optional[str]": (None, None),  # the --out path, made per test
+    }
+
+    @pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.name != "command"],
+                             ids=lambda f: f.name)
+    def test_each_field_is_one_flag_and_one_config_key(self, tmp_path, f):
+        if f.type == "bool":
+            argv, value = [], True
+        else:
+            text, value = self.OTHER[f.type]
+            if f.type == "Optional[str]":
+                text = value = str(tmp_path / "table.csv")
+            argv = [text]
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({f.name: value}))
+        parse = cli._build_parser().parse_args
+        from_flag = cli._resolve_config(parse(["equilibria", flag_of(f), *argv]))
+        from_file = cli._resolve_config(parse(["equilibria", "--config", str(cfg_file)]))
+        assert from_flag == from_file
+        assert getattr(from_flag, f.name) != getattr(RunConfig("equilibria"), f.name)
+
+    def test_the_fields_are_every_flag(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        expected = {flag_of(f) for f in fields(RunConfig) if f.name != "command"}
+        for name, parser in sub.choices.items():
+            flags = {o for a in parser._actions for o in a.option_strings}
+            assert flags == expected | {"-h", "--help", "--config", "--use-fft"}, name
 
 
 class TestBetaStarCommand:
@@ -99,9 +140,24 @@ class TestConfigHandling:
         assert err.startswith("configuration error: ") and "must be finite, got nan" in err
 
     def test_nan_order_step_exits_2(self, capsys):
-        code, _, err = run(capsys, "sweep", "--beta-step", "nan", "--t-end", "10")
-        assert code == 2
-        assert err == "configuration error: beta_step must be positive\n"
+        for step, message in [("nan", "beta_step must be positive"),
+                              ("inf", "beta_step must be positive and finite, got inf")]:
+            code, _, err = run(capsys, "sweep", "--beta-step", step, "--beta-from", "0.98",
+                               "--beta-to", "1.0", "--t-end", "10")
+            assert code == 2
+            assert err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_initial_state_exits_2(self, tmp_path, capsys, command, bad):
+        out_path = tmp_path / "run.csv"
+        code, out, err = run(
+            capsys, command, f"--y0={bad},0.1", "--beta-from", "0.98", "--t-end", "5",
+            "--h", "0.1", "--discard", "0", "--tail", "5", "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"configuration error: y0 must be finite, got [{bad}, 0.1]\n"
+        assert not out_path.exists()
 
     def test_config_file_supplies_values(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
@@ -165,7 +221,7 @@ class TestConfigHandling:
         def broken(cfg):
             raise TypeError("bug")
 
-        monkeypatch.setitem(cli._HANDLERS, "equilibria", broken)
+        monkeypatch.setitem(cli._COMMANDS, "equilibria", (broken, "broken"))
         with pytest.raises(TypeError, match="bug"):
             run_cli(["equilibria", "--I", "0.019"])
 
@@ -374,10 +430,21 @@ class TestSimulateCommand:
         assert not (tmp_path / ".svg").exists()
 
 
+def fmt(value) -> str:
+    """One CSV cell as the row-by-row writer formatted it."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
 def row_by_row_csv(header, rows):
-    """The CSV as the row-by-row writer produced it: ``_fmt`` on every value."""
+    """The CSV as the row-by-row writer produced it: ``fmt`` on every value."""
     lines = [",".join(header)]
-    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -402,7 +469,8 @@ def stream_to_file(tmp_path, table):
     out_path = tmp_path / "table.csv"
     with cli._CsvStream() as stream:
         stream.feed(table[:, 0], table[:, 1:])
-        cli._emit(RunConfig(command="simulate", out=str(out_path)), header, table, stream)
+        cli._emit(RunConfig(command="simulate", out=str(out_path)), header, table,
+                  stream=stream)
     return out_path.read_bytes(), row_by_row_csv(header, table)
 
 
@@ -443,7 +511,7 @@ class TestCsvWriter:
         out_path = tmp_path / "special.csv"
         # a stream that was never fed formats the whole table in this process
         cli._emit(RunConfig(command="simulate", out=str(out_path)), list("abcd"), table,
-                  cli._CsvStream())
+                  stream=cli._CsvStream())
         assert out_path.read_bytes() == row_by_row_csv(list("abcd"), table)
 
     @pytest.mark.parametrize("argv", [
@@ -455,16 +523,20 @@ class TestCsvWriter:
         tables = []
         real = cli._emit
 
-        def spy(cfg, header, rows):
-            tables.append((header, rows))
-            real(cfg, header, rows)
+        def spy(cfg, header, rows, line):
+            tables.append((header, rows, line))
+            real(cfg, header, rows, line)
 
         monkeypatch.setattr(cli, "_emit", spy)
         out_path = tmp_path / "table.csv"
         code, _, _ = run(capsys, *argv, "--out", str(out_path))
         assert code == 0
-        header, rows = tables[0]
+        header, rows, line = tables[0]
         assert len(rows) == 3
+        # a column the template leaves empty held None for the row-by-row writer
+        empty = [cell == "" for cell in line.split(",")]
+        rows = [[None if e else next(values) for e in empty]
+                for values in map(iter, rows)]
         assert out_path.read_bytes() == row_by_row_csv(header, rows)
 
     @pytest.fixture
@@ -511,9 +583,9 @@ class TestCsvWriter:
         tables = []
         real = cli._emit
 
-        def spy(cfg, header, rows, *stream):
+        def spy(cfg, header, rows, **stream):
             tables.append((header, rows))
-            real(cfg, header, rows, *stream)
+            real(cfg, header, rows, **stream)
 
         monkeypatch.setattr(cli, "_emit", spy)
         out_path = tmp_path / "boom.csv"

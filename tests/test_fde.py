@@ -169,6 +169,19 @@ class TestSolveFde:
         with pytest.raises(TypeError):
             solve_fde(decay, [0.9, 0.8], SolverConfig(0.0, 1.0, 0.1), [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, bad):
+        calls = []
+
+        def field(t, y, p):
+            calls.append(t)
+            return decay(t, y, p)
+
+        with pytest.raises(ValueError, match=r"y0 must be finite, got \[0\.1, (nan|-?inf)\]"):
+            solve_fde(field, 0.9, SolverConfig(0.0, 1.0, 0.1), [0.1, bad])
+        # rejected before any work: the field is never evaluated
+        assert calls == []
+
     def test_blow_up_returns_partial_trajectory(self):
         with pytest.raises(NonFiniteStateError) as info:
             solve_fde(explode, 1.0, SolverConfig(0.0, 1.0, 0.01), [1.0])
