@@ -79,9 +79,6 @@ class RunConfig:
     discard: int = _option(DEFAULT_DISCARD, "simulation", "transient samples to discard")
     tail: int = _option(DEFAULT_TAIL, "simulation", "tail window length in samples")
     y0: Optional[tuple] = _option(None, "simulation", "comma-separated initial state")
-    corrector_iterations: int = _option(
-        SolverConfig.corrector_iterations, "simulation", "corrector passes per step"
-    )
     beta_from: float = _option(0.9, "ranges", "sweep lower order")
     beta_to: float = _option(1.0, "ranges", "sweep upper order")
     beta_step: float = _option(0.002, "ranges", "sweep order step")
@@ -120,7 +117,7 @@ class RunConfig:
         return build(self)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(0.0, self.t_end, self.h, self.corrector_iterations)
+        return SolverConfig(0.0, self.t_end, self.h)
 
 
 def _coerce(key: str, kind: str, value):
@@ -193,8 +190,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(merged.get("y0"), str):
         merged["y0"] = tuple(float(v) for v in merged["y0"].split(","))
     cfg = RunConfig.from_dict({"command": args.command, **merged})
-    # the SVG goes next to the CSV file, so it needs one; checked before any work
-    if cfg.svg and not cfg.out and cfg.command in _PLOTTING:
+    # only the plotting commands draw, and the SVG goes next to the CSV file,
+    # so it needs one; checked before any work
+    if cfg.svg and cfg.command not in _PLOTTING:
+        raise ValueError(f"--svg applies only to {', '.join(_PLOTTING)}, not {cfg.command}")
+    if cfg.svg and not cfg.out:
         raise ValueError("--svg requires --out")
     # the file is opened only after the work, which may take minutes
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
@@ -530,7 +530,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
     steps = (1e-2, 5e-3, 2.5e-3)
     all_ok = True
-    print("order   " + "  ".join(f"err(h={h:g})" for h in steps) + "  observed  required")
+    lines = ["order   " + "  ".join(f"err(h={h:g})" for h in steps) + "  observed  required"]
     for beta in (0.5, 0.7, 0.9):
         errors = []
         for h in steps:
@@ -542,14 +542,16 @@ def _cmd_validate(cfg: RunConfig) -> int:
         all_ok &= ok
         err_text = "  ".join(f"{e:.3e}" for e in errors)
         order_text = ", ".join(f"{o:.2f}" for o in orders)
-        print(f"{beta:<7g} {err_text}  {order_text}  >= {required:.2f}  "
-              f"{'PASS' if ok else 'FAIL'}")
+        lines.append(f"{beta:<7g} {err_text}  {order_text}  >= {required:.2f}  "
+                     f"{'PASS' if ok else 'FAIL'}")
     sol = solve_fde(decay, 1.0, SolverConfig(0.0, 1.0, 1e-3), [1.0])
     err = float(np.abs(sol.states[:, 0] - np.exp(-sol.times)).max())
     ok = err <= 1e-5
     all_ok &= ok
-    print(f"classical limit: max |x - exp(-t)| = {err:.3e} <= 1e-05  "
-          f"{'PASS' if ok else 'FAIL'}")
+    lines.append(f"classical limit: max |x - exp(-t)| = {err:.3e} <= 1e-05  "
+                 f"{'PASS' if ok else 'FAIL'}")
+    with _output(cfg) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
 

@@ -66,30 +66,23 @@ class SolverConfig:
     """Uniform-grid solver settings.
 
     The grid runs from ``t_start`` to ``t_end`` with the fixed step size
-    ``h``; ``corrector_iterations`` is the number of correct-evaluate passes
-    per step (1 gives plain PECE).
+    ``h``.
     """
 
     t_start: float = 0.0
     t_end: float = 6000.0
     h: float = 0.01
-    corrector_iterations: int = 1
 
     def __post_init__(self):
         for name in ("t_start", "t_end", "h"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        iterations = self.corrector_iterations
-        if isinstance(iterations, bool) or not isinstance(iterations, int):
-            raise ValueError(f"corrector_iterations must be an integer, got {iterations!r}")
         if self.h <= 0.0:
             raise ValueError("step size h must be positive")
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
         if (self.t_end - self.t_start) / self.h < 1.0:
             raise ValueError("grid must contain at least one step")
-        if self.corrector_iterations < 1:
-            raise ValueError("corrector_iterations must be at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -112,8 +105,6 @@ def _predictor_kernel(beta: float, kmax: int) -> np.ndarray:
 
 def _corrector_kernel(beta: float, kmax: int) -> np.ndarray:
     # lag-k weight of the product-trapezoid rule for k >= 1; entry 0 is padding
-    if kmax < 1:
-        return np.zeros(kmax + 1)
     k = np.arange(1, kmax + 1, dtype=float)
     e = beta + 1.0
     core = (k + 1.0) ** e - 2.0 * k ** e + (k - 1.0) ** e
@@ -155,10 +146,12 @@ def solve_fde(
 ) -> Trajectory:
     """Integrate ``D^beta y = rhs(t, y, params)`` with Caputo memory.
 
-    Each step forms a product-rectangle predictor over the full history,
-    evaluates the vector field there, then applies the requested number of
-    product-trapezoid corrector passes.  For ``beta == 1`` the scheme reduces
-    to the classical one-step Adams-Bashforth-Moulton trapezoidal PECE method.
+    Each step is one predict-evaluate-correct-evaluate pass: a
+    product-rectangle predictor over the full history, the vector field
+    there, one product-trapezoid corrector, and the vector field at the
+    corrected state, which the later steps' history sums use.  For
+    ``beta == 1`` the scheme reduces to the classical one-step
+    Adams-Bashforth-Moulton trapezoidal PECE method.
 
     ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a plain list
     of ``dim`` floats, and returns any sequence of ``dim`` floats: a tuple, a
@@ -200,7 +193,6 @@ def solve_fde(
     n_steps = config.n_steps
     h = config.h
     t_start = config.t_start
-    iterations = config.corrector_iterations
     times = t_start + h * np.arange(n_steps + 1)
 
     # f_new is also the last output that a failed block's length check reads
@@ -293,9 +285,8 @@ def solve_fde(
                     y_new, base = W[k].dot(Zk[k]).tolist()
                     t1 = t_start + h * m
                     f_new = rhs(t1, y_new, params)
-                    for _ in range(iterations):
-                        y_new = [b + ca * f for b, f in zip(base, f_new)]
-                        f_new = rhs(t1, y_new, params)
+                    y_new = [b + ca * f for b, f in zip(base, f_new)]
+                    f_new = rhs(t1, y_new, params)
                     block.append(y_new)
                     Z[3 * k + 2] = f_new
                 states[lo:stop] = block

@@ -59,8 +59,11 @@ class TestRunConfig:
     @pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.name != "command"],
                              ids=lambda f: f.name)
     def test_each_field_is_one_flag_and_one_config_key(self, tmp_path, f):
+        command, out = "equilibria", []
         if f.type == "bool":
+            # --svg draws beside the --out of a plotting command
             argv, value = [], True
+            command, out = "hopf-curve", ["--out", str(tmp_path / "curve.csv")]
         else:
             text, value = self.OTHER[f.type]
             if f.type == "Optional[str]":
@@ -69,10 +72,10 @@ class TestRunConfig:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({f.name: value}))
         parse = cli._build_parser().parse_args
-        from_flag = cli._resolve_config(parse(["equilibria", flag_of(f), *argv]))
-        from_file = cli._resolve_config(parse(["equilibria", "--config", str(cfg_file)]))
+        from_flag = cli._resolve_config(parse([command, flag_of(f), *argv, *out]))
+        from_file = cli._resolve_config(parse([command, "--config", str(cfg_file), *out]))
         assert from_flag == from_file
-        assert getattr(from_flag, f.name) != getattr(RunConfig("equilibria"), f.name)
+        assert getattr(from_flag, f.name) != getattr(RunConfig(command), f.name)
 
     def test_the_fields_are_every_flag(self):
         sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
@@ -215,6 +218,17 @@ class TestConfigHandling:
         _, flagged, _ = run(capsys, *args, "--use-fft")
         code, from_file, _ = run(capsys, *args, "--config", str(cfg_file))
         assert code == 0 and plain == flagged == from_file
+
+    def test_corrector_iterations_are_no_input(self, tmp_path, capsys):
+        # each step is one PECE pass: a number of corrector passes is rejected,
+        # not ignored like --use-fft, since it would change the results
+        args = ["simulate", "--t-end", "5", "--h", "0.1", "--discard", "0", "--tail", "10"]
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"corrector_iterations": 2}))
+        code, out, err = run(capsys, *args, "--corrector-iterations", "2")
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+        code, out, err = run(capsys, *args, "--config", str(cfg_file))
+        assert code == 2 and out == "" and "unknown configuration keys" in err
 
     def test_type_error_in_a_handler_propagates(self, monkeypatch):
         # a TypeError inside a command is a bug, not a configuration error
@@ -912,6 +926,22 @@ class TestSvgWithoutOut:
         assert "--svg requires --out" in err
 
 
+class TestSvgOutsidePlotting:
+    # each command that draws no plot, and the function that does its work
+    @pytest.mark.parametrize(
+        "command, work",
+        [("equilibria", "find_symmetric_equilibria"), ("stability", "find_symmetric_equilibria"),
+         ("beta-star", "find_symmetric_equilibria"), ("validate", "solve_fde")],
+    )
+    def test_rejected_before_any_work(self, command, work, tmp_path, monkeypatch, capsys):
+        forbid(monkeypatch, work)
+        code, out, err = run(capsys, command, "--svg", "--out", str(tmp_path / "table.csv"))
+        assert code == 2 and out == ""
+        assert err == ("configuration error: --svg applies only to simulate, sweep, "
+                       f"hopf-curve, not {command}\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestOutInMissingDirectory:
     # an --out in a missing directory, for each plotting command, and an --out
     # that names an existing directory
@@ -936,6 +966,13 @@ class TestValidateCommand:
         assert code == 0
         assert out.count("PASS") == 4
         assert "classical limit" in out
+
+    def test_validate_writes_its_table_to_out(self, tmp_path, capsys):
+        _, table, _ = run(capsys, "validate")
+        target = tmp_path / "v.txt"
+        code, out, _ = run(capsys, "validate", "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == table
 
 
 def test_console_script_entry_point():

@@ -63,8 +63,6 @@ class TestSolverConfig:
             SolverConfig(0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             SolverConfig(0.0, 0.005, 0.01)  # less than one step
-        with pytest.raises(ValueError):
-            SolverConfig(0.0, 1.0, 0.01, corrector_iterations=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -74,12 +72,10 @@ class TestSolverConfig:
             ("t_end", math.inf),
             ("h", math.nan),
             ("h", math.inf),
-            ("corrector_iterations", 1.5),
-            ("corrector_iterations", True),
         ],
     )
     def test_rejects_a_non_finite_grid_and_non_integer_iterations(self, field, value):
-        kwargs = dict(t_start=0.0, t_end=1.0, h=0.01, corrector_iterations=1)
+        kwargs = dict(t_start=0.0, t_end=1.0, h=0.01)
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             SolverConfig(**kwargs)
@@ -152,14 +148,6 @@ class TestSolveFde:
             errs.append(abs(traj.states[-1, 0] - exact))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.0 + beta - 0.2
-
-    def test_corrector_iterations_refine_toward_implicit_solution(self):
-        one = solve_fde(decay, 0.9, SolverConfig(0.0, 1.0, 1e-2), [1.0])
-        three = solve_fde(
-            decay, 0.9, SolverConfig(0.0, 1.0, 1e-2, corrector_iterations=3), [1.0]
-        )
-        exact = mittag_leffler(0.9, -1.0)
-        assert abs(three.states[-1, 0] - exact) <= abs(one.states[-1, 0] - exact)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -355,9 +343,8 @@ def reference_pece(rhs, order, config, y0, params=None):
         y_new = y0 + pred @ F[: n + 1] / math.gamma(order)
         base = y0 + ca * (corr[: n + 1] @ F[: n + 1])
         f_new = field(times[n + 1], y_new)
-        for _ in range(config.corrector_iterations):
-            y_new = base + ca * corr[n + 1] * f_new
-            f_new = field(times[n + 1], y_new)
+        y_new = base + ca * corr[n + 1] * f_new
+        f_new = field(times[n + 1], y_new)
         states[n + 1], F[n + 1] = y_new, f_new
     return states
 
@@ -483,9 +470,8 @@ class TestNestedSquares:
         extra=st.integers(0, 600 - 16 * 16),
         beta=st.floats(0.3, 1.0),
         model=st.sampled_from(["single", "sigmoid-pair"]),
-        iterations=st.integers(1, 3),
     )
-    def test_every_level_matches_the_direct_sum(self, block, extra, beta, model, iterations):
+    def test_every_level_matches_the_direct_sum(self, block, extra, beta, model):
         # at least 16 blocks, so squares of block * 2**l run for l = 0..4
         n_steps = 16 * block + extra
         p = DmlParams(I=0.019)
@@ -493,7 +479,7 @@ class TestNestedSquares:
             rhs, y0 = single_field, [0.1, 0.1]
         else:
             rhs, y0 = vector_field(SigmoidCoupling(0.001)), [0.1, 0.1, -0.2, 0.1]
-        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05, corrector_iterations=iterations)
+        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fde, "_FFT_BLOCK", block)
             fast = solve_fde(rhs, beta, cfg, y0, p)
@@ -619,9 +605,8 @@ class TestFieldContract:
             seen.append((type(t), type(y), len(y), frozenset(map(type, y))))
             return pair(t, y, p)
 
-        cfg = SolverConfig(0.0, 10.0, 0.05, corrector_iterations=2)
-        solve_fde(field, 0.9, cfg, self.Y0, self.P)
-        assert len(seen) == 1 + 3 * 200
+        solve_fde(field, 0.9, SolverConfig(0.0, 10.0, 0.05), self.Y0, self.P)
+        assert len(seen) == 1 + 2 * 200
         assert set(seen) == {(float, list, 4, frozenset({float}))}
 
     @pytest.mark.parametrize("wrap", [list, np.array])
