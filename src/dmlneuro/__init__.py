@@ -6,7 +6,6 @@ with closed-form equilibrium, stability and bifurcation analysis.
 
 from .exceptions import (
     ConvergenceError,
-    DegenerateDeterminantError,
     DimensionMismatchError,
     DmlNeuroError,
     InsufficientSamplesError,

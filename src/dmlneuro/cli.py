@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import find_symmetric_equilibria
-from .exceptions import DegenerateDeterminantError, DmlNeuroError, NonFiniteStateError, NumericalError
-from .fde import SolverConfig, mittag_leffler, solve_fde
+from .exceptions import DmlNeuroError, NonFiniteStateError, NumericalError
+from .fde import SolverConfig, check_order, mittag_leffler, solve_fde
 from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 from .experiments import DEFAULT_DISCARD, DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
-from .stability import BetaStarKind, beta_star, classify, indicators
+from .stability import DEGENERACY_TOL, _threshold, beta_star, classify, indicators
 
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
@@ -428,14 +428,17 @@ def _cmd_equilibria(cfg: RunConfig) -> int:
 
 def _beta_star_cell(x_star: float, p: DmlParams, coupling):
     """The threshold's value and kind, as ``stability`` and ``beta-star``
-    print them."""
-    try:
-        result = beta_star(x_star, p, coupling)
-    except DegenerateDeterminantError:
-        return "undefined", "undefined"
-    if result.kind is BetaStarKind.THRESHOLD:
-        return result.value, result.kind.value
-    return result.kind.value, result.kind.value
+    print them: a constant verdict prints its kind in both."""
+    result = beta_star(x_star, p, coupling)
+    kind = result.kind.value
+    return (kind if result.value is None else result.value), kind
+
+
+def _deciding_block(ind) -> tuple[float, float]:
+    """The block that sets beta*: the first fold or saddle block, else the
+    first with the least block threshold."""
+    folds = [(t, d) for t, d in ind.branches if d <= DEGENERACY_TOL]
+    return folds[0] if folds else min(ind.branches, key=lambda b: _threshold((b,)))
 
 
 def _equilibrium_points(cfg: RunConfig):
@@ -447,6 +450,7 @@ def _equilibrium_points(cfg: RunConfig):
 
 
 def _cmd_stability(cfg: RunConfig) -> int:
+    check_order(cfg.beta)  # before the equilibrium search, which may fail
     rows = [
         [x_star, *chain(*ind.branches), classify(ind, cfg.beta).value, bs_value]
         for x_star, _, ind, (bs_value, _) in _equilibrium_points(cfg)
@@ -461,20 +465,20 @@ def _cmd_stability(cfg: RunConfig) -> int:
 
 def _cmd_beta_star(cfg: RunConfig) -> int:
     value = cfg.coupling().value
-    records = [
-        {
+    records = []
+    for x_star, y_star, ind, (bs_value, kind) in _equilibrium_points(cfg):
+        tau, delta = _deciding_block(ind)
+        records.append({
             "model": cfg.model,
             "I": cfg.I,
             "coupling_value": value,
             "x_star": x_star,
             "y_star": y_star,
-            "tau": ind.tau_plus,
-            "delta": ind.delta_plus,
+            "tau": tau,
+            "delta": delta,
             "beta_star": bs_value,
             "kind": kind,
-        }
-        for x_star, y_star, ind, (bs_value, kind) in _equilibrium_points(cfg)
-    ]
+        })
     with _output(cfg) as fh:
         fh.write(json.dumps(records[0] if len(records) == 1 else records, indent=2) + "\n")
     return 0

@@ -35,9 +35,5 @@ class RootWindowExhaustedError(NumericalError):
     """No root was found on the scan window, even after widening it once."""
 
 
-class DegenerateDeterminantError(NumericalError):
-    """A determinant branch is non-positive, so the Hopf threshold is undefined."""
-
-
 class InsufficientSamplesError(DmlNeuroError):
     """Not enough samples for the requested tail/discard analysis."""

@@ -216,7 +216,7 @@ def hopf_curve(
     current is then solved for its equilibrium from them, as
     :func:`find_symmetric_equilibria` does, and the critical order evaluated
     there.  Currents whose equilibrium is not on the unique branch, or whose
-    threshold degenerates, are omitted with a diagnostic.
+    threshold is not a critical order, are omitted with the branch or kind.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
@@ -234,12 +234,7 @@ def hopf_curve(
         if eq.branch is not Branch.UNIQUE:
             omitted.append((float(I), f"equilibrium branch is {eq.branch.value}"))
             continue
-        x_star = float(eq.points[0, 0])
-        try:
-            result = beta_star(x_star, p_at, coupling)
-        except NumericalError as err:
-            omitted.append((float(I), f"threshold undefined: {err}"))
-            continue
+        result = beta_star(float(eq.points[0, 0]), p_at, coupling)
         if result.kind is not BetaStarKind.THRESHOLD:
             omitted.append((float(I), result.kind.value))
             continue

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DegenerateDeterminantError
 from .fde import check_order
 from .models import CouplingSpec, DmlParams, NoCoupling, _exp
 
@@ -39,6 +38,7 @@ class BetaStarKind(Enum):
     THRESHOLD = "threshold"
     STABLE_FOR_ALL_ORDERS = "stable-for-all-orders"
     UNSTABLE_FOR_ALL_ORDERS = "unstable-for-all-orders"
+    UNDEFINED = "undefined"
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,25 @@ def eigenvalues(
     return np.array(out)
 
 
+def _threshold(branches) -> float:
+    """Least block order ``(2/pi) arccos(tau / (2 sqrt(delta)))``, every
+    ``delta > 0``: Matignon's condition holds at ``beta`` iff ``beta`` is below."""
+    return min(
+        2.0 * math.acos(max(-1.0, min(1.0, t / (2.0 * math.sqrt(d))))) / math.pi
+        for t, d in branches
+    )
+
+
 def classify(ind: StabilityIndicators, beta) -> Classification:
-    """Matignon classification of an equilibrium at fractional order ``beta``."""
+    """Matignon classification of an equilibrium at fractional order ``beta``:
+    a saddle or a fold by the sign of ``delta``, else stable iff ``beta`` < beta*."""
     beta = check_order(beta)
     branches = ind.branches
     if any(d < -DEGENERACY_TOL for _, d in branches):
         return Classification.SADDLE
     if any(abs(d) <= DEGENERACY_TOL for _, d in branches):
         return Classification.SADDLE_NODE_DEGENERATE
-    bound = math.cos(beta * math.pi / 2.0)
-    if all(t < 2.0 * math.sqrt(d) * bound for t, d in branches):
+    if beta < _threshold(branches):
         return Classification.ASYMPTOTICALLY_STABLE
     return Classification.UNSTABLE
 
@@ -135,23 +144,17 @@ def beta_star(
     """Critical fractional order of the Hopf bifurcation at an equilibrium.
 
     Per block, the threshold is ``(2/pi) arccos(tau / (2 sqrt(delta)))``; a
-    dimer takes the minimum over its two blocks.  A ratio at or above one
-    leaves no admissible stable order, while a computed threshold above one
-    means the equilibrium is stable for every order in (0, 1].
+    dimer takes the minimum over its two blocks.  It is ``UNDEFINED`` at a
+    saddle or a fold (a block ``delta <= DEGENERACY_TOL``).  A minimum of zero
+    leaves no admissible stable order, while one above one means the
+    equilibrium is stable for every order in (0, 1].
     """
-    ind = indicators(x_star, p, coupling)
-    worst = math.inf
-    for tau, delta in ind.branches:
-        if delta <= 0.0:
-            raise DegenerateDeterminantError(
-                "Hopf threshold undefined: a determinant branch is not positive"
-            )
-        ratio = tau / (2.0 * math.sqrt(delta))
-        ratio = max(-1.0, min(1.0, ratio))
-        worst = min(worst, 2.0 * math.acos(ratio) / math.pi)
+    branches = indicators(x_star, p, coupling).branches
+    if any(d <= DEGENERACY_TOL for _, d in branches):
+        return BetaStarResult(BetaStarKind.UNDEFINED)
+    worst = _threshold(branches)
     if worst <= 0.0:
         return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS)
     if worst > 1.0:
         return BetaStarResult(BetaStarKind.STABLE_FOR_ALL_ORDERS)
     return BetaStarResult(BetaStarKind.THRESHOLD, worst)
-

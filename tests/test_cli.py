@@ -13,6 +13,8 @@ import pytest
 from dmlneuro import cli, experiments
 from dmlneuro.cli import RunConfig, run_cli
 from dmlneuro.exceptions import NonFiniteStateError
+from dmlneuro.models import DmlParams, SigmoidCoupling
+from dmlneuro.stability import indicators
 
 
 def flag_of(field):
@@ -103,6 +105,20 @@ class TestBetaStarCommand:
         record = json.loads(out)
         assert record["beta_star"] == pytest.approx(0.98628, abs=1e-4)
         assert record["coupling_value"] == 0.001
+        # the in-phase block binds for an excitatory pair
+        ind = indicators(record["x_star"], DmlParams(I=0.019), SigmoidCoupling(0.001))
+        assert (record["tau"], record["delta"]) == (ind.tau_plus, ind.delta_plus)
+
+    def test_inhibitory_pair_reports_the_block_that_binds(self, capsys):
+        code, out, _ = run(capsys, "beta-star", "--model", "dimer-sigmoid", "--vs", "-1",
+                           "--I", "0.019")
+        assert code == 0
+        record = json.loads(out)
+        ind = indicators(record["x_star"], DmlParams(I=0.019), SigmoidCoupling(0.001, v_s=-1.0))
+        assert (record["tau"], record["delta"]) == (ind.tau_minus, ind.delta_minus)
+        ratio = ind.tau_minus / (2.0 * math.sqrt(ind.delta_minus))
+        assert record["beta_star"] == 2.0 * math.acos(ratio) / math.pi
+        assert record["beta_star"] == pytest.approx(0.9806562731256125, abs=1e-12)
 
     def test_multiple_equilibria_yield_a_list(self, capsys):
         code, out, _ = run(capsys, "beta-star", "--I", "0.011")
@@ -317,6 +333,24 @@ class TestStabilityCommand:
         assert len(rows) == 3
         assert any("saddle" in row for row in rows)
         assert any("undefined" in row for row in rows)
+
+    def test_fold_row_reads_undefined(self, capsys):
+        # a fold current of the sigmoid pair, from critical_points; rounding
+        # leaves delta_plus = +4.2e-17 at its fold equilibrium
+        code, out, _ = run(capsys, "stability", "--model", "dimer-sigmoid", "--sigma", "0.003",
+                           "--I=-0.0017224275857504155")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert 0.0 < float(rows[1].split(",")[2]) <= 1e-12
+        assert rows[1].endswith(",saddle-node-degenerate,undefined")
+
+    def test_order_checked_before_the_equilibrium_search(self, capsys, monkeypatch):
+        forbid(monkeypatch, "find_symmetric_equilibria")
+        for current in ("1e6", "0.019"):
+            code, out, err = run(capsys, "stability", "--beta", "0", "--I", current)
+            assert (code, out) == (2, "")
+            assert err == "configuration error: order must lie in (0, 1], got 0.0\n"
 
 
 class TestSimulateCommand:
@@ -895,6 +929,15 @@ class TestHopfCurveCommand:
         assert err.count("omitted I=") == 5
         assert "SVG skipped" in err and "configuration error" not in err
         assert not (tmp_path / "curve.svg").exists()
+
+    def test_undefined_threshold_is_omitted_by_its_kind(self, capsys):
+        # an inhibitory pair with a saddle at I = 0.05
+        code, _, err = run(capsys, "hopf-curve", "--model", "dimer-sigmoid", "--sigma", "0.1",
+                           "--vs=-1", "--q", "0.4", "--I-from", "0", "--I-to", "0.3",
+                           "--I-points", "7")
+        assert code == 0
+        assert err.count("omitted I=0.05:") == 1
+        assert "omitted I=0.05: undefined\n" in err
 
 
 # a command line of each plotting command, and the function that does its work

@@ -1,11 +1,15 @@
 import math
 from dataclasses import replace
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dmlneuro import stability
 from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria
-from dmlneuro.exceptions import DegenerateDeterminantError
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -208,11 +212,12 @@ class TestBetaStar:
         assert ind.tau_plus / (2 * math.sqrt(ind.delta_plus)) >= 1
         assert beta_star(x, p).kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
 
-    def test_degenerate_determinant_raises(self):
+    def test_degenerate_determinant_is_undefined(self):
         p = DmlParams(I=I_MIN)
         eq = find_symmetric_equilibria(p)
-        with pytest.raises(DegenerateDeterminantError):
-            beta_star(eq.points[-1, 0], p)  # the fold point
+        result = beta_star(eq.points[-1, 0], p)  # the fold point
+        assert result.kind is BetaStarKind.UNDEFINED
+        assert result.value is None
 
     def test_threshold_brackets_the_classification_flip(self):
         cases = [
@@ -246,6 +251,41 @@ class TestBetaStar:
             minus = ind.tau_minus / (2 * math.sqrt(ind.delta_minus))
             assert minus < plus
             checked += 1
+
+
+# a block determinant: a saddle's, one within rounding of a fold, or an ordinary one
+DELTAS = st.one_of(
+    st.floats(-0.5, 0.0),
+    st.floats(0.0, 1e-12, exclude_min=True),
+    st.floats(1e-6, 0.5),
+)
+BLOCKS = st.lists(st.tuples(st.floats(-0.5, 0.5), DELTAS), min_size=1, max_size=2)
+
+
+class TestClassifyAgreesWithBetaStar:
+    """``classify`` and ``beta_star`` state one Matignon condition: for any
+    blocks, stability at an order is the order lying below the threshold,
+    and a saddle or fold is exactly an undefined threshold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=BLOCKS, beta=st.floats(0.0, 1.0, exclude_min=True))
+    @example(blocks=[(0.02342704768668069, 4.163336342344337e-17)], beta=0.5)
+    @example(blocks=[(0.0, 0.09)], beta=1.0)
+    def test_one_condition_at_a_drawn_order_and_at_the_threshold(self, blocks, beta):
+        ind = StabilityIndicators(*chain(*blocks))
+        with mock.patch.object(stability, "indicators", return_value=ind):
+            result = beta_star(0.0, P)
+        orders = [beta]
+        if result.kind is BetaStarKind.THRESHOLD:
+            orders.append(result.value)
+        for order in orders:
+            got = classify(ind, order)
+            stable = result.kind is BetaStarKind.STABLE_FOR_ALL_ORDERS or (
+                result.kind is BetaStarKind.THRESHOLD and order < result.value
+            )
+            assert (got is Classification.ASYMPTOTICALLY_STABLE) == stable
+            fold_or_saddle = got in (Classification.SADDLE, Classification.SADDLE_NODE_DEGENERATE)
+            assert fold_or_saddle == (result.kind is BetaStarKind.UNDEFINED)
 
 
 class TestEigenvalueOracleEquivalence:
