@@ -3,23 +3,13 @@
 The initial value problem is recast as a Volterra integral equation with a
 weakly singular power-law kernel, discretized by product integration on a
 uniform grid, and stepped with an Adams-Bashforth-Moulton predict-evaluate-
-correct-evaluate (PECE) scheme.  The history sums follow the nested
-splitting of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6,
-1985) used in Garrappa's FDE-PI codes.  The grid falls into blocks of
-``_FFT_BLOCK`` nodes, and a node sums the earlier nodes of its own block
-directly.  A block buffer interleaves, node by node, the two far sums and
-the vector-field row, so block node k finds everything it reads in the
-buffer's first 3k + 2 rows: one product of a fixed ``(2, 3k + 2)`` weight
-row pair with that prefix gives it its predictor state and corrector base.
-Every other pair of source and target nodes lies in one square:
-at each node m that is an odd multiple of L = _FFT_BLOCK * 2**l, the sources
-[m - L, m) are added to the far sums of the targets [m, m + L) by a circular
-convolution of size 2L, which cannot wrap; a last square that the grid's
-end clips to T < L targets uses L + T points, rounded up to a 5-smooth
-length.  A square whose transform length is at most ``_FFT_BATCH`` folds
-every column and both sums in one transform pair; a larger one transforms
-column by column, which keeps its buffers small.  Each lag range is folded
-once, so a run of N steps costs O(N log^2 N).
+correct-evaluate (PECE) scheme.  The grid falls into blocks of r = ``_BLOCK``
+nodes.  A node sums its own block directly; one product per block gives its
+far sums, weighting the block before by the kernel (lags 1 to 2r - 1) and all
+older nodes through sums of exponentials that stand for the kernel past lag r
+(Jiang et al., Commun. Comput. Phys. 21, 2017; Baffet and Hesthaven, SIAM J.
+Numer. Anal. 55, 2017).  A run of N steps costs O(N (r + Q)) for Q (about
+145) exponents, and its only arrays of length N are its times and states.
 """
 
 from __future__ import annotations
@@ -36,12 +26,9 @@ from .exceptions import (
     NonFiniteStateError,
 )
 
-# Length r of the direct history tail: a node sums the earlier nodes of its
-# own block of r directly; all older history reaches it through the squares.
-_FFT_BLOCK = 64
-# Longest transform folded in one batched pair.  Below it the per-call
-# overhead dominates; above it the batched buffers would raise peak memory.
-_FFT_BATCH = 2**11
+# Block length r: a node sums its own block directly, the block before it by
+# the kernel and all older nodes through the sums of exponentials.
+_BLOCK = 64
 
 
 def check_order(order) -> float:
@@ -97,31 +84,55 @@ class Trajectory:
     states: np.ndarray
 
 
-def _predictor_kernel(beta: float, kmax: int) -> np.ndarray:
-    # lag-k weight of the product-rectangle rule, unscaled
-    k = np.arange(kmax + 1, dtype=float)
-    return (k + 1.0) ** beta - k ** beta
+# The lag kernels avoid the cancellation of their textbook forms, whose error
+# grows like eps * k**2; at lag 1, log1p(-1) = -inf gives the exact limit.
+@np.errstate(divide="ignore")
+def _predictor_kernel(beta: float, k) -> np.ndarray:
+    # lag-k weight of the product-rectangle rule, k^beta - (k - 1)^beta
+    k = np.asarray(k, dtype=float)
+    return -(k ** beta) * np.expm1(beta * np.log1p(-1.0 / k))
 
 
-def _corrector_kernel(beta: float, kmax: int) -> np.ndarray:
-    # lag-k weight of the product-trapezoid rule for k >= 1; entry 0 is padding
-    k = np.arange(1, kmax + 1, dtype=float)
+@np.errstate(divide="ignore")
+def _corrector_kernel(beta: float, k) -> np.ndarray:
+    # lag-k weight of the product-trapezoid rule, (k+1)^e - 2k^e + (k-1)^e
+    k = np.asarray(k, dtype=float)
     e = beta + 1.0
-    core = (k + 1.0) ** e - 2.0 * k ** e + (k - 1.0) ** e
-    return np.concatenate(([0.0], core))
+    return k ** e * (np.expm1(e * np.log1p(1.0 / k)) + np.expm1(e * np.log1p(-1.0 / k)))
 
 
+@np.errstate(divide="ignore")
 def _corrector_initial(beta: float, n) -> np.ndarray:
-    # weight attached to the t_0 sample when stepping from node n to n+1
-    n = np.asarray(n, dtype=float)
-    return n ** (beta + 1.0) - (n - beta) * (n + 1.0) ** beta
+    # weight attached to the t_0 sample when stepping from node n to n + 1:
+    # n^e - (n - beta) (n + 1)^beta = m^e ((1 - 1/m)^e - 1 + e/m), m = n + 1
+    m = np.asarray(n, dtype=float) + 1.0
+    e = beta + 1.0
+    return m ** e * (np.expm1(e * np.log1p(-1.0 / m)) + e / m)
 
 
-def _fft_size(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= n, a length the FFT handles fast."""
-    odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
-    # each odd part times the least power of two that lifts it to n or beyond
-    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+def _exponential_sums(beta: float, n_steps: int, r: int):
+    """Exponents ``lam`` and weights ``wb``, ``wa``: ``wb @ exp(-lam * n)``
+    and ``wa @ exp(-lam * n)`` are the unscaled predictor and corrector
+    kernels at every lag r < n <= n_steps, to about 1e-13 relative.
+
+    s^(beta - 1) = Gamma(1 - beta)^-1 * integral of exp((1 - beta) x - s e^x)
+    dx, by the trapezoid rule with step 0.3 from ln(1e-13 / n_steps) to
+    ln(45 / r): above it e^(-s e^x) < e^-45 for s >= r; below it s e^x <
+    1e-13, so those nodes fold by their geometric sum into one exponent 0,
+    the whole sum at beta = 1.  The kernels average e^(-lam s) over
+    [n - 1, n] and under the hat on [n - 1, n + 1].
+    """
+    step, a = 0.3, 1.0 - beta
+    x_min = math.log(1e-13 / n_steps)
+    x = x_min + step * np.arange(math.ceil((math.log(45.0 / r) - x_min) / step) + 1)
+    lam = np.exp(x)
+    # 1 / Gamma(1 - beta) = (1 - beta) / Gamma(2 - beta), which is 0 at beta = 1;
+    # c_0 sums c[0] * e^(-a step k) over the nodes k = 1, 2, ... below x_min
+    c = step * a / math.gamma(1.0 + a) * np.exp(a * x)
+    c_0 = c[0] / math.expm1(a * step) if a else 1.0
+    wb = beta * np.concatenate(([c_0], c * np.expm1(lam) / lam))
+    wa = beta * (beta + 1.0) * np.concatenate(([c_0], c * (np.sinh(lam / 2.0) / (lam / 2.0)) ** 2))
+    return np.concatenate(([0.0], lam)), wb, wa
 
 
 def _length_fault(block, f_new, dim, lo, m, times):
@@ -156,20 +167,20 @@ def solve_fde(
     ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a plain list
     of ``dim`` floats, and returns any sequence of ``dim`` floats: a tuple, a
     list or an array.  Each step makes one matrix product.  A ``(3r, dim)``
-    block buffer, r = ``_FFT_BLOCK``, holds three rows per block node j: its
-    two far sums at 3j and 3j + 1, copied in once per block, and its vector
-    field at 3j + 2, written by node j's step.  Block node k multiplies a
+    block buffer, r = ``_BLOCK``, holds three rows per block node j: its two
+    far sums at 3j and 3j + 1, written once per block, and its vector field
+    at 3j + 2, written by node j's step.  Block node k multiplies a
     ``(2, 3k + 2)`` weight row pair by the buffer's first 3k + 2 rows, the
-    ones it reads, which halves the product's work on average.  The rest of
-    the step runs on Python floats, and the block's states and field rows
-    are stored once per block.
+    ones it reads.  The rest of the step runs on Python floats, and the
+    block's states are stored once per block.  Beside the returned times
+    and states, a solve holds O(r (r + Q)) floats for Q exponents.
 
     Raises ``ValueError`` for a non-finite ``y0``, before any work,
     :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state after it, and
     :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
     at node 0 or at any later node.  The last two checks run once per block
-    of ``_FFT_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite
+    of ``_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite
     states, or at a state cut short by its own short output, before the
     error is raised.  A ``ValueError`` that ``rhs`` raises itself
     propagates as it is.
@@ -202,15 +213,15 @@ def solve_fde(
             f"rhs returned shape {f0.shape}, expected ({dim},)"
         )
 
-    # lag-indexed scaled weights, at least r + 1 long: node j enters the
+    # lag-indexed scaled weights up to lag 2r - 1: node j enters the
     # predictor of node m with kb[m - j] and the corrector with ka[m - j]
-    r = _FFT_BLOCK
+    r = _BLOCK
     cb = h ** beta / math.gamma(beta + 1.0)
     ca = h ** beta / math.gamma(beta + 2.0)
-    kb = cb * np.concatenate(([0.0], _predictor_kernel(beta, max(n_steps, r) - 1)))
-    ka = ca * _corrector_kernel(beta, max(n_steps, r))
+    kb = cb * np.concatenate(([0.0], _predictor_kernel(beta, np.arange(1, 2 * r))))
+    ka = ca * np.concatenate(([0.0], _corrector_kernel(beta, np.arange(1, 2 * r))))
     # The block buffer Z interleaves three rows per block node j: its two
-    # far rows at 3j and 3j + 1, copied in once per block, and its F row at
+    # far rows at 3j and 3j + 1, written once per block, and its F row at
     # 3j + 2, written by node j's step.  W[k] turns the prefix Zk[k] =
     # Z[:3k + 2] into the predictor state and the corrector base of block
     # node k in one product: the kernel weights of the k earlier nodes'
@@ -226,57 +237,47 @@ def solve_fde(
         W.append(w)
         Zk.append(Z[: 3 * k + 2])
 
-    # Far sums.  far[m, 0] holds y0 plus the predictor sum over the nodes the
-    # squares have folded in so far, until m's block stores its states
-    # there: ``states`` is that column.  far[m, 1] does the same for the
-    # corrector, starting from node 0's own weight in place of its kernel
-    # weight (row 0 is never read).
-    far = np.empty((n_steps + 1, 2, dim))
-    far[:] = y0
-    states = far[:, 0]
-    far[1:, 1] += (
-        ca * _corrector_initial(beta, np.arange(n_steps)) - ka[1 : n_steps + 1]
-    )[:, None] * f0
-    F = np.empty((n_steps + 1, dim))
-    F[0] = f0
-    spectra = {}
+    # Far rows.  One product A @ B gives both far rows of every node of the
+    # block, in Z's order.  B stacks the F rows of the last block, weighted
+    # by the kernel; the state H, whose row i sums exp(-lam[i] (P - j)) F[j]
+    # over the nodes j before that block's first node P, weighted by the
+    # exponential sums; y0, by one; and f0, by node 0's corrector weight
+    # less its kernel weight, the one column that changes per block.
+    lam, wb, wa = _exponential_sums(beta, n_steps, r)
+    ks = np.arange(r)
+    A = np.zeros((r, 2, r + lam.size + 2))
+    lag = r + ks[:, None] - ks
+    A[:, 0, :r], A[:, 1, :r] = kb[lag], ka[lag]
+    ahead = np.exp(-np.outer(r + ks, lam))
+    A[:, 0, r:-2], A[:, 1, r:-2] = cb * wb * ahead, ca * wa * ahead
+    A[:, :, -2] = 1.0
+    A = A.reshape(2 * r, -1)
+    into = np.exp(-np.outer(lam, r - ks))
+    decay = np.exp(-r * lam)[:, None]
+    B = np.zeros((r + lam.size + 2, dim))
+    last, H = B[:r], B[r:-2]
+    B[-2], B[-1] = y0, f0
+    states = np.empty((n_steps + 1, dim))
+    states[0] = y0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for q0 in range(0, n_steps + 1, r):
-            if q0:
-                # the square of sources [q0 - L, q0) and targets [q0, q0 + L),
-                # L = r * 2**l with q0 an odd multiple of L
-                L = r * ((q0 // r) & -(q0 // r))
-                hi = min(q0 + L, n_steps + 1)
-                # a square clipped to T = hi - q0 < L targets needs only L + T
-                # points; a full one's spectra serve the next square of its
-                # size, at q0 + 2L, if that one is full too
-                n = 2 * L if hi == q0 + L else _fft_size(L + hi - q0)
-                batched = n <= _FFT_BATCH
-                hat = spectra.pop(L, None)
-                if hat is None:
-                    hat = (np.fft.rfft(kb[:n], n=n), np.fft.rfft(ka[:n], n=n))
-                    if batched:
-                        # (n//2 + 1, sum, 1): broadcasts over the columns
-                        hat = np.stack(hat, axis=1)[:, :, None]
-                if q0 + 3 * L <= n_steps + 1:
-                    spectra[L] = hat
-                if batched:
-                    hat_f = np.fft.rfft(F[q0 - L : q0], n=n, axis=0)
-                    far[q0:hi] += np.fft.irfft(hat_f[:, None] * hat, n=n, axis=0)[L : L + hi - q0]
-                else:
-                    hat_b, hat_a = hat
-                    for d in range(dim):
-                        hat_f = np.fft.rfft(F[q0 - L : q0, d], n=n)
-                        far[q0:hi, 0, d] += np.fft.irfft(hat_f * hat_b, n=n)[L : L + hi - q0]
-                        far[q0:hi, 1, d] += np.fft.irfft(hat_f * hat_a, n=n)[L : L + hi - q0]
-
-            lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
-            # every row of a node's prefix is written in this block before
-            # the node reads it, so no stale row from an earlier block is read
+            if not q0 % (r * r):
+                # node 0's corrector correction for the targets of the next r
+                # blocks; row 0, weighted by zero, takes lag 1's finite value
+                n = np.maximum(np.arange(q0, q0 + r * r), 1)
+                edges = ca * (_corrector_initial(beta, n - 1) - _corrector_kernel(beta, n))
+            A[1::2, -1] = edges[q0 % (r * r) :][:r]
+            # H takes in the block before the last, then the last block's
+            # F rows replace it; every row of a node's prefix is written in
+            # this block before the node reads it
+            H *= decay
+            H += into.dot(last)
+            last[:] = nodes[:, 2]
+            nodes[:, :2] = A.dot(B).reshape(r, 2, dim)
             if not q0:
                 nodes[0, 2] = f0
-            nodes[: stop - q0, :2] = far[q0:stop]
+            lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
             block = []
             try:
                 for m in range(lo, stop):
@@ -300,7 +301,6 @@ def solve_fde(
             if len(block[0]) != dim:
                 # rows of one value broadcast into the store without a word
                 raise DimensionMismatchError(_length_fault(block, f_new, dim, lo, m, times))
-            F[lo:stop] = nodes[lo - q0 : stop - q0, 2]
 
             finite = np.isfinite(states[lo:stop]).all(axis=1)
             if not finite.all():
@@ -314,8 +314,7 @@ def solve_fde(
             if _on_rows is not None:
                 _on_rows(times[:stop], states[:stop])
 
-    # a copy, so the trajectory does not keep the corrector sums alive
-    return Trajectory(times, states.copy())
+    return Trajectory(times, states)
 
 
 def mittag_leffler(order, z: float) -> float:

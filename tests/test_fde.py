@@ -1,10 +1,13 @@
 import collections
+import decimal
 import math
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -236,20 +239,36 @@ def pi_weights(order, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     prefactor.  The corrector weights (length ``n+2``) multiply the samples
     at nodes ``0..n+1`` and are scaled by ``h**beta / gamma(beta+2)`` at the
     point of use.  Built from the engine's own lag kernels, which the
-    quadrature tests below check independently.
+    quadrature test below checks independently, and the 34-digit test at
+    lags up to 6e5.
     """
     beta = check_order(order)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    predictor = (h ** beta / beta) * fde._predictor_kernel(beta, n)[::-1]
+    predictor = (h ** beta / beta) * fde._predictor_kernel(beta, np.arange(n + 1, 0, -1))
     corrector = np.empty(n + 2)
     corrector[0] = fde._corrector_initial(beta, n)
-    if n >= 1:
-        corrector[1 : n + 1] = fde._corrector_kernel(beta, n)[1:][::-1]
+    corrector[1 : n + 1] = fde._corrector_kernel(beta, np.arange(n, 0, -1))
     corrector[n + 1] = 1.0
     return predictor, corrector
+
+
+def exact_kernels(beta: float, n: int) -> tuple[float, float, float]:
+    """The predictor and corrector kernels at lag ``n`` and the node-0
+    corrector weight of the step from node ``n``, unscaled, to 34
+    significant digits and rounded to floats.  The terms are about n**2 /
+    beta times the result, so they carry that many more digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 34 + math.ceil(math.log10(4 * n * n) - math.log10(beta))
+        b, k = decimal.Decimal(beta), decimal.Decimal(n)
+        e = b + 1
+        return (
+            float(k ** b - (k - 1) ** b),
+            float((k + 1) ** e - 2 * k ** e + (k - 1) ** e),
+            float(k ** e - (k - b) * (k + 1) ** b),
+        )
 
 
 class TestPiWeights:
@@ -313,6 +332,19 @@ class TestPiWeights:
             expected = kernel_weight(lo, hi, hat(j))
             assert corr[j] * corr_scale == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9, 1.0])
+    def test_kernels_match_34_digit_weights(self, beta):
+        # written without cancellation, each kernel keeps a relative error
+        # of a few eps * n / beta, where the textbook forms lose eps * n**2
+        for n in (1, 2, 3, 10, 1000, 10**5, 6 * 10**5):
+            got = (
+                fde._predictor_kernel(beta, n),
+                fde._corrector_kernel(beta, n),
+                fde._corrector_initial(beta, n),
+            )
+            for value, exact in zip(got, exact_kernels(beta, n)):
+                assert abs(value - exact) <= 4 * np.finfo(float).eps * n / beta * exact, n
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             pi_weights(0.9, -1, 0.1)
@@ -351,7 +383,8 @@ def reference_pece(rhs, order, config, y0, params=None):
 
 class TestFftPath:
     def test_equivalent_to_direct_on_neuron_run(self):
-        # 1e4 steps so the blocked history fold actually engages
+        # 1e4 steps, so most of the history reaches a node through the
+        # exponential state
         p = DmlParams(I=0.019)
         y0 = [0.1, 0.1]
         cfg = SolverConfig(0.0, 100.0, 0.01)
@@ -360,7 +393,7 @@ class TestFftPath:
         assert np.abs(direct - fast.states).max() < 1e-8
 
     def test_equivalent_across_many_blocks(self, monkeypatch):
-        monkeypatch.setattr(fde, "_FFT_BLOCK", 128)
+        monkeypatch.setattr(fde, "_BLOCK", 128)
         cfg = SolverConfig(0.0, 2.0, 1e-3)
         fast = solve_fde(decay, 0.6, cfg, [1.0])
         direct = reference_pece(decay, 0.6, cfg, [1.0])
@@ -369,7 +402,7 @@ class TestFftPath:
     def test_equivalent_for_four_dimensional_state(self, monkeypatch):
         from dmlneuro.models import LinearCoupling
 
-        monkeypatch.setattr(fde, "_FFT_BLOCK", 256)
+        monkeypatch.setattr(fde, "_BLOCK", 256)
         p = DmlParams(I=0.019)
         rhs = vector_field(LinearCoupling(0.008))
         y0 = [0.1, 0.1, -0.2, 0.1]
@@ -388,7 +421,7 @@ class TestFftPath:
         p = DmlParams(I=0.019)
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fde, "_FFT_BLOCK", block)
+            mp.setattr(fde, "_BLOCK", block)
             fast = solve_fde(single_field, beta, cfg, [0.1, 0.1], p)
         direct = reference_pece(single_field, beta, cfg, [0.1, 0.1], p)
         assert np.abs(direct - fast.states).max() < 1e-10
@@ -402,7 +435,8 @@ def assert_exact_finite_prefix(field):
     """Blow ``field`` up; the error must carry exactly the states before the
     first non-finite one."""
     first_bad = check_finite_prefix(field)
-    # past three squares, and not on a block boundary
+    # far enough that the exponential state carries part of the history,
+    # and not on a block boundary
     assert first_bad > 4 * BLOW_UP_BLOCK and first_bad % BLOW_UP_BLOCK > 1
 
 
@@ -416,7 +450,7 @@ def check_finite_prefix(field):
     first_bad = int(np.isfinite(direct).all(axis=1).argmin())
     assert first_bad > 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fde, "_FFT_BLOCK", block)
+        mp.setattr(fde, "_BLOCK", block)
         with pytest.raises(NonFiniteStateError) as info:
             solve_fde(field, 0.8, cfg, [1.0])
     partial = info.value.trajectory
@@ -424,43 +458,6 @@ def check_finite_prefix(field):
     # the last finite states are near the float range, so compare relatively
     np.testing.assert_allclose(partial.states, direct[:first_bad], rtol=1e-10, atol=0)
     return first_bad
-
-
-def smooth_length(n):
-    """Smallest integer >= n with no prime factor above 5, by trial."""
-    while True:
-        k = n
-        for f in (2, 3, 5):
-            while k % f == 0:
-                k //= f
-        if k == 1:
-            return n
-        n += 1
-
-
-def count_transforms(mp, evals):
-    """Patch numpy's rfft and irfft to log each call as (name, length, points, q0).
-
-    ``points`` counts the length times every column along ``axis``.  ``q0``
-    is the square that made the call, read from ``evals``, the field
-    evaluations so far: steps 1 .. q0 - 1 precede the square at q0, two
-    evaluations each after the one at node 0.
-    """
-    log = []
-
-    def counting(name, transform):
-        def counted(a, n=None, axis=-1, *args, **kwargs):
-            a = np.asarray(a)
-            length = n if n is not None else a.shape[axis]
-            columns = a.size // max(a.shape[axis], 1)
-            log.append((name, length, length * columns, (evals[0] + 1) // 2))
-            return transform(a, n, axis, *args, **kwargs)
-
-        return counted
-
-    for name in ("rfft", "irfft"):
-        mp.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    return log
 
 
 class TestNestedSquares:
@@ -472,7 +469,8 @@ class TestNestedSquares:
         model=st.sampled_from(["single", "sigmoid-pair"]),
     )
     def test_every_level_matches_the_direct_sum(self, block, extra, beta, model):
-        # at least 16 blocks, so squares of block * 2**l run for l = 0..4
+        # at least 16 blocks, so the last ones read 14 blocks or more of
+        # their history through the exponential state
         n_steps = 16 * block + extra
         p = DmlParams(I=0.019)
         if model == "single":
@@ -481,7 +479,7 @@ class TestNestedSquares:
             rhs, y0 = vector_field(SigmoidCoupling(0.001)), [0.1, 0.1, -0.2, 0.1]
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fde, "_FFT_BLOCK", block)
+            mp.setattr(fde, "_BLOCK", block)
             fast = solve_fde(rhs, beta, cfg, y0, p)
         direct = reference_pece(rhs, beta, cfg, y0, p)
         assert np.abs(direct - fast.states).max() < 1e-10
@@ -506,95 +504,73 @@ class TestNestedSquares:
 
         assert check_finite_prefix(field) == target + 1
 
-    def test_fold_work_grows_as_n_log_n(self):
-        block, n_steps, dim = 8, 20_000, 2
-        evals = [0]
-        by_square = {}  # q0 -> lengths of the transforms made there
 
-        def field(t, y, p):
-            evals[0] += 1
-            return single_field(t, y, p)
-
-        p = DmlParams(I=0.019)
-        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fde, "_FFT_BLOCK", block)
-            log = count_transforms(mp, evals)
-            solve_fde(field, 0.9, cfg, [0.1, 0.1], p)
-        for _, length, _, q0 in log:
-            by_square.setdefault(q0, []).append(length)
-        largest_square = block << int(math.log2(n_steps / block))
-        assert max(length for _, length, _, _ in log) <= 2 * largest_square
-        points = sum(points for _, _, points, _ in log)
-        assert points <= 4 * dim * n_steps * math.ceil(math.log2(n_steps / block))
-
-        clipped = 0
-        for q0 in range(block, n_steps + 1, block):
-            side = block * ((q0 // block) & -(q0 // block))
-            targets = min(q0 + side, n_steps + 1) - q0
-            longest = max(by_square[q0])
-            if targets < side:
-                # a clipped square transforms at no more than the least
-                # 5-smooth length that holds sources and targets
-                clipped += 1
-                assert longest <= smooth_length(side + targets)
-            else:
-                assert longest <= 2 * side
-        assert set(by_square) == set(range(block, n_steps + 1, block))
-        assert clipped >= 2
-
-
-    @pytest.mark.parametrize("coupling", [NoCoupling(), SigmoidCoupling(0.001)], ids=["dim2", "dim4"])
-    def test_a_small_square_folds_in_one_transform_pair(self, coupling):
-        rhs, dim = vector_field(coupling), coupling.dim
-        evals = [0]
-
-        def field(t, y, p):
-            evals[0] += 1
-            return rhs(t, y, p)
-
-        # with 64-node blocks, every square of 2000 steps transforms at
-        # 2048 points or fewer, and the last few are clipped
-        r, n_steps = fde._FFT_BLOCK, 2000
-        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
-        with pytest.MonkeyPatch.context() as mp:
-            log = count_transforms(mp, evals)
-            solve_fde(field, 0.9, cfg, [0.1, 0.1, -0.2, 0.1][:dim], DmlParams(I=0.019))
-        assert max(length for _, length, _, _ in log) <= fde._FFT_BATCH
-        by_square = {}
-        for name, _, _, q0 in log:
-            by_square.setdefault(q0, []).append(name)
-        assert set(by_square) == set(range(r, n_steps + 1, r))
-        for q0, names in by_square.items():
-            side = r * ((q0 // r) & -(q0 // r))
-            # the kernel spectra are transformed at the first square of a
-            # size and at a clipped one; every other square reuses them
-            fresh = q0 == side or q0 + side > n_steps + 1
-            assert names == ["rfft"] * (1 + 2 * fresh) + ["irfft"], q0
+class TestExponentialHistory:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # from 1e-300 up, where every weight at lags up to 1e6 is a normal float
+        beta=st.floats(1e-300, 1.0),
+        n_steps=st.integers(2 * fde._BLOCK, 10**6),
+        at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    @example(beta=1.0, n_steps=10**6, at=[0.0, 0.5, 1.0])
+    @example(beta=1e-9, n_steps=10**6, at=[0.0, 1.0])
+    def test_sums_match_34_digit_weights(self, beta, n_steps, at):
+        r = fde._BLOCK
+        lam, wb, wa = fde._exponential_sums(beta, n_steps, r)
+        for u in at:
+            n = r + 1 + round(u * (n_steps - r - 1))
+            pred, corr = wb @ np.exp(-lam * n), wa @ np.exp(-lam * n)
+            exact_pred, exact_corr, _ = exact_kernels(beta, n)
+            assert abs(pred - exact_pred) <= 1e-12 * exact_pred, n
+            assert abs(corr - exact_corr) <= 1e-12 * exact_corr, n
+            if beta == 1.0:
+                # the scaled weights are h and 2 ca exactly
+                assert (pred, corr) == (1.0, 2.0)
 
     @pytest.mark.parametrize(
         "coupling",
         [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)],
         ids=["single", "linear", "sigmoid"],
     )
-    def test_batched_and_per_column_folds_give_the_same_bits(self, coupling):
+    def test_a_solve_makes_no_transform(self, coupling, monkeypatch):
         rhs, dim = vector_field(coupling), coupling.dim
-        # 5000 steps transform at 128 .. 5120 points, so the default batch
-        # size splits them; the grid ends in clipped squares
-        n_steps = 5000
-        args = (rhs, 0.9, SolverConfig(0.0, 0.05 * n_steps, 0.05), [0.1, 0.1, -0.2, 0.1][:dim])
-        p = DmlParams(I=0.019)
-        default = solve_fde(*args, p).states
-        for batch in (0, 4 * n_steps):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fde, "_FFT_BATCH", batch)
-                assert np.array_equal(solve_fde(*args, p).states, default), batch
+        calls = []
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, lambda *a, name=name, **k: calls.append(name))
+        cfg = SolverConfig(0.0, 100.0, 0.05)
+        traj = solve_fde(rhs, 0.9, cfg, [0.1, 0.1, -0.2, 0.1][:dim], DmlParams(I=0.019))
+        assert calls == []
+        assert np.isfinite(traj.states).all()
+
+    @pytest.mark.slow
+    def test_peak_memory_is_the_output(self):
+        # tracemalloc looks up the line of every allocation it records; on
+        # CPython 3.11 that scans the line table of a long function unless a
+        # traced call has built its line array, so one short solve under a
+        # no-op profile function first keeps this test to seconds
+        p, cfg = DmlParams(I=0.019), SolverConfig(0.0, 2000.0, 0.01)
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            solve_fde(single_field, 0.9, SolverConfig(0.0, 1.0, 0.01), [0.1, 0.1], p)
+        finally:
+            sys.setprofile(previous)
+        tracemalloc.start()
+        try:
+            traj = solve_fde(single_field, 0.9, cfg, [0.1, 0.1], p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (cfg.n_steps + 1, 2)
+        assert peak <= 1.5 * (traj.times.nbytes + traj.states.nbytes)
 
 
 class TestFieldContract:
     P = DmlParams(I=0.019)
     Y0 = [0.1, 0.1, -0.2, 0.1]
-    # 2000 steps, so squares of several sizes and a clipped last one run
+    # 2000 steps, so the exponential state carries history and the last
+    # block is clipped
     CFG = SolverConfig(0.0, 100.0, 0.05)
 
     def test_rhs_receives_a_list_of_floats(self):
@@ -657,7 +633,7 @@ class TestFieldContract:
 
 @pytest.mark.slow
 def test_full_resolution_single_cell_converges_to_equilibrium():
-    # the long-run protocol: t in [0, 6000] with h = 0.01; the blocked FFT
+    # the long-run protocol: t in [0, 6000] with h = 0.01; the exponential
     # history keeps this tractable
     p = DmlParams(I=0.019)
     cfg = SolverConfig(0.0, 6000.0, 0.01)
