@@ -214,9 +214,10 @@ def _emit(cfg: RunConfig, header: list[str], rows, line: Optional[str] = None,
           stream=None) -> None:
     """Write a CSV table: its header, then ``rows`` by ``_csv_rows``.
 
-    With ``stream``, ``rows`` is the 2-d float array of a trajectory that
-    ``simulate`` fed to that ``_CsvStream`` while the solve ran; the bytes
-    are exactly those of the one-process text.
+    With ``stream``, ``rows`` is the 2-d float array of the trajectory rows
+    past the ``stream.finish()`` ones, whose text that ``_CsvStream``'s
+    helper wrote while the solve ran; the bytes are exactly those of the
+    one-process text.
     """
     with _output(cfg) as fh:
         fh.write(",".join(header) + "\n")
@@ -245,9 +246,10 @@ class _CsvStream:
     """A float64 table whose leading rows a helper interpreter formats.
 
     ``feed`` hands the helper whole ``_CSV_CHUNK``s of rows while the table
-    is still being computed, and ``write`` writes the finished table: the
-    helper's text, then the rest, formatted here.  A table that was never
-    fed is formatted here alone.
+    is still being computed, ``finish`` waits for the helper and says how
+    many rows its text holds, and ``write`` writes the finished table: the
+    helper's text, then the rest, formatted here.  So only the rest need be
+    built as one array.  A table that was never fed is formatted here alone.
 
     The helper starts at the first rows handed over.  It reads raw doubles
     from a pipe and writes their text, by the template of ``_csv_rows``,
@@ -261,6 +263,7 @@ class _CsvStream:
         self.helper = None
         self.text = None  # the helper's output file
         self.sent = 0  # rows handed to the helper
+        self.done = 0  # rows whose text the helper wrote
         self.broken = False  # no helper could start, or a send failed
 
     def __enter__(self):
@@ -294,19 +297,24 @@ class _CsvStream:
             return
         self.sent = stop
 
-    def write(self, fh, rows: np.ndarray) -> None:
-        """Write the finished table ``rows``, whose first ``sent`` rows the
-        helper already has."""
-        import shutil
-
-        done = 0  # rows whose text the helper wrote
+    def finish(self) -> int:
+        """End the helper's input and wait for it; return the number of
+        leading rows whose text it wrote, 0 if it failed or never started."""
         if self.helper is not None:
             self.helper.stdin.close()
             if self.helper.wait() == 0:
-                self.text.seek(0)
-                shutil.copyfileobj(self.text, fh)
-                done = self.sent
-        _csv_rows(fh, rows[done:])
+                self.done = self.sent
+        return self.done
+
+    def write(self, fh, rows: np.ndarray) -> None:
+        """Write the finished table: the helper's text of its first
+        ``finish()`` rows, then ``rows``, the rest of it."""
+        import shutil
+
+        if self.done:
+            self.text.seek(0)
+            shutil.copyfileobj(self.text, fh)
+        _csv_rows(fh, rows)
 
     def close(self) -> None:
         """Kill the helper if it still runs, wait for it and drop its text."""
@@ -371,9 +379,12 @@ def _svg_path(cfg: RunConfig) -> str:
     return os.path.splitext(cfg.out)[0] + ".svg"
 
 
-def _trajectory_rows(traj, dim):
+def _trajectory_rows(traj, dim, stream):
+    """The CSV header of ``traj`` and its rows past those whose text the
+    helper of ``stream`` wrote."""
     header = ["t", "x", "y"] if dim == 2 else ["t", "x1", "y1", "x2", "y2"]
-    return header, np.column_stack((traj.times, traj.states))
+    done = stream.finish()
+    return header, np.column_stack((traj.times[done:], traj.states[done:]))
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
@@ -396,13 +407,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             # the finite prefix goes where the whole run would have gone
             partial = err.trajectory
             if partial is not None:
-                _emit(cfg, *_trajectory_rows(partial, dim), stream=stream)
+                _emit(cfg, *_trajectory_rows(partial, dim, stream), stream=stream)
             kept = 0 if partial is None else len(partial.times)
             print(f"numerical failure: {err}; {kept} finite rows written to "
                   f"{cfg.out or 'stdout'}", file=sys.stderr)
             return 1
         traj = summary.trajectory
-        _emit(cfg, *_trajectory_rows(traj, dim), stream=stream)
+        _emit(cfg, *_trajectory_rows(traj, dim, stream), stream=stream)
     if cfg.out:
         record = {
             "converged": summary.converged,

@@ -14,6 +14,7 @@ Numer. Anal. 55, 2017).  A run of N steps costs O(N (r + Q)) for Q (about
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -135,15 +136,31 @@ def _exponential_sums(beta: float, n_steps: int, r: int):
     return np.concatenate(([0.0], lam)), wb, wa
 
 
-def _length_fault(block, f_new, dim, lo, m, times):
-    """Where the vector field first returned a sequence of the wrong length
-    within a block, or None when it never did."""
-    short = [i for i, y in enumerate(block) if len(y) != dim]
-    if not short and len(f_new) == dim:
+def _length_fault(f_new, dim, m, times):
+    """Why the vector field's output ``f_new`` at step m is rejected, or
+    None when it has the ``dim`` values it should."""
+    if len(f_new) == dim:
         return None
-    at = lo + short[0] if short else m
-    return (f"rhs returned a sequence of the wrong length at t = {times[at]:g} "
-            f"(step {at}); expected {dim} values")
+    return (f"rhs returned a sequence of the wrong length at t = {times[m]:g} "
+            f"(step {m}); expected {dim} values")
+
+
+def _corrector(dim: int, ca: float) -> Callable:
+    """``correct(base, f)``, the corrector state ``[b + ca * f for b, f in
+    zip(base, f)]`` unrolled into ``dim`` float sums.  Its unpacking raises
+    ``ValueError`` for an ``f`` of any other length."""
+    b = [f"b{i}" for i in range(dim)]
+    f = [f"f{i}" for i in range(dim)]
+    sums = ", ".join(f"{x} + ca * {y}" for x, y in zip(b, f))
+    scope = {"ca": ca}
+    exec(
+        "def correct(base, f, ca=ca):\n"
+        f"    {', '.join(b)}, = base\n"
+        f"    {', '.join(f)}, = f\n"
+        f"    return [{sums}]\n",
+        scope,
+    )
+    return scope["correct"]
 
 
 def solve_fde(
@@ -171,19 +188,25 @@ def solve_fde(
     far sums at 3j and 3j + 1, written once per block, and its vector field
     at 3j + 2, written by node j's step.  Block node k multiplies a
     ``(2, 3k + 2)`` weight row pair by the buffer's first 3k + 2 rows, the
-    ones it reads.  The rest of the step runs on Python floats, and the
-    block's states are stored once per block.  Beside the returned times
-    and states, a solve holds O(r (r + Q)) floats for Q exponents.
+    ones it reads, and takes the product as two float lists: the predictor
+    state and the corrector base.  The rest of the step runs on Python
+    floats.  The corrector adds ``ca * f`` to the base in ``dim`` unrolled
+    float sums, a function built once per solve, and the field row goes
+    into the buffer by one slice store into the ``ctypes`` array it views;
+    neither calls numpy.  The block's states are stored once per block.
+    Beside the returned times and states, a solve holds O(r (r + Q)) floats
+    for Q exponents.
 
     Raises ``ValueError`` for a non-finite ``y0``, before any work,
     :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state after it, and
     :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
-    at node 0 or at any later node.  The last two checks run once per block
-    of ``_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite
-    states, or at a state cut short by its own short output, before the
-    error is raised.  A ``ValueError`` that ``rhs`` raises itself
-    propagates as it is.
+    at node 0 or at any later node.  The corrector's unpacking and the
+    field row store reject an output of any other length at the step that
+    returned it, whether from the predictor's call or the corrector's.  The
+    finiteness check runs once per block of ``_BLOCK`` steps, so ``rhs`` may
+    be evaluated at non-finite states before the error is raised.  A
+    ``ValueError`` that ``rhs`` raises itself propagates as it is.
 
     The private hook ``_on_rows(times, states)``, when given, is called once
     per block, after that block passes the finiteness check, with views of
@@ -222,20 +245,26 @@ def solve_fde(
     ka = ca * np.concatenate(([0.0], _corrector_kernel(beta, np.arange(1, 2 * r))))
     # The block buffer Z interleaves three rows per block node j: its two
     # far rows at 3j and 3j + 1, written once per block, and its F row at
-    # 3j + 2, written by node j's step.  W[k] turns the prefix Zk[k] =
-    # Z[:3k + 2] into the predictor state and the corrector base of block
-    # node k in one product: the kernel weights of the k earlier nodes'
-    # F rows, oldest first, zero on their far rows, and ones that pick node
-    # k's own far rows.  No row past the prefix is read.
-    Z = np.zeros((3 * r, dim))
+    # 3j + 2, written by node j's step.  A weight row pair, whose bound
+    # dot is dots[k], turns the prefix Zk[k] = Z[:3k + 2] into the
+    # predictor state and the corrector base of block node k in one
+    # product: the kernel weights of the k earlier nodes' F rows, oldest
+    # first, zero on their far rows, and ones that pick node k's own far
+    # rows.  No row past the prefix is read.  Z views a ctypes array,
+    # whose slice store takes any sequence of exactly dim floats; rows[k]
+    # slices node k's F row there.
+    store = (ctypes.c_double * (3 * r * dim))()
+    Z = np.frombuffer(store).reshape(3 * r, dim)
     nodes = Z.reshape(r, 3, dim)  # a view: nodes[j] is node j's three rows
-    W, Zk = [], []
+    dots, Zk, rows = [], [], []
     for k in range(r):
         w = np.zeros((2, 3 * k + 2))
         w[:, 2 : 3 * k : 3] = kb[k:0:-1], ka[k:0:-1]
         w[(0, 1), (3 * k, 3 * k + 1)] = 1.0
-        W.append(w)
+        dots.append(w.dot)
         Zk.append(Z[: 3 * k + 2])
+        rows.append(slice((3 * k + 2) * dim, (3 * k + 3) * dim))
+    correct = _corrector(dim, ca)
 
     # Far rows.  One product A @ B gives both far rows of every node of the
     # block, in Z's order.  B stacks the F rows of the last block, weighted
@@ -278,29 +307,26 @@ def solve_fde(
             if not q0:
                 nodes[0, 2] = f0
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
+            k0 = lo - q0
             block = []
             try:
-                for m in range(lo, stop):
-                    k = m - q0
+                for m, dot, zk, row in zip(range(lo, stop), dots[k0:], Zk[k0:], rows[k0:]):
                     # predictor state and corrector base in one product
-                    y_new, base = W[k].dot(Zk[k]).tolist()
+                    y_new, base = dot(zk).tolist()
                     t1 = t_start + h * m
                     f_new = rhs(t1, y_new, params)
-                    y_new = [b + ca * f for b, f in zip(base, f_new)]
+                    y_new = correct(base, f_new)
                     f_new = rhs(t1, y_new, params)
                     block.append(y_new)
-                    Z[3 * k + 2] = f_new
-                states[lo:stop] = block
+                    store[row] = f_new
             except ValueError as err:
-                # a longer output fails at the row write, a shorter one at
-                # the store; any other ValueError is the field's own
-                fault = _length_fault(block, f_new, dim, lo, m, times)
+                # a wrong-length output fails at the corrector's unpacking
+                # or at the row store; any other ValueError is the field's own
+                fault = _length_fault(f_new, dim, m, times)
                 if fault is None:
                     raise
                 raise DimensionMismatchError(fault) from err
-            if len(block[0]) != dim:
-                # rows of one value broadcast into the store without a word
-                raise DimensionMismatchError(_length_fault(block, f_new, dim, lo, m, times))
+            states[lo:stop] = block
 
             finite = np.isfinite(states[lo:stop]).all(axis=1)
             if not finite.all():

@@ -512,13 +512,14 @@ def simulate_argv(n_rows, dim=2):
 
 def stream_to_file(tmp_path, table):
     """The bytes ``_emit`` writes for a float table fed whole to a
-    ``_CsvStream``, and the row-by-row bytes."""
+    ``_CsvStream``, given the rows its helper did not format, and the
+    row-by-row bytes."""
     header = [f"c{i}" for i in range(table.shape[1])]
     out_path = tmp_path / "table.csv"
     with cli._CsvStream() as stream:
         stream.feed(table[:, 0], table[:, 1:])
-        cli._emit(RunConfig(command="simulate", out=str(out_path)), header, table,
-                  stream=stream)
+        cli._emit(RunConfig(command="simulate", out=str(out_path)), header,
+                  table[stream.finish():], stream=stream)
     return out_path.read_bytes(), row_by_row_csv(header, table)
 
 
@@ -655,7 +656,7 @@ class TestCsvWriter:
         assert helpers == []
 
     def test_helper_is_reaped_when_the_parent_fails_to_write(self, capsys, monkeypatch, helpers):
-        # the header fails, while the helper still waits for the end of its input
+        # the header fails once the helper has written its text
         class Failing:
             def write(self, text):
                 raise OSError("disk full")

@@ -1,5 +1,6 @@
 import collections
 import decimal
+import itertools
 import math
 import sys
 import tracemalloc
@@ -610,14 +611,72 @@ class TestFieldContract:
 
         return field
 
-    # step 64 opens a block, step 100 lies inside one: a block made only of
-    # one-value rows broadcasts into the store, a mixed one does not
+    # step 64 opens a block, step 100 lies inside one
     @pytest.mark.parametrize("step", [64, 100])
     @pytest.mark.parametrize("length", [1, 3], ids=["shortens", "lengthens"])
     def test_output_changing_length_mid_run_is_rejected(self, length, step):
         field = self.changes_length_at(step, length)
         with pytest.raises(DimensionMismatchError, match=rf"\(step {step}\); expected 2 values"):
             solve_fde(field, 0.9, SolverConfig(0.0, 3.0, 0.01), [1.0, 1.0])
+
+    def test_too_long_output_at_the_predictor_is_rejected(self):
+        # the field's call 2m - 1 is the predictor's of step m, and from
+        # t = 0.5 on those calls, and only those, return three values
+        calls = itertools.count()
+
+        def field(t, y, p):
+            if next(calls) % 2 and t > 0.5 - 1e-9:
+                return (-y[0], -y[1], 0.0)
+            return (-y[0], -y[1])
+
+        with pytest.raises(DimensionMismatchError, match=r"\(step 50\); expected 2 values"):
+            solve_fde(field, 0.9, SolverConfig(0.0, 1.0, 0.01), [1.0, 1.0])
+
+    @staticmethod
+    def cyclic_decay(rates, wrap=tuple, wrong_at=-1):
+        """The stable linear field y_i' = -rates[i] y_i + 0.1 y_(i+1), its
+        output built by ``wrap``; its call ``wrong_at`` (0 at t_0) returns
+        one value too many or, at an even call, one too few."""
+        calls = itertools.count()
+
+        def field(t, y, p):
+            f = [-d * v + 0.1 * w for d, v, w in zip(rates, y, y[1:] + y[:1])]
+            n = next(calls)
+            if n == wrong_at:
+                f = f + [0.0] if n % 2 else f[1:]
+            return wrap(f)
+
+        return field
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rates=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6),
+        block=st.integers(2, 16),
+        n_steps=st.integers(40, 200),
+        wrap=st.sampled_from([tuple, list, np.array]),
+        data=st.data(),
+    )
+    @example(rates=[1.0, 0.5, 2.0, 1.5], block=8, n_steps=100, wrap=list, data=None)
+    @example(rates=[1.0, 0.5, 2.0, 1.5], block=8, n_steps=100, wrap=np.array, data=None)
+    def test_any_dimension_matches_the_direct_sum(self, rates, block, n_steps, wrap, data):
+        # dimensions that no model uses, on blocks short enough that the
+        # exponential state carries most of the history
+        dim, beta = len(rates), 0.85
+        cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
+        y0 = [1.0 - 0.3 * i for i in range(dim)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fde, "_BLOCK", block)
+            fast = solve_fde(self.cyclic_decay(rates, wrap), beta, cfg, y0)
+            as_tuple = solve_fde(self.cyclic_decay(rates), beta, cfg, y0)
+            assert np.array_equal(fast.states, as_tuple.states)
+            direct = reference_pece(self.cyclic_decay(rates), beta, cfg, y0)
+            assert np.abs(direct - fast.states).max() < 1e-10
+            # a wrong length at either field call of a drawn step
+            step = data.draw(st.integers(1, n_steps)) if data else n_steps // 2
+            call = 2 * step - (data.draw(st.booleans()) if data else 1)
+            with pytest.raises(DimensionMismatchError,
+                               match=rf"\(step {step}\); expected {dim} values"):
+                solve_fde(self.cyclic_decay(rates, wrap, call), beta, cfg, y0)
 
     def test_value_error_of_the_field_itself_propagates(self):
         def field(t, y, p):
