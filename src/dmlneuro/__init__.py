@@ -45,18 +45,15 @@ from .stability import (
     StabilityIndicators,
     beta_star,
     classify,
-    eigenvalues,
     indicators,
     jacobian,
 )
 from .experiments import (
     BifurcationScan,
     HopfCurve,
-    OscillationMetrics,
     SimulationSummary,
     bifurcation_sweep,
     hopf_curve,
-    oscillation_metrics,
     run_experiment,
 )
 

@@ -20,7 +20,7 @@ from .exceptions import DmlNeuroError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, check_order, mittag_leffler, solve_fde
 from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 from .experiments import DEFAULT_DISCARD, DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
-from .stability import DEGENERACY_TOL, _threshold, beta_star, classify, indicators
+from .stability import beta_star, classify, indicators
 
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
@@ -437,34 +437,22 @@ def _cmd_equilibria(cfg: RunConfig) -> int:
     return 0
 
 
-def _beta_star_cell(x_star: float, p: DmlParams, coupling):
-    """The threshold's value and kind, as ``stability`` and ``beta-star``
-    print them: a constant verdict prints its kind in both."""
-    result = beta_star(x_star, p, coupling)
-    kind = result.kind.value
-    return (kind if result.value is None else result.value), kind
-
-
-def _deciding_block(ind) -> tuple[float, float]:
-    """The block that sets beta*: the first fold or saddle block, else the
-    first with the least block threshold."""
-    folds = [(t, d) for t, d in ind.branches if d <= DEGENERACY_TOL]
-    return folds[0] if folds else min(ind.branches, key=lambda b: _threshold((b,)))
-
-
 def _equilibrium_points(cfg: RunConfig):
-    """Yield ``(x_star, y_star, indicators, (beta_star, kind))`` for each
-    symmetric equilibrium of the configured model."""
+    """Yield ``(x_star, y_star, indicators, beta_star, printed)`` for each
+    symmetric equilibrium of the configured model; ``printed`` is the
+    threshold's value, or the kind of a constant verdict."""
     p, coupling = cfg.params(), cfg.coupling()
     for x_star, y_star in find_symmetric_equilibria(p, coupling).points.tolist():
-        yield x_star, y_star, indicators(x_star, p, coupling), _beta_star_cell(x_star, p, coupling)
+        result = beta_star(x_star, p, coupling)
+        printed = result.kind.value if result.value is None else result.value
+        yield x_star, y_star, indicators(x_star, p, coupling), result, printed
 
 
 def _cmd_stability(cfg: RunConfig) -> int:
     check_order(cfg.beta)  # before the equilibrium search, which may fail
     rows = [
-        [x_star, *chain(*ind.branches), classify(ind, cfg.beta).value, bs_value]
-        for x_star, _, ind, (bs_value, _) in _equilibrium_points(cfg)
+        [x_star, *chain(*ind.branches), classify(ind, cfg.beta).value, printed]
+        for x_star, _, ind, _, printed in _equilibrium_points(cfg)
     ]
     # the single cell has no minus block: its two columns stay empty
     minus = "%r,%r," if cfg.coupling().dim == 4 else ",,"
@@ -477,8 +465,8 @@ def _cmd_stability(cfg: RunConfig) -> int:
 def _cmd_beta_star(cfg: RunConfig) -> int:
     value = cfg.coupling().value
     records = []
-    for x_star, y_star, ind, (bs_value, kind) in _equilibrium_points(cfg):
-        tau, delta = _deciding_block(ind)
+    for x_star, y_star, _, result, printed in _equilibrium_points(cfg):
+        tau, delta = result.block
         records.append({
             "model": cfg.model,
             "I": cfg.I,
@@ -487,8 +475,8 @@ def _cmd_beta_star(cfg: RunConfig) -> int:
             "y_star": y_star,
             "tau": tau,
             "delta": delta,
-            "beta_star": bs_value,
-            "kind": kind,
+            "beta_star": printed,
+            "kind": result.kind.value,
         })
     with _output(cfg) as fh:
         fh.write(json.dumps(records[0] if len(records) == 1 else records, indent=2) + "\n")

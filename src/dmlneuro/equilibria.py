@@ -46,18 +46,9 @@ def i_infinity(x: float, p: DmlParams) -> float:
     return (p.A / p.gamma) * _exp(p.alpha * x) - x * x * (1.0 - x)
 
 
-def i_infinity_derivative(x: float, p: DmlParams, m: int = 1) -> float:
-    """m-th derivative of :func:`i_infinity` with respect to x."""
-    if m < 1:
-        raise ValueError("derivative order m must be >= 1")
-    expo = (p.alpha ** m) * (p.A / p.gamma) * _exp(p.alpha * x)
-    if m == 1:
-        return expo - x * (2.0 - 3.0 * x)
-    if m == 2:
-        return expo - 2.0 * (1.0 - 3.0 * x)
-    if m == 3:
-        return expo + 6.0
-    return expo
+def i_infinity_derivative(x: float, p: DmlParams) -> float:
+    """Derivative of :func:`i_infinity` with respect to x."""
+    return p.alpha * (p.A / p.gamma) * _exp(p.alpha * x) - x * (2.0 - 3.0 * x)
 
 
 def y_infinity(x: float, p: DmlParams) -> float:
@@ -197,7 +188,7 @@ def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
 
     def scaled(x):
         d_self, d_other = partials(x, x)
-        return -i_infinity_derivative(x, p, 1) + (d_self + sign * d_other)
+        return -i_infinity_derivative(x, p) + (d_self + sign * d_other)
 
     zeros = []
     for a, b, fa, fb in _scan_brackets(scaled, *DEFAULT_WINDOW, _SCAN_STEP):

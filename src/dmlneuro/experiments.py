@@ -31,13 +31,6 @@ DEFAULT_Y0_DIMER = (0.1, 0.1, -0.2, 0.1)
 
 
 @dataclass(frozen=True)
-class OscillationMetrics:
-    amplitude: float
-    is_oscillating: bool
-    extrema_count: int
-
-
-@dataclass(frozen=True)
 class SimulationSummary:
     """One long run: the trajectory plus tail-window diagnostics.
 
@@ -76,25 +69,6 @@ class HopfCurve:
     I_values: np.ndarray
     beta_star_values: np.ndarray
     omitted: tuple[tuple[float, str], ...] = ()
-
-
-def oscillation_metrics(tail) -> OscillationMetrics:
-    """Peak-to-peak amplitude, oscillation flag and count of interior extrema.
-
-    Raises :class:`NonFiniteStateError` for a tail with a non-finite sample,
-    such as the NaN-filled cell of a failed sweep order, which has no
-    amplitude to judge.
-    """
-    tail = np.asarray(tail, dtype=float)
-    if tail.ndim != 1 or tail.size < 3:
-        raise InsufficientSamplesError("oscillation metrics need at least 3 samples")
-    if not np.isfinite(tail).all():
-        raise NonFiniteStateError("oscillation metrics need a finite tail")
-    amplitude = float(tail.max() - tail.min())
-    signs = np.sign(np.diff(tail))
-    signs = signs[signs != 0.0]
-    extrema = int(np.count_nonzero(signs[1:] != signs[:-1])) if signs.size else 0
-    return OscillationMetrics(amplitude, amplitude >= AMPLITUDE_TOL, extrema)
 
 
 def _resolve_y0(y0, dim):

@@ -181,9 +181,11 @@ def solve_fde(
     ``beta == 1`` the scheme reduces to the classical one-step
     Adams-Bashforth-Moulton trapezoidal PECE method.
 
-    ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a plain list
-    of ``dim`` floats, and returns any sequence of ``dim`` floats: a tuple, a
-    list or an array.  Each step makes one matrix product.  A ``(3r, dim)``
+    ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a list of
+    ``dim`` ``float`` instances: plain floats, or ``np.float64`` (a float
+    subclass) in the corrected state when ``rhs`` returns an array.  It
+    returns any sequence of ``dim`` floats: a tuple, a list or an array.
+    Each step makes one matrix product.  A ``(3r, dim)``
     block buffer, r = ``_BLOCK``, holds three rows per block node j: its two
     far sums at 3j and 3j + 1, written once per block, and its vector field
     at 3j + 2, written by node j's step.  Block node k multiplies a

@@ -1,15 +1,25 @@
 """Jacobians, trace/determinant indicators, Matignon classification and
 fractional Hopf thresholds for the single cell and both coupled pairs.
 
-Every model linearizes, at a (symmetric) equilibrium, into one or two 2x2
-blocks of the form ``[[S, -1], [m, -gamma]]`` with ``m = alpha A e^(alpha x*)``
-and ``S = s0 + d_self +/- d_other``: ``s0 = x*(2 - 3x*)`` is the cell's own
-voltage slope and ``d_self``, ``d_other`` are the partial derivatives of the
-coupling current at ``(x*, x*)``.
-All stability questions reduce to the block traces ``tau = S - gamma`` and
-determinants ``delta = -gamma S + m``: an equilibrium of the order-beta
-system is asymptotically stable iff every block satisfies ``delta > 0`` and
-``tau < 2 sqrt(delta) cos(beta pi / 2)``.
+One rule decides stability (Matignon 1996): an equilibrium of the order-beta
+system is asymptotically stable iff every eigenvalue lambda of its Jacobian
+has ``|arg lambda| > beta pi / 2``, so its threshold is
+``beta* = min 2 |arg lambda| / pi`` over the eigenvalues.  A saddle has a
+positive real eigenvalue, of argument 0, and is unstable for every order; a
+fold has a zero eigenvalue, whose argument is undefined, and so has no
+threshold.
+
+At a symmetric equilibrium every model linearizes into one or two 2x2
+blocks of the form ``[[S, -1], [m, -gamma]]`` with
+``m = alpha A e^(alpha x*)`` and ``S = s0 + d_self +/- d_other``:
+``s0 = x*(2 - 3x*)`` is the cell's own voltage slope and ``d_self``,
+``d_other`` are the partial derivatives of the coupling current at
+``(x*, x*)``.  A block's two eigenvalues give the rule in closed form, from
+its trace ``tau = S - gamma`` and determinant ``delta = -gamma S + m``:
+``delta < -DEGENERACY_TOL`` is a saddle, ``|delta| <= DEGENERACY_TOL`` a
+fold, and otherwise the block's threshold is
+``(2/pi) arccos(tau / (2 sqrt(delta)))``.  :func:`jacobian` gives the dense
+matrix at any state, the oracle of these blocks.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ from typing import Optional
 
 import numpy as np
 
+from .exceptions import DimensionMismatchError
 from .fde import check_order
 from .models import CouplingSpec, DmlParams, NoCoupling, _exp
 
-DEGENERACY_TOL = 1e-12  # |delta| below this is treated as a fold
+DEGENERACY_TOL = 1e-12  # |delta| at or below this is a fold: a zero eigenvalue
 
 
 class Classification(Enum):
@@ -43,9 +54,11 @@ class BetaStarKind(Enum):
 
 @dataclass(frozen=True)
 class BetaStarResult:
-    """Hopf threshold: either a critical order in (0, 1] or a constant verdict."""
+    """Hopf threshold: either a critical order in (0, 1] or a constant
+    verdict, with the block ``(tau, delta)`` that decides it."""
 
     kind: BetaStarKind
+    block: tuple[float, float]
     value: Optional[float] = None
 
 
@@ -72,26 +85,35 @@ def _recovery_slope(x_star: float, p: DmlParams) -> float:
     return p.alpha * p.A * _exp(p.alpha * x_star)
 
 
-def jacobian(x_star: float, p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> np.ndarray:
-    """Jacobian at the (symmetric) equilibrium with voltage ``x_star``.
+def jacobian(state, p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> np.ndarray:
+    """Dense Jacobian of the field at ``state``, any ``coupling.dim`` values.
 
-    2x2 for the single cell; for a coupled pair the 4x4 block form
-    ``[[J, C], [C, J]]`` with the coupling matrix C acting on the voltage row.
+    Cell i's voltage row holds ``x_i (2 - 3 x_i) + d_self`` and -1, and
+    ``d_other`` in its partner's voltage column, with ``(d_self, d_other) =
+    coupling.partials(x_i, x_partner)``; its recovery row holds
+    ``alpha A e^(alpha x_i)`` and ``-gamma``.  The field is linear in the
+    recovery variables, so only the voltages are read.
     """
-    d_self, d_other = coupling.partials(x_star, x_star)
-    block = np.array(
-        [[x_star * (2.0 - 3.0 * x_star) + d_self, -1.0], [_recovery_slope(x_star, p), -p.gamma]]
-    )
-    if coupling.dim == 2:
-        return block
-    off = np.array([[d_other, 0.0], [0.0, 0.0]])
-    return np.block([[block, off], [off, block]])
+    state = np.asarray(state, dtype=float)
+    if state.shape != (coupling.dim,):
+        raise DimensionMismatchError(f"state must hold {coupling.dim} values, got {state.shape}")
+    xs = state[::2].tolist()
+    J = np.zeros((coupling.dim, coupling.dim))
+    # the single cell is its own partner, through a coupling with no partials
+    for i, (x, partner) in enumerate(zip(xs, reversed(xs))):
+        d_self, d_other = coupling.partials(x, partner)
+        r, c = 2 * i, coupling.dim - 2 - 2 * i
+        J[r, r], J[r, r + 1] = x * (2.0 - 3.0 * x) + d_self, -1.0
+        J[r + 1, r], J[r + 1, r + 1] = _recovery_slope(x, p), -p.gamma
+        J[r, c] += d_other
+    return J
 
 
 def indicators(
     x_star: float, p: DmlParams, coupling: CouplingSpec = NoCoupling()
 ) -> StabilityIndicators:
-    """Trace/determinant indicators of the 2x2 stability blocks."""
+    """Trace/determinant indicators of the 2x2 stability blocks at the
+    symmetric equilibrium with voltage ``x_star``."""
     d_self, d_other = coupling.partials(x_star, x_star)
     s_plus = x_star * (2.0 - 3.0 * x_star) + (d_self + d_other)
     tau_p = s_plus - p.gamma
@@ -104,36 +126,46 @@ def indicators(
     )
 
 
-def eigenvalues(
-    x_star: float, p: DmlParams, coupling: CouplingSpec = NoCoupling()
-) -> np.ndarray:
-    """Eigenvalues via the closed-form quadratics of the 2x2 blocks."""
-    out = []
-    for tau, delta in indicators(x_star, p, coupling).branches:
-        disc = complex(tau * tau - 4.0 * delta) ** 0.5
-        out.extend([(tau + disc) / 2.0, (tau - disc) / 2.0])
-    return np.array(out)
+def _block_threshold(block) -> float:
+    """Least ``2 |arg lambda| / pi`` over the eigenvalues of a block
+    ``(tau, delta)`` with ``delta > 0``: ``(2/pi) arccos(tau / (2 sqrt(delta)))``."""
+    t, d = block
+    return 2.0 * math.acos(max(-1.0, min(1.0, t / (2.0 * math.sqrt(d))))) / math.pi
 
 
-def _threshold(branches) -> float:
-    """Least block order ``(2/pi) arccos(tau / (2 sqrt(delta)))``, every
-    ``delta > 0``: Matignon's condition holds at ``beta`` iff ``beta`` is below."""
-    return min(
-        2.0 * math.acos(max(-1.0, min(1.0, t / (2.0 * math.sqrt(d))))) / math.pi
-        for t, d in branches
-    )
+def _verdict(branches) -> BetaStarResult:
+    """Matignon's rule over the blocks: a saddle block decides first (unstable
+    for every order), then a fold block (no threshold), then the first block
+    with the least threshold."""
+    saddles = [b for b in branches if b[1] < -DEGENERACY_TOL]
+    if saddles:
+        return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, saddles[0])
+    folds = [b for b in branches if b[1] <= DEGENERACY_TOL]
+    if folds:
+        return BetaStarResult(BetaStarKind.UNDEFINED, folds[0])
+    thresholds = [_block_threshold(b) for b in branches]
+    worst = min(thresholds)
+    block = branches[thresholds.index(worst)]
+    if worst <= 0.0:
+        return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, block)
+    if worst > 1.0:
+        return BetaStarResult(BetaStarKind.STABLE_FOR_ALL_ORDERS, block)
+    return BetaStarResult(BetaStarKind.THRESHOLD, block, worst)
 
 
 def classify(ind: StabilityIndicators, beta) -> Classification:
-    """Matignon classification of an equilibrium at fractional order ``beta``:
-    a saddle or a fold by the sign of ``delta``, else stable iff ``beta`` < beta*."""
+    """Matignon classification of an equilibrium at fractional order ``beta``,
+    read off its threshold: a saddle or a fold when one decides it, else
+    stable iff ``beta`` lies below beta*."""
     beta = check_order(beta)
-    branches = ind.branches
-    if any(d < -DEGENERACY_TOL for _, d in branches):
-        return Classification.SADDLE
-    if any(abs(d) <= DEGENERACY_TOL for _, d in branches):
+    result = _verdict(ind.branches)
+    if result.kind is BetaStarKind.UNDEFINED:
         return Classification.SADDLE_NODE_DEGENERATE
-    if beta < _threshold(branches):
+    if result.block[1] < 0.0:  # only a saddle block decides with delta < 0
+        return Classification.SADDLE
+    if result.kind is BetaStarKind.STABLE_FOR_ALL_ORDERS or (
+        result.kind is BetaStarKind.THRESHOLD and beta < result.value
+    ):
         return Classification.ASYMPTOTICALLY_STABLE
     return Classification.UNSTABLE
 
@@ -141,20 +173,12 @@ def classify(ind: StabilityIndicators, beta) -> Classification:
 def beta_star(
     x_star: float, p: DmlParams, coupling: CouplingSpec = NoCoupling()
 ) -> BetaStarResult:
-    """Critical fractional order of the Hopf bifurcation at an equilibrium.
+    """Critical fractional order of the Hopf bifurcation at the symmetric
+    equilibrium with voltage ``x_star``, by Matignon's rule over its blocks.
 
-    Per block, the threshold is ``(2/pi) arccos(tau / (2 sqrt(delta)))``; a
-    dimer takes the minimum over its two blocks.  It is ``UNDEFINED`` at a
-    saddle or a fold (a block ``delta <= DEGENERACY_TOL``).  A minimum of zero
-    leaves no admissible stable order, while one above one means the
+    It is ``UNSTABLE_FOR_ALL_ORDERS`` at a saddle and ``UNDEFINED`` only at
+    a fold.  Otherwise a dimer takes the least of its two block thresholds:
+    zero leaves no admissible stable order, while one above one means the
     equilibrium is stable for every order in (0, 1].
     """
-    branches = indicators(x_star, p, coupling).branches
-    if any(d <= DEGENERACY_TOL for _, d in branches):
-        return BetaStarResult(BetaStarKind.UNDEFINED)
-    worst = _threshold(branches)
-    if worst <= 0.0:
-        return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS)
-    if worst > 1.0:
-        return BetaStarResult(BetaStarKind.STABLE_FOR_ALL_ORDERS)
-    return BetaStarResult(BetaStarKind.THRESHOLD, worst)
+    return _verdict(indicators(x_star, p, coupling).branches)

@@ -126,6 +126,15 @@ class TestBetaStarCommand:
         records = json.loads(out)
         assert isinstance(records, list) and len(records) == 3
 
+    def test_saddle_record_is_unstable_for_all_orders(self, capsys):
+        # the middle of the three equilibria is a saddle, and its block decides
+        code, out, _ = run(capsys, "beta-star", "--I", "0.011")
+        assert code == 0
+        saddle = json.loads(out)[1]
+        assert saddle["kind"] == saddle["beta_star"] == "unstable-for-all-orders"
+        assert saddle["tau"] == pytest.approx(-0.0670, abs=1e-4)
+        assert saddle["delta"] == pytest.approx(-0.02205, abs=1e-5)
+
 
 class TestConfigHandling:
     def test_order_domain_violation_exits_2(self, capsys):
@@ -331,8 +340,9 @@ class TestStabilityCommand:
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 3
-        assert any("saddle" in row for row in rows)
-        assert any("undefined" in row for row in rows)
+        # a saddle's positive real eigenvalue leaves no stable order
+        assert rows[1].endswith(",saddle,unstable-for-all-orders")
+        assert not any("undefined" in row for row in rows)
 
     def test_fold_row_reads_undefined(self, capsys):
         # a fold current of the sigmoid pair, from critical_points; rounding
@@ -932,13 +942,20 @@ class TestHopfCurveCommand:
         assert not (tmp_path / "curve.svg").exists()
 
     def test_undefined_threshold_is_omitted_by_its_kind(self, capsys):
-        # an inhibitory pair with a saddle at I = 0.05
-        code, _, err = run(capsys, "hopf-curve", "--model", "dimer-sigmoid", "--sigma", "0.1",
-                           "--vs=-1", "--q", "0.4", "--I-from", "0", "--I-to", "0.3",
+        # an inhibitory pair with a saddle at I = 0.05, unstable for all
+        # orders, and a branch point on its unique branch, a fold of the
+        # anti-phase block, at the current critical_points gives
+        pair = ["--model", "dimer-sigmoid", "--sigma", "0.1", "--vs=-1", "--q", "0.4"]
+        code, _, err = run(capsys, "hopf-curve", *pair, "--I-from", "0", "--I-to", "0.3",
                            "--I-points", "7")
         assert code == 0
         assert err.count("omitted I=0.05:") == 1
-        assert "omitted I=0.05: undefined\n" in err
+        assert "omitted I=0.05: unstable-for-all-orders\n" in err
+        branch_point = "0.017796421485245014"
+        code, _, err = run(capsys, "hopf-curve", *pair, "--I-from", branch_point,
+                           "--I-to", branch_point, "--I-points", "1")
+        assert code == 0
+        assert err == "omitted I=0.0177964: undefined\n"
 
 
 # a command line of each plotting command, and the function that does its work

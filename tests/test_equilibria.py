@@ -125,30 +125,16 @@ class TestInfCurve:
     )
     def test_interior_reference_rows(self, x, current, slope):
         assert i_infinity(x, P) == pytest.approx(current, abs=1e-8)
-        assert i_infinity_derivative(x, P, 1) == pytest.approx(slope, abs=1e-9)
+        assert i_infinity_derivative(x, P) == pytest.approx(slope, abs=1e-9)
 
     def test_first_derivative_vanishes_at_extrema(self):
-        assert abs(i_infinity_derivative(X_MAX, P, 1)) < 1e-9
-        assert abs(i_infinity_derivative(X_MIN, P, 1)) < 1e-9
+        assert abs(i_infinity_derivative(X_MAX, P)) < 1e-9
+        assert abs(i_infinity_derivative(X_MIN, P)) < 1e-9
 
-    def test_higher_derivatives_against_finite_differences(self):
-        # central differences of order m-1 as the oracle for order m
-        eps = 1e-6
-        for m in (2, 3, 4, 5):
-            for x in (-0.4, 0.0, 0.3):
-                fd = (
-                    i_infinity_derivative(x + eps, P, m - 1)
-                    - i_infinity_derivative(x - eps, P, m - 1)
-                ) / (2 * eps)
-                assert i_infinity_derivative(x, P, m) == pytest.approx(fd, rel=1e-5)
-
-    def test_fourth_derivative_closed_form(self):
-        expected = 5.276 ** 4 * 0.0041 / 0.3
-        assert i_infinity_derivative(0.0, P, 4) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            i_infinity_derivative(0.0, P, 0)
+    def test_derivative_closed_form_at_origin(self):
+        # the cubic's slope vanishes at x = 0, leaving the exponential's
+        expected = 5.276 * 0.0041 / 0.3
+        assert i_infinity_derivative(0.0, P) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFindExtrema:
@@ -163,20 +149,20 @@ class TestFindExtrema:
 
     def test_extrema_are_critical_to_tolerance(self):
         x_max, x_min = fold_voltages(P)
-        assert abs(i_infinity_derivative(x_max, P, 1)) < 1e-12
-        assert abs(i_infinity_derivative(x_min, P, 1)) < 1e-12
+        assert abs(i_infinity_derivative(x_max, P)) < 1e-12
+        assert abs(i_infinity_derivative(x_min, P)) < 1e-12
 
     def test_curve_decreases_between_extrema(self):
         x_max, x_min = fold_voltages(P)
         xs = np.linspace(x_max, x_min, 102)[1:-1]
-        assert all(i_infinity_derivative(x, P, 1) < 0.0 for x in xs)
+        assert all(i_infinity_derivative(x, P) < 0.0 for x in xs)
 
     def test_monotone_outside_the_fold(self):
         x_max, x_min = fold_voltages(P)
         left = np.linspace(-1.5, x_max, 1001)[:-1]
         right = np.linspace(x_min, 1.5, 1001)[1:]
-        assert all(i_infinity_derivative(x, P, 1) > 0.0 for x in left)
-        assert all(i_infinity_derivative(x, P, 1) > 0.0 for x in right)
+        assert all(i_infinity_derivative(x, P) > 0.0 for x in left)
+        assert all(i_infinity_derivative(x, P) > 0.0 for x in right)
 
     def test_against_dense_grid_oracle(self):
         # brute-force local extrema of the curve on a 1e-5 grid
@@ -382,7 +368,7 @@ class TestCriticalPoints:
         if isinstance(coupling, LinearCoupling):
             # delta_minus = 0 is i_infinity'(x) = -2 theta on the diagonal
             def f(x):
-                return i_infinity_derivative(x, p, 1) + 2.0 * coupling.theta
+                return i_infinity_derivative(x, p) + 2.0 * coupling.theta
 
             xs = np.linspace(*DEFAULT_WINDOW, 3001)
             fs = [f(x) for x in xs]
@@ -434,9 +420,9 @@ class TestVectorisedScan:
 
         def gprime(x):
             d_self, d_other = c.partials(x, x)
-            return -i_infinity_derivative(x, P, 1) + (d_self + d_other)
+            return -i_infinity_derivative(x, P) + (d_self + d_other)
 
-        for f in (gprime, lambda x: i_infinity_derivative(x, P, 1)):
+        for f in (gprime, lambda x: i_infinity_derivative(x, P)):
             got = _scan_brackets(f, *window, 1e-3)
             want = scan_brackets_reference(f, *window, 1e-3)
             assert [(a, b) for a, b, _, _ in got] == want
@@ -496,7 +482,7 @@ class TestRootSolve:
 
         def gprime(x):
             d_self, d_other = coupling.partials(x, x)
-            return -i_infinity_derivative(x, p, 1) + (d_self + d_other)
+            return -i_infinity_derivative(x, p) + (d_self + d_other)
 
         extrema = [bisect_reference(gprime, a, b)
                    for a, b, _, _ in _scan_brackets(gprime, *DEFAULT_WINDOW, 1e-3)]

@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmlneuro import stability
-from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria
+from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria, y_infinity
+from dmlneuro.exceptions import DimensionMismatchError
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -23,7 +24,6 @@ from dmlneuro.stability import (
     StabilityIndicators,
     beta_star,
     classify,
-    eigenvalues,
     indicators,
     jacobian,
 )
@@ -34,6 +34,11 @@ X_STAR = 0.40772  # unique equilibrium voltage at the default drive
 I_MAX, I_MIN = (I for _, _, I in critical_points(P))
 
 
+def symmetric_state(x: float, coupling=NoCoupling(), p: DmlParams = P) -> list:
+    # the equilibrium state (x, y*) of each cell, at the voltage x
+    return [x, y_infinity(x, p)] * (coupling.dim // 2)
+
+
 def matignon_stable(matrix: np.ndarray, beta: float) -> bool:
     # literal eigenvalue test with a dense solver, independent of the
     # closed-form route
@@ -41,43 +46,76 @@ def matignon_stable(matrix: np.ndarray, beta: float) -> bool:
     return bool((np.abs(np.angle(eigs)) > beta * math.pi / 2.0).all())
 
 
+def block_eigenvalues(ind) -> np.ndarray:
+    # the roots of lambda^2 - tau lambda + delta for each block
+    out = []
+    for tau, delta in ind.branches:
+        disc = complex(tau * tau - 4.0 * delta) ** 0.5
+        out.extend([(tau + disc) / 2.0, (tau - disc) / 2.0])
+    return np.array(out)
+
+
+def field_differences(coupling, state, eps=1e-7) -> np.ndarray:
+    # central differences of the model's field, one column per state entry
+    field = vector_field(coupling)
+    state = np.asarray(state, dtype=float)
+    columns = [
+        (np.array(field(0.0, (state + eps * e).tolist(), P))
+         - np.array(field(0.0, (state - eps * e).tolist(), P))) / (2 * eps)
+        for e in np.eye(state.size)
+    ]
+    return np.column_stack(columns)
+
+
 class TestJacobian:
     def test_single_cell_trace_and_determinant(self):
-        J = jacobian(X_STAR, P)
+        J = jacobian(symmetric_state(X_STAR), P)
         assert np.trace(J) == pytest.approx(0.01673, abs=1e-4)
         assert np.linalg.det(J) == pytest.approx(0.0909, abs=1e-3)
 
     def test_single_cell_closed_form_at_origin(self):
-        J = jacobian(0.0, P)
+        J = jacobian(symmetric_state(0.0), P)
         expected = np.array([[0.0, -1.0], [5.276 * 0.0041, -0.3]])
         np.testing.assert_allclose(J, expected, rtol=0, atol=1e-12)
 
     def test_entries_match_finite_differences_of_the_field(self):
-        x, y = 0.0, 0.0041 / 0.3
-        J = jacobian(x, P)
-        eps = 1e-7
-        single = vector_field(NoCoupling())
-        for col, basis in enumerate(np.eye(2)):
-            fd = (
-                np.array(single(0.0, np.array([x, y]) + eps * basis, P))
-                - np.array(single(0.0, np.array([x, y]) - eps * basis, P))
-            ) / (2 * eps)
-            np.testing.assert_allclose(J[:, col], fd, rtol=0, atol=1e-6)
+        state = [0.0, 0.0041 / 0.3]
+        J = jacobian(state, P)
+        np.testing.assert_allclose(J, field_differences(NoCoupling(), state), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "coupling", [LinearCoupling(0.008), SigmoidCoupling(sigma=0.05)], ids=["linear", "sigmoid"]
+    )
+    def test_asymmetric_state_matches_finite_differences_of_the_field(self, coupling):
+        # off the diagonal the two cells' blocks differ; each cell takes the
+        # coupling partials at its own voltage and its partner's
+        state = [-0.0097, 0.01, 0.3509, 0.08]
+        J = jacobian(state, P, coupling)
+        assert not np.array_equal(J[:2, :2], J[2:, 2:])
+        np.testing.assert_allclose(J, field_differences(coupling, state), rtol=0, atol=1e-7)
 
     def test_pair_jacobian_has_block_structure(self):
-        J = jacobian(X_STAR, P, LinearCoupling(0.008))
+        J = jacobian(symmetric_state(X_STAR, LinearCoupling(0.008)), P, LinearCoupling(0.008))
         assert J.shape == (4, 4)
         np.testing.assert_array_equal(J[:2, :2], J[2:, 2:])
         np.testing.assert_array_equal(J[:2, 2:], J[2:, :2])
         assert J[0, 2] == 0.008 and J[1, 3] == 0.0
+
+    @pytest.mark.parametrize("state", [[0.1], [0.1, 0.1, 0.1], [[0.1, 0.1], [0.1, 0.1]]])
+    def test_state_of_another_dimension_is_rejected(self, state):
+        with pytest.raises(DimensionMismatchError):
+            jacobian(state, P)
+        with pytest.raises(DimensionMismatchError):
+            jacobian(state + state, P, LinearCoupling(0.008))
 
     @pytest.mark.parametrize(
         "coupling",
         [LinearCoupling(0.008), LinearCoupling(0.001), SigmoidCoupling(sigma=0.001)],
     )
     def test_block_eigenvalues_match_dense_solver(self, coupling):
-        ev_blocks = np.sort_complex(eigenvalues(X_STAR, P, coupling))
-        ev_dense = np.sort_complex(np.linalg.eigvals(jacobian(X_STAR, P, coupling)))
+        ev_blocks = np.sort_complex(block_eigenvalues(indicators(X_STAR, P, coupling)))
+        J = jacobian(symmetric_state(X_STAR, coupling), P, coupling)
+        ev_dense = np.sort_complex(np.linalg.eigvals(J))
         assert np.abs(ev_blocks - ev_dense).max() < 1e-10
 
 
@@ -103,7 +141,7 @@ class TestIndicators:
     def test_matches_jacobian_blocks(self):
         for coupling in (NoCoupling(), LinearCoupling(0.01), SigmoidCoupling(sigma=0.002)):
             ind = indicators(X_STAR, P, coupling)
-            J = jacobian(X_STAR, P, coupling)
+            J = jacobian(symmetric_state(X_STAR, coupling), P, coupling)
             if isinstance(coupling, NoCoupling):
                 blocks = [J]
             else:
@@ -218,6 +256,41 @@ class TestBetaStar:
         result = beta_star(eq.points[-1, 0], p)  # the fold point
         assert result.kind is BetaStarKind.UNDEFINED
         assert result.value is None
+        assert result.block == indicators(eq.points[-1, 0], p).branches[0]
+
+    def test_saddle_is_unstable_for_all_orders(self):
+        # the middle of the cell's three equilibria at I = 0.011: its real
+        # eigenvalue of argument 0 leaves no stable order
+        p = DmlParams(I=0.011)
+        x_mid = find_symmetric_equilibria(p).points[1, 0]
+        result = beta_star(x_mid, p)
+        assert result.kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
+        assert result.value is None
+        tau, delta = result.block
+        assert tau == pytest.approx(-0.0670, abs=1e-4)
+        assert delta == pytest.approx(-0.02205, abs=1e-5)
+        assert classify(indicators(x_mid, p), 0.5) is Classification.SADDLE
+
+    @pytest.mark.parametrize(
+        "blocks, kind, deciding",
+        [
+            # a saddle decides before a fold, on either block
+            ([(0.1, 5e-13), (0.2, -0.01)], BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, 1),
+            ([(0.2, -0.01), (0.1, -1e-13)], BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, 0),
+            # a fold decides before any threshold
+            ([(0.3, 0.09), (0.1, -1e-13)], BetaStarKind.UNDEFINED, 1),
+            # else the least threshold, and the first block on a tie
+            ([(0.01, 0.09), (0.1, 0.09)], BetaStarKind.THRESHOLD, 1),
+            ([(0.1, 0.09), (0.1, 0.09)], BetaStarKind.THRESHOLD, 0),
+            ([(-0.1, 0.09), (0.5, 0.01)], BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, 1),
+        ],
+    )
+    def test_result_names_the_deciding_block(self, blocks, kind, deciding):
+        ind = StabilityIndicators(*chain(*blocks))
+        with mock.patch.object(stability, "indicators", return_value=ind):
+            result = beta_star(0.0, P)
+        assert result.kind is kind
+        assert result.block == blocks[deciding]
 
     def test_threshold_brackets_the_classification_flip(self):
         cases = [
@@ -264,13 +337,15 @@ BLOCKS = st.lists(st.tuples(st.floats(-0.5, 0.5), DELTAS), min_size=1, max_size=
 
 class TestClassifyAgreesWithBetaStar:
     """``classify`` and ``beta_star`` state one Matignon condition: for any
-    blocks, stability at an order is the order lying below the threshold,
-    and a saddle or fold is exactly an undefined threshold."""
+    blocks, stability at an order is the order lying below the threshold, a
+    saddle is unstable for every order, and a fold is exactly an undefined
+    threshold."""
 
     @settings(max_examples=300, deadline=None)
     @given(blocks=BLOCKS, beta=st.floats(0.0, 1.0, exclude_min=True))
     @example(blocks=[(0.02342704768668069, 4.163336342344337e-17)], beta=0.5)
     @example(blocks=[(0.0, 0.09)], beta=1.0)
+    @example(blocks=[(0.1, 5e-13), (0.1, -0.01)], beta=0.5)
     def test_one_condition_at_a_drawn_order_and_at_the_threshold(self, blocks, beta):
         ind = StabilityIndicators(*chain(*blocks))
         with mock.patch.object(stability, "indicators", return_value=ind):
@@ -284,8 +359,60 @@ class TestClassifyAgreesWithBetaStar:
                 result.kind is BetaStarKind.THRESHOLD and order < result.value
             )
             assert (got is Classification.ASYMPTOTICALLY_STABLE) == stable
-            fold_or_saddle = got in (Classification.SADDLE, Classification.SADDLE_NODE_DEGENERATE)
-            assert fold_or_saddle == (result.kind is BetaStarKind.UNDEFINED)
+            if got is Classification.SADDLE:
+                assert result.kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
+            fold = got is Classification.SADDLE_NODE_DEGENERATE
+            assert fold == (result.kind is BetaStarKind.UNDEFINED)
+
+
+def normal_block(tau: float, delta: float) -> np.ndarray:
+    # a normal 2x2 matrix of trace tau and determinant delta, whose
+    # eigenvalues a dense solver finds to rounding: a rotation-scaling for a
+    # complex pair, a symmetric matrix for a real pair
+    a = tau / 2.0
+    q = delta - a * a
+    r = math.sqrt(abs(q))
+    return np.array([[a, -r], [r, a]]) if q >= 0.0 else np.array([[a, r], [r, a]])
+
+
+# block determinants away from a fold, on either side of it
+FAR_DELTAS = st.one_of(st.floats(-0.5, -1e-3), st.floats(1e-3, 0.5))
+FAR_BLOCKS = st.lists(st.tuples(st.floats(-0.5, 0.5), FAR_DELTAS), min_size=2, max_size=2)
+
+
+class TestBetaStarIsTheEigenvalueRule:
+    """beta* is min 2 |arg lambda| / pi over the eigenvalues of a dense 4x4
+    matrix built from two blocks, as they stand or turned by a random
+    orthogonal matrix: a saddle gives 0, and a matrix stable for all orders
+    has every eigenvalue beyond pi / 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=FAR_BLOCKS, seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @example(blocks=[(0.0, -0.5), (0.0, -0.5)], seed=7)
+    @example(blocks=[(0.3, 0.09), (-0.2, -0.01)], seed=None)
+    @example(blocks=[(0.01, 0.09), (0.5, 0.01)], seed=11)
+    def test_closed_form_equals_the_eigenvalue_rule(self, blocks, seed):
+        # where a block's eigenvalues nearly coincide (tau / (2 sqrt(delta))
+        # near 1) both routes lose digits to the conditioning, not to a fault
+        assume(all(abs(t * t - 4.0 * d) > 4e-6 * abs(d) for t, d in blocks))
+        J = np.zeros((4, 4))
+        J[:2, :2], J[2:, 2:] = (normal_block(*b) for b in blocks)
+        if seed is not None:
+            Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+            J = Q.T @ J @ Q
+        rule = float((2.0 * np.abs(np.angle(np.linalg.eigvals(J))) / math.pi).min())
+        with mock.patch.object(
+            stability, "indicators", return_value=StabilityIndicators(*chain(*blocks))
+        ):
+            result = beta_star(0.0, P)
+        if any(d < 0.0 for _, d in blocks):
+            assert result.kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
+            assert result.block[1] < 0.0
+        if result.kind is BetaStarKind.STABLE_FOR_ALL_ORDERS:
+            assert rule > 1.0
+        else:
+            expected = 0.0 if result.kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS else result.value
+            assert abs(rule - expected) <= 1e-12
 
 
 class TestEigenvalueOracleEquivalence:
@@ -311,10 +438,11 @@ class TestEigenvalueOracleEquivalence:
             if min(abs(d) for _, d in ind.branches) < 1e-12:
                 continue  # degenerate ties excluded
             got = classify(ind, beta)
-            stable = matignon_stable(jacobian(x, p, coupling), beta)
+            J = jacobian(symmetric_state(x, coupling, p), p, coupling)
+            stable = matignon_stable(J, beta)
             assert (got is Classification.ASYMPTOTICALLY_STABLE) == stable
             if got is Classification.SADDLE:
-                eigs = np.linalg.eigvals(jacobian(x, p, coupling))
+                eigs = np.linalg.eigvals(J)
                 assert (np.isreal(eigs) & (eigs.real > 0)).any()
             checked += 1
 
