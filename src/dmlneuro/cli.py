@@ -507,7 +507,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         ]
         _svg_plot(_svg_path(cfg), series, kind="scatter")
     if scan.failed.any():
-        bad = ", ".join(f"{b:g}" for b in scan.beta_values[scan.failed])
+        bad = ", ".join(map(repr, scan.beta_values[scan.failed].tolist()))
         print(f"numerical failure at beta = {bad} (cells flagged as nan)", file=sys.stderr)
         return 1
     return 0
@@ -521,7 +521,7 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
     _emit(cfg, ["I", "beta_star", "coupling_value"],
           np.column_stack((curve.I_values, curve.beta_star_values, values)))
     for I, reason in curve.omitted:
-        print(f"omitted I={I:g}: {reason}", file=sys.stderr)
+        print(f"omitted I={I!r}: {reason}", file=sys.stderr)
     if cfg.svg:
         _svg_plot(_svg_path(cfg), [(curve.I_values, curve.beta_star_values)])
     return 0

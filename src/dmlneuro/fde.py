@@ -4,9 +4,10 @@ The initial value problem is recast as a Volterra integral equation with a
 weakly singular power-law kernel, discretized by product integration on a
 uniform grid, and stepped with an Adams-Bashforth-Moulton predict-evaluate-
 correct-evaluate (PECE) scheme.  The grid falls into blocks of r = ``_BLOCK``
-nodes.  A node sums its own block directly; one product per block gives its
-far sums, weighting the block before by the kernel (lags 1 to 2r - 1) and all
-older nodes through sums of exponentials that stand for the kernel past lag r
+nodes.  A node sums its own block directly, and two neighbouring nodes share
+one product for those sums; one product per block gives the far sums,
+weighting the block before by the kernel (lags 1 to 2r - 1) and all older
+nodes through sums of exponentials that stand for the kernel past lag r
 (Jiang et al., Commun. Comput. Phys. 21, 2017; Baffet and Hesthaven, SIAM J.
 Numer. Anal. 55, 2017).  A run of N steps costs O(N (r + Q)) for Q (about
 145) exponents, and its only arrays of length N are its times and states.
@@ -146,8 +147,9 @@ def _length_fault(f_new, dim, m, times):
 
 
 def _corrector(dim: int, ca: float) -> Callable:
-    """``correct(base, f)``, the corrector state ``[b + ca * f for b, f in
-    zip(base, f)]`` unrolled into ``dim`` float sums.  Its unpacking raises
+    """``correct(base, f)``, the sum ``[b + ca * f for b, f in zip(base,
+    f)]`` unrolled into ``dim`` float sums: the corrector state, or with a
+    lag-1 weight for ``ca`` a pair's lag-1 term.  Its unpacking raises
     ``ValueError`` for an ``f`` of any other length."""
     b = [f"b{i}" for i in range(dim)]
     f = [f"f{i}" for i in range(dim)]
@@ -183,21 +185,26 @@ def solve_fde(
 
     ``rhs(t, y, params)`` receives ``t`` as a float and ``y`` as a list of
     ``dim`` ``float`` instances: plain floats, or ``np.float64`` (a float
-    subclass) in the corrected state when ``rhs`` returns an array.  It
-    returns any sequence of ``dim`` floats: a tuple, a list or an array.
-    Each step makes one matrix product.  A ``(3r, dim)``
-    block buffer, r = ``_BLOCK``, holds three rows per block node j: its two
-    far sums at 3j and 3j + 1, written once per block, and its vector field
-    at 3j + 2, written by node j's step.  Block node k multiplies a
-    ``(2, 3k + 2)`` weight row pair by the buffer's first 3k + 2 rows, the
-    ones it reads, and takes the product as two float lists: the predictor
-    state and the corrector base.  The rest of the step runs on Python
-    floats.  The corrector adds ``ca * f`` to the base in ``dim`` unrolled
-    float sums, a function built once per solve, and the field row goes
-    into the buffer by one slice store into the ``ctypes`` array it views;
-    neither calls numpy.  The block's states are stored once per block.
-    Beside the returned times and states, a solve holds O(r (r + Q)) floats
-    for Q exponents.
+    subclass) when ``rhs`` returns an array, in the corrected state and in
+    the predictor state of every second node of a pair.  It returns any
+    sequence of ``dim`` floats: a tuple, a list or an array.
+
+    Each pair of steps makes one matrix product.  A ``(3r, dim)`` block
+    buffer, r = ``_BLOCK``, holds three rows per block node j: its two far
+    sums at 3j and 3j + 1, written once per block, and its vector field at
+    3j + 2, written by node j's step.  Block nodes k and k + 1, k even,
+    multiply a ``(4, 3k + 5)`` weight block by the buffer's first 3k + 5
+    rows and take the product as four float lists: the predictor state and
+    the corrector base of node k, and those of node k + 1 without the term
+    of node k's vector field, which node k's step has not yet written.
+    Node k + 1 adds that lag-1 term in ``dim`` unrolled float sums.  The
+    rest of the step runs on Python floats too.  The corrector adds ``ca *
+    f`` to the base in ``dim`` unrolled float sums, a function built once
+    per solve, and the field row goes into the buffer by one slice store
+    into the ``ctypes`` array it views; neither calls numpy.  The block's
+    states are stored once per block, by one slice store of a flat float
+    list.  Beside the returned times and states, a solve holds O(r (r + Q))
+    floats for Q exponents.
 
     Raises ``ValueError`` for a non-finite ``y0``, before any work,
     :class:`NonFiniteStateError` (carrying the finite part of the
@@ -207,8 +214,10 @@ def solve_fde(
     field row store reject an output of any other length at the step that
     returned it, whether from the predictor's call or the corrector's.  The
     finiteness check runs once per block of ``_BLOCK`` steps, so ``rhs`` may
-    be evaluated at non-finite states before the error is raised.  A
-    ``ValueError`` that ``rhs`` raises itself propagates as it is.
+    be evaluated at non-finite states before the error is raised; the
+    block's states are scanned one by one only when their sum is not
+    finite.  A ``ValueError`` that ``rhs`` raises itself propagates as it
+    is.
 
     The private hook ``_on_rows(times, states)``, when given, is called once
     per block, after that block passes the finiteness check, with views of
@@ -247,26 +256,44 @@ def solve_fde(
     ka = ca * np.concatenate(([0.0], _corrector_kernel(beta, np.arange(1, 2 * r))))
     # The block buffer Z interleaves three rows per block node j: its two
     # far rows at 3j and 3j + 1, written once per block, and its F row at
-    # 3j + 2, written by node j's step.  A weight row pair, whose bound
-    # dot is dots[k], turns the prefix Zk[k] = Z[:3k + 2] into the
-    # predictor state and the corrector base of block node k in one
-    # product: the kernel weights of the k earlier nodes' F rows, oldest
-    # first, zero on their far rows, and ones that pick node k's own far
-    # rows.  No row past the prefix is read.  Z views a ctypes array,
-    # whose slice store takes any sequence of exactly dim floats; rows[k]
-    # slices node k's F row there.
+    # 3j + 2, written by node j's step.  Block nodes pair up as (k, k + 1)
+    # for even k, and one product, whose bound dot is dots[k], serves both:
+    # its weight block turns the prefix Zk[k] = Z[:3k + 5] into node k's
+    # predictor state and corrector base (rows 0 and 1) and node k + 1's
+    # without their lag-1 terms (rows 2 and 3).  Each row holds the kernel
+    # weights of the k earlier nodes' F rows, oldest first, zero on their
+    # far rows, and ones that pick its node's own far rows.  Once node k's
+    # step has written its F row, node k + 1 adds it times kb[1] and ka[1]
+    # by lag_b and lag_a.  Edges:
+    # - node k's F row is in the prefix, weighted zero, before node k's step
+    #   rewrites it, and 0 * inf is nan.  The row is finite: in the first
+    #   block it is zero (or f0, node 0's own), and later it is the last
+    #   block's, which node k + 1 there took in with the positive weight
+    #   ka[1]; a non-finite row would have made that state non-finite and
+    #   stopped the run at that block.
+    # - with an odd r, the last node r - 1 has no partner: its rows 2 and 3
+    #   are zero and its prefix Z[:3r - 1] leaves out its own F row, the
+    #   last row of Z, which no product reads.
+    # Z views a ctypes array, whose slice store takes any sequence of
+    # exactly dim floats; rows[k] slices node k's F row there.
     store = (ctypes.c_double * (3 * r * dim))()
     Z = np.frombuffer(store).reshape(3 * r, dim)
     nodes = Z.reshape(r, 3, dim)  # a view: nodes[j] is node j's three rows
-    dots, Zk, rows = [], [], []
+    dots, Zk, rows = [None] * r, [None] * r, []
     for k in range(r):
-        w = np.zeros((2, 3 * k + 2))
-        w[:, 2 : 3 * k : 3] = kb[k:0:-1], ka[k:0:-1]
-        w[(0, 1), (3 * k, 3 * k + 1)] = 1.0
-        dots.append(w.dot)
-        Zk.append(Z[: 3 * k + 2])
         rows.append(slice((3 * k + 2) * dim, (3 * k + 3) * dim))
+        if k % 2:
+            continue  # node k + 1 of the pair before
+        w = np.zeros((4, min(3 * k + 5, 3 * r - 1)))
+        w[:2, 2 : 3 * k : 3] = kb[k:0:-1], ka[k:0:-1]
+        w[(0, 1), (3 * k, 3 * k + 1)] = 1.0
+        if k + 1 < r:
+            w[2:, 2 : 3 * k : 3] = kb[k + 1 : 1 : -1], ka[k + 1 : 1 : -1]
+            w[(2, 3), (3 * k + 3, 3 * k + 4)] = 1.0
+        dots[k], Zk[k] = w.dot, Z[: w.shape[1]]
     correct = _corrector(dim, ca)
+    # float weights, so that plain float field rows give plain float states
+    lag_b, lag_a = _corrector(dim, float(kb[1])), _corrector(dim, float(ka[1]))
 
     # Far rows.  One product A @ B gives both far rows of every node of the
     # block, in Z's order.  B stacks the F rows of the last block, weighted
@@ -290,6 +317,7 @@ def solve_fde(
     B[-2], B[-1] = y0, f0
     states = np.empty((n_steps + 1, dim))
     states[0] = y0
+    flat = states.reshape(-1)  # a view: the block's states go in by one store
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for q0 in range(0, n_steps + 1, r):
@@ -307,19 +335,27 @@ def solve_fde(
             last[:] = nodes[:, 2]
             nodes[:, :2] = A.dot(B).reshape(r, 2, dim)
             if not q0:
+                # the first block starts at node 1, the second of pair (0, 1),
+                # which takes its product here and node 0's F row f0
                 nodes[0, 2] = f0
+                _, _, y_next, base_next = dots[0](Zk[0]).tolist()
+                f_new = f0.tolist()
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
             k0 = lo - q0
             block = []
             try:
                 for m, dot, zk, row in zip(range(lo, stop), dots[k0:], Zk[k0:], rows[k0:]):
-                    # predictor state and corrector base in one product
-                    y_new, base = dot(zk).tolist()
+                    if dot is None:
+                        # the second node of a pair adds the lag-1 terms of
+                        # the first node's field row, f_new
+                        y_new, base = lag_b(y_next, f_new), lag_a(base_next, f_new)
+                    else:
+                        y_new, base, y_next, base_next = dot(zk).tolist()
                     t1 = t_start + h * m
                     f_new = rhs(t1, y_new, params)
                     y_new = correct(base, f_new)
                     f_new = rhs(t1, y_new, params)
-                    block.append(y_new)
+                    block += y_new
                     store[row] = f_new
             except ValueError as err:
                 # a wrong-length output fails at the corrector's unpacking
@@ -328,17 +364,20 @@ def solve_fde(
                 if fault is None:
                     raise
                 raise DimensionMismatchError(fault) from err
-            states[lo:stop] = block
+            flat[lo * dim : stop * dim] = block
 
-            finite = np.isfinite(states[lo:stop]).all(axis=1)
-            if not finite.all():
-                m = lo + int(finite.argmin())
-                partial = Trajectory(times[:m].copy(), states[:m].copy())
-                raise NonFiniteStateError(
-                    f"non-finite state at t = {times[m]:g} (step {m}); "
-                    "returning the finite part of the trajectory",
-                    trajectory=partial,
-                )
+            # the sum is finite only if every state is; a non-finite sum,
+            # which finite states can also give by overflow, runs the scan
+            if not math.isfinite(sum(block)):
+                finite = np.isfinite(states[lo:stop]).all(axis=1)
+                if not finite.all():
+                    m = lo + int(finite.argmin())
+                    partial = Trajectory(times[:m].copy(), states[:m].copy())
+                    raise NonFiniteStateError(
+                        f"non-finite state at t = {times[m]:g} (step {m}); "
+                        "returning the finite part of the trajectory",
+                        trajectory=partial,
+                    )
             if _on_rows is not None:
                 _on_rows(times[:stop], states[:stop])
 

@@ -886,6 +886,22 @@ class TestSweepCommand:
         assert float(lines[1].split(",")[0]) == 1.0
         assert float(lines[-1].split(",")[0]) == 0.99
 
+    def test_failed_orders_are_named_as_the_csv_names_them(self, tmp_path, capsys):
+        # the grid is 1.0 - 0.07 * [0, 1]; every order blows up, and the
+        # message names each by the text of its CSV rows, not to six digits
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "sweep", "--I", "1e6", "--beta-from", "0.9", "--beta-to", "1.0",
+            "--beta-step", "0.07", "--t-end", "1", "--h", "0.05", "--tail", "5",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        labels = dict.fromkeys(line.split(",")[0]
+                               for line in out_path.read_text().split("\n")[1:-1])
+        assert list(labels) == ["1.0", "0.9299999999999999"]
+        assert err == ("numerical failure at beta = 1.0, 0.9299999999999999 "
+                       "(cells flagged as nan)\n")
+
     def test_sweep_svg_scatter(self, tmp_path, capsys):
         out_path = tmp_path / "scan.csv"
         code, _, _ = run(
@@ -949,13 +965,28 @@ class TestHopfCurveCommand:
         code, _, err = run(capsys, "hopf-curve", *pair, "--I-from", "0", "--I-to", "0.3",
                            "--I-points", "7")
         assert code == 0
-        assert err.count("omitted I=0.05:") == 1
-        assert "omitted I=0.05: unstable-for-all-orders\n" in err
+        # the second current of the grid is 0.3 / 6 in floats
+        assert err.count("omitted I=0.049999999999999996:") == 1
+        assert "omitted I=0.049999999999999996: unstable-for-all-orders\n" in err
         branch_point = "0.017796421485245014"
         code, _, err = run(capsys, "hopf-curve", *pair, "--I-from", branch_point,
                            "--I-to", branch_point, "--I-points", "1")
         assert code == 0
-        assert err == "omitted I=0.0177964: undefined\n"
+        assert err == f"omitted I={branch_point}: undefined\n"
+
+    def test_omitted_currents_are_named_by_their_exact_value(self, capsys):
+        # three currents that agree to six digits, two on each side of the
+        # saddle's onset: each is named by the shortest text that reads back
+        # as it, so the labels are distinct
+        pair = ["--model", "dimer-sigmoid", "--sigma", "0.1", "--vs=-1", "--q", "0.4"]
+        code, _, err = run(capsys, "hopf-curve", *pair, "--I-from", "0.01779641",
+                           "--I-to", "0.01779643", "--I-points", "3")
+        assert code == 0
+        assert err == (
+            "omitted I=0.01779641: stable-for-all-orders\n"
+            "omitted I=0.01779642: stable-for-all-orders\n"
+            "omitted I=0.01779643: unstable-for-all-orders\n"
+        )
 
 
 # a command line of each plotting command, and the function that does its work

@@ -183,6 +183,12 @@ class TestSolveFde:
         assert np.isfinite(partial.states).all()
         assert partial.times.shape[0] == partial.states.shape[0]
 
+    def test_finite_states_whose_sum_overflows_are_no_blow_up(self):
+        # every state is 1e308, so a block's sum overflows to inf: the
+        # per-block check then scans the states and finds them all finite
+        traj = solve_fde(zero_field, 0.9, SolverConfig(0.0, 2.0, 0.01), [1e308, 1e308])
+        assert (traj.states == 1e308).all()
+
     def test_classical_limit_matches_independent_integrator_on_neuron(self):
         # order-one run of the nonlinear model against an adaptive
         # Runge-Kutta reference from a different integrator family
@@ -461,6 +467,23 @@ def check_finite_prefix(field):
     return first_bad
 
 
+def infinite_f_at(target):
+    """The decay field, except that its output at node ``target``'s
+    corrected state is infinite: the state there stays finite, and the
+    next one is the first non-finite state."""
+    evaluations = collections.Counter()
+
+    def field(t, y, p):
+        node = round(t / BLOW_UP_CFG.h)
+        evaluations[node] += 1
+        # the second evaluation at a node is the one at its corrected state
+        if node == target and evaluations[node] % 2 == 0:
+            return [math.inf]
+        return decay(t, y, p)
+
+    return field
+
+
 class TestNestedSquares:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -493,17 +516,39 @@ class TestNestedSquares:
         # state there stays finite: the block stores that state and F row
         # once, and the run stops at node 40 with the 40 direct-sum states
         target = 5 * BLOW_UP_BLOCK - 1
-        evaluations = collections.Counter()
+        assert check_finite_prefix(infinite_f_at(target)) == target + 1
 
-        def field(t, y, p):
-            node = round(t / BLOW_UP_CFG.h)
-            evaluations[node] += 1
-            # the second evaluation at a node is the one at its corrected state
-            if node == target and evaluations[node] % 2 == 0:
-                return [math.inf]
-            return decay(t, y, p)
+    # block nodes k and k + 1, k even, share one history product, and node
+    # k + 1 adds node k's F row after it as its lag-1 term: the first
+    # non-finite state falls on block node 3, which takes node 2's infinite
+    # F row that way, or on block node 4, whose product reads node 3's
+    @pytest.mark.parametrize("first_bad", [4 * BLOW_UP_BLOCK + 3, 4 * BLOW_UP_BLOCK + 4],
+                             ids=["lag-1-node", "product-node"])
+    def test_non_finite_f_in_a_pair_keeps_the_exact_finite_prefix(self, first_bad):
+        assert check_finite_prefix(infinite_f_at(first_bad - 1)) == first_bad
 
-        assert check_finite_prefix(field) == target + 1
+    @settings(max_examples=18, deadline=None)
+    @given(
+        beta=st.floats(0.5, 1.0),
+        x0=st.floats(-0.5, 0.6),
+        w0=st.floats(0.0, 0.5),
+        coupling=st.one_of(
+            st.floats(1e-4, 0.05).map(LinearCoupling),
+            st.floats(1e-4, 0.01).map(SigmoidCoupling),
+        ),
+        block=st.sampled_from([7, 8, 63, 64]),
+    )
+    def test_identical_cells_stay_on_the_diagonal_bitwise(self, beta, x0, w0, coupling, block):
+        # two identical cells started together: every product, lag-1 term
+        # and field value treats both cells' columns alike, so the pair
+        # never leaves the diagonal, not even by rounding, on odd and even
+        # blocks and past the first blocks into the exponential history
+        cfg = SolverConfig(0.0, 0.05 * 300, 0.05)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fde, "_BLOCK", block)
+            traj = solve_fde(vector_field(coupling), beta, cfg, [x0, w0, x0, w0],
+                             DmlParams(I=0.019))
+        assert np.array_equal(traj.states[:, :2], traj.states[:, 2:])
 
 
 class TestExponentialHistory:
@@ -577,7 +622,9 @@ class TestFieldContract:
     def test_rhs_receives_a_list_of_floats(self):
         pair = vector_field(SigmoidCoupling(0.001))
         # a field returning an array hands np.float64 values, a float
-        # subclass, to the corrected state; a tuple hands plain floats
+        # subclass, to the corrected state and to the predictor state that
+        # adds the lag-1 term; a tuple hands plain floats, because the lag-1
+        # weights are floats too
         for wrap, kinds in ((tuple, {float}), (np.array, {float, np.float64})):
             seen, seen_kinds = [], set()
 
