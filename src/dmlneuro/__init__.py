@@ -42,7 +42,6 @@ from .stability import (
     BetaStarKind,
     BetaStarResult,
     Classification,
-    StabilityIndicators,
     beta_star,
     classify,
     indicators,

@@ -20,7 +20,7 @@ from .exceptions import DmlNeuroError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, check_order, mittag_leffler, solve_fde
 from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 from .experiments import DEFAULT_DISCARD, DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
-from .stability import beta_star, classify, indicators
+from .stability import beta_star, classify
 
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
@@ -438,21 +438,23 @@ def _cmd_equilibria(cfg: RunConfig) -> int:
 
 
 def _equilibrium_points(cfg: RunConfig):
-    """Yield ``(x_star, y_star, indicators, beta_star, printed)`` for each
-    symmetric equilibrium of the configured model; ``printed`` is the
-    threshold's value, or the kind of a constant verdict."""
+    """Yield ``(x_star, y_star, result)`` for each symmetric equilibrium of
+    the configured model, ``result`` its :func:`beta_star` record."""
     p, coupling = cfg.params(), cfg.coupling()
     for x_star, y_star in find_symmetric_equilibria(p, coupling).points.tolist():
-        result = beta_star(x_star, p, coupling)
-        printed = result.kind.value if result.value is None else result.value
-        yield x_star, y_star, indicators(x_star, p, coupling), result, printed
+        yield x_star, y_star, beta_star(x_star, p, coupling)
+
+
+def _printed(result) -> float | str:
+    """The threshold's value, or the kind of a constant verdict."""
+    return result.kind.value if result.value is None else result.value
 
 
 def _cmd_stability(cfg: RunConfig) -> int:
     check_order(cfg.beta)  # before the equilibrium search, which may fail
     rows = [
-        [x_star, *chain(*ind.branches), classify(ind, cfg.beta).value, printed]
-        for x_star, _, ind, _, printed in _equilibrium_points(cfg)
+        [x_star, *chain(*result.blocks), classify(result, cfg.beta).value, _printed(result)]
+        for x_star, _, result in _equilibrium_points(cfg)
     ]
     # the single cell has no minus block: its two columns stay empty
     minus = "%r,%r," if cfg.coupling().dim == 4 else ",,"
@@ -465,7 +467,7 @@ def _cmd_stability(cfg: RunConfig) -> int:
 def _cmd_beta_star(cfg: RunConfig) -> int:
     value = cfg.coupling().value
     records = []
-    for x_star, y_star, _, result, printed in _equilibrium_points(cfg):
+    for x_star, y_star, result in _equilibrium_points(cfg):
         tau, delta = result.block
         records.append({
             "model": cfg.model,
@@ -475,7 +477,7 @@ def _cmd_beta_star(cfg: RunConfig) -> int:
             "y_star": y_star,
             "tau": tau,
             "delta": delta,
-            "beta_star": printed,
+            "beta_star": _printed(result),
             "kind": result.kind.value,
         })
     with _output(cfg) as fh:

@@ -191,10 +191,13 @@ def hopf_curve(
     :func:`find_symmetric_equilibria` does, and the critical order evaluated
     there.  Currents whose equilibrium is not on the unique branch, or whose
     threshold is not a critical order, are omitted with the branch or kind.
+    A non-finite band is a ``ValueError``, raised before the fold scan.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
     lo, hi = float(I_range[0]), float(I_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"I_range must be finite, got {(lo, hi)}")
     I_values = np.linspace(lo, hi, n_points)
     extrema = fold_voltages(p, coupling)
     kept_I, kept_beta, omitted = [], [], []

@@ -54,31 +54,14 @@ class BetaStarKind(Enum):
 
 @dataclass(frozen=True)
 class BetaStarResult:
-    """Hopf threshold: either a critical order in (0, 1] or a constant
-    verdict, with the block ``(tau, delta)`` that decides it."""
+    """Stability record of an equilibrium: every 2x2 block ``(tau, delta)``,
+    plus first, and its Hopf threshold, either a critical order in (0, 1]
+    or a constant verdict, with the block that decides it."""
 
     kind: BetaStarKind
+    blocks: tuple[tuple[float, float], ...]
     block: tuple[float, float]
     value: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class StabilityIndicators:
-    """Block traces and determinants; minus branch present only for dimers."""
-
-    tau_plus: float
-    delta_plus: float
-    tau_minus: Optional[float] = None
-    delta_minus: Optional[float] = None
-
-    @property
-    def branches(self) -> tuple[tuple[float, float], ...]:
-        if self.tau_minus is None:
-            return ((self.tau_plus, self.delta_plus),)
-        return (
-            (self.tau_plus, self.delta_plus),
-            (self.tau_minus, self.delta_minus),
-        )
 
 
 def _recovery_slope(x_star: float, p: DmlParams) -> float:
@@ -111,19 +94,18 @@ def jacobian(state, p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> np.n
 
 def indicators(
     x_star: float, p: DmlParams, coupling: CouplingSpec = NoCoupling()
-) -> StabilityIndicators:
-    """Trace/determinant indicators of the 2x2 stability blocks at the
-    symmetric equilibrium with voltage ``x_star``."""
+) -> tuple[tuple[float, float], ...]:
+    """The 2x2 stability blocks ``(tau, delta)`` at the symmetric equilibrium
+    with voltage ``x_star``: ``((tau_plus, delta_plus),)`` for the cell, and
+    the minus block after the plus one for a pair."""
     d_self, d_other = coupling.partials(x_star, x_star)
     s_plus = x_star * (2.0 - 3.0 * x_star) + (d_self + d_other)
     tau_p = s_plus - p.gamma
     delta_p = -p.gamma * s_plus + _recovery_slope(x_star, p)
     if coupling.dim == 2:
-        return StabilityIndicators(tau_p, delta_p)
-    # S- = S+ - 2 d_other exactly, so the minus branch is a shift of the plus one
-    return StabilityIndicators(
-        tau_p, delta_p, tau_p - 2.0 * d_other, delta_p + 2.0 * d_other * p.gamma
-    )
+        return ((tau_p, delta_p),)
+    # S- = S+ - 2 d_other exactly, so the minus block is a shift of the plus one
+    return ((tau_p, delta_p), (tau_p - 2.0 * d_other, delta_p + 2.0 * d_other * p.gamma))
 
 
 def _block_threshold(block) -> float:
@@ -133,32 +115,31 @@ def _block_threshold(block) -> float:
     return 2.0 * math.acos(max(-1.0, min(1.0, t / (2.0 * math.sqrt(d))))) / math.pi
 
 
-def _verdict(branches) -> BetaStarResult:
+def _verdict(blocks) -> BetaStarResult:
     """Matignon's rule over the blocks: a saddle block decides first (unstable
     for every order), then a fold block (no threshold), then the first block
     with the least threshold."""
-    saddles = [b for b in branches if b[1] < -DEGENERACY_TOL]
+    saddles = [b for b in blocks if b[1] < -DEGENERACY_TOL]
     if saddles:
-        return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, saddles[0])
-    folds = [b for b in branches if b[1] <= DEGENERACY_TOL]
+        return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, blocks, saddles[0])
+    folds = [b for b in blocks if b[1] <= DEGENERACY_TOL]
     if folds:
-        return BetaStarResult(BetaStarKind.UNDEFINED, folds[0])
-    thresholds = [_block_threshold(b) for b in branches]
+        return BetaStarResult(BetaStarKind.UNDEFINED, blocks, folds[0])
+    thresholds = [_block_threshold(b) for b in blocks]
     worst = min(thresholds)
-    block = branches[thresholds.index(worst)]
+    block = blocks[thresholds.index(worst)]
     if worst <= 0.0:
-        return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, block)
+        return BetaStarResult(BetaStarKind.UNSTABLE_FOR_ALL_ORDERS, blocks, block)
     if worst > 1.0:
-        return BetaStarResult(BetaStarKind.STABLE_FOR_ALL_ORDERS, block)
-    return BetaStarResult(BetaStarKind.THRESHOLD, block, worst)
+        return BetaStarResult(BetaStarKind.STABLE_FOR_ALL_ORDERS, blocks, block)
+    return BetaStarResult(BetaStarKind.THRESHOLD, blocks, block, worst)
 
 
-def classify(ind: StabilityIndicators, beta) -> Classification:
-    """Matignon classification of an equilibrium at fractional order ``beta``,
-    read off its threshold: a saddle or a fold when one decides it, else
-    stable iff ``beta`` lies below beta*."""
+def classify(result: BetaStarResult, beta) -> Classification:
+    """Matignon classification at fractional order ``beta`` of the
+    equilibrium whose :func:`beta_star` record is ``result``: a saddle or a
+    fold when one decides it, else stable iff ``beta`` lies below beta*."""
     beta = check_order(beta)
-    result = _verdict(ind.branches)
     if result.kind is BetaStarKind.UNDEFINED:
         return Classification.SADDLE_NODE_DEGENERATE
     if result.block[1] < 0.0:  # only a saddle block decides with delta < 0
@@ -181,4 +162,4 @@ def beta_star(
     zero leaves no admissible stable order, while one above one means the
     equilibrium is stable for every order in (0, 1].
     """
-    return _verdict(indicators(x_star, p, coupling).branches)
+    return _verdict(indicators(x_star, p, coupling))

@@ -121,8 +121,8 @@ def test_criterion_03_hopf_thresholds_closed_form():
 
 def test_criterion_04_trace_determinant_indicators():
     t0 = time.perf_counter()
-    ind = indicators(0.40772, P)
-    ok = abs(ind.tau_plus - 0.01673) < 1e-4 and abs(ind.delta_plus - 0.0909) < 1e-3
+    (tau_plus, delta_plus), = indicators(0.40772, P)
+    ok = abs(tau_plus - 0.01673) < 1e-4 and abs(delta_plus - 0.0909) < 1e-3
     _report(4, "trace/determinant at the reference equilibrium", ok, time.perf_counter() - t0, 1.0)
 
 
@@ -213,13 +213,12 @@ def test_criterion_09_classifier_matches_eigenvalue_oracle():
         else:
             coupling = SigmoidCoupling(sigma=10 ** rng.uniform(-5, -2))
         beta = rng.uniform(0.05, 1.0)
-        ind = indicators(x, p, coupling)
-        if min(abs(d) for _, d in ind.branches) < 1e-12:
+        if min(abs(d) for _, d in indicators(x, p, coupling)) < 1e-12:
             continue
         state = [x, y_infinity(x, p)] * (coupling.dim // 2)
         eigs = np.linalg.eigvals(jacobian(state, p, coupling))
         matignon = bool((np.abs(np.angle(eigs)) > beta * math.pi / 2.0).all())
-        got = classify(ind, beta) is Classification.ASYMPTOTICALLY_STABLE
+        got = classify(beta_star(x, p, coupling), beta) is Classification.ASYMPTOTICALLY_STABLE
         ok = ok and (got == matignon)
         checked += 1
     _report(9, "classifier vs eigenvalue oracle (500 cases)", ok, time.perf_counter() - t0, 5.0)

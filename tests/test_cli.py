@@ -6,11 +6,12 @@ import subprocess
 import sys
 from dataclasses import fields
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dmlneuro import cli, experiments
+from dmlneuro import cli, experiments, stability
 from dmlneuro.cli import RunConfig, run_cli
 from dmlneuro.exceptions import NonFiniteStateError
 from dmlneuro.models import DmlParams, SigmoidCoupling
@@ -106,17 +107,19 @@ class TestBetaStarCommand:
         assert record["beta_star"] == pytest.approx(0.98628, abs=1e-4)
         assert record["coupling_value"] == 0.001
         # the in-phase block binds for an excitatory pair
-        ind = indicators(record["x_star"], DmlParams(I=0.019), SigmoidCoupling(0.001))
-        assert (record["tau"], record["delta"]) == (ind.tau_plus, ind.delta_plus)
+        plus, _ = indicators(record["x_star"], DmlParams(I=0.019), SigmoidCoupling(0.001))
+        assert (record["tau"], record["delta"]) == plus
 
     def test_inhibitory_pair_reports_the_block_that_binds(self, capsys):
         code, out, _ = run(capsys, "beta-star", "--model", "dimer-sigmoid", "--vs", "-1",
                            "--I", "0.019")
         assert code == 0
         record = json.loads(out)
-        ind = indicators(record["x_star"], DmlParams(I=0.019), SigmoidCoupling(0.001, v_s=-1.0))
-        assert (record["tau"], record["delta"]) == (ind.tau_minus, ind.delta_minus)
-        ratio = ind.tau_minus / (2.0 * math.sqrt(ind.delta_minus))
+        _, (tau_minus, delta_minus) = indicators(
+            record["x_star"], DmlParams(I=0.019), SigmoidCoupling(0.001, v_s=-1.0)
+        )
+        assert (record["tau"], record["delta"]) == (tau_minus, delta_minus)
+        ratio = tau_minus / (2.0 * math.sqrt(delta_minus))
         assert record["beta_star"] == 2.0 * math.acos(ratio) / math.pi
         assert record["beta_star"] == pytest.approx(0.9806562731256125, abs=1e-12)
 
@@ -125,6 +128,20 @@ class TestBetaStarCommand:
         assert code == 0
         records = json.loads(out)
         assert isinstance(records, list) and len(records) == 3
+
+    @pytest.mark.parametrize("command", ["stability", "beta-star"])
+    @pytest.mark.parametrize(
+        "model", [[], ["--model", "dimer-sigmoid"]], ids=["single", "dimer-sigmoid"]
+    )
+    def test_each_equilibrium_is_analysed_once(self, capsys, command, model):
+        # three equilibria at I = 0.011, each with one stability record; the
+        # spy counts calls made through either module's name for indicators
+        spy = mock.Mock(wraps=stability.indicators)
+        with mock.patch.object(stability, "indicators", spy), \
+                mock.patch.object(cli, "indicators", spy, create=True):
+            code, _, _ = run(capsys, command, *model, "--I", "0.011")
+        assert code == 0
+        assert spy.call_count == 3
 
     def test_saddle_record_is_unstable_for_all_orders(self, capsys):
         # the middle of the three equilibria is a saddle, and its block decides
@@ -159,7 +176,6 @@ class TestConfigHandling:
             ["equilibria", "--model", "dimer-sigmoid", "--sigma", "nan"],
             ["equilibria", "--model", "dimer-sigmoid", "--vs", "nan"],
             ["equilibria", "--model", "dimer-sigmoid", "--lambda", "nan"],
-            ["hopf-curve", "--I-from", "nan", "--I-points", "3"],
         ],
     )
     def test_non_finite_model_parameter_exits_2(self, capsys, argv):
@@ -973,6 +989,21 @@ class TestHopfCurveCommand:
                            "--I-to", branch_point, "--I-points", "1")
         assert code == 0
         assert err == f"omitted I={branch_point}: undefined\n"
+
+    @pytest.mark.parametrize(
+        "band, shown",
+        [(["--I-to", "inf"], "(0.016, inf)"), (["--I-from", "nan"], "(nan, 0.03)")],
+        ids=["infinite-to", "nan-from"],
+    )
+    def test_non_finite_band_exits_2(self, capsys, monkeypatch, band, shown):
+        # rejected by its own name before the fold scan, with no numpy warning
+        def no_scan(p, coupling):
+            raise AssertionError("the fold scan ran")
+
+        monkeypatch.setattr(experiments, "fold_voltages", no_scan)
+        code, out, err = run(capsys, "hopf-curve", *band, "--I-points", "3")
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: I_range must be finite, got {shown}\n"
 
     def test_omitted_currents_are_named_by_their_exact_value(self, capsys):
         # three currents that agree to six digits, two on each side of the

@@ -286,6 +286,15 @@ class TestHopfCurve:
         assert (0.012, "equilibrium branch is fivefold") in curve.omitted
         assert curve.I_values.size == 14
 
+    @pytest.mark.parametrize(
+        "band", [(0.016, np.inf), (np.nan, 0.0235), (-np.inf, np.inf)], ids=["inf", "nan", "both"]
+    )
+    def test_non_finite_band_is_rejected(self, band):
+        # before linspace, whose inf * 0 would warn, and before any current is tried
+        with pytest.raises(ValueError) as err:
+            hopf_curve(P, NoCoupling(), band, 3)
+        assert str(err.value) == f"I_range must be finite, got {band}"
+
     def test_only_numerical_failures_are_omitted(self, monkeypatch):
         # the per-current stage of the equilibrium search
         def exhausted(p, coupling, extrema):

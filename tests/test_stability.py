@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -21,7 +20,6 @@ from dmlneuro.models import (
 from dmlneuro.stability import (
     BetaStarKind,
     Classification,
-    StabilityIndicators,
     beta_star,
     classify,
     indicators,
@@ -46,13 +44,19 @@ def matignon_stable(matrix: np.ndarray, beta: float) -> bool:
     return bool((np.abs(np.angle(eigs)) > beta * math.pi / 2.0).all())
 
 
-def block_eigenvalues(ind) -> np.ndarray:
+def block_eigenvalues(blocks) -> np.ndarray:
     # the roots of lambda^2 - tau lambda + delta for each block
     out = []
-    for tau, delta in ind.branches:
+    for tau, delta in blocks:
         disc = complex(tau * tau - 4.0 * delta) ** 0.5
         out.extend([(tau + disc) / 2.0, (tau - disc) / 2.0])
     return np.array(out)
+
+
+def record(*blocks):
+    # the beta_star record of an equilibrium whose stability blocks are these
+    with mock.patch.object(stability, "indicators", return_value=blocks):
+        return beta_star(0.0, P)
 
 
 def field_differences(coupling, state, eps=1e-7) -> np.ndarray:
@@ -121,22 +125,25 @@ class TestJacobian:
 
 class TestIndicators:
     def test_single_cell_values(self):
-        ind = indicators(X_STAR, P)
-        assert ind.tau_plus == pytest.approx(0.01673, abs=1e-4)
-        assert ind.delta_plus == pytest.approx(0.0909, abs=1e-3)
-        assert ind.tau_minus is None and ind.delta_minus is None
+        (tau, delta), = indicators(X_STAR, P)  # one block: the cell has no minus block
+        assert tau == pytest.approx(0.01673, abs=1e-4)
+        assert delta == pytest.approx(0.0909, abs=1e-3)
 
     def test_linear_pair_shifts_are_exact(self):
         theta = 0.008
-        ind = indicators(X_STAR, P, LinearCoupling(theta))
-        assert ind.tau_minus == ind.tau_plus - 2.0 * theta
-        assert ind.delta_minus == ind.delta_plus + 2.0 * theta * 0.3
+        (tau_plus, delta_plus), (tau_minus, delta_minus) = indicators(
+            X_STAR, P, LinearCoupling(theta)
+        )
+        assert tau_minus == tau_plus - 2.0 * theta
+        assert delta_minus == delta_plus + 2.0 * theta * 0.3
 
     def test_sigmoid_zero_strength_reduces_to_single_cell(self):
-        base = indicators(X_STAR, P)
-        ind = indicators(X_STAR, P, SigmoidCoupling(sigma=0.0))
-        assert ind.tau_plus == base.tau_plus == ind.tau_minus
-        assert ind.delta_plus == base.delta_plus == ind.delta_minus
+        (tau, delta), = indicators(X_STAR, P)
+        (tau_plus, delta_plus), (tau_minus, delta_minus) = indicators(
+            X_STAR, P, SigmoidCoupling(sigma=0.0)
+        )
+        assert tau_plus == tau == tau_minus
+        assert delta_plus == delta == delta_minus
 
     def test_matches_jacobian_blocks(self):
         for coupling in (NoCoupling(), LinearCoupling(0.01), SigmoidCoupling(sigma=0.002)):
@@ -146,29 +153,29 @@ class TestIndicators:
                 blocks = [J]
             else:
                 blocks = [J[:2, :2] + J[:2, 2:], J[:2, :2] - J[:2, 2:]]
-            for (tau, delta), block in zip(ind.branches, blocks):
+            for (tau, delta), block in zip(ind, blocks):
                 assert tau == pytest.approx(np.trace(block), abs=1e-14)
                 assert delta == pytest.approx(np.linalg.det(block), rel=1e-12)
 
 
 class TestClassify:
     def test_negative_determinant_is_saddle_for_any_order(self):
-        ind = StabilityIndicators(tau_plus=0.5, delta_plus=-0.01)
+        result = record((0.5, -0.01))
         for beta in (0.1, 0.5, 1.0):
-            assert classify(ind, beta) is Classification.SADDLE
+            assert classify(result, beta) is Classification.SADDLE
 
     def test_classical_stable_case(self):
-        ind = StabilityIndicators(tau_plus=-0.1, delta_plus=0.05)
-        assert classify(ind, 1.0) is Classification.ASYMPTOTICALLY_STABLE
+        result = record((-0.1, 0.05))
+        assert classify(result, 1.0) is Classification.ASYMPTOTICALLY_STABLE
 
     def test_order_dichotomy_at_reference_equilibrium(self):
-        ind = StabilityIndicators(tau_plus=0.01673, delta_plus=0.0909)
-        assert classify(ind, 0.97) is Classification.ASYMPTOTICALLY_STABLE
-        assert classify(ind, 0.99) is Classification.UNSTABLE
+        result = record((0.01673, 0.0909))
+        assert classify(result, 0.97) is Classification.ASYMPTOTICALLY_STABLE
+        assert classify(result, 0.99) is Classification.UNSTABLE
 
     def test_degenerate_band(self):
-        ind = StabilityIndicators(tau_plus=0.1, delta_plus=5e-13)
-        assert classify(ind, 0.9) is Classification.SADDLE_NODE_DEGENERATE
+        result = record((0.1, 5e-13))
+        assert classify(result, 0.9) is Classification.SADDLE_NODE_DEGENERATE
 
     def test_classical_limit_agrees_with_trace_determinant_rules(self):
         rng = np.random.default_rng(3)
@@ -177,7 +184,7 @@ class TestClassify:
             delta = rng.uniform(-1.0, 1.0)
             if abs(delta) <= 1e-12:
                 continue
-            got = classify(StabilityIndicators(tau, delta), 1.0)
+            got = classify(record((tau, delta)), 1.0)
             if delta < 0:
                 expected = Classification.SADDLE
             elif tau < 0:
@@ -187,10 +194,8 @@ class TestClassify:
             assert got is expected
 
     def test_dimer_requires_both_branches_stable(self):
-        ind = StabilityIndicators(
-            tau_plus=0.01, delta_plus=0.09, tau_minus=0.5, delta_minus=0.01
-        )
-        assert classify(ind, 0.5) is Classification.UNSTABLE
+        result = record((0.01, 0.09), (0.5, 0.01))
+        assert classify(result, 0.5) is Classification.UNSTABLE
 
 
 class TestBetaStar:
@@ -227,8 +232,8 @@ class TestBetaStar:
         # x = 0.5 makes the voltage self-derivative exactly 0.25, so
         # gamma = 0.25 puts the trace at exactly zero with delta > 0
         x, p = 0.5, DmlParams(I=0.0, gamma=0.25)
-        ind = indicators(x, p)
-        assert ind.tau_plus == 0.0 and ind.delta_plus > 0.0
+        (tau, delta), = indicators(x, p)
+        assert tau == 0.0 and delta > 0.0
         result = beta_star(x, p)
         assert result.kind is BetaStarKind.THRESHOLD
         assert result.value == pytest.approx(1.0, abs=1e-12)
@@ -245,9 +250,9 @@ class TestBetaStar:
         # tau >= 2 sqrt(delta) leaves no admissible stable order
         x = 0.5
         p = DmlParams(I=0.0, A=0.028, alpha=0.1, gamma=0.01)
-        ind = indicators(x, p)
-        assert ind.delta_plus > 0
-        assert ind.tau_plus / (2 * math.sqrt(ind.delta_plus)) >= 1
+        (tau, delta), = indicators(x, p)
+        assert delta > 0
+        assert tau / (2 * math.sqrt(delta)) >= 1
         assert beta_star(x, p).kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
 
     def test_degenerate_determinant_is_undefined(self):
@@ -256,7 +261,8 @@ class TestBetaStar:
         result = beta_star(eq.points[-1, 0], p)  # the fold point
         assert result.kind is BetaStarKind.UNDEFINED
         assert result.value is None
-        assert result.block == indicators(eq.points[-1, 0], p).branches[0]
+        assert result.blocks == indicators(eq.points[-1, 0], p)
+        assert result.block == result.blocks[0]
 
     def test_saddle_is_unstable_for_all_orders(self):
         # the middle of the cell's three equilibria at I = 0.011: its real
@@ -269,7 +275,7 @@ class TestBetaStar:
         tau, delta = result.block
         assert tau == pytest.approx(-0.0670, abs=1e-4)
         assert delta == pytest.approx(-0.02205, abs=1e-5)
-        assert classify(indicators(x_mid, p), 0.5) is Classification.SADDLE
+        assert classify(result, 0.5) is Classification.SADDLE
 
     @pytest.mark.parametrize(
         "blocks, kind, deciding",
@@ -286,10 +292,9 @@ class TestBetaStar:
         ],
     )
     def test_result_names_the_deciding_block(self, blocks, kind, deciding):
-        ind = StabilityIndicators(*chain(*blocks))
-        with mock.patch.object(stability, "indicators", return_value=ind):
-            result = beta_star(0.0, P)
+        result = record(*blocks)
         assert result.kind is kind
+        assert result.blocks == tuple(blocks)
         assert result.block == blocks[deciding]
 
     def test_threshold_brackets_the_classification_flip(self):
@@ -304,10 +309,9 @@ class TestBetaStar:
         for x, coupling in cases:
             result = beta_star(x, P, coupling)
             assert result.kind is BetaStarKind.THRESHOLD
-            ind = indicators(x, P, coupling)
-            assert classify(ind, result.value - 1e-4) is Classification.ASYMPTOTICALLY_STABLE
+            assert classify(result, result.value - 1e-4) is Classification.ASYMPTOTICALLY_STABLE
             if result.value + 1e-4 <= 1.0:
-                assert classify(ind, result.value + 1e-4) is Classification.UNSTABLE
+                assert classify(result, result.value + 1e-4) is Classification.UNSTABLE
 
     def test_plus_branch_determines_the_dimer_threshold(self):
         # whenever both branches have positive trace and determinant the
@@ -317,11 +321,13 @@ class TestBetaStar:
         while checked < 100:
             x = rng.uniform(0.3, 0.6)
             theta = 10 ** rng.uniform(-4, -1)
-            ind = indicators(x, P, LinearCoupling(theta))
-            if ind.tau_minus <= 0 or ind.delta_plus <= 0:
+            (tau_plus, delta_plus), (tau_minus, delta_minus) = indicators(
+                x, P, LinearCoupling(theta)
+            )
+            if tau_minus <= 0 or delta_plus <= 0:
                 continue
-            plus = ind.tau_plus / (2 * math.sqrt(ind.delta_plus))
-            minus = ind.tau_minus / (2 * math.sqrt(ind.delta_minus))
+            plus = tau_plus / (2 * math.sqrt(delta_plus))
+            minus = tau_minus / (2 * math.sqrt(delta_minus))
             assert minus < plus
             checked += 1
 
@@ -347,14 +353,12 @@ class TestClassifyAgreesWithBetaStar:
     @example(blocks=[(0.0, 0.09)], beta=1.0)
     @example(blocks=[(0.1, 5e-13), (0.1, -0.01)], beta=0.5)
     def test_one_condition_at_a_drawn_order_and_at_the_threshold(self, blocks, beta):
-        ind = StabilityIndicators(*chain(*blocks))
-        with mock.patch.object(stability, "indicators", return_value=ind):
-            result = beta_star(0.0, P)
+        result = record(*blocks)
         orders = [beta]
         if result.kind is BetaStarKind.THRESHOLD:
             orders.append(result.value)
         for order in orders:
-            got = classify(ind, order)
+            got = classify(result, order)
             stable = result.kind is BetaStarKind.STABLE_FOR_ALL_ORDERS or (
                 result.kind is BetaStarKind.THRESHOLD and order < result.value
             )
@@ -401,10 +405,7 @@ class TestBetaStarIsTheEigenvalueRule:
             Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
             J = Q.T @ J @ Q
         rule = float((2.0 * np.abs(np.angle(np.linalg.eigvals(J))) / math.pi).min())
-        with mock.patch.object(
-            stability, "indicators", return_value=StabilityIndicators(*chain(*blocks))
-        ):
-            result = beta_star(0.0, P)
+        result = record(*blocks)
         if any(d < 0.0 for _, d in blocks):
             assert result.kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
             assert result.block[1] < 0.0
@@ -434,10 +435,9 @@ class TestEigenvalueOracleEquivalence:
             )
             coupling = couplings[rng.integers(3)]()
             beta = rng.uniform(0.05, 1.0)
-            ind = indicators(x, p, coupling)
-            if min(abs(d) for _, d in ind.branches) < 1e-12:
+            if min(abs(d) for _, d in indicators(x, p, coupling)) < 1e-12:
                 continue  # degenerate ties excluded
-            got = classify(ind, beta)
+            got = classify(beta_star(x, p, coupling), beta)
             J = jacobian(symmetric_state(x, coupling, p), p, coupling)
             stable = matignon_stable(J, beta)
             assert (got is Classification.ASYMPTOTICALLY_STABLE) == stable
@@ -457,21 +457,24 @@ class TestSaddleNodeCondition:
         assert I == pytest.approx(0.003397079, abs=1e-9)
         eq = find_symmetric_equilibria(replace(P, I=I))
         assert eq.branch is Branch.TWOFOLD and x in eq.points[:, 0]
-        assert abs(indicators(x, P).delta_plus) < 1e-12
+        (_, delta), = indicators(x, P)
+        assert abs(delta) < 1e-12
 
     def test_fold_detected_at_upper_extremum(self):
         kind, x, I = critical_points(P)[0]
         assert kind == "fold" and I == pytest.approx(0.015417976, abs=1e-9)
         eq = find_symmetric_equilibria(replace(P, I=I))
         assert eq.branch is Branch.TWOFOLD and x in eq.points[:, 0]
-        assert abs(indicators(x, P).delta_plus) < 1e-12
+        (_, delta), = indicators(x, P)
+        assert abs(delta) < 1e-12
 
     def test_no_fold_at_generic_current(self):
         points = critical_points(P)
         assert critical_points(replace(P, I=I_MIN)) == points  # p.I is not read
         assert all(abs(I - P.I) > 1e-3 for _, _, I in points)
         (x_star, _), = find_symmetric_equilibria(P).points
-        assert abs(indicators(x_star, P).delta_plus) > 1e-2
+        (_, delta), = indicators(x_star, P)
+        assert abs(delta) > 1e-2
 
     def test_linear_pair_folds_where_the_cell_does(self):
         # the plus block of a linear pair is the single cell's for every theta
