@@ -254,9 +254,13 @@ class _CsvStream:
     The helper starts at the first rows handed over.  It reads raw doubles
     from a pipe and writes their text, by the template of ``_csv_rows``,
     to a temporary file rather than back through a pipe, so it never waits
-    on this process.  If it cannot start, a send to it fails, or it exits
-    non-zero, every row it was given is formatted here and its text is
-    discarded.  ``close`` reaps it; the stream is a context manager for that.
+    on this process.  The pipe holds 1 MiB, about ten chunks of the cell's
+    rows, so the helper can fall that far behind before a send waits on it;
+    a platform that cannot resize a pipe keeps its default size.  If the
+    helper cannot start (a failed resize included), a send to it fails, or
+    it exits non-zero, every row it was given is formatted here and its
+    text is discarded.  ``close`` reaps it; the stream is a context
+    manager for that.
     """
 
     def __init__(self):
@@ -288,6 +292,7 @@ class _CsvStream:
                 self.helper = subprocess.Popen(
                     [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(rows.shape[1]), str(_CSV_CHUNK)],
                     stdin=subprocess.PIPE, stdout=self.text, stderr=subprocess.DEVNULL,
+                    pipesize=1 << 20,
                 )
             self.helper.stdin.write(rows.data)
             self.helper.stdin.flush()

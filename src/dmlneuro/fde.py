@@ -9,7 +9,10 @@ one product for those sums; one product per block gives the far sums,
 weighting the block before by the kernel (lags 1 to 2r - 1) and all older
 nodes through sums of exponentials that stand for the kernel past lag r
 (Jiang et al., Commun. Comput. Phys. 21, 2017; Baffet and Hesthaven, SIAM J.
-Numer. Anal. 55, 2017).  A run of N steps costs O(N (r + Q)) for Q (about
+Numer. Anal. 55, 2017).  One function, generated once per solve for the
+system's dimension, steps each pair of nodes: it unpacks their shared
+product into Python floats and makes the four field calls with unrolled
+float sums between them.  A run of N steps costs O(N (r + Q)) for Q (about
 145) exponents, and its only arrays of length N are its times and states.
 """
 
@@ -146,23 +149,72 @@ def _length_fault(f_new, dim, m, times):
             f"(step {m}); expected {dim} values")
 
 
-def _corrector(dim: int, ca: float) -> Callable:
-    """``correct(base, f)``, the sum ``[b + ca * f for b, f in zip(base,
-    f)]`` unrolled into ``dim`` float sums: the corrector state, or with a
-    lag-1 weight for ``ca`` a pair's lag-1 term.  Its unpacking raises
-    ``ValueError`` for an ``f`` of any other length."""
-    b = [f"b{i}" for i in range(dim)]
-    f = [f"f{i}" for i in range(dim)]
-    sums = ", ".join(f"{x} + ca * {y}" for x, y in zip(b, f))
-    scope = {"ca": ca}
-    exec(
-        "def correct(base, f, ca=ca):\n"
-        f"    {', '.join(b)}, = base\n"
-        f"    {', '.join(f)}, = f\n"
-        f"    return [{sums}]\n",
-        scope,
+# The pair step's source, by ``_pair_step``: the product's four rows unpack
+# into y (node k's predictor state, kept a list), b (its corrector base), and
+# q and c (node k + 1's, without their lag-1 terms); f is node k's corrected
+# field and g node k + 1's predicted field, as floats.  ``out`` is the last
+# field output, which the length check reads.
+_PAIR_STEP = """\
+def step(start, stop, rhs=rhs, params=params, t_start=t_start, h=h, ca=ca,
+         kb1=kb1, ka1=ka1, pairs=pairs, store=store, first=first):
+    block, out, last = [], first, stop - 1
+    try:
+        for m, (dot, zk, row, row2) in zip(range(start, stop, 2), pairs):
+            y, {b}, {q}, {c} = dot(zk).tolist()
+            if m:
+                t = t_start + h * m
+                out = {f} = rhs(t, y, params)
+                y = [{corrected}]
+                out = {f} = rhs(t, y, params)
+                store[row] = out
+                block += y
+            else:
+                {f} = first
+            if m == last:
+                break
+            m += 1
+            t = t_start + h * m
+            out = {g} = rhs(t, [{predicted}], params)
+            y = [{corrected2}]
+            out = rhs(t, y, params)
+            store[row2] = out
+            block += y
+    except ValueError as err:
+        fault = _length_fault(out, {dim}, m, times)
+        if fault is None:
+            raise
+        raise DimensionMismatchError(fault) from err
+    return block
+"""
+
+
+def _pair_step(dim: int, **bound) -> Callable:
+    """``step(start, stop)``: the states of steps ``start`` to ``stop - 1``,
+    one block from its first node, as one flat float list, stepped pair by
+    pair with the corrector and lag-1 sums unrolled into ``dim`` float sums.
+    ``bound`` gives the names the step reads (see :func:`solve_fde`).  Step
+    0 is not stepped: it takes its field row ``first``, and only its
+    partner, step 1, enters the list.
+
+    The unpacking of each field output raises ``ValueError`` for an output
+    of any other length, and the row store for the last one; the step turns
+    that into :class:`DimensionMismatchError` naming its step, and lets any
+    other ``ValueError`` through."""
+    def unrolled(fmt):
+        return ", ".join(fmt.format(i) for i in range(dim))
+
+    source = _PAIR_STEP.format(
+        dim=dim,
+        **{x: f"({unrolled(x + '{0}')},)" for x in "bqcfg"},
+        corrected=unrolled("b{0} + ca * f{0}"),
+        predicted=unrolled("q{0} + kb1 * f{0}"),
+        corrected2=unrolled("(c{0} + ka1 * f{0}) + ca * g{0}"),
     )
-    return scope["correct"]
+    scope = dict(bound, _length_fault=_length_fault, DimensionMismatchError=DimensionMismatchError)
+    exec(source, scope)
+    # popped, so that the step and its globals, which hold ``times``, form no
+    # cycle: they go with the solve, not at a later garbage collection
+    return scope.pop("step")
 
 
 def solve_fde(
@@ -189,35 +241,40 @@ def solve_fde(
     the predictor state of every second node of a pair.  It returns any
     sequence of ``dim`` floats: a tuple, a list or an array.
 
-    Each pair of steps makes one matrix product.  A ``(3r, dim)`` block
-    buffer, r = ``_BLOCK``, holds three rows per block node j: its two far
-    sums at 3j and 3j + 1, written once per block, and its vector field at
-    3j + 2, written by node j's step.  Block nodes k and k + 1, k even,
-    multiply a ``(4, 3k + 5)`` weight block by the buffer's first 3k + 5
-    rows and take the product as four float lists: the predictor state and
-    the corrector base of node k, and those of node k + 1 without the term
-    of node k's vector field, which node k's step has not yet written.
-    Node k + 1 adds that lag-1 term in ``dim`` unrolled float sums.  The
-    rest of the step runs on Python floats too.  The corrector adds ``ca *
-    f`` to the base in ``dim`` unrolled float sums, a function built once
-    per solve, and the field row goes into the buffer by one slice store
-    into the ``ctypes`` array it views; neither calls numpy.  The block's
-    states are stored once per block, by one slice store of a flat float
-    list.  Beside the returned times and states, a solve holds O(r (r + Q))
-    floats for Q exponents.
+    Each pair of steps makes one matrix product, and one function,
+    generated once per solve for ``dim``, steps a block pair by pair.  A
+    ``(3r, dim)`` block buffer, r = ``_BLOCK``, holds three rows per block
+    node j: its two far sums at 3j and 3j + 1, written once per block, and
+    its vector field at 3j + 2, written by node j's step.  Block nodes k
+    and k + 1, k even, multiply a ``(4, 3k + 5)`` weight block by the
+    buffer's first 3k + 5 rows, and the step unpacks the product's one
+    ``tolist()`` into floats: the predictor state and the corrector base of
+    node k, and those of node k + 1 without the term of node k's vector
+    field, which node k's step has not yet written.  Between the four field
+    calls the step runs on Python floats, in ``dim`` unrolled sums each: node
+    k's corrector state ``b + ca * f``, then node k + 1's predictor state
+    ``q + kb[1] * f`` and corrector state ``(c + ka[1] * f) + ca * g``, for
+    node k's corrected field f and node k + 1's predicted field g.  Each
+    corrected field row goes into the buffer as it is returned, by one slice
+    store into the ``ctypes`` array the buffer views; none of this calls
+    numpy.  The same step takes node 1 of the first block, whose partner is
+    node 0, a block that ends on the first node of a pair, and the unpaired
+    last node of an odd r.  The block's states are stored once per block,
+    by one slice store of a flat float list.  Beside the returned times and
+    states, a solve holds O(r (r + Q)) floats for Q exponents.
 
     Raises ``ValueError`` for a non-finite ``y0``, before any work,
     :class:`NonFiniteStateError` (carrying the finite part of the
     trajectory) at the first non-finite state after it, and
     :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
-    at node 0 or at any later node.  The corrector's unpacking and the
-    field row store reject an output of any other length at the step that
-    returned it, whether from the predictor's call or the corrector's.  The
-    finiteness check runs once per block of ``_BLOCK`` steps, so ``rhs`` may
-    be evaluated at non-finite states before the error is raised; the
-    block's states are scanned one by one only when their sum is not
-    finite.  A ``ValueError`` that ``rhs`` raises itself propagates as it
-    is.
+    at node 0 or at any later node.  The step's unpacking of each field
+    output, and the row store of a pair's last one, reject an output of any
+    other length at the step that returned it, from any of the four field
+    calls of a pair.  The finiteness check runs once per block of
+    ``_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite states
+    before the error is raised; the block's states are scanned one by one
+    only when their sum is not finite.  A ``ValueError`` that ``rhs``
+    raises itself propagates as it is.
 
     The private hook ``_on_rows(times, states)``, when given, is called once
     per block, after that block passes the finiteness check, with views of
@@ -240,8 +297,7 @@ def solve_fde(
     t_start = config.t_start
     times = t_start + h * np.arange(n_steps + 1)
 
-    # f_new is also the last output that a failed block's length check reads
-    f_new = f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
+    f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
     if f0.shape != (dim,):
         raise DimensionMismatchError(
             f"rhs returned shape {f0.shape}, expected ({dim},)"
@@ -262,9 +318,9 @@ def solve_fde(
     # predictor state and corrector base (rows 0 and 1) and node k + 1's
     # without their lag-1 terms (rows 2 and 3).  Each row holds the kernel
     # weights of the k earlier nodes' F rows, oldest first, zero on their
-    # far rows, and ones that pick its node's own far rows.  Once node k's
-    # step has written its F row, node k + 1 adds it times kb[1] and ka[1]
-    # by lag_b and lag_a.  Edges:
+    # far rows, and ones that pick its node's own far rows.  Node k + 1 adds
+    # node k's F row times kb[1] and ka[1] in the pair step, as floats.
+    # Edges:
     # - node k's F row is in the prefix, weighted zero, before node k's step
     #   rewrites it, and 0 * inf is nan.  The row is finite: in the first
     #   block it is zero (or f0, node 0's own), and later it is the last
@@ -275,25 +331,26 @@ def solve_fde(
     #   are zero and its prefix Z[:3r - 1] leaves out its own F row, the
     #   last row of Z, which no product reads.
     # Z views a ctypes array, whose slice store takes any sequence of
-    # exactly dim floats; rows[k] slices node k's F row there.
+    # exactly dim floats; pairs[k // 2] holds pair k's bound dot, its prefix
+    # and the slices of nodes k and k + 1's F rows there.
     store = (ctypes.c_double * (3 * r * dim))()
     Z = np.frombuffer(store).reshape(3 * r, dim)
     nodes = Z.reshape(r, 3, dim)  # a view: nodes[j] is node j's three rows
-    dots, Zk, rows = [None] * r, [None] * r, []
-    for k in range(r):
-        rows.append(slice((3 * k + 2) * dim, (3 * k + 3) * dim))
-        if k % 2:
-            continue  # node k + 1 of the pair before
+    pairs = []
+    for k in range(0, r, 2):
         w = np.zeros((4, min(3 * k + 5, 3 * r - 1)))
         w[:2, 2 : 3 * k : 3] = kb[k:0:-1], ka[k:0:-1]
         w[(0, 1), (3 * k, 3 * k + 1)] = 1.0
         if k + 1 < r:
             w[2:, 2 : 3 * k : 3] = kb[k + 1 : 1 : -1], ka[k + 1 : 1 : -1]
             w[(2, 3), (3 * k + 3, 3 * k + 4)] = 1.0
-        dots[k], Zk[k] = w.dot, Z[: w.shape[1]]
-    correct = _corrector(dim, ca)
+        rows = [slice((3 * j + 2) * dim, (3 * j + 3) * dim) for j in (k, k + 1)]
+        pairs.append((w.dot, Z[: w.shape[1]], *rows))
     # float weights, so that plain float field rows give plain float states
-    lag_b, lag_a = _corrector(dim, float(kb[1])), _corrector(dim, float(ka[1]))
+    step = _pair_step(
+        dim, rhs=rhs, params=params, t_start=t_start, h=h, ca=ca, kb1=float(kb[1]),
+        ka1=float(ka[1]), pairs=pairs, store=store, first=f0.tolist(), times=times,
+    )
 
     # Far rows.  One product A @ B gives both far rows of every node of the
     # block, in Z's order.  B stacks the F rows of the last block, weighted
@@ -336,34 +393,10 @@ def solve_fde(
             nodes[:, :2] = A.dot(B).reshape(r, 2, dim)
             if not q0:
                 # the first block starts at node 1, the second of pair (0, 1),
-                # which takes its product here and node 0's F row f0
+                # whose product reads node 0's F row f0
                 nodes[0, 2] = f0
-                _, _, y_next, base_next = dots[0](Zk[0]).tolist()
-                f_new = f0.tolist()
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
-            k0 = lo - q0
-            block = []
-            try:
-                for m, dot, zk, row in zip(range(lo, stop), dots[k0:], Zk[k0:], rows[k0:]):
-                    if dot is None:
-                        # the second node of a pair adds the lag-1 terms of
-                        # the first node's field row, f_new
-                        y_new, base = lag_b(y_next, f_new), lag_a(base_next, f_new)
-                    else:
-                        y_new, base, y_next, base_next = dot(zk).tolist()
-                    t1 = t_start + h * m
-                    f_new = rhs(t1, y_new, params)
-                    y_new = correct(base, f_new)
-                    f_new = rhs(t1, y_new, params)
-                    block += y_new
-                    store[row] = f_new
-            except ValueError as err:
-                # a wrong-length output fails at the corrector's unpacking
-                # or at the row store; any other ValueError is the field's own
-                fault = _length_fault(f_new, dim, m, times)
-                if fault is None:
-                    raise
-                raise DimensionMismatchError(fault) from err
+            block = step(q0, stop)
             flat[lo * dim : stop * dim] = block
 
             # the sum is finite only if every state is; a non-finite sum,

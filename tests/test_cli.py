@@ -777,6 +777,28 @@ class TestCsvWriter:
         assert len(helpers) == 1 and helpers[0].returncode == 0
         assert sends.writes and all(sends.writes)
 
+    def test_streamed_rows_go_through_a_1_mib_pipe(self, tmp_path, capsys, monkeypatch, helpers,
+                                                   sends):
+        # the helper can fall 1 MiB behind before a send waits on it
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("the platform does not report a pipe's size")
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 100)
+        sizes, real = [], cli._CsvStream.feed
+
+        def feed(stream, times, states):
+            real(stream, times, states)
+            if stream.helper is not None:
+                sizes.append(fcntl.fcntl(stream.helper.stdin.fileno(), fcntl.F_GETPIPE_SZ))
+
+        monkeypatch.setattr(cli._CsvStream, "feed", feed)
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, *simulate_argv(400), "--out", str(out_path))
+        assert code == 0
+        assert sizes and min(sizes) >= 1 << 20
+        assert out_path.read_bytes() == trajectory_csv(sends.trajectories[0])
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+
     @pytest.mark.skipif(sys.platform == "win32", reason="runs a shell script as the helper")
     def test_helper_that_dies_mid_stream_is_replaced_here(self, tmp_path, capsys, monkeypatch,
                                                           helpers, sends):

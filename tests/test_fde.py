@@ -1,9 +1,11 @@
 import collections
 import decimal
+import gc
 import itertools
 import math
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -611,6 +613,20 @@ class TestExponentialHistory:
         assert traj.states.shape == (cfg.n_steps + 1, 2)
         assert peak <= 1.5 * (traj.times.nbytes + traj.states.nbytes)
 
+    def test_a_solve_frees_its_arrays_by_reference_count(self):
+        # nothing of a solve lives on in a reference cycle, so repeated runs
+        # do not pile up times arrays until the cycle collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            traj = solve_fde(single_field, 0.9, SolverConfig(0.0, 10.0, 0.01), [0.1, 0.1],
+                             DmlParams(I=0.019))
+            times, states = weakref.ref(traj.times), weakref.ref(traj.states)
+            del traj
+            assert times() is None and states() is None
+        finally:
+            gc.enable()
+
 
 class TestFieldContract:
     P = DmlParams(I=0.019)
@@ -663,8 +679,9 @@ class TestFieldContract:
 
         return field
 
-    # step 64 opens a block, step 100 lies inside one
-    @pytest.mark.parametrize("step", [64, 100])
+    # step 64 opens a block and step 100 lies inside one, both the first node
+    # of a pair; steps 65 and 101 are the second nodes of those pairs
+    @pytest.mark.parametrize("step", [64, 65, 100, 101])
     @pytest.mark.parametrize("length", [1, 3], ids=["shortens", "lengthens"])
     def test_output_changing_length_mid_run_is_rejected(self, length, step):
         field = self.changes_length_at(step, length)
