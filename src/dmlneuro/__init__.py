@@ -26,7 +26,6 @@ from .models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
-    vector_field,
 )
 from .equilibria import (
     Branch,

@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import find_symmetric_equilibria
-from .exceptions import DmlNeuroError, NonFiniteStateError, NumericalError
+from .exceptions import DmlNeuroError, InsufficientSamplesError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, check_order, mittag_leffler, solve_fde
 from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
-from .experiments import DEFAULT_DISCARD, DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
+from .experiments import DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
 from .stability import beta_star, classify
 
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
@@ -76,7 +76,7 @@ class RunConfig:
     q: float = _option(SigmoidCoupling.q, "model", "sigmoid synaptic threshold")
     h: float = _option(SolverConfig.h, "simulation", "time step")
     t_end: float = _option(SolverConfig.t_end, "simulation", "end of the time span")
-    discard: int = _option(DEFAULT_DISCARD, "simulation", "transient samples to discard")
+    discard: int = _option(100_000, "simulation", "transient samples cut from the plot")
     tail: int = _option(DEFAULT_TAIL, "simulation", "tail window length in samples")
     y0: Optional[tuple] = _option(None, "simulation", "comma-separated initial state")
     beta_from: float = _option(0.9, "ranges", "sweep lower order")
@@ -210,21 +210,11 @@ def _output(cfg: RunConfig):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows, line: Optional[str] = None,
-          stream=None) -> None:
-    """Write a CSV table: its header, then ``rows`` by ``_csv_rows``.
-
-    With ``stream``, ``rows`` is the 2-d float array of the trajectory rows
-    past the ``stream.finish()`` ones, whose text that ``_CsvStream``'s
-    helper wrote while the solve ran; the bytes are exactly those of the
-    one-process text.
-    """
+def _emit(cfg: RunConfig, header: list[str], rows, line: Optional[str] = None) -> None:
+    """Write a CSV table: its header, then ``rows`` by ``_csv_rows``."""
     with _output(cfg) as fh:
         fh.write(",".join(header) + "\n")
-        if stream is not None:
-            stream.write(fh, rows)
-        else:
-            _csv_rows(fh, rows, line)
+        _csv_rows(fh, rows, line)
 
 
 def _csv_rows(fh, rows, line: Optional[str] = None) -> None:
@@ -243,13 +233,16 @@ def _csv_rows(fh, rows, line: Optional[str] = None) -> None:
 
 
 class _CsvStream:
-    """A float64 table whose leading rows a helper interpreter formats.
+    """A float64 table of ``rows`` rows whose leading rows a helper
+    interpreter may format.
 
     ``feed`` hands the helper whole ``_CSV_CHUNK``s of rows while the table
-    is still being computed, ``finish`` waits for the helper and says how
-    many rows its text holds, and ``write`` writes the finished table: the
-    helper's text, then the rest, formatted here.  So only the rest need be
-    built as one array.  A table that was never fed is formatted here alone.
+    is still being computed, if the table is longer than
+    ``_CSV_SPLIT_ROWS``; a shorter one is not worth the helper's start-up.
+    ``write`` writes the table, finished or cut short: it waits for the
+    helper, copies its text if it exited 0, and formats the rest of the rows
+    here.  So only the rest need be built as one array.  A table that was
+    never fed is formatted here alone.
 
     The helper starts at the first rows handed over.  It reads raw doubles
     from a pipe and writes their text, by the template of ``_csv_rows``,
@@ -263,12 +256,13 @@ class _CsvStream:
     manager for that.
     """
 
-    def __init__(self):
+    def __init__(self, rows: int):
         self.helper = None
         self.text = None  # the helper's output file
         self.sent = 0  # rows handed to the helper
-        self.done = 0  # rows whose text the helper wrote
-        self.broken = False  # no helper could start, or a send failed
+        # every row is formatted here: a short table, or no helper could
+        # start, or a send failed
+        self.local = rows <= _CSV_SPLIT_ROWS
 
     def __enter__(self):
         return self
@@ -283,7 +277,7 @@ class _CsvStream:
         import tempfile
 
         stop = self.sent + (len(times) - self.sent) // _CSV_CHUNK * _CSV_CHUNK
-        if stop == self.sent or self.broken:
+        if stop == self.sent or self.local:
             return
         rows = np.column_stack((times[self.sent : stop], states[self.sent : stop]))
         try:
@@ -297,29 +291,25 @@ class _CsvStream:
             self.helper.stdin.write(rows.data)
             self.helper.stdin.flush()
         except OSError:
-            self.broken = True
+            self.local = True
             self.close()
             return
         self.sent = stop
 
-    def finish(self) -> int:
-        """End the helper's input and wait for it; return the number of
-        leading rows whose text it wrote, 0 if it failed or never started."""
+    def write(self, fh, times: np.ndarray, states: np.ndarray) -> None:
+        """Write the table's rows ``(times, states)``: end the helper's input
+        and wait for it, copy its text of the rows it was handed if it
+        exited 0, and format the rest here."""
+        import shutil
+
+        done = 0
         if self.helper is not None:
             self.helper.stdin.close()
             if self.helper.wait() == 0:
-                self.done = self.sent
-        return self.done
-
-    def write(self, fh, rows: np.ndarray) -> None:
-        """Write the finished table: the helper's text of its first
-        ``finish()`` rows, then ``rows``, the rest of it."""
-        import shutil
-
-        if self.done:
-            self.text.seek(0)
-            shutil.copyfileobj(self.text, fh)
-        _csv_rows(fh, rows)
+                done = self.sent
+                self.text.seek(0)
+                shutil.copyfileobj(self.text, fh)
+        _csv_rows(fh, np.column_stack((times[done:], states[done:])))
 
     def close(self) -> None:
         """Kill the helper if it still runs, wait for it and drop its text."""
@@ -384,41 +374,35 @@ def _svg_path(cfg: RunConfig) -> str:
     return os.path.splitext(cfg.out)[0] + ".svg"
 
 
-def _trajectory_rows(traj, dim, stream):
-    """The CSV header of ``traj`` and its rows past those whose text the
-    helper of ``stream`` wrote."""
-    header = ["t", "x", "y"] if dim == 2 else ["t", "x1", "y1", "x2", "y2"]
-    done = stream.finish()
-    return header, np.column_stack((traj.times[done:], traj.states[done:]))
-
-
 def _cmd_simulate(cfg: RunConfig) -> int:
-    dim = cfg.coupling().dim
+    coupling, config = cfg.coupling(), cfg.solver_config()
+    check_order(cfg.beta)  # an order error comes first, as in every command
+    rows = config.n_steps + 1
+    if cfg.discard < 0:
+        raise ValueError(f"discard must be >= 0, got {cfg.discard}")
+    if cfg.discard + cfg.tail > rows:
+        raise InsufficientSamplesError(
+            f"discard ({cfg.discard}) + tail ({cfg.tail}) exceeds the {rows} grid samples"
+        )
+    failure = None
     # a long trajectory's rows go to the CSV helper while the solve runs
-    streamed = cfg.solver_config().n_steps + 1 > _CSV_SPLIT_ROWS
-    with _CsvStream() as stream:
+    with _CsvStream(rows) as stream:
         try:
-            summary = run_experiment(
-                cfg.params(),
-                cfg.coupling(),
-                cfg.beta,
-                cfg.solver_config(),
-                y0=cfg.y0,
-                discard=cfg.discard,
-                tail=cfg.tail,
-                _on_rows=stream.feed if streamed else None,
-            )
+            summary = run_experiment(cfg.params(), coupling, cfg.beta, config, y0=cfg.y0,
+                                     tail=cfg.tail, _on_rows=stream.feed)
+            traj = summary.trajectory
         except NonFiniteStateError as err:
             # the finite prefix goes where the whole run would have gone
-            partial = err.trajectory
-            if partial is not None:
-                _emit(cfg, *_trajectory_rows(partial, dim, stream), stream=stream)
-            kept = 0 if partial is None else len(partial.times)
-            print(f"numerical failure: {err}; {kept} finite rows written to "
-                  f"{cfg.out or 'stdout'}", file=sys.stderr)
-            return 1
-        traj = summary.trajectory
-        _emit(cfg, *_trajectory_rows(traj, dim, stream), stream=stream)
+            failure, traj = err, err.trajectory
+        if traj is not None:
+            with _output(cfg) as fh:
+                fh.write("t,x,y\n" if coupling.dim == 2 else "t,x1,y1,x2,y2\n")
+                stream.write(fh, traj.times, traj.states)
+    if failure is not None:
+        kept = 0 if traj is None else len(traj.times)
+        print(f"numerical failure: {failure}; {kept} finite rows written to "
+              f"{cfg.out or 'stdout'}", file=sys.stderr)
+        return 1
     if cfg.out:
         record = {
             "converged": summary.converged,

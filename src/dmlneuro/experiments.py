@@ -1,9 +1,9 @@
 """Experiment orchestration: long runs, continuation sweeps and Hopf curves.
 
 The simulation protocol follows the reference setup: integrate on a uniform
-grid, discard an initial transient for phase-portrait output, and judge
-convergence or sustained oscillation from the peak-to-peak spread of the
-voltage over a tail window.
+grid and judge convergence or sustained oscillation from the peak-to-peak
+spread of the voltage over a tail window.  A run keeps its whole trajectory;
+the command line cuts the initial transient from its phase-portrait plot.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 from .equilibria import Branch, _equilibria_at, fold_voltages
 from .exceptions import InsufficientSamplesError, NonFiniteStateError, NumericalError
 from .fde import SolverConfig, Trajectory, check_order, solve_fde
-from .models import CouplingSpec, DmlParams, vector_field
+from .models import CouplingSpec, DmlParams
 from .stability import BetaStarKind, beta_star
 
-DEFAULT_DISCARD = 100_000
 DEFAULT_TAIL = 500
 # peak-to-peak voltage spread below which a tail counts as converged, at or
 # above which it counts as oscillating
@@ -86,26 +85,21 @@ def run_experiment(
     beta,
     config: SolverConfig,
     y0=None,
-    discard: int = DEFAULT_DISCARD,
     tail: int = DEFAULT_TAIL,
     *,
     _on_rows=None,
 ) -> SimulationSummary:
-    """Integrate one model instance and summarize its tail behavior.
+    """Integrate one model instance and summarize its last ``tail`` samples.
 
     ``_on_rows`` is handed to :func:`solve_fde` as it is.
     """
-    beta = check_order(beta)
-    rhs = vector_field(coupling)
     y0 = _resolve_y0(y0, coupling.dim)
     n_samples = config.n_steps + 1
-    if discard < 0 or tail < 1:
-        raise ValueError("discard must be >= 0 and tail >= 1")
-    if discard + tail > n_samples:
-        raise InsufficientSamplesError(
-            f"discard ({discard}) + tail ({tail}) exceeds the {n_samples} grid samples"
-        )
-    traj = solve_fde(rhs, beta, config, y0, p, _on_rows=_on_rows)
+    if tail < 1:
+        raise ValueError(f"tail must be >= 1, got {tail}")
+    if tail > n_samples:
+        raise InsufficientSamplesError(f"tail ({tail}) exceeds the {n_samples} grid samples")
+    traj = solve_fde(coupling.field, beta, config, y0, p, _on_rows=_on_rows)
     voltages = traj.states[:, ::2]
     tail_block = voltages[-tail:]
     amplitude = float((tail_block.max(axis=0) - tail_block.min(axis=0)).max())
@@ -148,9 +142,9 @@ def bifurcation_sweep(
     """Continuation sweep over the fractional order at the current ``p.I``.
 
     Runs descend from the top of the range, each warm-started from the
-    previous run's final state, and run by :func:`run_experiment` with no
-    transient discarded.  A run that blows up leaves a NaN-filled,
-    flagged cell and the sweep continues from the last finite state.
+    previous run's final state, and run by :func:`run_experiment`.  A run
+    that blows up leaves a NaN-filled, flagged cell and the sweep continues
+    from the last finite state.
     """
     current = _resolve_y0(y0, coupling.dim)
     betas = _beta_grid(beta_range, beta_step)
@@ -158,7 +152,7 @@ def bifurcation_sweep(
     failed = np.zeros(betas.size, dtype=bool)
     for k, beta in enumerate(betas):
         try:
-            run = run_experiment(p, coupling, beta, config, current, discard=0, tail=tail_window)
+            run = run_experiment(p, coupling, beta, config, current, tail=tail_window)
         except NonFiniteStateError as err:
             failed[k] = True
             tails.append(np.full((tail_window, coupling.dim // 2), np.nan))

@@ -73,7 +73,10 @@ class SolverConfig:
             raise ValueError("step size h must be positive")
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if (self.t_end - self.t_start) / self.h < 1.0:
+        steps = (self.t_end - self.t_start) / self.h
+        if not math.isfinite(steps):
+            raise ValueError(f"the step count (t_end - t_start) / h must be finite, got {steps!r}")
+        if steps < 1.0:
             raise ValueError("grid must contain at least one step")
 
     @property

@@ -15,8 +15,11 @@ equilibria and the stability blocks are derived:
   current, returned as ``(d_self, d_other)``;
 - ``v_s``: the synaptic reversal potential, or None for a coupling
   without one;
-- ``field``: the model's vector field ``rhs(t, state, p)``, a float body
-  that adds the same current inline.
+- ``field``: the model's vector field ``rhs(t, state, p)`` in the
+  solver's calling convention, ``p`` a :class:`DmlParams` record: a float
+  body that adds the same current inline, takes any sequence of ``dim``
+  floats and returns a tuple of ``dim`` floats.  It is the only route to a
+  model's field.
 
 Both methods take floats or numpy arrays of voltages; the field takes the
 floats of one state.  Whatever the coupling, the voltages sit in the even
@@ -225,17 +228,3 @@ def _sigmoid_pair(sigma, v_s, lam, q, t, state, p: DmlParams) -> tuple:
         x2 * x2 * (1.0 - x2) - y2 + I + sigma * (v_s - x2) * s2,
         A * (math.exp(a2) if a2 < _EXP_MAX else math.inf) - gamma * y2,
     )
-
-
-def vector_field(coupling: CouplingSpec):
-    """Return the field ``rhs(t, y, p)`` of the model selected by the coupling.
-
-    It is the coupling's own ``field``, matches the solver's calling
-    convention, with ``p`` a :class:`DmlParams` record, and its dimension is
-    ``coupling.dim``.  It takes any sequence of ``dim`` floats (the solver
-    hands a list) and returns a tuple of ``dim`` floats.
-    """
-    try:
-        return coupling.field
-    except AttributeError:
-        raise TypeError(f"unknown coupling spec: {coupling!r}") from None

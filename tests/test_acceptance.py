@@ -27,7 +27,6 @@ from dmlneuro.models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
-    vector_field,
 )
 from dmlneuro.experiments import (
     AMPLITUDE_TOL,
@@ -148,8 +147,8 @@ def test_criterion_05_solver_against_analytic_oracle():
 
 def test_criterion_06_hopf_dichotomy_reduced_grid():
     t0 = time.perf_counter()
-    stable = run_experiment(P, NoCoupling(), 0.97, REDUCED, discard=10_000, tail=500)
-    spiking = run_experiment(P, NoCoupling(), 0.99, REDUCED, discard=10_000, tail=500)
+    stable = run_experiment(P, NoCoupling(), 0.97, REDUCED, tail=500)
+    spiking = run_experiment(P, NoCoupling(), 0.99, REDUCED, tail=500)
     ok = (
         stable.converged
         and stable.tail_amplitude_x < 1e-4
@@ -230,7 +229,7 @@ def test_criterion_10_dimer_permutation_symmetry():
     y0 = np.array([0.1, 0.1, -0.2, 0.1])
     ok = True
     for coupling in (LinearCoupling(0.008), SigmoidCoupling(sigma=0.001)):
-        rhs = vector_field(coupling)
+        rhs = coupling.field
         forward = solve_fde(rhs, 0.95, cfg, y0, P)
         swapped = solve_fde(rhs, 0.95, cfg, y0[[2, 3, 0, 1]], P)
         ok = ok and np.array_equal(forward.states, swapped.states[:, [2, 3, 0, 1]])

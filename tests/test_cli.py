@@ -167,6 +167,14 @@ class TestConfigHandling:
         assert code == 2
         assert "t_end must be finite" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_grid_whose_step_count_overflows_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--t-end", "1e300", "--h", "1e-300",
+                             "--discard", "0", "--tail", "5")
+        assert code == 2 and out == ""
+        assert err == ("configuration error: the step count (t_end - t_start) / h must be "
+                       "finite, got inf\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -444,6 +452,20 @@ class TestSimulateCommand:
         )
         assert code == 2 and "exceed" in err
 
+    @pytest.mark.parametrize("discard, tail, message", [
+        ("100", "10", "discard (100) + tail (10) exceeds the 51 grid samples"),
+        ("-1", "10", "discard must be >= 0, got -1"),
+        ("0", "0", "tail must be >= 1, got 0"),
+    ])
+    def test_discard_and_tail_are_checked_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                           discard, tail, message):
+        monkeypatch.setattr(experiments, "solve_fde", pytest.fail)
+        out_path = tmp_path / "d.csv"
+        code, out, err = run(capsys, "simulate", "--t-end", "5", "--h", "0.1", "--discard",
+                             discard, "--tail", tail, "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+        assert not out_path.exists()
+
     def test_svg_requires_out(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--beta", "0.9", "--t-end", "5", "--h", "0.1",
@@ -537,15 +559,15 @@ def simulate_argv(n_rows, dim=2):
 
 
 def stream_to_file(tmp_path, table):
-    """The bytes ``_emit`` writes for a float table fed whole to a
-    ``_CsvStream``, given the rows its helper did not format, and the
-    row-by-row bytes."""
+    """The bytes a ``_CsvStream`` writes, after a header, for a float table
+    fed whole to it, and the row-by-row bytes."""
     header = [f"c{i}" for i in range(table.shape[1])]
     out_path = tmp_path / "table.csv"
-    with cli._CsvStream() as stream:
-        stream.feed(table[:, 0], table[:, 1:])
-        cli._emit(RunConfig(command="simulate", out=str(out_path)), header,
-                  table[stream.finish():], stream=stream)
+    times, states = table[:, 0], table[:, 1:]
+    with cli._CsvStream(len(table)) as stream, open(out_path, "w", encoding="utf-8", newline="") as fh:
+        stream.feed(times, states)
+        fh.write(",".join(header) + "\n")
+        stream.write(fh, times, states)
     return out_path.read_bytes(), row_by_row_csv(header, table)
 
 
@@ -585,8 +607,9 @@ class TestCsvWriter:
         ] * 5)
         out_path = tmp_path / "special.csv"
         # a stream that was never fed formats the whole table in this process
-        cli._emit(RunConfig(command="simulate", out=str(out_path)), list("abcd"), table,
-                  stream=cli._CsvStream())
+        with cli._CsvStream(len(table)) as stream, open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("a,b,c,d\n")
+            stream.write(fh, table[:, 0], table[:, 1:])
         assert out_path.read_bytes() == row_by_row_csv(list("abcd"), table)
 
     @pytest.mark.parametrize("argv", [
@@ -629,13 +652,14 @@ class TestCsvWriter:
         monkeypatch.setattr(subprocess, "Popen", Spy)
         return started
 
-    # chunks of 30 rows: the helper gets none, all, all but one, or all but
-    # the last 10 of the table
+    # chunks of 30 rows, and tables longer than 29 rows streamed: the helper
+    # gets none, all, all but one, or all but the last 10 of the table
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("n", [29, 30, 31, 100])
     def test_split_bytes_match_the_row_by_row_writer(self, tmp_path, monkeypatch, helpers, n,
                                                      dim):
         monkeypatch.setattr(cli, "_CSV_CHUNK", 30)
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 29)
         table = np.random.default_rng(n).standard_normal((n, 1 + dim)) * 10.0 ** np.arange(1 + dim)
         written, expected = stream_to_file(tmp_path, table)
         assert written == expected
@@ -656,21 +680,20 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 2)
         monkeypatch.setattr(cli, "_CSV_CHUNK", 1)
         tables = []
-        real = cli._emit
+        real = cli._CsvStream.write
 
-        def spy(cfg, header, rows, **stream):
-            tables.append((header, rows))
-            real(cfg, header, rows, **stream)
+        def spy(stream, fh, times, states):
+            tables.append(np.column_stack((times, states)))
+            real(stream, fh, times, states)
 
-        monkeypatch.setattr(cli, "_emit", spy)
+        monkeypatch.setattr(cli._CsvStream, "write", spy)
         out_path = tmp_path / "boom.csv"
         code, _, err = run(
             capsys, "simulate", "--I", "1e3", "--beta", "0.9", "--t-end", "5",
             "--h", "0.01", "--discard", "0", "--tail", "10", "--out", str(out_path),
         )
         assert code == 1 and "3 finite rows" in err
-        header, rows = tables[0]
-        assert out_path.read_bytes() == row_by_row_csv(header, rows)
+        assert out_path.read_bytes() == row_by_row_csv(["t", "x", "y"], tables[0])
         assert helpers == []
 
     def test_mixed_rows_start_no_helper(self, tmp_path, capsys, helpers):
@@ -682,7 +705,7 @@ class TestCsvWriter:
         assert helpers == []
 
     def test_helper_is_reaped_when_the_parent_fails_to_write(self, capsys, monkeypatch, helpers):
-        # the header fails once the helper has written its text
+        # the header fails while the helper may still be writing its text
         class Failing:
             def write(self, text):
                 raise OSError("disk full")
@@ -844,10 +867,10 @@ class TestCsvWriter:
                                                    sends, fault):
         # the field fails at about step 200, after three blocks went over
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
-        real = experiments.vector_field
+        real = experiments.solve_fde
 
-        def faulty(coupling):
-            rhs, dim = real(coupling), coupling.dim
+        def faulty(rhs, order, config, y0, *args, **kwargs):
+            dim = len(y0)
             calls = itertools.count()
 
             def field(t, y, p):
@@ -857,9 +880,9 @@ class TestCsvWriter:
                     raise KeyboardInterrupt
                 return [0.0] if fault == "short row" else [math.nan] * dim
 
-            return field
+            return real(field, order, config, y0, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "vector_field", faulty)
+        monkeypatch.setattr(experiments, "solve_fde", faulty)
         out_path = tmp_path / "traj.csv"
         argv = [*simulate_argv(1001), "--out", str(out_path)]
         if fault == "interrupt":

@@ -28,12 +28,11 @@ from dmlneuro.models import (
     SigmoidCoupling,
     _exp,
     _sigmoid,
-    vector_field,
 )
 from dmlneuro.stability import indicators
 
 P = DmlParams(I=0.019)
-single = vector_field(NoCoupling())
+single = NoCoupling().field
 
 # reference values for the default parameter set, cross-checked against an
 # independent root finder at double precision
@@ -294,7 +293,7 @@ class TestSymmetricEquilibria:
     def test_sigmoid_residuals_tiny(self):
         c = SigmoidCoupling(sigma=0.001)
         eq = find_symmetric_equilibria(P, c)
-        rhs = vector_field(c)
+        rhs = c.field
         for x, y in eq.points:
             assert np.abs(rhs(0.0, [x, y, x, y], P)).max() < 1e-10
 

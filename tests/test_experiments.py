@@ -15,7 +15,6 @@ from dmlneuro.models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
-    vector_field,
 )
 from dmlneuro.experiments import (
     AMPLITUDE_TOL,
@@ -33,18 +32,18 @@ SHORT = SolverConfig(0.0, 50.0, 0.05)
 
 class TestRunExperiment:
     def test_converges_below_threshold_order(self):
-        s = run_experiment(P, NoCoupling(), 0.9, FAST, discard=10_000, tail=500)
+        s = run_experiment(P, NoCoupling(), 0.9, FAST, tail=500)
         assert s.converged
         assert s.tail_amplitude_x < 1e-4
         assert abs(s.trajectory.states[-1, 0] - 0.40772) < 1e-3
 
     def test_oscillates_above_threshold_order(self):
-        s = run_experiment(P, NoCoupling(), 0.99, FAST, discard=10_000, tail=500)
+        s = run_experiment(P, NoCoupling(), 0.99, FAST, tail=500)
         assert not s.converged
         assert s.tail_amplitude_x > 0.05
 
     def test_spiking_tail_metrics_at_order_one(self):
-        s = run_experiment(P, NoCoupling(), 1.0, FAST, discard=10_000, tail=500)
+        s = run_experiment(P, NoCoupling(), 1.0, FAST, tail=500)
         # thin the tail to span several spike periods in 500 samples
         tail = s.trajectory.states[::10][-500:, 0]
         slopes = np.sign(np.diff(tail))
@@ -60,12 +59,12 @@ class TestRunExperiment:
             return Trajectory(np.arange(3.0), states)
 
         monkeypatch.setattr(experiments, "solve_fde", solved)
-        s = run_experiment(P, NoCoupling(), 0.9, SolverConfig(0.0, 2.0, 1.0), discard=0, tail=3)
+        s = run_experiment(P, NoCoupling(), 0.9, SolverConfig(0.0, 2.0, 1.0), tail=3)
         assert s.tail_amplitude_x == AMPLITUDE_TOL and not s.converged
 
     def test_linear_pair_converges_to_symmetric_state(self):
         s = run_experiment(
-            P, LinearCoupling(0.001), 0.93, FAST, discard=10_000, tail=500
+            P, LinearCoupling(0.001), 0.93, FAST, tail=500
         )
         assert s.converged
         tail = s.trajectory.states[-500:]
@@ -74,29 +73,39 @@ class TestRunExperiment:
 
     def test_sigmoid_pair_reports_excitatory_synapse(self):
         s = run_experiment(
-            P, SigmoidCoupling(sigma=0.001), 0.9, SHORT, discard=0, tail=100
+            P, SigmoidCoupling(sigma=0.001), 0.9, SHORT, tail=100
         )
         assert s.excitatory_ok is True
 
     @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008)], ids=["single", "linear"])
     def test_no_reversal_potential_gives_no_excitatory_verdict(self, coupling):
-        s = run_experiment(P, coupling, 0.9, SHORT, discard=0, tail=100)
+        s = run_experiment(P, coupling, 0.9, SHORT, tail=100)
         assert s.excitatory_ok is None
 
-    def test_discard_tail_budget_checked(self):
-        with pytest.raises(InsufficientSamplesError):
-            run_experiment(P, NoCoupling(), 0.9, SHORT, discard=990, tail=500)
+    def test_tail_budget_checked(self):
+        with pytest.raises(InsufficientSamplesError) as info:
+            run_experiment(P, NoCoupling(), 0.9, SHORT, tail=1002)
+        assert str(info.value) == "tail (1002) exceeds the 1001 grid samples"
+
+    def test_a_grid_of_any_length_holding_the_tail_is_summarized(self):
+        # 30 001 samples, fewer than the command line's default discard: the
+        # library discards nothing, and the summary reads the last 500
+        s = run_experiment(P, NoCoupling(), 0.97, FAST)
+        tail = solve_fde(NoCoupling().field, 0.97, FAST, [0.1, 0.1], P).states[-500:, 0]
+        assert s.tail_amplitude_x == float(tail.max() - tail.min())
+        assert s.tail_amplitude_x == pytest.approx(7.93838117634782e-05, rel=1e-6)
+        assert s.converged
 
     def test_default_initial_state_matches_dimension(self):
-        s2 = run_experiment(P, NoCoupling(), 0.9, SHORT, discard=0, tail=100)
+        s2 = run_experiment(P, NoCoupling(), 0.9, SHORT, tail=100)
         assert s2.trajectory.states.shape[1] == 2
-        s4 = run_experiment(P, LinearCoupling(0.008), 0.9, SHORT, discard=0, tail=100)
+        s4 = run_experiment(P, LinearCoupling(0.008), 0.9, SHORT, tail=100)
         assert s4.trajectory.states.shape[1] == 4
         np.testing.assert_array_equal(s4.trajectory.states[0], [0.1, 0.1, -0.2, 0.1])
 
     def test_bad_initial_state_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment(P, NoCoupling(), 0.9, SHORT, y0=[0.1] * 4, discard=0, tail=10)
+            run_experiment(P, NoCoupling(), 0.9, SHORT, y0=[0.1] * 4, tail=10)
 
 
 class TestBifurcationSweep:
@@ -105,14 +114,14 @@ class TestBifurcationSweep:
             P, NoCoupling(), (0.95, 0.95), 0.002, SHORT, tail_window=100
         )
         assert scan.beta_values.shape == (1,)
-        s = run_experiment(P, NoCoupling(), 0.95, SHORT, discard=0, tail=100)
+        s = run_experiment(P, NoCoupling(), 0.95, SHORT, tail=100)
         np.testing.assert_array_equal(scan.tail_samples[0, :, 0], s.trajectory.states[-100:, 0])
 
     def test_pair_tails_are_the_two_voltages(self):
         c = SigmoidCoupling(sigma=0.001)
         scan = bifurcation_sweep(P, c, (0.95, 0.95), 0.002, SHORT, tail_window=100)
         assert scan.tail_samples.shape == (1, 100, 2)
-        s = run_experiment(P, c, 0.95, SHORT, discard=0, tail=100)
+        s = run_experiment(P, c, 0.95, SHORT, tail=100)
         np.testing.assert_array_equal(scan.tail_samples[0], s.trajectory.states[-100:, [0, 2]])
 
     def test_each_solve_starts_after_the_previous_trajectory_is_freed(self, monkeypatch):
@@ -172,7 +181,7 @@ class TestBifurcationSweep:
             for I in (0.01, 0.019)
         )
         assert not np.array_equal(low.tail_samples, high.tail_samples)
-        s = run_experiment(DmlParams(I=0.01), NoCoupling(), 0.95, SHORT, discard=0, tail=50)
+        s = run_experiment(DmlParams(I=0.01), NoCoupling(), 0.95, SHORT, tail=50)
         np.testing.assert_array_equal(low.tail_samples[0, :, 0], s.trajectory.states[-50:, 0])
 
     def test_empty_tail_window_rejected_before_any_solve(self, monkeypatch):
@@ -180,7 +189,7 @@ class TestBifurcationSweep:
             raise AssertionError("solve_fde called")
 
         monkeypatch.setattr(experiments, "solve_fde", spy)
-        with pytest.raises(ValueError, match="tail >= 1"):
+        with pytest.raises(ValueError, match=r"^tail must be >= 1, got 0$"):
             bifurcation_sweep(P, NoCoupling(), (0.97, 1.0), 0.01, SHORT, tail_window=0)
 
     def test_blow_up_flags_cell_and_continues(self):
@@ -224,7 +233,7 @@ class TestPermutationSymmetry:
         "coupling", [LinearCoupling(0.008), SigmoidCoupling(sigma=0.001)]
     )
     def test_swapped_initial_conditions_swap_trajectories(self, coupling):
-        rhs = vector_field(coupling)
+        rhs = coupling.field
         cfg = SolverConfig(0.0, 100.0, 0.05)
         y0 = np.array([0.1, 0.1, -0.2, 0.1])
         forward = solve_fde(rhs, 0.95, cfg, y0, P)

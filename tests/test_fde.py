@@ -26,9 +26,9 @@ from dmlneuro.fde import (
     mittag_leffler,
     solve_fde,
 )
-from dmlneuro.models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling, vector_field
+from dmlneuro.models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 
-single_field = vector_field(NoCoupling())
+single_field = NoCoupling().field
 
 
 def decay(t, y, p):
@@ -85,6 +85,13 @@ class TestSolverConfig:
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             SolverConfig(**kwargs)
+
+    # finite bounds and step whose step count, or span, overflows a float
+    @pytest.mark.parametrize("t_start, t_end, h", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
+    def test_rejects_a_step_count_that_is_not_finite(self, t_start, t_end, h):
+        with pytest.raises(ValueError) as info:
+            SolverConfig(t_start, t_end, h)
+        assert str(info.value) == "the step count (t_end - t_start) / h must be finite, got inf"
 
     def test_step_count(self):
         assert SolverConfig(0.0, 1.0, 0.01).n_steps == 100
@@ -413,7 +420,7 @@ class TestFftPath:
 
         monkeypatch.setattr(fde, "_BLOCK", 256)
         p = DmlParams(I=0.019)
-        rhs = vector_field(LinearCoupling(0.008))
+        rhs = LinearCoupling(0.008).field
         y0 = [0.1, 0.1, -0.2, 0.1]
         cfg = SolverConfig(0.0, 30.0, 0.01)
         fast = solve_fde(rhs, 0.95, cfg, y0, p)
@@ -502,7 +509,7 @@ class TestNestedSquares:
         if model == "single":
             rhs, y0 = single_field, [0.1, 0.1]
         else:
-            rhs, y0 = vector_field(SigmoidCoupling(0.001)), [0.1, 0.1, -0.2, 0.1]
+            rhs, y0 = SigmoidCoupling(0.001).field, [0.1, 0.1, -0.2, 0.1]
         cfg = SolverConfig(0.0, 0.05 * n_steps, 0.05)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fde, "_BLOCK", block)
@@ -548,7 +555,7 @@ class TestNestedSquares:
         cfg = SolverConfig(0.0, 0.05 * 300, 0.05)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fde, "_BLOCK", block)
-            traj = solve_fde(vector_field(coupling), beta, cfg, [x0, w0, x0, w0],
+            traj = solve_fde(coupling.field, beta, cfg, [x0, w0, x0, w0],
                              DmlParams(I=0.019))
         assert np.array_equal(traj.states[:, :2], traj.states[:, 2:])
 
@@ -582,7 +589,7 @@ class TestExponentialHistory:
         ids=["single", "linear", "sigmoid"],
     )
     def test_a_solve_makes_no_transform(self, coupling, monkeypatch):
-        rhs, dim = vector_field(coupling), coupling.dim
+        rhs, dim = coupling.field, coupling.dim
         calls = []
         for name in np.fft.__all__:
             monkeypatch.setattr(np.fft, name, lambda *a, name=name, **k: calls.append(name))
@@ -636,7 +643,7 @@ class TestFieldContract:
     CFG = SolverConfig(0.0, 100.0, 0.05)
 
     def test_rhs_receives_a_list_of_floats(self):
-        pair = vector_field(SigmoidCoupling(0.001))
+        pair = SigmoidCoupling(0.001).field
         # a field returning an array hands np.float64 values, a float
         # subclass, to the corrected state and to the predictor state that
         # adds the lag-1 term; a tuple hands plain floats, because the lag-1
@@ -656,7 +663,7 @@ class TestFieldContract:
 
     @pytest.mark.parametrize("wrap", [list, np.array])
     def test_any_returned_sequence_gives_the_same_bits(self, wrap):
-        pair = vector_field(SigmoidCoupling(0.001))
+        pair = SigmoidCoupling(0.001).field
         as_tuple = solve_fde(pair, 0.95, self.CFG, self.Y0, self.P)
         wrapped = solve_fde(lambda t, y, p: wrap(pair(t, y, p)), 0.95, self.CFG, self.Y0, self.P)
         assert isinstance(pair(0.0, self.Y0, self.P), tuple)

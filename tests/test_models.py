@@ -12,7 +12,6 @@ from dmlneuro.models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
-    vector_field,
     _exp,
     _sigmoid,
 )
@@ -21,14 +20,14 @@ from dmlneuro.models import (
 # lam (x - q) pass the exp range either way
 VOLTAGE = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0))
 
-single = vector_field(NoCoupling())
+single = NoCoupling().field
 # theta = 0 is the uncoupled pair, which LinearCoupling rejects; a synapse of
 # zero strength passes the same zero current
-uncoupled_pair = vector_field(SigmoidCoupling(0.0))
+uncoupled_pair = SigmoidCoupling(0.0).field
 
 
 def pair(coupling):
-    return vector_field(coupling)
+    return coupling.field
 
 
 @pytest.fixture
@@ -205,7 +204,7 @@ class TestDispatch:
         assert LinearCoupling(0.01).dim == 4
         assert SigmoidCoupling(sigma=0.001).dim == 4
         for c in (NoCoupling(), LinearCoupling(0.01), SigmoidCoupling(sigma=0.001)):
-            assert callable(vector_field(c))
+            assert callable(c.field)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -246,7 +245,7 @@ class TestDispatch:
             return out
 
         for coupling in (NoCoupling(), LinearCoupling(theta), synapse):
-            got = vector_field(coupling)(0.0, state[: coupling.dim], p)
+            got = coupling.field(0.0, state[: coupling.dim], p)
             assert np.array(got).tobytes() == np.array(reference(coupling)).tobytes()
 
     def test_fields_take_and_return_plain_floats(self, params):
@@ -257,10 +256,6 @@ class TestDispatch:
     @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)])
     def test_field_survives_pickling(self, coupling, params):
         # worker processes receive the field pickled; a closure would not pickle
-        rhs, dim = vector_field(coupling), coupling.dim
+        rhs, dim = coupling.field, coupling.dim
         y = [0.1, 0.1, -0.2, 0.1][:dim]
         assert pickle.loads(pickle.dumps(rhs))(0.0, y, params) == rhs(0.0, y, params)
-
-    def test_unknown_coupling_rejected(self):
-        with pytest.raises(TypeError):
-            vector_field("linear")

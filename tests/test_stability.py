@@ -15,7 +15,6 @@ from dmlneuro.models import (
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
-    vector_field,
 )
 from dmlneuro.stability import (
     BetaStarKind,
@@ -61,7 +60,7 @@ def record(*blocks):
 
 def field_differences(coupling, state, eps=1e-7) -> np.ndarray:
     # central differences of the model's field, one column per state entry
-    field = vector_field(coupling)
+    field = coupling.field
     state = np.asarray(state, dtype=float)
     columns = [
         (np.array(field(0.0, (state + eps * e).tolist(), P))
