@@ -8,6 +8,7 @@ from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
     DmlNeuroError,
+    GridMemoryError,
     InsufficientSamplesError,
     NonFiniteStateError,
     NumericalError,

@@ -27,6 +27,10 @@ class DimensionMismatchError(DmlNeuroError):
     """Initial state and vector-field dimensions disagree."""
 
 
+class GridMemoryError(DmlNeuroError):
+    """The solver grid's times and states cannot be allocated."""
+
+
 class ConvergenceError(NumericalError):
     """A series or iteration exhausted its budget before converging."""
 

@@ -11,15 +11,19 @@ nodes through sums of exponentials that stand for the kernel past lag r
 (Jiang et al., Commun. Comput. Phys. 21, 2017; Baffet and Hesthaven, SIAM J.
 Numer. Anal. 55, 2017).  One function, generated once per solve for the
 system's dimension, steps each pair of nodes: it unpacks their shared
-product into Python floats and makes the four field calls with unrolled
-float sums between them.  A run of N steps costs O(N (r + Q)) for Q (about
-145) exponents, and its only arrays of length N are its times and states.
+product into Python floats and evaluates the field four times, with
+unrolled float sums between them.  A model's field body is spliced into
+that function in place of the four calls; any other callable, a wrapped
+model field included, is called there, with the same bits.  A run of N
+steps costs O(N (r + Q)) for Q (about 145) exponents, and its only arrays
+of length N are its times and states.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +32,7 @@ import numpy as np
 from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
+    GridMemoryError,
     NonFiniteStateError,
 )
 
@@ -153,35 +158,37 @@ def _length_fault(f_new, dim, m, times):
 
 
 # The pair step's source, by ``_pair_step``: the product's four rows unpack
-# into y (node k's predictor state, kept a list), b (its corrector base), and
-# q and c (node k + 1's, without their lag-1 terms); f is node k's corrected
-# field and g node k + 1's predicted field, as floats.  ``out`` is the last
-# field output, which the length check reads.
+# into {state} (node k's predictor state), b (its corrector base), and q and
+# c (node k + 1's, without their lag-1 terms); f is node k's corrected field
+# and g node k + 1's predicted field, as floats.  The {field_*} slots
+# evaluate the field at {state}, by the field's own body, which leaves it in
+# {output}, or by a call of ``rhs`` at time t; ``out`` is the last output
+# called, which the length check reads.
 _PAIR_STEP = """\
-def step(start, stop, rhs=rhs, params=params, t_start=t_start, h=h, ca=ca,
-         kb1=kb1, ka1=ka1, pairs=pairs, store=store, first=first):
+def step(start, stop, {names}):
     block, out, last = [], first, stop - 1
     try:
         for m, (dot, zk, row, row2) in zip(range(start, stop, 2), pairs):
-            y, {b}, {q}, {c} = dot(zk).tolist()
+            {state}, {b}, {q}, {c} = dot(zk).tolist()
             if m:
-                t = t_start + h * m
-                out = {f} = rhs(t, y, params)
-                y = [{corrected}]
-                out = {f} = rhs(t, y, params)
-                store[row] = out
-                block += y
+                {time}
+                {field_f}
+                {corrected}
+                {field_f}
+                store[row] = {output}
+                block += {state}
             else:
                 {f} = first
             if m == last:
                 break
             m += 1
-            t = t_start + h * m
-            out = {g} = rhs(t, [{predicted}], params)
-            y = [{corrected2}]
-            out = rhs(t, y, params)
-            store[row2] = out
-            block += y
+            {time}
+            {predicted}
+            {field_g}
+            {corrected2}
+            {field_last}
+            store[row2] = {output}
+            block += {state}
     except ValueError as err:
         fault = _length_fault(out, {dim}, m, times)
         if fault is None:
@@ -191,7 +198,14 @@ def step(start, stop, rhs=rhs, params=params, t_start=t_start, h=h, ca=ca,
 """
 
 
-def _pair_step(dim: int, **bound) -> Callable:
+def _fill(template: str, **slots) -> str:
+    """``template`` with each ``{name}`` replaced by ``slots[name]``; the
+    later lines of a slot that spans lines are indented like its first."""
+    return re.sub(r"( *)\{(\w+)\}",
+                  lambda s: s[1] + slots[s[2]].replace("\n", "\n" + s[1]), template)
+
+
+def _pair_step(dim: int, body=None, **bound) -> Callable:
     """``step(start, stop)``: the states of steps ``start`` to ``stop - 1``,
     one block from its first node, as one flat float list, stepped pair by
     pair with the corrector and lag-1 sums unrolled into ``dim`` float sums.
@@ -199,19 +213,51 @@ def _pair_step(dim: int, **bound) -> Callable:
     0 is not stepped: it takes its field row ``first``, and only its
     partner, step 1, enters the list.
 
-    The unpacking of each field output raises ``ValueError`` for an output
-    of any other length, and the row store for the last one; the step turns
-    that into :class:`DimensionMismatchError` naming its step, and lets any
-    other ``ValueError`` through."""
+    With ``body``, a field's :class:`~dmlneuro.models.Body`, the step runs
+    that source inline for each of its four field evaluations per pair, on
+    the state's floats under the body's own names, and ``bound`` holds the
+    names it reads.  The body may use no name of the step's own: those of
+    ``bound``, ``start``, ``stop``, ``block``, ``out``, ``last``, ``m``,
+    ``dot``, ``zk``, ``row``, ``row2``, and b, q, c, f or g followed by
+    digits.  Without it the step calls ``rhs(t, y, params)`` with a
+    list ``y``; the unpacking of each field output raises ``ValueError``
+    for an output of any other length, and the row store for the last one,
+    and the step turns that into :class:`DimensionMismatchError` naming its
+    step, and lets any other ``ValueError`` through."""
     def unrolled(fmt):
-        return ", ".join(fmt.format(i) for i in range(dim))
+        return [fmt.format(i) for i in range(dim)]
 
-    source = _PAIR_STEP.format(
-        dim=dim,
-        **{x: f"({unrolled(x + '{0}')},)" for x in "bqcfg"},
-        corrected=unrolled("b{0} + ca * f{0}"),
-        predicted=unrolled("q{0} + kb1 * f{0}"),
-        corrected2=unrolled("(c{0} + ka1 * f{0}) + ca * g{0}"),
+    def floats(x):
+        return f"({', '.join(unrolled(x + '{0}'))},)"
+
+    if body is None:
+        state, output, time = "y", "out", "t = t_start + h * m"
+
+        def assign(values):
+            return f"y = [{', '.join(values)}]"
+
+        def field(into=None):
+            return f"out = {floats(into) + ' = ' if into else ''}rhs(t, y, params)"
+    else:
+        state, output = (f"({', '.join(names)},)" for names in (body.state, body.out))
+        time = ""
+
+        def assign(values):
+            return "\n".join(f"{n} = {v}" for n, v in zip(body.state, values))
+
+        def field(into=None):
+            copies = [f"{into}{i} = {n}" for i, n in enumerate(body.out)] if into else []
+            return "\n".join([body.source.rstrip("\n"), *copies])
+
+    source = _fill(
+        _PAIR_STEP,
+        names=", ".join(f"{n}={n}" for n in bound),
+        dim=str(dim), state=state, output=output, time=time,
+        **{x: floats(x) for x in "bqcf"},
+        field_f=field("f"), field_g=field("g"), field_last=field(),
+        corrected=assign(unrolled("b{0} + ca * f{0}")),
+        predicted=assign(unrolled("q{0} + kb1 * f{0}")),
+        corrected2=assign(unrolled("(c{0} + ka1 * f{0}) + ca * g{0}")),
     )
     scope = dict(bound, _length_fault=_length_fault, DimensionMismatchError=DimensionMismatchError)
     exec(source, scope)
@@ -244,6 +290,15 @@ def solve_fde(
     the predictor state of every second node of a pair.  It returns any
     sequence of ``dim`` floats: a tuple, a list or an array.
 
+    A field with a ``splice(params)`` method, as each model's
+    ``coupling.field`` has, is called only at node 0.  ``splice`` returns
+    the field's :class:`~dmlneuro.models.Body` and the value of every name
+    it reads, and the step runs that body inline at each of the other
+    evaluations, on the same floats in the same operation order, so the
+    trajectory is bitwise the one the calls would give.  Any other callable,
+    such as ``lambda t, y, p: coupling.field(t, y, p)``, is called at every
+    evaluation.
+
     Each pair of steps makes one matrix product, and one function,
     generated once per solve for ``dim``, steps a block pair by pair.  A
     ``(3r, dim)`` block buffer, r = ``_BLOCK``, holds three rows per block
@@ -254,11 +309,12 @@ def solve_fde(
     ``tolist()`` into floats: the predictor state and the corrector base of
     node k, and those of node k + 1 without the term of node k's vector
     field, which node k's step has not yet written.  Between the four field
-    calls the step runs on Python floats, in ``dim`` unrolled sums each: node
-    k's corrector state ``b + ca * f``, then node k + 1's predictor state
-    ``q + kb[1] * f`` and corrector state ``(c + ka[1] * f) + ca * g``, for
-    node k's corrected field f and node k + 1's predicted field g.  Each
-    corrected field row goes into the buffer as it is returned, by one slice
+    evaluations the step runs on Python floats, in ``dim`` unrolled sums
+    each: node k's corrector state ``b + ca * f``, then node k + 1's
+    predictor state ``q + kb[1] * f`` and corrector state
+    ``(c + ka[1] * f) + ca * g``, for node k's corrected field f and node
+    k + 1's predicted field g.  Each corrected field row goes into the
+    buffer as it is returned, by one slice
     store into the ``ctypes`` array the buffer views; none of this calls
     numpy.  The same step takes node 1 of the first block, whose partner is
     node 0, a block that ends on the first node of a pair, and the unpaired
@@ -266,14 +322,16 @@ def solve_fde(
     by one slice store of a flat float list.  Beside the returned times and
     states, a solve holds O(r (r + Q)) floats for Q exponents.
 
-    Raises ``ValueError`` for a non-finite ``y0``, before any work,
-    :class:`NonFiniteStateError` (carrying the finite part of the
-    trajectory) at the first non-finite state after it, and
+    Raises ``ValueError`` for a non-finite ``y0`` and
+    :class:`GridMemoryError` for a grid whose times and states cannot be
+    allocated, both before any work, :class:`NonFiniteStateError`
+    (carrying the finite part of the trajectory) at the first non-finite
+    state after it, and
     :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
     at node 0 or at any later node.  The step's unpacking of each field
     output, and the row store of a pair's last one, reject an output of any
     other length at the step that returned it, from any of the four field
-    calls of a pair.  The finiteness check runs once per block of
+    calls of a pair; a spliced body always gives ``dim`` floats.  The finiteness check runs once per block of
     ``_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite states
     before the error is raised; the block's states are scanned one by one
     only when their sum is not finite.  A ``ValueError`` that ``rhs``
@@ -298,7 +356,11 @@ def solve_fde(
     n_steps = config.n_steps
     h = config.h
     t_start = config.t_start
-    times = t_start + h * np.arange(n_steps + 1)
+    try:
+        times = t_start + h * np.arange(n_steps + 1)
+        states = np.empty((n_steps + 1, dim))
+    except MemoryError:
+        raise GridMemoryError(f"the grid of {n_steps + 1} samples does not fit in memory") from None
 
     f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
     if f0.shape != (dim,):
@@ -350,9 +412,14 @@ def solve_fde(
         rows = [slice((3 * j + 2) * dim, (3 * j + 3) * dim) for j in (k, k + 1)]
         pairs.append((w.dot, Z[: w.shape[1]], *rows))
     # float weights, so that plain float field rows give plain float states
+    # a model's field hands over its body, run inline; any other callable
+    # is called
+    splice = getattr(rhs, "splice", None)
+    body, names = splice(params) if splice is not None else (None, {})
     step = _pair_step(
-        dim, rhs=rhs, params=params, t_start=t_start, h=h, ca=ca, kb1=float(kb[1]),
-        ka1=float(ka[1]), pairs=pairs, store=store, first=f0.tolist(), times=times,
+        dim, body, **names, rhs=rhs, params=params, t_start=t_start, h=h, ca=ca,
+        kb1=float(kb[1]), ka1=float(ka[1]), pairs=pairs, store=store, first=f0.tolist(),
+        times=times,
     )
 
     # Far rows.  One product A @ B gives both far rows of every node of the
@@ -375,7 +442,6 @@ def solve_fde(
     B = np.zeros((r + lam.size + 2, dim))
     last, H = B[:r], B[r:-2]
     B[-2], B[-1] = y0, f0
-    states = np.empty((n_steps + 1, dim))
     states[0] = y0
     flat = states.reshape(-1)  # a view: the block's states go in by one store
 

@@ -19,7 +19,10 @@ equilibria and the stability blocks are derived:
   solver's calling convention, ``p`` a :class:`DmlParams` record: a float
   body that adds the same current inline, takes any sequence of ``dim``
   floats and returns a tuple of ``dim`` floats.  It is the only route to a
-  model's field.
+  model's field.  The body is written once, as source: the field is the
+  function built from it, and the solver splices the same source into its
+  step, so a model's solve makes no field call per step.  A wrapped field
+  or any other callable takes the solver's call path, with the same bits.
 
 Both methods take floats or numpy arrays of voltages; the field takes the
 floats of one state.  Whatever the coupling, the voltages sit in the even
@@ -29,9 +32,10 @@ columns of a state, ``state[::2]``.
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -101,7 +105,7 @@ class NoCoupling:
 
     @property
     def field(self):
-        return _cell
+        return Field(_cell)
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ class LinearCoupling:
 
     @property
     def field(self):
-        return partial(_linear_pair, self.theta)
+        return Field(_linear_pair, self.theta)
 
 
 @dataclass(frozen=True)
@@ -168,63 +172,107 @@ class SigmoidCoupling:
 
     @property
     def field(self):
-        return partial(_sigmoid_pair, self.sigma, self.v_s, self.lam, self.q)
+        return Field(_sigmoid_pair, self.sigma, self.v_s, self.lam, self.q)
 
 
 CouplingSpec = Union[NoCoupling, LinearCoupling, SigmoidCoupling]
 
 
-# The fields are straight-line float bodies: each writes the cell kinetics,
-# the exponential's overflow guard and its coupling current inline, in the
-# operation order of ``_exp``, ``_sigmoid`` and ``current``, so a field value
-# is bitwise the sum of those pieces at a fraction of the calls.  Parameters
-# are bound positionally with ``functools.partial``, which builds no keyword
-# dict per call and, unlike a closure, pickles.
+# The fields are straight-line float bodies, written once each as source.
+# A body writes the cell kinetics, the exponential's overflow guard and its
+# coupling current inline, in the operation order of ``_exp``, ``_sigmoid``
+# and ``current``, so a field value is bitwise the sum of those pieces at a
+# fraction of the calls.  It reads its state's floats by the names ``state``,
+# the parameters by their field names in ``DmlParams`` and the coupling, and
+# ``exp``, ``inf`` and ``_EXP_MAX``; it leaves its output in the names
+# ``out``.  ``_define`` builds the callable from it, and the solver splices
+# the same text into its generated step.
 
-def _cell(t, state, p: DmlParams) -> tuple:
-    """Field of the single cell; ``state`` is any sequence of 2 floats."""
-    x, y = state
-    a = p.alpha * x
-    return (
-        x * x * (1.0 - x) - y + p.I,
-        p.A * (math.exp(a) if a < _EXP_MAX else math.inf) - p.gamma * y,
+
+class Body(NamedTuple):
+    """A field body: ``source`` reads the names ``state`` and leaves the
+    field's floats in the names ``out``."""
+
+    state: tuple
+    source: str
+    out: tuple
+
+
+_CELL = Body(("x", "y"), """\
+a = alpha * x
+dx = x * x * (1.0 - x) - y + I
+dy = A * (exp(a) if a < _EXP_MAX else inf) - gamma * y
+""", ("dx", "dy"))
+
+_LINEAR_PAIR = Body(("x1", "y1", "x2", "y2"), """\
+a1, a2 = alpha * x1, alpha * x2
+dx1 = x1 * x1 * (1.0 - x1) - y1 + I + theta * (x2 - x1)
+dy1 = A * (exp(a1) if a1 < _EXP_MAX else inf) - gamma * y1
+dx2 = x2 * x2 * (1.0 - x2) - y2 + I + theta * (x1 - x2)
+dy2 = A * (exp(a2) if a2 < _EXP_MAX else inf) - gamma * y2
+""", ("dx1", "dy1", "dx2", "dy2"))
+
+_SIGMOID_PAIR = Body(("x1", "y1", "x2", "y2"), """\
+a1, a2 = alpha * x1, alpha * x2
+# each cell's synapse opens with its partner's voltage
+u1, u2 = lam * (x2 - q), lam * (x1 - q)
+if u1 >= 0.0:
+    s1 = 1.0 / (1.0 + exp(-u1))
+else:
+    e = exp(u1)
+    s1 = e / (1.0 + e)
+if u2 >= 0.0:
+    s2 = 1.0 / (1.0 + exp(-u2))
+else:
+    e = exp(u2)
+    s2 = e / (1.0 + e)
+dx1 = x1 * x1 * (1.0 - x1) - y1 + I + sigma * (v_s - x1) * s1
+dy1 = A * (exp(a1) if a1 < _EXP_MAX else inf) - gamma * y1
+dx2 = x2 * x2 * (1.0 - x2) - y2 + I + sigma * (v_s - x2) * s2
+dy2 = A * (exp(a2) if a2 < _EXP_MAX else inf) - gamma * y2
+""", ("dx1", "dy1", "dx2", "dy2"))
+
+# what a body reads besides its state and parameters
+_BODY_SCOPE = {"exp": math.exp, "inf": math.inf, "_EXP_MAX": _EXP_MAX}
+_PARAMS = tuple(f.name for f in fields(DmlParams))
+
+
+def _define(name: str, constants: tuple, body: Body):
+    """The module function ``name(*constants, t, state, p)`` that runs
+    ``body``; it keeps ``constants`` and ``body`` for :meth:`Field.splice`.
+    Its name is its module attribute, so it pickles by reference."""
+    source = (
+        f"def {name}({''.join(c + ', ' for c in constants)}t, state, p):\n"
+        f"    {', '.join(body.state)} = state\n"
+        f"    {', '.join(_PARAMS)} = {', '.join('p.' + n for n in _PARAMS)}\n"
+        + textwrap.indent(body.source, "    ")
+        + f"    return {', '.join(body.out)}\n"
     )
+    scope = dict(_BODY_SCOPE, __name__=__name__)
+    exec(source, scope)
+    function = scope[name]
+    function.constants, function.body = constants, body
+    return function
 
 
-def _linear_pair(theta, t, state, p: DmlParams) -> tuple:
-    """Field of a linearly coupled pair; ``state`` is any sequence of 4 floats."""
-    x1, y1, x2, y2 = state
-    I, A, alpha, gamma = p.I, p.A, p.alpha, p.gamma
-    a1, a2 = alpha * x1, alpha * x2
-    return (
-        x1 * x1 * (1.0 - x1) - y1 + I + theta * (x2 - x1),
-        A * (math.exp(a1) if a1 < _EXP_MAX else math.inf) - gamma * y1,
-        x2 * x2 * (1.0 - x2) - y2 + I + theta * (x1 - x2),
-        A * (math.exp(a2) if a2 < _EXP_MAX else math.inf) - gamma * y2,
-    )
+_cell = _define("_cell", (), _CELL)
+_linear_pair = _define("_linear_pair", ("theta",), _LINEAR_PAIR)
+_sigmoid_pair = _define("_sigmoid_pair", ("sigma", "v_s", "lam", "q"), _SIGMOID_PAIR)
 
 
-def _sigmoid_pair(sigma, v_s, lam, q, t, state, p: DmlParams) -> tuple:
-    """Field of a pair coupled by sigmoid synapses; ``state`` is any sequence
-    of 4 floats."""
-    x1, y1, x2, y2 = state
-    I, A, alpha, gamma = p.I, p.A, p.alpha, p.gamma
-    a1, a2 = alpha * x1, alpha * x2
-    # each cell's synapse opens with its partner's voltage
-    u1, u2 = lam * (x2 - q), lam * (x1 - q)
-    if u1 >= 0.0:
-        s1 = 1.0 / (1.0 + math.exp(-u1))
-    else:
-        e = math.exp(u1)
-        s1 = e / (1.0 + e)
-    if u2 >= 0.0:
-        s2 = 1.0 / (1.0 + math.exp(-u2))
-    else:
-        e = math.exp(u2)
-        s2 = e / (1.0 + e)
-    return (
-        x1 * x1 * (1.0 - x1) - y1 + I + sigma * (v_s - x1) * s1,
-        A * (math.exp(a1) if a1 < _EXP_MAX else math.inf) - gamma * y1,
-        x2 * x2 * (1.0 - x2) - y2 + I + sigma * (v_s - x2) * s2,
-        A * (math.exp(a2) if a2 < _EXP_MAX else math.inf) - gamma * y2,
-    )
+class Field(partial):
+    """A model's vector field ``field(t, state, p)``: a function built by
+    ``_define``, with the coupling's constants bound first.  Parameters are
+    bound positionally, as by ``functools.partial``, which builds no keyword
+    dict per call and, unlike a closure, pickles.  The solver reads the
+    body through ``splice`` and runs it inline in its step; a wrapped field
+    has no ``splice`` and is called there, with the same bits."""
+
+    def splice(self, params) -> tuple[Body, dict]:
+        """The field's body and the value of every name it reads, for the
+        parameter record ``params``: the solver runs the body inline."""
+        function = self.func
+        names = dict(_BODY_SCOPE)
+        names.update(zip(function.constants, self.args))
+        names.update((n, getattr(params, n)) for n in _PARAMS)
+        return function.body, names

@@ -175,6 +175,16 @@ class TestConfigHandling:
         assert err == ("configuration error: the step count (t_end - t_start) / h must be "
                        "finite, got inf\n")
 
+    # 1e15 + 1 samples, petabytes of times alone: an allocation that fails
+    # at once, never one that could succeed
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_grid_too_long_to_allocate_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--t-end", "1e15", "--h", "1",
+                             "--discard", "0", "--tail", "5")
+        assert code == 2 and out == ""
+        assert err == ("configuration error: the grid of 1000000000000001 samples does not "
+                       "fit in memory\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -18,6 +18,7 @@ import dmlneuro.fde as fde
 from dmlneuro.exceptions import (
     ConvergenceError,
     DimensionMismatchError,
+    GridMemoryError,
     NonFiniteStateError,
 )
 from dmlneuro.fde import (
@@ -764,6 +765,126 @@ class TestFieldContract:
 
     def test_blow_up_keeps_the_exact_finite_prefix_with_tuples(self):
         assert_exact_finite_prefix(lambda t, y, p: tuple(explode(t, y, p)))
+
+
+def solve_both_paths(coupling, beta, cfg, y0, p, block):
+    """Solve with the model's field, whose body the step runs inline, and
+    with the same field wrapped in a plain callable, which the step calls;
+    each result is a trajectory or the blow-up error it raised."""
+    field = coupling.field
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fde, "_BLOCK", block)
+        for rhs in (field, lambda t, y, p: field(t, y, p)):
+            try:
+                results.append(solve_fde(rhs, beta, cfg, y0, p))
+            except NonFiniteStateError as err:
+                results.append(err)
+    return results
+
+
+def assert_same_bits(spliced, called):
+    if isinstance(called, NonFiniteStateError):
+        assert isinstance(spliced, NonFiniteStateError) and str(spliced) == str(called)
+        spliced, called = spliced.trajectory, called.trajectory
+    assert spliced.times.tobytes() == called.times.tobytes()
+    assert spliced.states.tobytes() == called.states.tobytes()
+
+
+class TestSplicedBodies:
+    """A model's field body runs inline in the pair step; any other callable
+    is called.  Both give the same bits."""
+
+    MODELS = [NoCoupling(), LinearCoupling(0.008), SigmoidCoupling(0.001)]
+    IDS = ["single", "linear", "sigmoid"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.builds(
+            DmlParams,
+            I=st.floats(-0.1, 0.1),
+            A=st.floats(1e-4, 1.0),
+            alpha=st.floats(0.1, 10.0),
+            gamma=st.floats(0.01, 1.0),
+        ),
+        theta=st.floats(1e-4, 1.0),
+        synapse=st.builds(
+            SigmoidCoupling,
+            sigma=st.floats(0.0, 1.0),
+            v_s=st.floats(-3.0, 3.0),
+            lam=st.floats(0.1, 100.0),
+            q=st.floats(-1.0, 1.0),
+        ),
+        y0=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        beta=st.floats(0.3, 1.0),
+        h=st.sampled_from([0.05, 0.5, 2.0]),
+        n_steps=st.integers(1, 200),
+        block=st.sampled_from([7, 8]),
+    )
+    # alpha x1 = 709 exactly and 712, so the first field is inf; lam (x1 - q)
+    # = 802.5 and lam (x2 - q) = -797.5 lie beyond the exp range; the last
+    # runs to the end, ending mid-pair and mid-block
+    @example(p=DmlParams(alpha=1.0), theta=0.008, synapse=SigmoidCoupling(0.001),
+             y0=[709.0, 0.1, -0.2, 0.1], beta=0.9, h=0.05, n_steps=40, block=7)
+    @example(p=DmlParams(), theta=0.008, synapse=SigmoidCoupling(0.001),
+             y0=[135.0, 0.1, -0.2, 0.1], beta=0.9, h=0.05, n_steps=40, block=8)
+    @example(p=DmlParams(), theta=0.008, synapse=SigmoidCoupling(0.001),
+             y0=[80.0, 0.1, -80.0, 0.1], beta=0.9, h=0.05, n_steps=40, block=7)
+    @example(p=DmlParams(I=0.019), theta=0.008, synapse=SigmoidCoupling(0.001),
+             y0=[0.1, 0.1, -0.2, 0.1], beta=0.95, h=0.05, n_steps=198, block=8)
+    def test_a_body_gives_the_bits_of_its_call(self, p, theta, synapse, y0, beta, h,
+                                               n_steps, block):
+        cfg = SolverConfig(0.0, h * n_steps, h)
+        for coupling in (NoCoupling(), LinearCoupling(theta), synapse):
+            spliced, called = solve_both_paths(coupling, beta, cfg, y0[: coupling.dim], p, block)
+            assert_same_bits(spliced, called)
+
+    # an explicit step too long for the pair: the run blows up at step 31,
+    # inside the fifth block of 7 nodes, on both paths alike
+    @pytest.mark.parametrize("block", [7, 8])
+    def test_a_blow_up_stops_both_paths_at_the_same_step(self, block):
+        cfg = SolverConfig(0.0, 600.0, 2.0)
+        spliced, called = solve_both_paths(SigmoidCoupling(0.001), 0.8, cfg, [1.0, 0.1, -0.2, 0.1],
+                                           DmlParams(I=0.1, alpha=1.0), block)
+        assert isinstance(called, NonFiniteStateError)
+        assert len(called.trajectory.times) == 31
+        assert_same_bits(spliced, called)
+
+    @pytest.mark.parametrize("coupling", MODELS, ids=IDS)
+    def test_a_model_solve_makes_no_field_call_per_step(self, coupling):
+        # the field's function runs once, for node 0's shape check; the same
+        # field behind a plain callable runs twice per step, which shows the
+        # profile hook sees the calls it counts
+        field = coupling.field
+        code = field.func.__code__
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls[rhs] += 1
+
+        cfg, y0 = SolverConfig(0.0, 10.0, 0.05), [0.1, 0.1, -0.2, 0.1][: coupling.dim]
+        for rhs in (field, lambda t, y, p: field(t, y, p)):
+            sys.setprofile(profile)
+            try:
+                solve_fde(rhs, 0.9, cfg, y0, DmlParams(I=0.019))
+            finally:
+                sys.setprofile(None)
+        assert list(calls.values()) == [1, 1 + 2 * cfg.n_steps]
+
+    def test_a_grid_too_long_to_allocate_is_a_typed_error(self):
+        # 1e15 + 1 samples: the allocation fails at once, before any field
+        # evaluation
+        calls = []
+
+        def field(t, y, p):
+            calls.append(t)
+            return decay(t, y, p)
+
+        with pytest.raises(GridMemoryError, match=r"^the grid of 1000000000000001 samples "
+                                                   r"does not fit in memory$"):
+            solve_fde(field, 0.9, SolverConfig(0.0, 1e15, 1.0), [0.1, 0.1])
+        assert calls == []
 
 
 @pytest.mark.slow
