@@ -7,12 +7,18 @@ the cell has three equilibria, exactly at the extrema it has two (a fold),
 and outside that current band it has one.  The symmetric equilibria of the
 coupled models reduce to the same scalar equation, shifted by the coupling
 current of a cell with itself as partner; one solver serves all three.
+
+The search runs in two stages, and the first, the scan for the extrema of
+that equation, does not depend on ``I``: it runs once per model (A, alpha,
+gamma and the coupling record) per process, and every later query on that
+model, at any current, reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -132,17 +138,23 @@ def find_symmetric_equilibria(
     the coupling's own synaptic current; the linear current vanishes there,
     so a linear pair shares the single cell's equilibria for any theta.
     The search runs in two stages.  The first finds the extrema of g by a
-    sign scan of g', which does not depend on I, so a sweep over currents
-    runs it once.  The second works at the given current: the extrema split
-    the window into pieces on which g is monotone, so each piece holds at
-    most one root, and a piece whose ends differ in sign brackets it.  Each
-    bracket is solved by Illinois regula falsi to a width of ~1e-14, about
-    ten evaluations of g per root.  An extremum where
+    sign scan of g', about five evaluations of g' per 1e-3-wide scan
+    bracket (4.5 for the cell, 5.5 for a sigmoid pair at sigma = 1e-3).  It
+    does not depend on I, so it runs once per model per process, and every
+    later call on that model, at any current, reuses its extrema.  The
+    second works at the given current: the extrema split the window into
+    pieces on which g is monotone, so each piece holds at most one root,
+    and a piece whose ends differ in sign brackets it.  Each bracket is
+    solved by Illinois regula falsi to a width of ~1e-14, about 16
+    evaluations of g per root (16.1 for the cell and 17.1 for a sigmoid
+    pair at sigma = 1e-3, averaged over the roots at currents in
+    [-0.005, 0.025]): most roots lie on the outer pieces, whose far ends
+    sit where |g| is large.  An extremum where
     ``|g| <= FOLD_TOL`` is a tangency root (a fold, which a sign scan cannot
     see).  If no root lands in the window its outer pieces are widened once
     before :class:`RootWindowExhaustedError` is raised.
     """
-    return _equilibria_at(p, coupling, fold_voltages(p, coupling))
+    return _equilibria_at(p, coupling, _zeros(p, coupling, 1.0))
 
 
 def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
@@ -152,10 +164,11 @@ def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
     Since g'(x) = -delta_plus(x) / gamma, these are where the plus block's
     determinant vanishes, and ``i_infinity(x, p) - coupling.current(x, x)``
     is the fold current of each.  They do not depend on ``p.I``; this is
-    stage one of :func:`find_symmetric_equilibria`, which a sweep over
-    currents runs once.
+    stage one of :func:`find_symmetric_equilibria`, which runs once per
+    model per process: every call on that model, at any current, reuses
+    its zeros.  The list is the caller's own.
     """
-    return _block_zeros(p, coupling, 1.0)
+    return list(_zeros(p, coupling, 1.0))
 
 
 def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
@@ -172,9 +185,23 @@ def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list
     points = [
         (kind, x, i_infinity(x, p) - coupling.current(x, x))
         for kind, sign in kinds
-        for x in _block_zeros(p, coupling, sign)
+        for x in _zeros(p, coupling, sign)
     ]
     return sorted(points, key=lambda point: point[1])
+
+
+def _zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> tuple:
+    """:func:`_block_zeros`, computed once per model and block sign: ``p.I``
+    is no part of the key, since the scan never reads it."""
+    return _kept_zeros(p.A, p.alpha, p.gamma, coupling, sign)
+
+
+# 64 models, (A, alpha, gamma, coupling), each with both block signs
+@lru_cache(maxsize=128)
+def _kept_zeros(A: float, alpha: float, gamma: float, coupling: CouplingSpec,
+                sign: float) -> tuple:
+    # a tuple, so that no caller can change what the next one reads
+    return tuple(_block_zeros(DmlParams(A=A, alpha=alpha, gamma=gamma), coupling, sign))
 
 
 def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:

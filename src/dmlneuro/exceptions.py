@@ -28,7 +28,8 @@ class DimensionMismatchError(DmlNeuroError):
 
 
 class GridMemoryError(DmlNeuroError):
-    """The solver grid's times and states cannot be allocated."""
+    """A grid cannot be allocated: the solver's times and states, a sweep's
+    orders or a Hopf curve's currents."""
 
 
 class ConvergenceError(NumericalError):

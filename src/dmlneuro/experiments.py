@@ -16,7 +16,7 @@ import numpy as np
 
 from .equilibria import Branch, _equilibria_at, fold_voltages
 from .exceptions import InsufficientSamplesError, NonFiniteStateError, NumericalError
-from .fde import SolverConfig, Trajectory, check_order, solve_fde
+from .fde import SolverConfig, Trajectory, _grid_allocation, check_order, solve_fde
 from .models import CouplingSpec, DmlParams
 from .stability import BetaStarKind, beta_star
 
@@ -126,8 +126,12 @@ def _beta_grid(beta_range, beta_step):
         raise ValueError("beta_step must be positive")
     if beta_step == math.inf:
         raise ValueError(f"beta_step must be positive and finite, got {beta_step!r}")
-    n = int(math.floor((hi - lo) / beta_step + 1e-9))
-    return hi - beta_step * np.arange(n + 1)
+    steps = (hi - lo) / beta_step
+    if not math.isfinite(steps):
+        raise ValueError(f"the order count (range / beta_step) must be finite, got {steps!r}")
+    n = int(math.floor(steps + 1e-9))
+    with _grid_allocation(n + 1, "orders"):
+        return hi - beta_step * np.arange(n + 1)
 
 
 def bifurcation_sweep(
@@ -144,7 +148,8 @@ def bifurcation_sweep(
     Runs descend from the top of the range, each warm-started from the
     previous run's final state, and run by :func:`run_experiment`.  A run
     that blows up leaves a NaN-filled, flagged cell and the sweep continues
-    from the last finite state.
+    from the last finite state.  An order grid of more orders than can be
+    allocated is a :class:`GridMemoryError`, raised before the first solve.
     """
     current = _resolve_y0(y0, coupling.dim)
     betas = _beta_grid(beta_range, beta_step)
@@ -180,19 +185,22 @@ def hopf_curve(
     """Trace the Hopf threshold over a band of stimulation currents.
 
     Entirely closed-form.  The extrema of the equilibrium equation do not
-    depend on the current, so they are found once per curve; each sampled
-    current is then solved for its equilibrium from them, as
-    :func:`find_symmetric_equilibria` does, and the critical order evaluated
-    there.  Currents whose equilibrium is not on the unique branch, or whose
-    threshold is not a critical order, are omitted with the branch or kind.
-    A non-finite band is a ``ValueError``, raised before the fold scan.
+    depend on the current, so they are found once per model per process, by
+    :func:`fold_voltages`; each sampled current is then solved for its
+    equilibrium from them, as :func:`find_symmetric_equilibria` does, and
+    the critical order evaluated there.  Currents whose equilibrium is not
+    on the unique branch, or whose threshold is not a critical order, are
+    omitted with the branch or kind.  A non-finite band is a
+    ``ValueError``, and a band of more currents than can be allocated a
+    :class:`GridMemoryError`, both raised before the fold scan.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
     lo, hi = float(I_range[0]), float(I_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"I_range must be finite, got {(lo, hi)}")
-    I_values = np.linspace(lo, hi, n_points)
+    with _grid_allocation(n_points, "currents"):
+        I_values = np.linspace(lo, hi, n_points)
     extrema = fold_voltages(p, coupling)
     kept_I, kept_beta, omitted = [], [], []
     for I in I_values:

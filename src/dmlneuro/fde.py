@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,6 +88,18 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         return int(math.floor((self.t_end - self.t_start) / self.h + 1e-9))
+
+
+@contextmanager
+def _grid_allocation(count: int, what: str):
+    """Allocate a grid of ``count`` ``what`` in the ``with`` block: numpy's
+    error for an array too large to allocate (``MemoryError``) or to index
+    (``ValueError``) becomes a :class:`GridMemoryError` naming the count.
+    The block should only allocate."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise GridMemoryError(f"the grid of {count} {what} does not fit in memory") from None
 
 
 @dataclass(frozen=True)
@@ -324,7 +337,7 @@ def solve_fde(
 
     Raises ``ValueError`` for a non-finite ``y0`` and
     :class:`GridMemoryError` for a grid whose times and states cannot be
-    allocated, both before any work, :class:`NonFiniteStateError`
+    allocated or indexed, both before any work, :class:`NonFiniteStateError`
     (carrying the finite part of the trajectory) at the first non-finite
     state after it, and
     :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
@@ -356,11 +369,9 @@ def solve_fde(
     n_steps = config.n_steps
     h = config.h
     t_start = config.t_start
-    try:
+    with _grid_allocation(n_steps + 1, "samples"):
         times = t_start + h * np.arange(n_steps + 1)
         states = np.empty((n_steps + 1, dim))
-    except MemoryError:
-        raise GridMemoryError(f"the grid of {n_steps + 1} samples does not fit in memory") from None
 
     f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
     if f0.shape != (dim,):

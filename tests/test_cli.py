@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmlneuro import cli, experiments, stability
+from dmlneuro import cli, equilibria, experiments, stability
 from dmlneuro.cli import RunConfig, run_cli
 from dmlneuro.exceptions import NonFiniteStateError
 from dmlneuro.models import DmlParams, SigmoidCoupling
@@ -185,6 +185,31 @@ class TestConfigHandling:
         assert err == ("configuration error: the grid of 1000000000000001 samples does not "
                        "fit in memory\n")
 
+    # 5e13 + 1 orders and 1e13 currents: allocations that fail at once;
+    # about 5e299 orders, 1e20 currents and 1e300 samples: more than numpy
+    # can index.  Each is refused before the fold scan and the first solve
+    @pytest.mark.parametrize("argv, grid", [
+        (["sweep", "--beta-from", "0.5", "--beta-to", "1.0", "--beta-step", "1e-14"],
+         "50000000000001 orders"),
+        (["sweep", "--beta-from", "0.5", "--beta-to", "1.0", "--beta-step", "1e-300"],
+         f"{math.floor(0.5 / 1e-300 + 1e-9) + 1} orders"),
+        (["hopf-curve", "--I-points", "10000000000000"], "10000000000000 currents"),
+        (["hopf-curve", "--I-points", "100000000000000000000"], "100000000000000000000 currents"),
+        (["simulate", "--t-end", "1e300", "--h", "1"], f"{math.floor(1e300 + 1e-9) + 1} samples"),
+    ], ids=["orders", "orders-unindexable", "currents", "currents-unindexable",
+            "samples-unindexable"])
+    def test_an_order_current_or_time_grid_too_long_exits_2(self, capsys, monkeypatch, argv,
+                                                            grid):
+        def never(*args, **kwargs):
+            raise AssertionError("work began")
+
+        monkeypatch.setattr(equilibria, "_block_zeros", never)
+        monkeypatch.setattr(experiments, "run_experiment", never)  # a sweep's solves
+        # a simulate's grid is the solve's own, allocated before any work
+        code, out, err = run(capsys, *argv, "--discard", "0", "--tail", "5")
+        assert code == 2 and out == ""
+        assert err == f"configuration error: the grid of {grid} does not fit in memory\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -203,7 +228,9 @@ class TestConfigHandling:
 
     def test_nan_order_step_exits_2(self, capsys):
         for step, message in [("nan", "beta_step must be positive"),
-                              ("inf", "beta_step must be positive and finite, got inf")]:
+                              ("inf", "beta_step must be positive and finite, got inf"),
+                              ("5e-324", "the order count (range / beta_step) must be finite, "
+                                         "got inf")]:
             code, _, err = run(capsys, "sweep", "--beta-step", step, "--beta-from", "0.98",
                                "--beta-to", "1.0", "--t-end", "10")
             assert code == 2

@@ -21,6 +21,7 @@ from dmlneuro.equilibria import (
     y_infinity,
 )
 from dmlneuro.exceptions import RootWindowExhaustedError
+from dmlneuro.experiments import hopf_curve
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -433,6 +434,93 @@ class TestVectorisedScan:
                 assert fb == 0.0 or fb * f(b) > 0.0
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The fold scans that run, as ``(A, alpha, gamma, coupling, sign)``."""
+    seen = []
+    scan = equilibria._block_zeros
+
+    def spy(p, coupling, sign):
+        seen.append((p.A, p.alpha, p.gamma, coupling, sign))
+        return scan(p, coupling, sign)
+
+    monkeypatch.setattr(equilibria, "_block_zeros", spy)
+    return seen
+
+
+class TestFoldScanMemo:
+    @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008),
+                                          SigmoidCoupling(0.001)])
+    def test_one_scan_per_model_and_block(self, scans, coupling):
+        for I in np.linspace(-0.005, 0.025, 200):
+            find_symmetric_equilibria(DmlParams(I=float(I)), coupling)
+        hopf_curve(P, coupling, (0.016, 0.03), 50)
+        critical_points(P, coupling)
+        fold_voltages(replace(P, I=-1.0), coupling)
+        signs = [1.0] if coupling.dim == 2 else [1.0, -1.0]
+        assert scans == [(P.A, P.alpha, P.gamma, coupling, sign) for sign in signs]
+
+    @pytest.mark.parametrize("coupling, fields", [
+        (NoCoupling(), {}),
+        (LinearCoupling(0.008), {"theta": 0.009}),
+        (SigmoidCoupling(0.001), {"sigma": 0.002, "v_s": 1.9, "lam": 11.0, "q": -0.2}),
+    ])
+    def test_any_model_change_scans_again_and_a_current_change_does_not(
+        self, scans, coupling, fields
+    ):
+        variants = [(P, coupling)]
+        variants += [(replace(P, **{name: getattr(P, name) * 1.01}), coupling)
+                     for name in ("A", "alpha", "gamma")]
+        variants += [(P, replace(coupling, **{name: value})) for name, value in fields.items()]
+        for p, c in variants:
+            fold_voltages(p, c)
+            fold_voltages(replace(p, I=p.I + 0.001), c)
+        assert len(scans) == len(variants) == len(set(scans))
+
+    def test_a_mutated_result_leaves_the_next_intact(self):
+        c = SigmoidCoupling(0.001)
+        folds, points = fold_voltages(P, c), critical_points(P, c)
+        expected = (list(folds), list(points))
+        folds.append(0.5)
+        folds[0] = -1.0
+        points.clear()
+        assert (fold_voltages(P, c), critical_points(P, c)) == expected
+        assert fold_voltages(P, c) is not fold_voltages(P, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        A=st.floats(0.0037, 0.0045),
+        alpha=st.floats(5.0, 5.5),
+        gamma=st.floats(0.28, 0.32),
+        coupling=st.one_of(
+            st.just(NoCoupling()),
+            st.floats(0.0, 0.05, exclude_min=True).map(LinearCoupling),
+            st.floats(0.0, 0.05).map(SigmoidCoupling),
+        ),
+        I=st.floats(-0.01, 0.03),
+        # or a fold current, or 1e-9 to either side of one, in place of I
+        fold=st.none() | st.tuples(st.integers(0, 3), st.sampled_from([0.0, 1e-9, -1e-9])),
+    )
+    def test_kept_scans_give_the_fresh_bits(self, A, alpha, gamma, coupling, I, fold):
+        p = DmlParams(I=0.0, A=A, alpha=alpha, gamma=gamma)
+        # the scans are kept from this query at another current
+        folds = [current for kind, _, current in critical_points(p, coupling) if kind == "fold"]
+        if fold is not None:
+            assume(folds)
+            index, offset = fold
+            I = folds[index % len(folds)] + offset
+        p = replace(p, I=I)
+        kept = find_symmetric_equilibria(p, coupling), critical_points(p, coupling)
+        equilibria._kept_zeros.cache_clear()
+        fresh_eq = find_symmetric_equilibria(p, coupling)
+        equilibria._kept_zeros.cache_clear()
+        fresh = fresh_eq, critical_points(p, coupling)
+        assert kept[0].branch is fresh[0].branch
+        assert kept[0].points.tobytes() == fresh[0].points.tobytes()
+        # repr tells -0.0 from 0.0 and gives each float's shortest round trip
+        assert repr(kept[1]) == repr(fresh[1])
+
+
 def _never(x):
     raise AssertionError("evaluated")
 
@@ -456,6 +544,8 @@ class TestRootSolve:
 
         monkeypatch.setattr(equilibria, "_refine_root", counted)
         for I in np.linspace(-0.005, 0.025, 200):
+            # both stages at every current, as in a fresh process
+            equilibria._kept_zeros.cache_clear()
             find_symmetric_equilibria(DmlParams(I=float(I)), coupling)
         assert solves >= 3 * 200  # two extrema and at least one root per current
         assert evals / solves <= 12.0

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from dmlneuro import experiments
 from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria, fold_voltages
-from dmlneuro.exceptions import InsufficientSamplesError, RootWindowExhaustedError
+from dmlneuro.exceptions import (
+    GridMemoryError,
+    InsufficientSamplesError,
+    RootWindowExhaustedError,
+)
 from dmlneuro.fde import SolverConfig, Trajectory, solve_fde
 from dmlneuro.models import (
     DmlParams,
@@ -192,6 +196,16 @@ class TestBifurcationSweep:
         with pytest.raises(ValueError, match=r"^tail must be >= 1, got 0$"):
             bifurcation_sweep(P, NoCoupling(), (0.97, 1.0), 0.01, SHORT, tail_window=0)
 
+    # 5e13 + 1 orders: an allocation that fails at once
+    def test_an_order_grid_too_long_to_allocate_is_refused_before_any_solve(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(experiments, "run_experiment", spy)
+        with pytest.raises(GridMemoryError,
+                           match=r"^the grid of 50000000000001 orders does not fit in memory$"):
+            bifurcation_sweep(P, NoCoupling(), (0.5, 1.0), 1e-14, SHORT)
+
     def test_blow_up_flags_cell_and_continues(self):
         # an enormous drive pushes the voltage past the exp overflow range
         scan = bifurcation_sweep(
@@ -303,6 +317,16 @@ class TestHopfCurve:
         with pytest.raises(ValueError) as err:
             hopf_curve(P, NoCoupling(), band, 3)
         assert str(err.value) == f"I_range must be finite, got {band}"
+
+    # 1e13 currents: an allocation that fails at once
+    def test_a_band_too_long_to_allocate_is_refused_before_the_fold_scan(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("fold_voltages called")
+
+        monkeypatch.setattr(experiments, "fold_voltages", spy)
+        with pytest.raises(GridMemoryError,
+                           match=r"^the grid of 10000000000000 currents does not fit in memory$"):
+            hopf_curve(P, NoCoupling(), (0.016, 0.03), 10**13)
 
     def test_only_numerical_failures_are_omitted(self, monkeypatch):
         # the per-current stage of the equilibrium search
