@@ -7,24 +7,19 @@ the cell has three equilibria, exactly at the extrema it has two (a fold),
 and outside that current band it has one.  The symmetric equilibria of the
 coupled models reduce to the same scalar equation, shifted by the coupling
 current of a cell with itself as partner; one solver serves all three.
-
-The search runs in two stages, and the first, the scan for the extrema of
-that equation, does not depend on ``I``: it runs once per model (A, alpha,
-gamma and the coupling record) per process, and every later query on that
-model, at any current, reuses it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import RootWindowExhaustedError
-from .models import CouplingSpec, DmlParams, NoCoupling, _exp
+from .models import _EXP_MAX, CouplingSpec, DmlParams, NoCoupling, _exp
 
 DEFAULT_WINDOW = (-1.5, 1.5)
 FOLD_TOL = 1e-12  # absolute tolerance on I for the two-equilibrium fold branch
@@ -37,6 +32,9 @@ class Branch(Enum):
     THREEFOLD = "threefold"
     FOURFOLD = "fourfold"
     FIVEFOLD = "fivefold"
+
+
+_BRANCHES = tuple(Branch)  # the label of k equilibria is _BRANCHES[k - 1]
 
 
 @dataclass(frozen=True)
@@ -107,14 +105,19 @@ def _refine_root(
     return 0.5 * (lo + hi)
 
 
-def _scan_brackets(f, lo, hi, step):
-    """Sign-change brackets ``(a, b, f(a), f(b))`` of f on [lo, hi].
+# the fold scan's grid and the cubic's slope x (2 - 3 x) on it, the same for
+# every model; read-only, since every scan shares them
+_SCAN_GRID = np.linspace(
+    *DEFAULT_WINDOW, int(round((DEFAULT_WINDOW[1] - DEFAULT_WINDOW[0]) / _SCAN_STEP)) + 1
+)
+_SCAN_SLOPE = _SCAN_GRID * (2.0 - 3.0 * _SCAN_GRID)
+_SCAN_GRID.flags.writeable = _SCAN_SLOPE.flags.writeable = False
 
-    ``f`` is evaluated once, on the whole grid of the given step; a grid
-    point where it vanishes gives the degenerate bracket ``(x, x, 0, 0)``.
-    """
-    xs = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
-    vals = f(xs)
+
+def _sign_brackets(xs, vals):
+    """Sign-change brackets ``(a, b, f(a), f(b))`` of a function f whose
+    values on the ascending grid ``xs`` are ``vals``; a grid point where it
+    vanishes gives the degenerate bracket ``(x, x, 0, 0)``."""
     zero = vals == 0.0
     hits = np.flatnonzero(zero[:-1] | (vals[:-1] * vals[1:] < 0.0)).tolist()
     if zero[-1]:
@@ -140,8 +143,7 @@ def find_symmetric_equilibria(
     The search runs in two stages.  The first finds the extrema of g by a
     sign scan of g', about five evaluations of g' per 1e-3-wide scan
     bracket (4.5 for the cell, 5.5 for a sigmoid pair at sigma = 1e-3).  It
-    does not depend on I, so it runs once per model per process, and every
-    later call on that model, at any current, reuses its extrema.  The
+    does not depend on I, so a sweep over currents runs it once.  The
     second works at the given current: the extrema split the window into
     pieces on which g is monotone, so each piece holds at most one root,
     and a piece whose ends differ in sign brackets it.  Each bracket is
@@ -154,7 +156,7 @@ def find_symmetric_equilibria(
     see).  If no root lands in the window its outer pieces are widened once
     before :class:`RootWindowExhaustedError` is raised.
     """
-    return _equilibria_at(p, coupling, _zeros(p, coupling, 1.0))
+    return _equilibria_at(p, coupling, fold_voltages(p, coupling))
 
 
 def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
@@ -164,11 +166,10 @@ def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
     Since g'(x) = -delta_plus(x) / gamma, these are where the plus block's
     determinant vanishes, and ``i_infinity(x, p) - coupling.current(x, x)``
     is the fold current of each.  They do not depend on ``p.I``; this is
-    stage one of :func:`find_symmetric_equilibria`, which runs once per
-    model per process: every call on that model, at any current, reuses
-    its zeros.  The list is the caller's own.
+    stage one of :func:`find_symmetric_equilibria`, which a sweep over
+    currents runs once.
     """
-    return list(_zeros(p, coupling, 1.0))
+    return _block_zeros(p, coupling, 1.0)
 
 
 def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
@@ -185,23 +186,9 @@ def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list
     points = [
         (kind, x, i_infinity(x, p) - coupling.current(x, x))
         for kind, sign in kinds
-        for x in _zeros(p, coupling, sign)
+        for x in _block_zeros(p, coupling, sign)
     ]
     return sorted(points, key=lambda point: point[1])
-
-
-def _zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> tuple:
-    """:func:`_block_zeros`, computed once per model and block sign: ``p.I``
-    is no part of the key, since the scan never reads it."""
-    return _kept_zeros(p.A, p.alpha, p.gamma, coupling, sign)
-
-
-# 64 models, (A, alpha, gamma, coupling), each with both block signs
-@lru_cache(maxsize=128)
-def _kept_zeros(A: float, alpha: float, gamma: float, coupling: CouplingSpec,
-                sign: float) -> tuple:
-    # a tuple, so that no caller can change what the next one reads
-    return tuple(_block_zeros(DmlParams(A=A, alpha=alpha, gamma=gamma), coupling, sign))
 
 
 def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
@@ -217,8 +204,16 @@ def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
         d_self, d_other = partials(x, x)
         return -i_infinity_derivative(x, p) + (d_self + sign * d_other)
 
+    # scaled() on the scan grid, in its operations, with the parts that
+    # only read the grid taken from _SCAN_GRID and _SCAN_SLOPE
+    u = p.alpha * _SCAN_GRID
+    # alpha > 0, so u ascends and its last value bounds it: below the
+    # overflow threshold, the guard of _exp passes every value
+    e = np.exp(u) if u[-1] < _EXP_MAX else _exp(u)
+    d_self, d_other = partials(_SCAN_GRID, _SCAN_GRID)
+    vals = -(p.alpha * (p.A / p.gamma) * e - _SCAN_SLOPE) + (d_self + sign * d_other)
     zeros = []
-    for a, b, fa, fb in _scan_brackets(scaled, *DEFAULT_WINDOW, _SCAN_STEP):
+    for a, b, fa, fb in _sign_brackets(_SCAN_GRID, vals):
         x = _refine_root(scaled, a, b, fa, fb)
         if not zeros or x - zeros[-1] > 1e-9:
             zeros.append(x)
@@ -228,9 +223,14 @@ def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
 def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> EquilibriumSet:
     """Stage two: the roots of g at ``p.I``, given the extrema of g."""
     current = coupling.current
+    I, k, alpha = p.I, p.A / p.gamma, p.alpha
 
     def g(x):
-        return p.I - i_infinity(x, p) + current(x, x)
+        # p.I - i_infinity(x, p) + current(x, x), with i_infinity and the
+        # overflow guard of _exp written inline, in their operations
+        a = alpha * x
+        i_inf = k * (math.exp(a) if a < _EXP_MAX else math.inf) - x * x * (1.0 - x)
+        return I - i_inf + current(x, x)
 
     lo, hi = DEFAULT_WINDOW
     g_extrema = [0.0 if abs(v) <= FOLD_TOL else v for v in map(g, extrema)]
@@ -256,4 +256,4 @@ def _equilibrium_set(p: DmlParams, roots) -> EquilibriumSet:
         if not xs or r - xs[-1] > 1e-9:  # an extremum on the window's edge
             xs.append(r)
     pts = np.array([[x, y_infinity(x, p)] for x in xs])
-    return EquilibriumSet(points=pts, branch=list(Branch)[len(xs) - 1])
+    return EquilibriumSet(points=pts, branch=_BRANCHES[len(xs) - 1])

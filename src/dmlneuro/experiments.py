@@ -185,7 +185,7 @@ def hopf_curve(
     """Trace the Hopf threshold over a band of stimulation currents.
 
     Entirely closed-form.  The extrema of the equilibrium equation do not
-    depend on the current, so they are found once per model per process, by
+    depend on the current, so they are found once per curve, by
     :func:`fold_voltages`; each sampled current is then solved for its
     equilibrium from them, as :func:`find_symmetric_equilibria` does, and
     the critical order evaluated there.  Currents whose equilibrium is not

@@ -60,7 +60,8 @@ def _sigmoid(u):
         eu = math.exp(u)
         return eu / (1.0 + eu)
     e = np.exp(-np.abs(u))
-    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(u >= 0.0, 1.0 / d, e / d)
 
 
 def _check_finite(record) -> None:

@@ -175,20 +175,13 @@ class TestConfigHandling:
         assert err == ("configuration error: the step count (t_end - t_start) / h must be "
                        "finite, got inf\n")
 
-    # 1e15 + 1 samples, petabytes of times alone: an allocation that fails
-    # at once, never one that could succeed
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_a_grid_too_long_to_allocate_exits_2(self, capsys, command):
-        code, out, err = run(capsys, command, "--t-end", "1e15", "--h", "1",
-                             "--discard", "0", "--tail", "5")
-        assert code == 2 and out == ""
-        assert err == ("configuration error: the grid of 1000000000000001 samples does not "
-                       "fit in memory\n")
-
-    # 5e13 + 1 orders and 1e13 currents: allocations that fail at once;
-    # about 5e299 orders, 1e20 currents and 1e300 samples: more than numpy
-    # can index.  Each is refused before the fold scan and the first solve
+    # 1e15 + 1 samples (petabytes of times alone), 5e13 + 1 orders and 1e13
+    # currents: allocations that fail at once, never ones that could
+    # succeed; about 5e299 orders, 1e20 currents and 1e300 samples: more
+    # than numpy can index.  Each is refused before any work
     @pytest.mark.parametrize("argv, grid", [
+        (["simulate", "--t-end", "1e15", "--h", "1"], "1000000000000001 samples"),
+        (["sweep", "--t-end", "1e15", "--h", "1"], "1000000000000001 samples"),
         (["sweep", "--beta-from", "0.5", "--beta-to", "1.0", "--beta-step", "1e-14"],
          "50000000000001 orders"),
         (["sweep", "--beta-from", "0.5", "--beta-to", "1.0", "--beta-step", "1e-300"],
@@ -196,16 +189,13 @@ class TestConfigHandling:
         (["hopf-curve", "--I-points", "10000000000000"], "10000000000000 currents"),
         (["hopf-curve", "--I-points", "100000000000000000000"], "100000000000000000000 currents"),
         (["simulate", "--t-end", "1e300", "--h", "1"], f"{math.floor(1e300 + 1e-9) + 1} samples"),
-    ], ids=["orders", "orders-unindexable", "currents", "currents-unindexable",
-            "samples-unindexable"])
-    def test_an_order_current_or_time_grid_too_long_exits_2(self, capsys, monkeypatch, argv,
-                                                            grid):
+    ], ids=["simulate", "sweep", "orders", "orders-unindexable", "currents",
+            "currents-unindexable", "samples-unindexable"])
+    def test_a_grid_too_long_to_allocate_exits_2(self, capsys, monkeypatch, argv, grid):
         def never(*args, **kwargs):
-            raise AssertionError("work began")
+            raise AssertionError("fold scan")
 
-        monkeypatch.setattr(equilibria, "_block_zeros", never)
-        monkeypatch.setattr(experiments, "run_experiment", never)  # a sweep's solves
-        # a simulate's grid is the solve's own, allocated before any work
+        monkeypatch.setattr(equilibria, "_block_zeros", never)  # a Hopf curve's first work
         code, out, err = run(capsys, *argv, "--discard", "0", "--tail", "5")
         assert code == 2 and out == ""
         assert err == f"configuration error: the grid of {grid} does not fit in memory\n"

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dmlneuro.equilibria import (
     DEFAULT_WINDOW,
     Branch,
     _refine_root,
-    _scan_brackets,
+    _sign_brackets,
     critical_points,
     find_symmetric_equilibria,
     fold_voltages,
@@ -21,7 +22,6 @@ from dmlneuro.equilibria import (
     y_infinity,
 )
 from dmlneuro.exceptions import RootWindowExhaustedError
-from dmlneuro.experiments import hopf_curve
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -76,6 +76,13 @@ def sigmoid_fold_currents(sigma):
     upper = brentq(dh, -0.2, 0.17, xtol=1e-16, rtol=4 * np.finfo(float).eps)
     lower = brentq(dh, 0.17, 0.6, xtol=1e-16, rtol=4 * np.finfo(float).eps)
     return h(upper), h(lower)
+
+
+def scan_brackets(f, lo, hi, step):
+    """Sign-change brackets ``(a, b, f(a), f(b))`` of f on the grid of the
+    given step over [lo, hi], f evaluated once on the whole grid."""
+    xs = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    return _sign_brackets(xs, f(xs))
 
 
 def scan_brackets_reference(f, lo, hi, step):
@@ -426,99 +433,81 @@ class TestVectorisedScan:
             return -i_infinity_derivative(x, P) + (d_self + d_other)
 
         for f in (gprime, lambda x: i_infinity_derivative(x, P)):
-            got = _scan_brackets(f, *window, 1e-3)
+            got = scan_brackets(f, *window, 1e-3)
             want = scan_brackets_reference(f, *window, 1e-3)
             assert [(a, b) for a, b, _, _ in got] == want
             for a, b, fa, fb in got:  # the end values the root solve is handed
                 assert fa == 0.0 or fa * f(a) > 0.0
                 assert fb == 0.0 or fb * f(b) > 0.0
 
-
-@pytest.fixture
-def scans(monkeypatch):
-    """The fold scans that run, as ``(A, alpha, gamma, coupling, sign)``."""
-    seen = []
-    scan = equilibria._block_zeros
-
-    def spy(p, coupling, sign):
-        seen.append((p.A, p.alpha, p.gamma, coupling, sign))
-        return scan(p, coupling, sign)
-
-    monkeypatch.setattr(equilibria, "_block_zeros", spy)
-    return seen
-
-
-class TestFoldScanMemo:
-    @pytest.mark.parametrize("coupling", [NoCoupling(), LinearCoupling(0.008),
-                                          SigmoidCoupling(0.001)])
-    def test_one_scan_per_model_and_block(self, scans, coupling):
-        for I in np.linspace(-0.005, 0.025, 200):
-            find_symmetric_equilibria(DmlParams(I=float(I)), coupling)
-        hopf_curve(P, coupling, (0.016, 0.03), 50)
-        critical_points(P, coupling)
-        fold_voltages(replace(P, I=-1.0), coupling)
-        signs = [1.0] if coupling.dim == 2 else [1.0, -1.0]
-        assert scans == [(P.A, P.alpha, P.gamma, coupling, sign) for sign in signs]
-
-    @pytest.mark.parametrize("coupling, fields", [
-        (NoCoupling(), {}),
-        (LinearCoupling(0.008), {"theta": 0.009}),
-        (SigmoidCoupling(0.001), {"sigma": 0.002, "v_s": 1.9, "lam": 11.0, "q": -0.2}),
-    ])
-    def test_any_model_change_scans_again_and_a_current_change_does_not(
-        self, scans, coupling, fields
-    ):
-        variants = [(P, coupling)]
-        variants += [(replace(P, **{name: getattr(P, name) * 1.01}), coupling)
-                     for name in ("A", "alpha", "gamma")]
-        variants += [(P, replace(coupling, **{name: value})) for name, value in fields.items()]
-        for p, c in variants:
-            fold_voltages(p, c)
-            fold_voltages(replace(p, I=p.I + 0.001), c)
-        assert len(scans) == len(variants) == len(set(scans))
-
-    def test_a_mutated_result_leaves_the_next_intact(self):
-        c = SigmoidCoupling(0.001)
-        folds, points = fold_voltages(P, c), critical_points(P, c)
-        expected = (list(folds), list(points))
-        folds.append(0.5)
-        folds[0] = -1.0
-        points.clear()
-        assert (fold_voltages(P, c), critical_points(P, c)) == expected
-        assert fold_voltages(P, c) is not fold_voltages(P, c)
-
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        A=st.floats(0.0037, 0.0045),
-        alpha=st.floats(5.0, 5.5),
-        gamma=st.floats(0.28, 0.32),
+        A=st.floats(1e-4, 1e-2),
+        alpha=st.floats(1.0, 10.0),
+        gamma=st.floats(0.1, 1.0),
         coupling=st.one_of(
             st.just(NoCoupling()),
             st.floats(0.0, 0.05, exclude_min=True).map(LinearCoupling),
-            st.floats(0.0, 0.05).map(SigmoidCoupling),
+            st.builds(SigmoidCoupling, st.floats(0.0, 0.05), st.floats(1.5, 2.5),
+                      st.floats(5.0, 40.0), st.floats(-0.5, 0.3)),
         ),
-        I=st.floats(-0.01, 0.03),
-        # or a fold current, or 1e-9 to either side of one, in place of I
-        fold=st.none() | st.tuples(st.integers(0, 3), st.sampled_from([0.0, 1e-9, -1e-9])),
+        I=st.floats(-0.02, 0.04),
     )
-    def test_kept_scans_give_the_fresh_bits(self, A, alpha, gamma, coupling, I, fold):
-        p = DmlParams(I=0.0, A=A, alpha=alpha, gamma=gamma)
-        # the scans are kept from this query at another current
-        folds = [current for kind, _, current in critical_points(p, coupling) if kind == "fold"]
-        if fold is not None:
-            assume(folds)
-            index, offset = fold
-            I = folds[index % len(folds)] + offset
-        p = replace(p, I=I)
-        kept = find_symmetric_equilibria(p, coupling), critical_points(p, coupling)
-        equilibria._kept_zeros.cache_clear()
-        fresh_eq = find_symmetric_equilibria(p, coupling)
-        equilibria._kept_zeros.cache_clear()
-        fresh = fresh_eq, critical_points(p, coupling)
-        assert kept[0].branch is fresh[0].branch
-        assert kept[0].points.tobytes() == fresh[0].points.tobytes()
-        # repr tells -0.0 from 0.0 and gives each float's shortest round trip
-        assert repr(kept[1]) == repr(fresh[1])
+    # alpha * 1.5 past the overflow threshold, so the scan takes _exp's
+    # guard; its grid exponent 709.2 is finite in np.exp and inf in _exp
+    @example(A=1e-4, alpha=600.0, gamma=1.0, coupling=SigmoidCoupling(0.01), I=0.01)
+    def test_the_shared_grid_and_the_inline_g_give_the_plain_bits(
+        self, A, alpha, gamma, coupling, I
+    ):
+        p = DmlParams(I=I, A=A, alpha=alpha, gamma=gamma)
+        grid = np.linspace(*DEFAULT_WINDOW, 3001)
+
+        def scaled(sign):
+            # the slope through the public curve functions
+            def f(x):
+                d_self, d_other = coupling.partials(x, x)
+                return -i_infinity_derivative(x, p) + (d_self + sign * d_other)
+
+            return f
+
+        def block_zeros(sign):
+            zeros = []
+            for a, b, fa, fb in scan_brackets(scaled(sign), *DEFAULT_WINDOW, 1e-3):
+                x = _refine_root(scaled(sign), a, b, fa, fb)
+                if not zeros or x - zeros[-1] > 1e-9:
+                    zeros.append(x)
+            return zeros
+
+        scans = []
+
+        def kept(xs, vals):
+            scans.append((xs, vals))
+            return _sign_brackets(xs, vals)
+
+        # a steep exponent overflows the sign test's products, on either
+        # route; only the bits are compared here
+        with np.errstate(over="ignore"), mock.patch.object(equilibria, "_sign_brackets", kept):
+            for sign in (1.0, -1.0):
+                zeros = equilibria._block_zeros(p, coupling, sign)
+                xs, vals = scans[-1]
+                assert xs.tobytes() == grid.tobytes()
+                assert vals.tobytes() == scaled(sign)(grid).tobytes()
+                # repr tells -0.0 from 0.0 and gives each float's shortest round trip
+                assert repr(zeros) == repr(block_zeros(sign))
+            extrema = block_zeros(1.0)
+
+        solve, stage_two = equilibria._refine_root, []
+
+        def spy(f, *bracket):
+            stage_two.append(f)
+            return solve(f, *bracket)
+
+        with mock.patch.object(equilibria, "_refine_root", spy):
+            equilibria._equilibria_at(p, coupling, extrema)
+        xs = [*np.linspace(-3.0, 3.0, 601).tolist(), 2000.0]  # 2000: past the guard
+        for g in stage_two:
+            assert repr([g(x) for x in xs]) == repr(
+                [p.I - i_infinity(x, p) + coupling.current(x, x) for x in xs])
 
 
 def _never(x):
@@ -544,8 +533,6 @@ class TestRootSolve:
 
         monkeypatch.setattr(equilibria, "_refine_root", counted)
         for I in np.linspace(-0.005, 0.025, 200):
-            # both stages at every current, as in a fresh process
-            equilibria._kept_zeros.cache_clear()
             find_symmetric_equilibria(DmlParams(I=float(I)), coupling)
         assert solves >= 3 * 200  # two extrema and at least one root per current
         assert evals / solves <= 12.0
@@ -577,7 +564,7 @@ class TestRootSolve:
             return -i_infinity_derivative(x, p) + (d_self + d_other)
 
         extrema = [bisect_reference(gprime, a, b)
-                   for a, b, _, _ in _scan_brackets(gprime, *DEFAULT_WINDOW, 1e-3)]
+                   for a, b, _, _ in scan_brackets(gprime, *DEFAULT_WINDOW, 1e-3)]
         np.testing.assert_allclose(fold_voltages(p, coupling), extrema, rtol=0, atol=1e-13)
         # a root near a fold is ill-conditioned; the fold tests cover folds
         assume(all(abs(g(x)) > 1e-6 for x in extrema))
