@@ -12,7 +12,6 @@ from .exceptions import (
     InsufficientSamplesError,
     NonFiniteStateError,
     NumericalError,
-    RootWindowExhaustedError,
 )
 from .fde import (
     SolverConfig,

@@ -18,12 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import RootWindowExhaustedError
+from .exceptions import ConvergenceError
 from .models import _EXP_MAX, CouplingSpec, DmlParams, NoCoupling, _exp
 
 DEFAULT_WINDOW = (-1.5, 1.5)
 FOLD_TOL = 1e-12  # absolute tolerance on I for the two-equilibrium fold branch
 _SCAN_STEP = 1e-3
+_XTOL = 1e-14  # the widest bracket a root solve returns
 
 
 class Branch(Enum):
@@ -60,49 +61,50 @@ def y_infinity(x: float, p: DmlParams) -> float:
     return (p.A / p.gamma) * _exp(p.alpha * x)
 
 
-def _refine_root(
-    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
-) -> float:
-    """Root of f in [lo, hi] by Illinois regula falsi, to a bracket of ~1e-14.
+def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Root of f in [lo, hi] by Chandrupatla's method: an exact zero, or the
+    end with the smaller |f| of a bracket 1e-14 wide at most or of adjacent
+    floats.  The end values are the scan's, and a zero one is the root.
 
-    The end values come from a scan, so that the bracket this works on is
-    the one the scan saw; a zero end value is returned as the root.  Each
-    step takes the secant point of the bracket, or its midpoint when that
-    point is not strictly inside, and halves the end value that the step
-    keeps for the second time running, which makes both ends converge.
-    """
+    A step takes the inverse quadratic through the bracket and the point it
+    last dropped where that is monotone, else the midpoint, 5e-15 inside the
+    bracket and as near the midpoint as ITP (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) needs for at most four steps beyond bisection's count.  An
+    infinite value is a sign; a NaN raises :class:`ConvergenceError`."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    # signs are compared, never multiplied: the product of a near-root value
-    # and a halved one can underflow to zero
-    lo_negative = flo < 0.0
-    if (fhi < 0.0) == lo_negative:
+    # signs are compared, never multiplied: a product can under- or overflow
+    if (flo < 0.0) == (fhi < 0.0):
         raise ValueError("root not bracketed")
-    kept = 0  # +1 when the last step kept lo, -1 when it kept hi
-    for _ in range(200):
-        if hi - lo <= 1e-14:
-            break
-        x = lo - flo * (hi - lo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-        fx = f(x)
+    # a is the newest point, b the bracket's other end, c the point dropped;
+    # each step leaves a bracket at most `most` wide, halved per step down
+    # to _XTOL (conditionals, not min and max: they cost a third of a step)
+    a, fa, b, fb = lo, flo, hi, fhi
+    t, most = 0.5, math.ldexp(_XTOL, math.ceil(math.log2((hi - lo) / _XTOL)) + 3)
+    while True:
+        width, mid = abs(b - a), 0.5 * (a + b)
+        if width <= _XTOL or mid == a or mid == b:
+            return a if abs(fa) < abs(fb) else b
+        edge, r = 0.5 * _XTOL / width, most - 0.5 * width
+        x = a + (edge if t < edge else 1.0 - edge if t > 1.0 - edge else t) * (b - a)
+        if not abs(x - mid) <= r:
+            x = mid + (r if x > mid else -r) if r > 0.0 else mid
+        fx, most = f(x), 0.5 * most
         if fx == 0.0:
             return x
-        if (fx < 0.0) != lo_negative:
-            hi, fhi = x, fx
-            if kept == 1:
-                flo *= 0.5
-            kept = 1
+        if math.isnan(fx):
+            raise ConvergenceError(f"f is NaN at x={x!r} in the bracket [{lo!r}, {hi!r}]")
+        if (fx < 0.0) != (fa < 0.0):
+            a, fa, b, fb = b, fb, a, fa
+        a, fa, c, fc = x, fx, a, fa
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
         else:
-            lo, flo = x, fx
-            if kept == -1:
-                fhi *= 0.5
-            kept = -1
-    return 0.5 * (lo + hi)
+            t = 0.5
 
 
 # the fold scan's grid and the cubic's slope x (2 - 3 x) on it, the same for
@@ -118,17 +120,14 @@ def _sign_brackets(xs, vals):
     """Sign-change brackets ``(a, b, f(a), f(b))`` of a function f whose
     values on the ascending grid ``xs`` are ``vals``; a grid point where it
     vanishes gives the degenerate bracket ``(x, x, 0, 0)``."""
-    zero = vals == 0.0
-    hits = np.flatnonzero(zero[:-1] | (vals[:-1] * vals[1:] < 0.0)).tolist()
+    signs = np.sign(vals)  # compared, not multiplied: a product can overflow
+    zero = signs == 0.0
+    hits = np.flatnonzero(zero[:-1] | (signs[:-1] * signs[1:] < 0.0)).tolist()
     if zero[-1]:
         hits.append(xs.size - 1)
-    out = []
-    for i in hits:
-        if zero[i]:
-            out.append((float(xs[i]), float(xs[i]), 0.0, 0.0))
-        else:
-            out.append((float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1])))
-    return out
+    return [(float(xs[i]), float(xs[i]), 0.0, 0.0) if zero[i]
+            else (float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1]))
+            for i in hits]
 
 
 def find_symmetric_equilibria(
@@ -141,20 +140,17 @@ def find_symmetric_equilibria(
     the coupling's own synaptic current; the linear current vanishes there,
     so a linear pair shares the single cell's equilibria for any theta.
     The search runs in two stages.  The first finds the extrema of g by a
-    sign scan of g', about five evaluations of g' per 1e-3-wide scan
-    bracket (4.5 for the cell, 5.5 for a sigmoid pair at sigma = 1e-3).  It
-    does not depend on I, so a sweep over currents runs it once.  The
-    second works at the given current: the extrema split the window into
-    pieces on which g is monotone, so each piece holds at most one root,
-    and a piece whose ends differ in sign brackets it.  Each bracket is
-    solved by Illinois regula falsi to a width of ~1e-14, about 16
-    evaluations of g per root (16.1 for the cell and 17.1 for a sigmoid
-    pair at sigma = 1e-3, averaged over the roots at currents in
-    [-0.005, 0.025]): most roots lie on the outer pieces, whose far ends
-    sit where |g| is large.  An extremum where
-    ``|g| <= FOLD_TOL`` is a tangency root (a fold, which a sign scan cannot
-    see).  If no root lands in the window its outer pieces are widened once
-    before :class:`RootWindowExhaustedError` is raised.
+    sign scan of g' on the scan window, 4.0 evaluations of g' per 1e-3-wide
+    bracket (cell, and sigmoid pair at sigma = 1e-3).  It does not depend on
+    I, so a sweep over currents runs it once.  The second works at the given
+    current: closed-form voltages from the coupling's ``current_bound``
+    bound every root, and the extrema split that window into pieces on
+    which g is taken as monotone (the outer ones too, past the scan
+    window), so a piece whose ends differ in sign brackets its one root, at
+    7.8 evaluations of g per root over currents in [-0.005, 0.025] (7.76
+    cell, 7.84 that pair).  An extremum where ``|g| <= FOLD_TOL`` is a
+    tangency root (a fold, which a sign scan cannot see).  Ends without
+    their signs, or a NaN g, raise :class:`ConvergenceError` naming I.
     """
     return _equilibria_at(p, coupling, fold_voltages(p, coupling))
 
@@ -211,7 +207,8 @@ def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
     # overflow threshold, the guard of _exp passes every value
     e = np.exp(u) if u[-1] < _EXP_MAX else _exp(u)
     d_self, d_other = partials(_SCAN_GRID, _SCAN_GRID)
-    vals = -(p.alpha * (p.A / p.gamma) * e - _SCAN_SLOPE) + (d_self + sign * d_other)
+    with np.errstate(over="ignore"):  # where the product overflows, -inf is the slope's limit
+        vals = -(p.alpha * (p.A / p.gamma) * e - _SCAN_SLOPE) + (d_self + sign * d_other)
     zeros = []
     for a, b, fa, fb in _sign_brackets(_SCAN_GRID, vals):
         x = _refine_root(scaled, a, b, fa, fb)
@@ -232,28 +229,23 @@ def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> Equilibrium
         i_inf = k * (math.exp(a) if a < _EXP_MAX else math.inf) - x * x * (1.0 - x)
         return I - i_inf + current(x, x)
 
-    lo, hi = DEFAULT_WINDOW
-    g_extrema = [0.0 if abs(v) <= FOLD_TOL else v for v in map(g, extrema)]
-    for a, b in ((lo, hi), (2.0 * lo, 2.0 * hi)):
-        xs = [a, *extrema, b]
-        gs = [g(a), *g_extrema, g(b)]
+    # g > 0 below lo and g < 0 above hi, B the current_bound: on x <= 0,
+    # e^(alpha x) <= 1, x^2 (1 - x) >= x^2 and the current >= min(B, 0); on
+    # x >= 0, x^2 (1 - x) <= 4/27, and <= -top past 1 + top, and the
+    # current <= max(B, 0).  k is 0 where A / gamma underflows; lo is never -0.0
+    bound = coupling.current_bound
+    top = I + max(bound, 0.0) + 4.0 / 27.0
+    lo = 0.0 - math.sqrt(max(k - I - min(bound, 0.0), 0.0))
+    hi = min(1.0 + top, math.log(top / k) / alpha if k else math.inf) if top > k else 0.0
+    xs = [lo, *(x for x in extrema if lo < x < hi), hi]
+    gs = [g(lo), *(0.0 if abs(v) <= FOLD_TOL else v for v in map(g, xs[1:-1])), g(hi)]
+    try:
+        if not gs[0] >= 0.0 >= gs[-1] or any(map(math.isnan, gs)):
+            raise ConvergenceError(f"g is NaN or lacks its end signs on [{lo!r}, {hi!r}]")
         roots = [x for x, v in zip(xs, gs) if v == 0.0]
-        roots.extend(
-            _refine_root(g, x0, x1, g0, g1)
-            for x0, x1, g0, g1 in zip(xs, xs[1:], gs, gs[1:])
-            if g0 * g1 < 0.0
-        )
-        if roots:
-            return _equilibrium_set(p, roots)
-    raise RootWindowExhaustedError(
-        f"no equilibrium found for I={p.I} on the widened scan window"
-    )
-
-
-def _equilibrium_set(p: DmlParams, roots) -> EquilibriumSet:
-    xs = []
-    for r in sorted(roots):
-        if not xs or r - xs[-1] > 1e-9:  # an extremum on the window's edge
-            xs.append(r)
-    pts = np.array([[x, y_infinity(x, p)] for x in xs])
-    return EquilibriumSet(points=pts, branch=_BRANCHES[len(xs) - 1])
+        roots += [_refine_root(g, x0, x1, g0, g1) for x0, x1, g0, g1 in zip(xs, xs[1:], gs, gs[1:])
+                  if g0 < 0.0 < g1 or g1 < 0.0 < g0]
+    except ConvergenceError as err:
+        raise ConvergenceError(f"no equilibrium found for I={I!r}: {err}") from None
+    pts = np.array([[x, y_infinity(x, p)] for x in sorted(roots)])
+    return EquilibriumSet(points=pts, branch=_BRANCHES[len(roots) - 1])

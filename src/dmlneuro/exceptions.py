@@ -36,9 +36,5 @@ class ConvergenceError(NumericalError):
     """A series or iteration exhausted its budget before converging."""
 
 
-class RootWindowExhaustedError(NumericalError):
-    """No root was found on the scan window, even after widening it once."""
-
-
 class InsufficientSamplesError(DmlNeuroError):
     """Not enough samples for the requested tail/discard analysis."""

@@ -26,6 +26,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -218,6 +219,10 @@ def _fill(template: str, **slots) -> str:
                   lambda s: s[1] + slots[s[2]].replace("\n", "\n" + s[1]), template)
 
 
+# a source names the values a step reads but holds none: each solve execs its code in its own scope
+_compiled = lru_cache(maxsize=32)(lambda source: compile(source, "<pair step>", "exec"))
+
+
 def _pair_step(dim: int, body=None, **bound) -> Callable:
     """``step(start, stop)``: the states of steps ``start`` to ``stop - 1``,
     one block from its first node, as one flat float list, stepped pair by
@@ -273,7 +278,7 @@ def _pair_step(dim: int, body=None, **bound) -> Callable:
         corrected2=assign(unrolled("(c{0} + ka1 * f{0}) + ca * g{0}")),
     )
     scope = dict(bound, _length_fault=_length_fault, DimensionMismatchError=DimensionMismatchError)
-    exec(source, scope)
+    exec(_compiled(source), scope)
     # popped, so that the step and its globals, which hold ``times``, form no
     # cycle: they go with the solve, not at a later garbage collection
     return scope.pop("step")

@@ -15,6 +15,8 @@ equilibria and the stability blocks are derived:
   current, returned as ``(d_self, d_other)``;
 - ``v_s``: the synaptic reversal potential, or None for a coupling
   without one;
+- ``current_bound``: a B with ``current(x, x)`` at most max(B, 0) for
+  x >= 0 and at least min(B, 0) for x <= 0, which bounds the equilibria;
 - ``field``: the model's vector field ``rhs(t, state, p)`` in the
   solver's calling convention, ``p`` a :class:`DmlParams` record: a float
   body that adds the same current inline, takes any sequence of ``dim``
@@ -95,7 +97,7 @@ class NoCoupling:
     """Single isolated cell."""
 
     dim = 2
-    value = 0.0
+    value = current_bound = 0.0
     v_s = None
 
     def current(self, x_self, x_other):
@@ -116,6 +118,7 @@ class LinearCoupling:
     theta: float
     dim = 4
     v_s = None
+    current_bound = 0.0  # the current vanishes on the diagonal
 
     def __post_init__(self):
         _check_finite(self)
@@ -163,6 +166,11 @@ class SigmoidCoupling:
     @property
     def value(self) -> float:
         return self.sigma
+
+    @property
+    def current_bound(self) -> float:
+        # the opening lies in (0, 1], and v_s - x is <= v_s on x >= 0, >= v_s on x <= 0
+        return self.sigma * self.v_s
 
     def current(self, x_self, x_other):
         return self.sigma * (self.v_s - x_self) * _sigmoid(self.lam * (x_other - self.q))

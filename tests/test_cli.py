@@ -397,7 +397,7 @@ class TestStabilityCommand:
 
     def test_fold_row_reads_undefined(self, capsys):
         # a fold current of the sigmoid pair, from critical_points; rounding
-        # leaves delta_plus = +4.2e-17 at its fold equilibrium
+        # leaves delta_plus = +1.4e-16 at its fold equilibrium
         code, out, _ = run(capsys, "stability", "--model", "dimer-sigmoid", "--sigma", "0.003",
                            "--I=-0.0017224275857504155")
         assert code == 0

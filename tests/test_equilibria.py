@@ -21,7 +21,7 @@ from dmlneuro.equilibria import (
     i_infinity_derivative,
     y_infinity,
 )
-from dmlneuro.exceptions import RootWindowExhaustedError
+from dmlneuro.exceptions import ConvergenceError
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -269,9 +269,11 @@ class TestFindEquilibria2d:
             eq = find_symmetric_equilibria(DmlParams(I=I))
             assert eq.branch is (Branch.THREEFOLD if I_min < I < I_max else Branch.UNIQUE)
 
-    def test_window_exhaustion(self):
-        with pytest.raises(RootWindowExhaustedError):
-            find_symmetric_equilibria(DmlParams(I=-50.0))
+    def test_a_root_far_outside_the_scan_window(self):
+        # brentq, xtol 1e-15; the closed-form window reaches it
+        eq = find_symmetric_equilibria(DmlParams(I=-50.0))
+        assert eq.branch is Branch.UNIQUE
+        assert eq.points[0, 0] == pytest.approx(-3.3790524258046433, abs=1e-12)
 
 
 class TestSymmetricEquilibria:
@@ -456,6 +458,8 @@ class TestVectorisedScan:
     # alpha * 1.5 past the overflow threshold, so the scan takes _exp's
     # guard; its grid exponent 709.2 is finite in np.exp and inf in _exp
     @example(A=1e-4, alpha=600.0, gamma=1.0, coupling=SigmoidCoupling(0.01), I=0.01)
+    # a grid exponent just below the threshold, whose slope's product overflows
+    @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
     def test_the_shared_grid_and_the_inline_g_give_the_plain_bits(
         self, A, alpha, gamma, coupling, I
     ):
@@ -484,16 +488,18 @@ class TestVectorisedScan:
             scans.append((xs, vals))
             return _sign_brackets(xs, vals)
 
-        # a steep exponent overflows the sign test's products, on either
-        # route; only the bits are compared here
-        with np.errstate(over="ignore"), mock.patch.object(equilibria, "_sign_brackets", kept):
-            for sign in (1.0, -1.0):
+        for sign in (1.0, -1.0):
+            # warnings are errors: the scan warns of no overflow of its own
+            with mock.patch.object(equilibria, "_sign_brackets", kept):
                 zeros = equilibria._block_zeros(p, coupling, sign)
-                xs, vals = scans[-1]
+            xs, vals = scans[-1]
+            # at a steep exponent the plain slope's product overflows
+            with np.errstate(over="ignore"):
                 assert xs.tobytes() == grid.tobytes()
                 assert vals.tobytes() == scaled(sign)(grid).tobytes()
                 # repr tells -0.0 from 0.0 and gives each float's shortest round trip
                 assert repr(zeros) == repr(block_zeros(sign))
+        with np.errstate(over="ignore"):
             extrema = block_zeros(1.0)
 
         solve, stage_two = equilibria._refine_root, []
@@ -518,24 +524,29 @@ class TestRootSolve:
     @pytest.mark.parametrize("coupling", [NoCoupling(), SigmoidCoupling(0.001)])
     def test_about_ten_evaluations_per_bracketed_root(self, monkeypatch, coupling):
         solve = equilibria._refine_root
-        solves = evals = 0
+        counts = {}  # stage: [solves, evaluations]
 
         def counted(f, *bracket):
-            nonlocal solves
+            count = counts.setdefault(stage, [0, 0])
+            count[0] += 1
 
             def f_counted(x):
-                nonlocal evals
-                evals += 1
+                count[1] += 1
                 return f(x)
 
-            solves += 1
             return solve(f_counted, *bracket)
 
         monkeypatch.setattr(equilibria, "_refine_root", counted)
         for I in np.linspace(-0.005, 0.025, 200):
-            find_symmetric_equilibria(DmlParams(I=float(I)), coupling)
-        assert solves >= 3 * 200  # two extrema and at least one root per current
-        assert evals / solves <= 12.0
+            p = DmlParams(I=float(I))
+            stage = "folds"
+            extrema = fold_voltages(p, coupling)
+            stage = "roots"
+            equilibria._equilibria_at(p, coupling, extrema)
+        (fold_solves, fold_evals), (root_solves, root_evals) = counts["folds"], counts["roots"]
+        assert fold_solves == 2 * 200 and root_solves >= 200
+        assert fold_evals / fold_solves <= 5.0  # 4.0 for both models
+        assert root_evals / root_solves <= 10.0  # 7.76 for the cell, 7.84 for the pair
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -584,9 +595,72 @@ class TestRootSolve:
         with pytest.raises(ValueError, match="not bracketed"):
             _refine_root(_never, 0.1, 0.2, 1.0, 2.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        A=st.floats(1e-4, 1e-2),
+        alpha=st.floats(1.0, 1000.0),
+        gamma=st.floats(0.1, 1.0),
+        coupling=st.one_of(
+            st.just(NoCoupling()),
+            st.floats(0.0, 0.05, exclude_min=True).map(LinearCoupling),
+            st.floats(0.0, 0.05).map(SigmoidCoupling),
+        ),
+        I=st.floats(-0.05, 0.05),
+    )
+    # a far end where e^(alpha x) overflows, and one about 1e192 (both
+    # once gave a wrong root with exit 0), and a slope that overflows in
+    # the fold scan
+    @example(A=0.001, alpha=300.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
+    @example(A=0.001, alpha=600.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
+    @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
+    # A / gamma underflows to 0: the cubic alone bounds the roots
+    @example(A=1e-200, alpha=5.276, gamma=1e200, coupling=NoCoupling(), I=0.01)
+    # g(0) = I - A / gamma = 0: a root on the left end, found by its value
+    @example(A=0.0078125, alpha=1.0, gamma=1.0, coupling=NoCoupling(), I=0.0078125)
+    def test_every_root_is_brentq_s_on_a_fine_scan(self, A, alpha, gamma, coupling, I):
+        p = DmlParams(I=I, A=A, alpha=alpha, gamma=gamma)
+
+        def g(x):
+            return p.I - i_infinity(x, p) + coupling.current(x, x)
+
+        # a root pair closer than the grid's step sits within about
+        # step^2 |g''| / 2 <= 2e-6 of a fold; |g| >= 1e-5 there keeps it out
+        assume(all(abs(g(x)) > 1e-5 for x in fold_voltages(p, coupling)))
+        # every root lies in [-0.4, 1.2] here: x^2 (x - 1) <= I + current
+        xs = np.linspace(-1.0, 1.5, 25001)
+        signs = np.sign(g(xs))
+        roots = sorted([*xs[signs == 0.0], *(brentq(g, xs[i], xs[i + 1], xtol=1e-15)
+                                              for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0))])
+        found = find_symmetric_equilibria(p, coupling).points[:, 0]
+        assert len(found) == len(roots)
+        np.testing.assert_allclose(found, roots, rtol=0, atol=1e-12)
+
+    def test_a_nan_inside_a_bracket_names_the_current_and_the_bracket(self):
+        class Gap(NoCoupling):
+            def current(self, x_self, x_other):
+                return math.nan if 0.35 < x_self < 0.45 else 0.0
+
+        # the root near 0.408 is on the piece from the fold at 0.286
+        with pytest.raises(ConvergenceError, match=r"^no equilibrium found for I=0\.019: "
+                           r"f is NaN at x=0\.3\d* in the bracket \[0\.2863\d*, 0\.4\d*\]$"):
+            find_symmetric_equilibria(P, Gap())
+
+    @pytest.mark.parametrize("current", [
+        lambda x: 1.0,  # past its current_bound of 0: g > 0 at the right end
+        lambda x: math.nan if abs(x - X_MIN) < 1e-3 else 0.0,  # NaN at an extremum
+    ], ids=["past-its-bound", "nan-at-an-extremum"])
+    def test_ends_without_their_signs_or_a_nan_extremum_are_refused(self, current):
+        class Broken(NoCoupling):
+            def current(self, x_self, x_other):
+                return current(x_self)
+
+        with pytest.raises(ConvergenceError, match=r"^no equilibrium found for I=0\.019: "
+                           r"g is NaN or lacks its end signs on \[0\.0, 0\.4\d*\]$"):
+            find_symmetric_equilibria(P, Broken())
+
     def test_infinite_end_value_takes_the_midpoint(self):
-        # an overflowed e^(alpha x) makes the secant point the bracket's own
-        # end, which is not strictly inside it
+        # an overflowed e^(alpha x) is an infinite end value: a sign, through
+        # which no inverse quadratic is taken
         def f(x):
             return 0.3 - x if x < 0.9 else -math.inf
 

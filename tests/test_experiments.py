@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from dmlneuro import experiments
 from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria, fold_voltages
 from dmlneuro.exceptions import (
+    ConvergenceError,
     GridMemoryError,
     InsufficientSamplesError,
-    RootWindowExhaustedError,
 )
 from dmlneuro.fde import SolverConfig, Trajectory, solve_fde
 from dmlneuro.models import (
@@ -331,7 +331,7 @@ class TestHopfCurve:
     def test_only_numerical_failures_are_omitted(self, monkeypatch):
         # the per-current stage of the equilibrium search
         def exhausted(p, coupling, extrema):
-            raise RootWindowExhaustedError("no root")
+            raise ConvergenceError("no root")
 
         monkeypatch.setattr(experiments, "_equilibria_at", exhausted)
         curve = hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
