@@ -70,7 +70,8 @@ def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> f
     last dropped where that is monotone, else the midpoint, 5e-15 inside the
     bracket and as near the midpoint as ITP (Oliveira & Takahashi, ACM TOMS
     47(1), 2020) needs for at most four steps beyond bisection's count.  An
-    infinite value is a sign; a NaN raises :class:`ConvergenceError`."""
+    infinite value is a sign; a NaN, or a bracket too wide for that count
+    (1.8e294), raises :class:`ConvergenceError`."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -82,7 +83,10 @@ def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> f
     # each step leaves a bracket at most `most` wide, halved per step down
     # to _XTOL (conditionals, not min and max: they cost a third of a step)
     a, fa, b, fb = lo, flo, hi, fhi
-    t, most = 0.5, math.ldexp(_XTOL, math.ceil(math.log2((hi - lo) / _XTOL)) + 3)
+    span = (hi - lo) / _XTOL
+    if span == math.inf:
+        raise ConvergenceError(f"the bracket [{lo!r}, {hi!r}] is too wide to solve")
+    t, most = 0.5, math.ldexp(_XTOL, math.ceil(math.log2(span)) + 3)
     while True:
         width, mid = abs(b - a), 0.5 * (a + b)
         if width <= _XTOL or mid == a or mid == b:
@@ -150,7 +154,8 @@ def find_symmetric_equilibria(
     7.8 evaluations of g per root over currents in [-0.005, 0.025] (7.76
     cell, 7.84 that pair).  An extremum where ``|g| <= FOLD_TOL`` is a
     tangency root (a fold, which a sign scan cannot see).  Ends without
-    their signs, or a NaN g, raise :class:`ConvergenceError` naming I.
+    their signs, a NaN g or a bracket too wide to solve, as at a current
+    near 1e307, raise :class:`ConvergenceError` naming I.
     """
     return _equilibria_at(p, coupling, fold_voltages(p, coupling))
 
@@ -232,11 +237,11 @@ def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> Equilibrium
     # g > 0 below lo and g < 0 above hi, B the current_bound: on x <= 0,
     # e^(alpha x) <= 1, x^2 (1 - x) >= x^2 and the current >= min(B, 0); on
     # x >= 0, x^2 (1 - x) <= 4/27, and <= -top past 1 + top, and the
-    # current <= max(B, 0).  k is 0 where A / gamma underflows; lo is never -0.0
+    # current <= max(B, 0); lo is never -0.0
     bound = coupling.current_bound
     top = I + max(bound, 0.0) + 4.0 / 27.0
     lo = 0.0 - math.sqrt(max(k - I - min(bound, 0.0), 0.0))
-    hi = min(1.0 + top, math.log(top / k) / alpha if k else math.inf) if top > k else 0.0
+    hi = min(1.0 + top, math.log(top / k) / alpha) if top > k else 0.0
     xs = [lo, *(x for x in extrema if lo < x < hi), hi]
     gs = [g(lo), *(0.0 if abs(v) <= FOLD_TOL else v for v in map(g, xs[1:-1])), g(hi)]
     try:

@@ -12,9 +12,9 @@ nodes through sums of exponentials that stand for the kernel past lag r
 Numer. Anal. 55, 2017).  One function, generated once per solve for the
 system's dimension, steps each pair of nodes: it unpacks their shared
 product into Python floats and evaluates the field four times, with
-unrolled float sums between them.  A model's field body is spliced into
-that function in place of the four calls; any other callable, a wrapped
-model field included, is called there, with the same bits.  A run of N
+unrolled float sums between them.  Each evaluation runs a field body
+inline: a model's own, or, for any other callable, a wrapped model field
+included, a generated body that calls it, with the same bits.  A run of N
 steps costs O(N (r + Q)) for Q (about 145) exponents, and its only arrays
 of length N are its times and states.
 """
@@ -162,52 +162,33 @@ def _exponential_sums(beta: float, n_steps: int, r: int):
     return np.concatenate(([0.0], lam)), wb, wa
 
 
-def _length_fault(f_new, dim, m, times):
-    """Why the vector field's output ``f_new`` at step m is rejected, or
-    None when it has the ``dim`` values it should."""
-    if len(f_new) == dim:
-        return None
-    return (f"rhs returned a sequence of the wrong length at t = {times[m]:g} "
-            f"(step {m}); expected {dim} values")
-
-
 # The pair step's source, by ``_pair_step``: the product's four rows unpack
 # into {state} (node k's predictor state), b (its corrector base), and q and
 # c (node k + 1's, without their lag-1 terms); f is node k's corrected field
-# and g node k + 1's predicted field, as floats.  The {field_*} slots
-# evaluate the field at {state}, by the field's own body, which leaves it in
-# {output}, or by a call of ``rhs`` at time t; ``out`` is the last output
-# called, which the length check reads.
+# and g node k + 1's predicted field, as floats.  The {field_*} slots run
+# the field's body at {state}, which leaves the field's floats in {values}.
 _PAIR_STEP = """\
 def step(start, stop, {names}):
-    block, out, last = [], first, stop - 1
-    try:
-        for m, (dot, zk, row, row2) in zip(range(start, stop, 2), pairs):
-            {state}, {b}, {q}, {c} = dot(zk).tolist()
-            if m:
-                {time}
-                {field_f}
-                {corrected}
-                {field_f}
-                store[row] = {output}
-                block += {state}
-            else:
-                {f} = first
-            if m == last:
-                break
-            m += 1
-            {time}
-            {predicted}
-            {field_g}
-            {corrected2}
-            {field_last}
-            store[row2] = {output}
+    block, last = [], stop - 1
+    for m, (dot, zk, row, row2) in zip(range(start, stop, 2), pairs):
+        {state}, {b}, {q}, {c} = dot(zk).tolist()
+        if m:
+            {field_f}
+            {corrected}
+            {field_f}
+            store[row] = {values}
             block += {state}
-    except ValueError as err:
-        fault = _length_fault(out, {dim}, m, times)
-        if fault is None:
-            raise
-        raise DimensionMismatchError(fault) from err
+        else:
+            {f} = first
+        if m == last:
+            break
+        m += 1
+        {predicted}
+        {field_g}
+        {corrected2}
+        {field_last}
+        store[row2] = {values}
+        block += {state}
     return block
 """
 
@@ -223,61 +204,63 @@ def _fill(template: str, **slots) -> str:
 _compiled = lru_cache(maxsize=32)(lambda source: compile(source, "<pair step>", "exec"))
 
 
-def _pair_step(dim: int, body=None, **bound) -> Callable:
+def _call_body(dim: int) -> tuple:
+    """The body ``(state, source, out)`` that calls ``rhs`` at step m's time
+    on a list of the state's floats and rejects an output of any other
+    length; it reads ``rhs``, ``params``, ``t_start``, ``h`` and ``times``."""
+    state, out = (tuple(f"{x}{i}" for i in range(dim)) for x in "yr")
+    return state, (
+        "t = t_start + h * m\n"
+        f"out = rhs(t, [{', '.join(state)}], params)\n"
+        f"if len(out) != {dim}:\n"
+        "    raise DimensionMismatchError(\n"
+        '        f"rhs returned a sequence of the wrong length at t = {times[m]:g} "\n'
+        f'        f"(step {{m}}); expected {dim} values")\n'
+        f"{', '.join(out)}, = out\n"
+    ), out
+
+
+def _pair_step(dim: int, body, **bound) -> Callable:
     """``step(start, stop)``: the states of steps ``start`` to ``stop - 1``,
     one block from its first node, as one flat float list, stepped pair by
     pair with the corrector and lag-1 sums unrolled into ``dim`` float sums.
-    ``bound`` gives the names the step reads (see :func:`solve_fde`).  Step
-    0 is not stepped: it takes its field row ``first``, and only its
+    Step 0 is not stepped: it takes its field row ``first``, and only its
     partner, step 1, enters the list.
 
-    With ``body``, a field's :class:`~dmlneuro.models.Body`, the step runs
-    that source inline for each of its four field evaluations per pair, on
-    the state's floats under the body's own names, and ``bound`` holds the
-    names it reads.  The body may use no name of the step's own: those of
-    ``bound``, ``start``, ``stop``, ``block``, ``out``, ``last``, ``m``,
-    ``dot``, ``zk``, ``row``, ``row2``, and b, q, c, f or g followed by
-    digits.  Without it the step calls ``rhs(t, y, params)`` with a
-    list ``y``; the unpacking of each field output raises ``ValueError``
-    for an output of any other length, and the row store for the last one,
-    and the step turns that into :class:`DimensionMismatchError` naming its
-    step, and lets any other ``ValueError`` through."""
+    ``body`` is a field body ``(state, source, out)``, a model's
+    :class:`~dmlneuro.models.Body` or a call body: the step runs ``source``
+    inline at each of its four field evaluations per pair, with the state's
+    floats in the names ``state``, and reads the field from the names
+    ``out``.  ``bound`` gives every other name the step and the body read.
+    The body may use no name of the step's own: those of ``bound``,
+    ``start``, ``stop``, ``block``, ``last``, ``m``, ``dot``, ``zk``,
+    ``row``, ``row2``, and b, q, c, f or g followed by digits."""
+    state, code, out = body
+
     def unrolled(fmt):
         return [fmt.format(i) for i in range(dim)]
 
     def floats(x):
         return f"({', '.join(unrolled(x + '{0}'))},)"
 
-    if body is None:
-        state, output, time = "y", "out", "t = t_start + h * m"
+    def assign(values):
+        return "\n".join(f"{n} = {v}" for n, v in zip(state, values))
 
-        def assign(values):
-            return f"y = [{', '.join(values)}]"
-
-        def field(into=None):
-            return f"out = {floats(into) + ' = ' if into else ''}rhs(t, y, params)"
-    else:
-        state, output = (f"({', '.join(names)},)" for names in (body.state, body.out))
-        time = ""
-
-        def assign(values):
-            return "\n".join(f"{n} = {v}" for n, v in zip(body.state, values))
-
-        def field(into=None):
-            copies = [f"{into}{i} = {n}" for i, n in enumerate(body.out)] if into else []
-            return "\n".join([body.source.rstrip("\n"), *copies])
+    def field(into=None):
+        copies = [f"{into}{i} = {n}" for i, n in enumerate(out)] if into else []
+        return "\n".join([code.rstrip("\n"), *copies])
 
     source = _fill(
         _PAIR_STEP,
         names=", ".join(f"{n}={n}" for n in bound),
-        dim=str(dim), state=state, output=output, time=time,
+        state=f"({', '.join(state)},)", values=f"({', '.join(out)},)",
         **{x: floats(x) for x in "bqcf"},
         field_f=field("f"), field_g=field("g"), field_last=field(),
         corrected=assign(unrolled("b{0} + ca * f{0}")),
         predicted=assign(unrolled("q{0} + kb1 * f{0}")),
         corrected2=assign(unrolled("(c{0} + ka1 * f{0}) + ca * g{0}")),
     )
-    scope = dict(bound, _length_fault=_length_fault, DimensionMismatchError=DimensionMismatchError)
+    scope = dict(bound, DimensionMismatchError=DimensionMismatchError)
     exec(_compiled(source), scope)
     # popped, so that the step and its globals, which hold ``times``, form no
     # cycle: they go with the solve, not at a later garbage collection
@@ -314,8 +297,8 @@ def solve_fde(
     it reads, and the step runs that body inline at each of the other
     evaluations, on the same floats in the same operation order, so the
     trajectory is bitwise the one the calls would give.  Any other callable,
-    such as ``lambda t, y, p: coupling.field(t, y, p)``, is called at every
-    evaluation.
+    such as ``lambda t, y, p: coupling.field(t, y, p)``, runs as a generated
+    call body, which calls it at every evaluation.
 
     Each pair of steps makes one matrix product, and one function,
     generated once per solve for ``dim``, steps a block pair by pair.  A
@@ -344,16 +327,14 @@ def solve_fde(
     :class:`GridMemoryError` for a grid whose times and states cannot be
     allocated or indexed, both before any work, :class:`NonFiniteStateError`
     (carrying the finite part of the trajectory) at the first non-finite
-    state after it, and
-    :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
-    at node 0 or at any later node.  The step's unpacking of each field
-    output, and the row store of a pair's last one, reject an output of any
-    other length at the step that returned it, from any of the four field
-    calls of a pair; a spliced body always gives ``dim`` floats.  The finiteness check runs once per block of
-    ``_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite states
-    before the error is raised; the block's states are scanned one by one
-    only when their sum is not finite.  A ``ValueError`` that ``rhs``
-    raises itself propagates as it is.
+    state after it, and :class:`DimensionMismatchError` when ``rhs`` output
+    and ``y0`` disagree, at node 0 or at any later node: the call body
+    rejects an output of any other length at the step that returned it, and
+    a spliced body always gives ``dim`` floats.  The finiteness check runs
+    once per block of ``_BLOCK`` steps, so ``rhs`` may be evaluated at
+    non-finite states before the error is raised; the block's states are
+    scanned one by one only when their sum is not finite.  A ``ValueError``
+    that ``rhs`` raises itself propagates as it is.
 
     The private hook ``_on_rows(times, states)``, when given, is called once
     per block, after that block passes the finiteness check, with views of
@@ -427,16 +408,13 @@ def solve_fde(
             w[(2, 3), (3 * k + 3, 3 * k + 4)] = 1.0
         rows = [slice((3 * j + 2) * dim, (3 * j + 3) * dim) for j in (k, k + 1)]
         pairs.append((w.dot, Z[: w.shape[1]], *rows))
-    # float weights, so that plain float field rows give plain float states
-    # a model's field hands over its body, run inline; any other callable
-    # is called
+    # float weights, so that plain float field rows give plain float states;
+    # a model's field hands over its body, any other callable a call body
     splice = getattr(rhs, "splice", None)
-    body, names = splice(params) if splice is not None else (None, {})
-    step = _pair_step(
-        dim, body, **names, rhs=rhs, params=params, t_start=t_start, h=h, ca=ca,
-        kb1=float(kb[1]), ka1=float(ka[1]), pairs=pairs, store=store, first=f0.tolist(),
-        times=times,
-    )
+    body, names = splice(params) if splice is not None else (
+        _call_body(dim), dict(rhs=rhs, params=params, t_start=t_start, h=h, times=times))
+    step = _pair_step(dim, body, **names, ca=ca, kb1=float(kb[1]), ka1=float(ka[1]),
+                      pairs=pairs, store=store, first=f0.tolist())
 
     # Far rows.  One product A @ B gives both far rows of every node of the
     # block, in Z's order.  B stacks the F rows of the last block, weighted

@@ -23,8 +23,8 @@ equilibria and the stability blocks are derived:
   floats and returns a tuple of ``dim`` floats.  It is the only route to a
   model's field.  The body is written once, as source: the field is the
   function built from it, and the solver splices the same source into its
-  step, so a model's solve makes no field call per step.  A wrapped field
-  or any other callable takes the solver's call path, with the same bits.
+  step, so a model's solve makes no field call per step.  Any other
+  callable runs there in a generated call body, with the same bits.
 
 Both methods take floats or numpy arrays of voltages; the field takes the
 floats of one state.  Whatever the coupling, the voltages sit in the even
@@ -90,6 +90,8 @@ class DmlParams:
         _check_finite(self)
         if not (self.A > 0.0 and self.alpha > 0.0 and self.gamma > 0.0):
             raise ValueError("A, alpha and gamma must all be positive")
+        if not 0.0 < self.A / self.gamma < math.inf:  # every analysis formula reads it
+            raise ValueError(f"A / gamma must be positive and finite, got {self.A / self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,7 @@ class Field(partial):
     bound positionally, as by ``functools.partial``, which builds no keyword
     dict per call and, unlike a closure, pickles.  The solver reads the
     body through ``splice`` and runs it inline in its step; a wrapped field
-    has no ``splice`` and is called there, with the same bits."""
+    has no ``splice`` and runs in a generated call body, with the same bits."""
 
     def splice(self, params) -> tuple[Body, dict]:
         """The field's body and the value of every name it reads, for the

@@ -216,6 +216,15 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert err.startswith("configuration error: ") and "must be finite, got nan" in err
 
+    @pytest.mark.parametrize("command", ["equilibria", "simulate"])
+    @pytest.mark.parametrize("A, gamma, ratio", [("1e-200", "1e200", "0.0"),
+                                                 ("1e200", "1e-200", "inf")])
+    def test_a_over_gamma_outside_the_floats_exits_2(self, capsys, command, A, gamma, ratio):
+        code, out, err = run(capsys, command, "--A", A, "--gamma", gamma, "--alpha", "1000",
+                             "--I", "0.01")
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: A / gamma must be positive and finite, got {ratio}\n"
+
     def test_nan_order_step_exits_2(self, capsys):
         for step, message in [("nan", "beta_step must be positive"),
                               ("inf", "beta_step must be positive and finite, got inf"),
@@ -370,6 +379,29 @@ class TestEquilibriaCommand:
         text = out_path.read_text()
         assert text.startswith("I,branch,x_star,y_star\n")
         assert "unique" in text
+
+
+# currents whose stage-two bracket is wider than the root solve can bound
+# (top / k overflows, or alpha is tiny): a query gives its root or one
+# failure line
+HUGE_CURRENTS = [["1e307"], ["1e308"], ["1.7976931348623157e308"], ["1e308", "--alpha", "1e-300"]]
+
+
+@pytest.mark.parametrize("I", HUGE_CURRENTS, ids=lambda I: " ".join(I))
+@pytest.mark.parametrize("command", ["equilibria", "stability", "beta-star", "hopf-curve"])
+def test_a_huge_current_gives_its_root_or_one_failure_line(capsys, command, I):
+    flags = (["--I-from", I[0], "--I-to", I[0], "--I-points", "1"] if command == "hopf-curve"
+             else ["--I", I[0]])
+    code, out, err = run(capsys, command, *flags, *I[1:])
+    assert code in (0, 1) and "Traceback" not in err
+    if command == "hopf-curve":
+        # a current without a root is omitted and named on one line, with its reason
+        assert code == 0 and out.startswith("I,beta_star,coupling_value\n")
+        assert not err or (err.count("\n") == 1
+                           and err.startswith(f"omitted I={float(I[0])!r}: "))
+    elif code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"numerical failure: no equilibrium found for I={float(I[0])!r}: ")
 
 
 class TestStabilityCommand:

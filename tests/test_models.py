@@ -40,7 +40,9 @@ class TestParameterRecords:
         p = DmlParams()
         assert (p.A, p.alpha, p.gamma) == (0.0041, 5.276, 0.3)
 
-    @pytest.mark.parametrize("kwargs", [dict(A=0.0), dict(alpha=-1.0), dict(gamma=0.0)])
+    # the last two: A / gamma, which every analysis formula reads, under- and overflows
+    @pytest.mark.parametrize("kwargs", [dict(A=0.0), dict(alpha=-1.0), dict(gamma=0.0),
+                                        dict(A=1e-200, gamma=1e200), dict(A=1e200, gamma=1e-200)])
     def test_positive_parameters_enforced(self, kwargs):
         with pytest.raises(ValueError):
             DmlParams(**kwargs)
