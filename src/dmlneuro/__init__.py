@@ -2,7 +2,13 @@
 
 Simulation of single and coupled cells under a Caputo-type memory operator,
 with closed-form equilibrium, stability and bifurcation analysis.
+
+The closed-form analysis runs on ``math`` alone.  The solver's names
+(``solve_fde``, ``run_experiment``, ``bifurcation_sweep`` and their records)
+import numpy, so they are loaded on first use.
 """
+
+import importlib
 
 from .exceptions import (
     ConvergenceError,
@@ -13,19 +19,14 @@ from .exceptions import (
     NonFiniteStateError,
     NumericalError,
 )
-from .fde import (
-    SolverConfig,
-    Trajectory,
-    check_order,
-    mittag_leffler,
-    solve_fde,
-)
 from .models import (
     CouplingSpec,
     DmlParams,
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
+    SolverConfig,
+    check_order,
 )
 from .equilibria import (
     Branch,
@@ -41,18 +42,32 @@ from .stability import (
     BetaStarKind,
     BetaStarResult,
     Classification,
+    HopfCurve,
     beta_star,
     classify,
+    hopf_curve,
     indicators,
     jacobian,
 )
-from .experiments import (
-    BifurcationScan,
-    HopfCurve,
-    SimulationSummary,
-    bifurcation_sweep,
-    hopf_curve,
-    run_experiment,
-)
+
+# solver name -> its module, imported with numpy when the name is first read
+_SOLVER = {
+    "Trajectory": "fde",
+    "mittag_leffler": "fde",
+    "solve_fde": "fde",
+    "BifurcationScan": "experiments",
+    "SimulationSummary": "experiments",
+    "bifurcation_sweep": "experiments",
+    "run_experiment": "experiments",
+}
+
+
+def __getattr__(name):
+    if name not in _SOLVER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOLVER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

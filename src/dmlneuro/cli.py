@@ -1,4 +1,9 @@
-"""Command-line front end: batch analyses to CSV, optional SVG line plots."""
+"""Command-line front end: batch analyses to CSV, optional SVG line plots.
+
+The closed-form commands (``equilibria``, ``stability``, ``beta-star`` and
+``hopf-curve``) run without numpy; ``simulate``, ``sweep``, ``validate``
+and the SVG plots import it, with the solver, when they run.
+"""
 
 from __future__ import annotations
 
@@ -13,14 +18,11 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from typing import Optional
 
-import numpy as np
-
 from .equilibria import find_symmetric_equilibria
 from .exceptions import DmlNeuroError, InsufficientSamplesError, NonFiniteStateError, NumericalError
-from .fde import SolverConfig, check_order, mittag_leffler, solve_fde
-from .models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
-from .experiments import DEFAULT_TAIL, bifurcation_sweep, hopf_curve, run_experiment
-from .stability import beta_star, classify
+from .models import (DEFAULT_TAIL, DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling,
+                     SolverConfig, check_order)
+from .stability import beta_star, classify, hopf_curve
 
 _PLOTTING = ("simulate", "sweep", "hopf-curve")
 _NEGATIVE = re.compile(r"-[0-9.]")
@@ -228,7 +230,7 @@ def _csv_rows(fh, rows, line: Optional[str] = None) -> None:
     line = (line or ",".join(["%r"] * rows.shape[1])) + "\n"
     for start in range(0, len(rows), _CSV_CHUNK):
         chunk = rows[start : start + _CSV_CHUNK]
-        values = chunk.ravel().tolist() if isinstance(chunk, np.ndarray) else [*chain(*chunk)]
+        values = [*chain(*chunk)] if isinstance(chunk, list) else chunk.ravel().tolist()
         fh.write(line * len(chunk) % tuple(values))
 
 
@@ -270,11 +272,13 @@ class _CsvStream:
     def __exit__(self, *exc):
         self.close()
 
-    def feed(self, times: np.ndarray, states: np.ndarray) -> None:
-        """Hand over the whole chunks of the final rows ``(times, states)``
-        that the helper has not had yet."""
+    def feed(self, times, states) -> None:
+        """Hand over the whole chunks of the final rows ``(times, states)``,
+        numpy arrays, that the helper has not had yet."""
         import subprocess
         import tempfile
+
+        import numpy as np
 
         stop = self.sent + (len(times) - self.sent) // _CSV_CHUNK * _CSV_CHUNK
         if stop == self.sent or self.local:
@@ -296,11 +300,13 @@ class _CsvStream:
             return
         self.sent = stop
 
-    def write(self, fh, times: np.ndarray, states: np.ndarray) -> None:
-        """Write the table's rows ``(times, states)``: end the helper's input
-        and wait for it, copy its text of the rows it was handed if it
-        exited 0, and format the rest here."""
+    def write(self, fh, times, states) -> None:
+        """Write the table's rows ``(times, states)``, numpy arrays: end the
+        helper's input and wait for it, copy its text of the rows it was
+        handed if it exited 0, and format the rest here."""
         import shutil
+
+        import numpy as np
 
         done = 0
         if self.helper is not None:
@@ -327,6 +333,8 @@ class _CsvStream:
 # fixed 800x500 viewport; purely presentational output, skipped with a
 # note on stderr when no point is finite
 def _svg_plot(path: str, series, kind: str = "line") -> None:
+    import numpy as np
+
     width, height, margin = 800.0, 500.0, 45.0
     xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -375,6 +383,8 @@ def _svg_path(cfg: RunConfig) -> str:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
+    from .experiments import run_experiment
+
     coupling, config = cfg.coupling(), cfg.solver_config()
     check_order(cfg.beta)  # an order error comes first, as in every command
     rows = config.n_steps + 1
@@ -421,7 +431,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _cmd_equilibria(cfg: RunConfig) -> int:
     eq = find_symmetric_equilibria(cfg.params(), cfg.coupling())
-    rows = [[cfg.I, eq.branch.value, x, y] for x, y in eq.points.tolist()]
+    rows = [[cfg.I, eq.branch.value, x, y] for x, y in eq.points]
     _emit(cfg, ["I", "branch", "x_star", "y_star"], rows, "%r,%s,%r,%r")
     return 0
 
@@ -430,7 +440,7 @@ def _equilibrium_points(cfg: RunConfig):
     """Yield ``(x_star, y_star, result)`` for each symmetric equilibrium of
     the configured model, ``result`` its :func:`beta_star` record."""
     p, coupling = cfg.params(), cfg.coupling()
-    for x_star, y_star in find_symmetric_equilibria(p, coupling).points.tolist():
+    for x_star, y_star in find_symmetric_equilibria(p, coupling).points:
         yield x_star, y_star, beta_star(x_star, p, coupling)
 
 
@@ -475,6 +485,10 @@ def _cmd_beta_star(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .experiments import bifurcation_sweep
+
     scan = bifurcation_sweep(
         cfg.params(), cfg.coupling(), (cfg.beta_from, cfg.beta_to), cfg.beta_step,
         cfg.solver_config(), y0=cfg.y0, tail_window=cfg.tail,
@@ -508,9 +522,9 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
     curve = hopf_curve(
         cfg.params(), cfg.coupling(), (cfg.I_from, cfg.I_to), cfg.I_points
     )
-    values = np.full(len(curve.I_values), cfg.coupling().value)
+    value = cfg.coupling().value
     _emit(cfg, ["I", "beta_star", "coupling_value"],
-          np.column_stack((curve.I_values, curve.beta_star_values, values)))
+          [[I, b, value] for I, b in zip(curve.I_values, curve.beta_star_values)], "%r,%r,%r")
     for I, reason in curve.omitted:
         print(f"omitted I={I!r}: {reason}", file=sys.stderr)
     if cfg.svg:
@@ -519,6 +533,10 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .fde import mittag_leffler, solve_fde
+
     def decay(t, y, _):
         return [-v for v in y]
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .exceptions import ConvergenceError
 from .models import _EXP_MAX, CouplingSpec, DmlParams, NoCoupling, _exp
 
@@ -25,6 +23,9 @@ DEFAULT_WINDOW = (-1.5, 1.5)
 FOLD_TOL = 1e-12  # absolute tolerance on I for the two-equilibrium fold branch
 _SCAN_STEP = 1e-3
 _XTOL = 1e-14  # the widest bracket a root solve returns
+# relative slack of stage two's closed-form right end, which covers the
+# rounding of log, pow and g itself (about 1e-15 each) many times over
+_END_SLACK = 1e-13
 
 
 class Branch(Enum):
@@ -40,9 +41,10 @@ _BRANCHES = tuple(Branch)  # the label of k equilibria is _BRANCHES[k - 1]
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    """Equilibrium points, ascending in x, with their branch label."""
+    """Equilibrium points ``(x_star, y_star)``, ascending in x, with their
+    branch label."""
 
-    points: np.ndarray  # shape (k, 2), rows (x_star, y_star)
+    points: tuple[tuple[float, float], ...]
     branch: Branch
 
 
@@ -70,7 +72,8 @@ def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> f
     last dropped where that is monotone, else the midpoint, 5e-15 inside the
     bracket and as near the midpoint as ITP (Oliveira & Takahashi, ACM TOMS
     47(1), 2020) needs for at most four steps beyond bisection's count.  An
-    infinite value is a sign; a NaN, or a bracket too wide for that count
+    infinite value is a sign, but a bracket that closes on one closes on a
+    jump, not a root; that, a NaN, or a bracket too wide for that count
     (1.8e294), raises :class:`ConvergenceError`."""
     if flo == 0.0:
         return lo
@@ -90,6 +93,9 @@ def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> f
     while True:
         width, mid = abs(b - a), 0.5 * (a + b)
         if width <= _XTOL or mid == a or mid == b:
+            if math.isinf(fa) or math.isinf(fb):
+                raise ConvergenceError(f"f jumps to an infinite value near x={a!r} in the "
+                                       f"bracket [{lo!r}, {hi!r}]")
             return a if abs(fa) < abs(fb) else b
         edge, r = 0.5 * _XTOL / width, most - 0.5 * width
         x = a + (edge if t < edge else 1.0 - edge if t > 1.0 - edge else t) * (b - a)
@@ -111,27 +117,74 @@ def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> f
             t = 0.5
 
 
-# the fold scan's grid and the cubic's slope x (2 - 3 x) on it, the same for
-# every model; read-only, since every scan shares them
-_SCAN_GRID = np.linspace(
-    *DEFAULT_WINDOW, int(round((DEFAULT_WINDOW[1] - DEFAULT_WINDOW[0]) / _SCAN_STEP)) + 1
+# the fold scan's grid, bit for bit np.linspace(*DEFAULT_WINDOW, 3001)
+_SCAN_GRID = tuple(
+    i * _SCAN_STEP + DEFAULT_WINDOW[0]
+    for i in range(int(round((DEFAULT_WINDOW[1] - DEFAULT_WINDOW[0]) / _SCAN_STEP)) + 1)
 )
-_SCAN_SLOPE = _SCAN_GRID * (2.0 - 3.0 * _SCAN_GRID)
-_SCAN_GRID.flags.writeable = _SCAN_SLOPE.flags.writeable = False
 
 
-def _sign_brackets(xs, vals):
+def _sign_brackets(xs, vals, starts=None):
     """Sign-change brackets ``(a, b, f(a), f(b))`` of a function f whose
     values on the ascending grid ``xs`` are ``vals``; a grid point where it
-    vanishes gives the degenerate bracket ``(x, x, 0, 0)``."""
-    signs = np.sign(vals)  # compared, not multiplied: a product can overflow
-    zero = signs == 0.0
-    hits = np.flatnonzero(zero[:-1] | (signs[:-1] * signs[1:] < 0.0)).tolist()
-    if zero[-1]:
-        hits.append(xs.size - 1)
-    return [(float(xs[i]), float(xs[i]), 0.0, 0.0) if zero[i]
-            else (float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1]))
-            for i in hits]
+    vanishes gives the degenerate bracket ``(x, x, 0, 0)``.  Only the grid
+    pairs that start at the ascending indices ``starts`` are read, all by
+    default."""
+    brackets = []
+    for i in range(len(xs)) if starts is None else starts:
+        a, fa = xs[i], vals[i]
+        if fa == 0.0:
+            brackets.append((a, a, 0.0, 0.0))
+        elif i + 1 < len(xs):
+            # signs are compared, never multiplied: a product can overflow
+            fb = vals[i + 1]
+            if fa < 0.0 < fb or fb < 0.0 < fa:
+                brackets.append((a, xs[i + 1], fa, fb))
+    return brackets
+
+
+class _OnGrid(dict):
+    """The values of ``f`` on the scan grid by index, each computed when
+    first read."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, i):
+        value = self[i] = self.f(_SCAN_GRID[i])
+        return value
+
+
+def _first(lo: int, hi: int, holds) -> int:
+    """The least i in [lo, hi) for which ``holds(i)``, or hi, for a test
+    that holds from some index on; ``holds(lo)`` is read first."""
+    if lo < hi and holds(lo):
+        return lo
+    lo += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _concave_starts(vals) -> list:
+    """The grid indices that can start a bracket, for values that rise to a
+    maximum and then fall, as concave values do.  Each side of the maximum
+    holds at most one run of points at which the sign changes or the value
+    vanishes, and bisection finds it, reading about 45 values."""
+    n = len(_SCAN_GRID)
+    top = _first(0, n - 1, lambda i: vals[i + 1] <= vals[i])
+    # rising: negative below up, zero on [up, pos), positive from pos
+    up = _first(0, top + 1, lambda i: vals[i] >= 0.0)
+    pos = _first(up, top + 1, lambda i: vals[i] > 0.0)
+    # falling: positive below down, zero on [down, neg), negative from neg
+    down = _first(top, n, lambda i: vals[i] <= 0.0)
+    neg = _first(down, n, lambda i: vals[i] < 0.0)
+    return sorted({*range(max(up - 1, 0), pos), *range(max(down - 1, 0), neg)})
 
 
 def find_symmetric_equilibria(
@@ -144,9 +197,11 @@ def find_symmetric_equilibria(
     the coupling's own synaptic current; the linear current vanishes there,
     so a linear pair shares the single cell's equilibria for any theta.
     The search runs in two stages.  The first finds the extrema of g by a
-    sign scan of g' on the scan window, 4.0 evaluations of g' per 1e-3-wide
-    bracket (cell, and sigmoid pair at sigma = 1e-3).  It does not depend on
-    I, so a sweep over currents runs it once.  The second works at the given
+    sign scan of g' on a 1e-3 grid of the scan window, bisected where the
+    coupling's ``curvature_bound`` makes g' concave (about 45 of the 3001
+    grid values read), then 4.0 evaluations of g' per 1e-3-wide bracket
+    (cell, and sigmoid pair at sigma = 1e-3).  It does not depend on I, so
+    a sweep over currents runs it once.  The second works at the given
     current: closed-form voltages from the coupling's ``current_bound``
     bound every root, and the extrema split that window into pieces on
     which g is taken as monotone (the outer ones too, past the scan
@@ -154,7 +209,8 @@ def find_symmetric_equilibria(
     7.8 evaluations of g per root over currents in [-0.005, 0.025] (7.76
     cell, 7.84 that pair).  An extremum where ``|g| <= FOLD_TOL`` is a
     tangency root (a fold, which a sign scan cannot see).  Ends without
-    their signs, a NaN g or a bracket too wide to solve, as at a current
+    their signs, a NaN g, or a bracket that closes on a jump to an
+    infinite value, as past the overflow guard of e^(alpha x) at a current
     near 1e307, raise :class:`ConvergenceError` naming I.
     """
     return _equilibria_at(p, coupling, fold_voltages(p, coupling))
@@ -195,28 +251,36 @@ def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list
 def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
     """Zeros of the plus (``sign`` 1.0) or minus (-1.0) block determinant on
     the diagonal, ascending: the sign changes of
-    -delta/gamma = -i_infinity'(x) + d_self + sign * d_other on a grid of
-    the scan window, each refined on its bracket."""
+    s(x) = -delta/gamma = -i_infinity'(x) + d_self + sign * d_other on a
+    grid of the scan window, each refined on its bracket.
+
+    s'' = -6 - alpha^3 (A / gamma) e^(alpha x) + D'' with D'' bounded by the
+    coupling's ``curvature_bound``.  Below 6 it makes s concave, so the grid
+    values rise to their maximum and then fall, and bisection finds the
+    brackets a sign scan of every grid point would, at about 50 of its 3001
+    points; otherwise every point is read."""
     # reads A, alpha, gamma and the coupling, never I; sign 1.0 leaves
     # d_other exact, so the plus scan is g' bit for bit
     partials = coupling.partials
+    alpha = p.alpha
+    scale = alpha * (p.A / p.gamma)
 
-    def scaled(x):
+    def s(x):
+        # -i_infinity_derivative(x, p) + (d_self + sign * d_other), with
+        # the overflow guard of _exp inline, in their operations
+        a = alpha * x
         d_self, d_other = partials(x, x)
-        return -i_infinity_derivative(x, p) + (d_self + sign * d_other)
+        return (-(scale * (math.exp(a) if a < _EXP_MAX else math.inf) - x * (2.0 - 3.0 * x))
+                + (d_self + sign * d_other))
 
-    # scaled() on the scan grid, in its operations, with the parts that
-    # only read the grid taken from _SCAN_GRID and _SCAN_SLOPE
-    u = p.alpha * _SCAN_GRID
-    # alpha > 0, so u ascends and its last value bounds it: below the
-    # overflow threshold, the guard of _exp passes every value
-    e = np.exp(u) if u[-1] < _EXP_MAX else _exp(u)
-    d_self, d_other = partials(_SCAN_GRID, _SCAN_GRID)
-    with np.errstate(over="ignore"):  # where the product overflows, -inf is the slope's limit
-        vals = -(p.alpha * (p.A / p.gamma) * e - _SCAN_SLOPE) + (d_self + sign * d_other)
+    if coupling.curvature_bound < 6.0:
+        vals = _OnGrid(s)
+        brackets = _sign_brackets(_SCAN_GRID, vals, _concave_starts(vals))
+    else:
+        brackets = _sign_brackets(_SCAN_GRID, [*map(s, _SCAN_GRID)])
     zeros = []
-    for a, b, fa, fb in _sign_brackets(_SCAN_GRID, vals):
-        x = _refine_root(scaled, a, b, fa, fb)
+    for a, b, fa, fb in brackets:
+        x = _refine_root(s, a, b, fa, fb)
         if not zeros or x - zeros[-1] > 1e-9:
             zeros.append(x)
     return zeros
@@ -236,12 +300,18 @@ def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> Equilibrium
 
     # g > 0 below lo and g < 0 above hi, B the current_bound: on x <= 0,
     # e^(alpha x) <= 1, x^2 (1 - x) >= x^2 and the current >= min(B, 0); on
-    # x >= 0, x^2 (1 - x) <= 4/27, and <= -top past 1 + top, and the
-    # current <= max(B, 0); lo is never -0.0
+    # x >= 0, x^2 (1 - x) <= 4/27, and < -top past 1 + top and past
+    # 1 + top^(1/3), k e^(alpha x) > top past log(top / k) / alpha, and the
+    # current <= max(B, 0); lo is never -0.0.  The last two ends move out by
+    # _END_SLACK, so that their rounding keeps g(hi) < 0
     bound = coupling.current_bound
     top = I + max(bound, 0.0) + 4.0 / 27.0
     lo = 0.0 - math.sqrt(max(k - I - min(bound, 0.0), 0.0))
-    hi = min(1.0 + top, math.log(top / k) / alpha) if top > k else 0.0
+    hi = 0.0
+    if top > k:
+        log = math.log(top / k)
+        hi = min(1.0 + top, 1.0 + (1.0 + _END_SLACK) * top ** (1.0 / 3.0),
+                 (log + _END_SLACK * (1.0 + log)) / alpha)
     xs = [lo, *(x for x in extrema if lo < x < hi), hi]
     gs = [g(lo), *(0.0 if abs(v) <= FOLD_TOL else v for v in map(g, xs[1:-1])), g(hi)]
     try:
@@ -252,5 +322,5 @@ def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> Equilibrium
                   if g0 < 0.0 < g1 or g1 < 0.0 < g0]
     except ConvergenceError as err:
         raise ConvergenceError(f"no equilibrium found for I={I!r}: {err}") from None
-    pts = np.array([[x, y_infinity(x, p)] for x in sorted(roots)])
-    return EquilibriumSet(points=pts, branch=_BRANCHES[len(roots) - 1])
+    points = tuple((x, y_infinity(x, p)) for x in sorted(roots))
+    return EquilibriumSet(points=points, branch=_BRANCHES[len(roots) - 1])

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class DmlNeuroError(Exception):
     """Base class for all package-specific errors."""
@@ -38,3 +40,16 @@ class ConvergenceError(NumericalError):
 
 class InsufficientSamplesError(DmlNeuroError):
     """Not enough samples for the requested tail/discard analysis."""
+
+
+@contextmanager
+def _grid_allocation(count: int, what: str):
+    """Allocate a grid of ``count`` ``what`` in the ``with`` block: the error
+    for an array too large to allocate (``MemoryError``) or to index
+    (``ValueError`` from numpy, ``OverflowError`` from ``array``) becomes a
+    :class:`GridMemoryError` naming the count.  The block should only
+    allocate."""
+    try:
+        yield
+    except (MemoryError, OverflowError, ValueError):
+        raise GridMemoryError(f"the grid of {count} {what} does not fit in memory") from None

@@ -1,26 +1,26 @@
-"""Experiment orchestration: long runs, continuation sweeps and Hopf curves.
+"""Experiment orchestration: long runs and continuation sweeps.
 
 The simulation protocol follows the reference setup: integrate on a uniform
 grid and judge convergence or sustained oscillation from the peak-to-peak
 spread of the voltage over a tail window.  A run keeps its whole trajectory;
 the command line cuts the initial transient from its phase-portrait plot.
+Hopf curves, which are closed-form, live in :mod:`dmlneuro.stability` and
+are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .equilibria import Branch, _equilibria_at, fold_voltages
-from .exceptions import InsufficientSamplesError, NonFiniteStateError, NumericalError
-from .fde import SolverConfig, Trajectory, _grid_allocation, check_order, solve_fde
-from .models import CouplingSpec, DmlParams
-from .stability import BetaStarKind, beta_star
+from .exceptions import InsufficientSamplesError, NonFiniteStateError, _grid_allocation
+from .fde import Trajectory, solve_fde
+from .models import DEFAULT_TAIL, CouplingSpec, DmlParams, SolverConfig, check_order
+from .stability import HopfCurve, hopf_curve  # noqa: F401  (their former home)
 
-DEFAULT_TAIL = 500
 # peak-to-peak voltage spread below which a tail counts as converged, at or
 # above which it counts as oscillating
 AMPLITUDE_TOL = 1e-4
@@ -59,15 +59,6 @@ class BifurcationScan:
     tail_samples: np.ndarray  # shape (n_beta, W, n_voltage)
     final_states: np.ndarray
     failed: np.ndarray
-
-
-@dataclass(frozen=True)
-class HopfCurve:
-    """Closed-form Hopf threshold versus stimulation current."""
-
-    I_values: np.ndarray
-    beta_star_values: np.ndarray
-    omitted: tuple[tuple[float, str], ...] = ()
 
 
 def _resolve_y0(y0, dim):
@@ -173,54 +164,4 @@ def bifurcation_sweep(
         tail_samples=np.array(tails),
         final_states=np.array(finals),
         failed=failed,
-    )
-
-
-def hopf_curve(
-    p: DmlParams,
-    coupling: CouplingSpec,
-    I_range,
-    n_points: int,
-) -> HopfCurve:
-    """Trace the Hopf threshold over a band of stimulation currents.
-
-    Entirely closed-form.  The extrema of the equilibrium equation do not
-    depend on the current, so they are found once per curve, by
-    :func:`fold_voltages`; each sampled current is then solved for its
-    equilibrium from them, as :func:`find_symmetric_equilibria` does, and
-    the critical order evaluated there.  Currents whose equilibrium is not
-    on the unique branch, or whose threshold is not a critical order, are
-    omitted with the branch or kind.  A non-finite band is a
-    ``ValueError``, and a band of more currents than can be allocated a
-    :class:`GridMemoryError`, both raised before the fold scan.
-    """
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
-    lo, hi = float(I_range[0]), float(I_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"I_range must be finite, got {(lo, hi)}")
-    with _grid_allocation(n_points, "currents"):
-        I_values = np.linspace(lo, hi, n_points)
-    extrema = fold_voltages(p, coupling)
-    kept_I, kept_beta, omitted = [], [], []
-    for I in I_values:
-        p_at = replace(p, I=float(I))
-        try:
-            eq = _equilibria_at(p_at, coupling, extrema)
-        except NumericalError as err:
-            omitted.append((float(I), f"equilibrium search failed: {err}"))
-            continue
-        if eq.branch is not Branch.UNIQUE:
-            omitted.append((float(I), f"equilibrium branch is {eq.branch.value}"))
-            continue
-        result = beta_star(float(eq.points[0, 0]), p_at, coupling)
-        if result.kind is not BetaStarKind.THRESHOLD:
-            omitted.append((float(I), result.kind.value))
-            continue
-        kept_I.append(float(I))
-        kept_beta.append(result.value)
-    return HopfCurve(
-        I_values=np.array(kept_I),
-        beta_star_values=np.array(kept_beta),
-        omitted=tuple(omitted),
     )

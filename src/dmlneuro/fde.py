@@ -24,7 +24,6 @@ from __future__ import annotations
 import ctypes
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -34,73 +33,14 @@ import numpy as np
 from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
-    GridMemoryError,
     NonFiniteStateError,
+    _grid_allocation,
 )
+from .models import SolverConfig, check_order
 
 # Block length r: a node sums its own block directly, the block before it by
 # the kernel and all older nodes through the sums of exponentials.
 _BLOCK = 64
-
-
-def check_order(order) -> float:
-    """Validate a commensurate fractional order and return it as a float.
-
-    Vector orders are rejected outright: every component of a system carries
-    the same scalar order here.
-    """
-    if np.ndim(order) != 0:
-        raise TypeError(
-            "commensurate systems take one scalar order; per-component "
-            "order vectors are not supported"
-        )
-    beta = float(order)
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {beta}")
-    return beta
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Uniform-grid solver settings.
-
-    The grid runs from ``t_start`` to ``t_end`` with the fixed step size
-    ``h``.
-    """
-
-    t_start: float = 0.0
-    t_end: float = 6000.0
-    h: float = 0.01
-
-    def __post_init__(self):
-        for name in ("t_start", "t_end", "h"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.h <= 0.0:
-            raise ValueError("step size h must be positive")
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
-        steps = (self.t_end - self.t_start) / self.h
-        if not math.isfinite(steps):
-            raise ValueError(f"the step count (t_end - t_start) / h must be finite, got {steps!r}")
-        if steps < 1.0:
-            raise ValueError("grid must contain at least one step")
-
-    @property
-    def n_steps(self) -> int:
-        return int(math.floor((self.t_end - self.t_start) / self.h + 1e-9))
-
-
-@contextmanager
-def _grid_allocation(count: int, what: str):
-    """Allocate a grid of ``count`` ``what`` in the ``with`` block: numpy's
-    error for an array too large to allocate (``MemoryError``) or to index
-    (``ValueError``) becomes a :class:`GridMemoryError` naming the count.
-    The block should only allocate."""
-    try:
-        yield
-    except (MemoryError, ValueError):
-        raise GridMemoryError(f"the grid of {count} {what} does not fit in memory") from None
 
 
 @dataclass(frozen=True)

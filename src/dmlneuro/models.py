@@ -17,6 +17,10 @@ equilibria and the stability blocks are derived:
   without one;
 - ``current_bound``: a B with ``current(x, x)`` at most max(B, 0) for
   x >= 0 and at least min(B, 0) for x <= 0, which bounds the equilibria;
+- ``curvature_bound``: a bound on |D''| over the equilibrium search's scan
+  window [-1.5, 1.5], D(x) the sum ``d_self + sign * d_other`` at
+  ``(x, x)`` for either sign; below 6 it certifies that the window holds
+  at most two folds and two branch points;
 - ``field``: the model's vector field ``rhs(t, state, p)`` in the
   solver's calling convention, ``p`` a :class:`DmlParams` record: a float
   body that adds the same current inline, takes any sequence of ``dim``
@@ -34,33 +38,41 @@ columns of a state, ``state[::2]``.
 from __future__ import annotations
 
 import math
+import sys
 import textwrap
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple, Union
 
-import numpy as np
-
 _EXP_MAX = 709.0  # float64 exp() overflow threshold
+
+
+def _is_array(u) -> bool:
+    # a numpy array can only reach here once numpy is loaded; the package
+    # itself loads numpy only for the solver
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(u, np.ndarray)
 
 
 def _exp(u):
     # overflow maps to inf instead of raising, so blow-up detection can see it;
     # scalars take the math path (a float, the solver's case, is tested
-    # first) and arrays the numpy one
-    if type(u) is float or not isinstance(u, np.ndarray):
+    # first) and numpy arrays the numpy one
+    if type(u) is float or not _is_array(u):
         return math.exp(u) if u < _EXP_MAX else math.inf
+    np = sys.modules["numpy"]
     with np.errstate(over="ignore"):
         return np.where(u < _EXP_MAX, np.exp(u), np.inf)
 
 
 def _sigmoid(u):
     # sign-split form; never exponentiates a large positive argument
-    if type(u) is float or not isinstance(u, np.ndarray):
+    if type(u) is float or not _is_array(u):
         if u >= 0.0:
             return 1.0 / (1.0 + math.exp(-u))
         eu = math.exp(u)
         return eu / (1.0 + eu)
+    np = sys.modules["numpy"]
     e = np.exp(-np.abs(u))
     d = 1.0 + e
     return np.where(u >= 0.0, 1.0 / d, e / d)
@@ -94,12 +106,63 @@ class DmlParams:
             raise ValueError(f"A / gamma must be positive and finite, got {self.A / self.gamma!r}")
 
 
+def check_order(order) -> float:
+    """Validate a commensurate fractional order and return it as a float.
+
+    Vector orders are rejected outright: every component of a system carries
+    the same scalar order here.
+    """
+    if getattr(order, "ndim", 0) != 0 or isinstance(order, (list, tuple)):
+        raise TypeError(
+            "commensurate systems take one scalar order; per-component "
+            "order vectors are not supported"
+        )
+    beta = float(order)
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"order must lie in (0, 1], got {beta}")
+    return beta
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Uniform-grid solver settings.
+
+    The grid runs from ``t_start`` to ``t_end`` with the fixed step size
+    ``h``.
+    """
+
+    t_start: float = 0.0
+    t_end: float = 6000.0
+    h: float = 0.01
+
+    def __post_init__(self):
+        for name in ("t_start", "t_end", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.h <= 0.0:
+            raise ValueError("step size h must be positive")
+        if self.t_end <= self.t_start:
+            raise ValueError("t_end must exceed t_start")
+        steps = (self.t_end - self.t_start) / self.h
+        if not math.isfinite(steps):
+            raise ValueError(f"the step count (t_end - t_start) / h must be finite, got {steps!r}")
+        if steps < 1.0:
+            raise ValueError("grid must contain at least one step")
+
+    @property
+    def n_steps(self) -> int:
+        return int(math.floor((self.t_end - self.t_start) / self.h + 1e-9))
+
+
+DEFAULT_TAIL = 500  # samples in a long run's tail window
+
+
 @dataclass(frozen=True)
 class NoCoupling:
     """Single isolated cell."""
 
     dim = 2
-    value = current_bound = 0.0
+    value = current_bound = curvature_bound = 0.0
     v_s = None
 
     def current(self, x_self, x_other):
@@ -121,6 +184,7 @@ class LinearCoupling:
     dim = 4
     v_s = None
     current_bound = 0.0  # the current vanishes on the diagonal
+    curvature_bound = 0.0  # both partials are constant
 
     def __post_init__(self):
         _check_finite(self)
@@ -173,6 +237,15 @@ class SigmoidCoupling:
     def current_bound(self) -> float:
         # the opening lies in (0, 1], and v_s - x is <= v_s on x >= 0, >= v_s on x <= 0
         return self.sigma * self.v_s
+
+    @property
+    def curvature_bound(self) -> float:
+        # on the diagonal, with z the opening at u = lam (x - q), D'' is
+        # sigma lam^2 z''(u) (-1 - 2 sign) + sign sigma (v_s - x) lam^3 z'''(u);
+        # |z''| <= 1 / (6 sqrt 3), |z'''| <= 1 / 8, |v_s - x| <= |v_s| + 1.5
+        lam = self.lam
+        return self.sigma * (lam * lam / (2.0 * math.sqrt(3.0))
+                             + lam * lam * lam * (abs(self.v_s) + 1.5) / 8.0)
 
     def current(self, x_self, x_other):
         return self.sigma * (self.v_s - x_self) * _sigmoid(self.lam * (x_other - self.q))

@@ -19,21 +19,22 @@ its trace ``tau = S - gamma`` and determinant ``delta = -gamma S + m``:
 ``delta < -DEGENERACY_TOL`` is a saddle, ``|delta| <= DEGENERACY_TOL`` a
 fold, and otherwise the block's threshold is
 ``(2/pi) arccos(tau / (2 sqrt(delta)))``.  :func:`jacobian` gives the dense
-matrix at any state, the oracle of these blocks.
+matrix at any state, the oracle of these blocks.  :func:`hopf_curve` traces
+the threshold over a band of currents.  All of it but :func:`jacobian`,
+which returns a numpy array, runs on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
-from .exceptions import DimensionMismatchError
-from .fde import check_order
-from .models import CouplingSpec, DmlParams, NoCoupling, _exp
+from .equilibria import Branch, _equilibria_at, fold_voltages
+from .exceptions import DimensionMismatchError, NumericalError, _grid_allocation
+from .models import CouplingSpec, DmlParams, NoCoupling, _exp, check_order
 
 DEGENERACY_TOL = 1e-12  # |delta| at or below this is a fold: a zero eigenvalue
 
@@ -68,8 +69,9 @@ def _recovery_slope(x_star: float, p: DmlParams) -> float:
     return p.alpha * p.A * _exp(p.alpha * x_star)
 
 
-def jacobian(state, p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> np.ndarray:
-    """Dense Jacobian of the field at ``state``, any ``coupling.dim`` values.
+def jacobian(state, p: DmlParams, coupling: CouplingSpec = NoCoupling()):
+    """Dense Jacobian of the field at ``state``, any ``coupling.dim`` values,
+    as a numpy array.
 
     Cell i's voltage row holds ``x_i (2 - 3 x_i) + d_self`` and -1, and
     ``d_other`` in its partner's voltage column, with ``(d_self, d_other) =
@@ -77,6 +79,8 @@ def jacobian(state, p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> np.n
     ``alpha A e^(alpha x_i)`` and ``-gamma``.  The field is linear in the
     recovery variables, so only the voltages are read.
     """
+    import numpy as np  # the closed-form analysis runs without numpy
+
     state = np.asarray(state, dtype=float)
     if state.shape != (coupling.dim,):
         raise DimensionMismatchError(f"state must hold {coupling.dim} values, got {state.shape}")
@@ -163,3 +167,79 @@ def beta_star(
     equilibrium is stable for every order in (0, 1].
     """
     return _verdict(indicators(x_star, p, coupling))
+
+
+@dataclass(frozen=True)
+class HopfCurve:
+    """Closed-form Hopf threshold versus stimulation current: the kept
+    currents in grid order, their thresholds, and each omitted current with
+    its reason."""
+
+    I_values: tuple[float, ...]
+    beta_star_values: tuple[float, ...]
+    omitted: tuple[tuple[float, str], ...] = ()
+
+
+def _currents(lo: float, hi: float, n: int) -> array:
+    """``np.linspace(lo, hi, n)`` bit for bit, in the operations numpy
+    takes.  The whole grid is allocated first, so one too long to allocate
+    fails at once."""
+    with _grid_allocation(n, "currents"):
+        grid = array("d", [0.0]) * n
+    div, delta = n - 1, hi - lo
+    if div == 0:
+        grid[0] = 0.0 * delta + lo
+        return grid
+    step = delta / div
+    for i in range(n):
+        # a step that underflows to zero is taken as delta / div late
+        grid[i] = (i / div * delta if step == 0.0 else i * step) + lo
+    grid[-1] = hi
+    return grid
+
+
+def hopf_curve(
+    p: DmlParams,
+    coupling: CouplingSpec,
+    I_range,
+    n_points: int,
+) -> HopfCurve:
+    """Trace the Hopf threshold over a band of stimulation currents.
+
+    Entirely closed-form.  The currents are ``np.linspace(*I_range,
+    n_points)``.  The extrema of the equilibrium equation do not depend on
+    the current, so they are found once per curve, by
+    :func:`fold_voltages`; each sampled current is then solved for its
+    equilibrium from them, as :func:`find_symmetric_equilibria` does, and
+    the critical order evaluated there.  Currents whose equilibrium is not
+    on the unique branch, or whose threshold is not a critical order, are
+    omitted with the branch or kind.  A non-finite band is a
+    ``ValueError``, and a band of more currents than can be allocated a
+    :class:`GridMemoryError`, both raised before the fold scan.
+    """
+    if n_points < 1:
+        raise ValueError("n_points must be positive")
+    lo, hi = float(I_range[0]), float(I_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"I_range must be finite, got {(lo, hi)}")
+    currents = _currents(lo, hi, n_points)
+    extrema = fold_voltages(p, coupling)
+    kept_I, kept_beta, omitted = [], [], []
+    for I in currents:
+        p_at = replace(p, I=I)
+        try:
+            eq = _equilibria_at(p_at, coupling, extrema)
+        except NumericalError as err:
+            omitted.append((I, f"equilibrium search failed: {err}"))
+            continue
+        if eq.branch is not Branch.UNIQUE:
+            omitted.append((I, f"equilibrium branch is {eq.branch.value}"))
+            continue
+        result = beta_star(eq.points[0][0], p_at, coupling)
+        if result.kind is not BetaStarKind.THRESHOLD:
+            omitted.append((I, result.kind.value))
+            continue
+        kept_I.append(I)
+        kept_beta.append(result.value)
+    return HopfCurve(I_values=tuple(kept_I), beta_star_values=tuple(kept_beta),
+                     omitted=tuple(omitted))

@@ -89,31 +89,31 @@ def test_criterion_02_equilibrium_branches():
     ok = True
     for I, expected in cases:
         eq = find_symmetric_equilibria(DmlParams(I=I))
-        ok = ok and eq.points.shape[0] == len(expected)
+        ok = ok and len(eq.points) == len(expected)
         ok = ok and np.abs(eq.points - np.asarray(expected)).max() < 1e-4
     _report(2, "equilibrium branch counts and points", ok, time.perf_counter() - t0, 1.0)
 
 
 def test_criterion_03_hopf_thresholds_closed_form():
     t0 = time.perf_counter()
-    x19 = find_symmetric_equilibria(P).points[0, 0]
+    x19 = find_symmetric_equilibria(P).points[0][0]
     ok = abs(beta_star(x19, P).value - 0.98233) < 1e-4
 
     p22 = DmlParams(I=0.022)
-    x22 = find_symmetric_equilibria(p22).points[0, 0]
+    x22 = find_symmetric_equilibria(p22).points[0][0]
     ok = ok and abs(beta_star(x22, p22).value - 0.98772) < 1e-4
 
     linear_values = []
     for theta in (0.001, 0.008):
         c = LinearCoupling(theta)
-        x = find_symmetric_equilibria(P, c).points[0, 0]
+        x = find_symmetric_equilibria(P, c).points[0][0]
         linear_values.append(beta_star(x, P, c).value)
     ok = ok and all(abs(v - 0.98233) < 1e-4 for v in linear_values)
     ok = ok and abs(linear_values[0] - linear_values[1]) < 1e-12
 
     for sigma, expected in ((0.001, 0.98628), (0.0001, 0.98274)):
         c = SigmoidCoupling(sigma=sigma)
-        x = find_symmetric_equilibria(P, c).points[0, 0]
+        x = find_symmetric_equilibria(P, c).points[0][0]
         ok = ok and abs(beta_star(x, P, c).value - expected) < 1e-4
     _report(3, "closed-form Hopf thresholds", ok, time.perf_counter() - t0, 1.0)
 
@@ -183,11 +183,11 @@ def test_criterion_08_hopf_curve_families():
     band = (0.016, 0.0235)
     base = hopf_curve(P, NoCoupling(), band, 50)
     zero = hopf_curve(P, SigmoidCoupling(sigma=0.0), band, 50)
-    ok = np.abs(base.beta_star_values - zero.beta_star_values).max() < 1e-12
+    ok = np.abs(np.subtract(base.beta_star_values, zero.beta_star_values)).max() < 1e-12
     previous = base
     for sigma in (0.0001, 0.0005, 0.001, 0.003):
         current = hopf_curve(P, SigmoidCoupling(sigma=sigma), band, 50)
-        ok = ok and (current.beta_star_values >= previous.beta_star_values).all()
+        ok = ok and (np.array(current.beta_star_values) >= previous.beta_star_values).all()
         previous = current
     _report(8, "coupling family of Hopf curves", ok, time.perf_counter() - t0, 5.0)
 

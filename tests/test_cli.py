@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmlneuro import cli, equilibria, experiments, stability
+from dmlneuro import cli, equilibria, experiments, fde, stability
 from dmlneuro.cli import RunConfig, run_cli
 from dmlneuro.exceptions import NonFiniteStateError
 from dmlneuro.models import DmlParams, SigmoidCoupling
@@ -404,6 +404,37 @@ def test_a_huge_current_gives_its_root_or_one_failure_line(capsys, command, I):
         assert err.startswith(f"numerical failure: no equilibrium found for I={float(I[0])!r}: ")
 
 
+def test_a_root_past_the_overflow_guard_is_one_failure_line(capsys):
+    # g jumps from +1e10 to -inf where alpha x reaches 709, and the true
+    # root lies past that guard: the jump is no root
+    code, out, err = run(capsys, "equilibria", "--A", "1e-300", "--gamma", "1", "--I", "1e10")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: no equilibrium found for I=10000000000.0: "
+                          "f jumps to an infinite value near x=134.38")
+
+
+@pytest.mark.parametrize("argv, cube", [
+    (["--I", "1e306"], False), (["--I", "1e305"], False),
+    (["--I", "1e308", "--alpha", "1e-300"], True),
+], ids=["1e306", "1e305", "1e308-tiny-alpha"])
+def test_a_root_that_dwarfs_the_cubic_is_found(capsys, argv, cube):
+    code, out, err = run(capsys, "equilibria", *argv)
+    assert code == 0, err
+    (row,) = out.splitlines()[1:]
+    I, branch, x, y = row.split(",")
+    I, x, y = float(I), float(x), float(y)
+    assert branch == "unique"
+    if cube:
+        # e^(alpha x) is 1 to the last bit: x^2 (x - 1) = I - A / gamma
+        assert x == pytest.approx((I - y) ** (1.0 / 3.0), rel=1e-12)
+    else:
+        # the recovery term carries the current: y* = A / gamma e^(alpha x*)
+        assert y == pytest.approx(I - x * x * (x - 1.0), rel=1e-12)
+    if argv[1] == "1e306":
+        assert x == 134.36008983266186
+
+
 class TestStabilityCommand:
     def test_csv_schema(self, capsys):
         code, out, _ = run(capsys, "stability", "--I", "0.019", "--beta", "0.97")
@@ -639,13 +670,13 @@ class TestCsvWriter:
 
     def test_trajectory_bytes_match_the_row_by_row_writer(self, tmp_path, capsys, monkeypatch):
         runs = []
-        real = cli.run_experiment
+        real = experiments.run_experiment
 
         def spy(*args, **kwargs):
             runs.append(real(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(cli, "run_experiment", spy)
+        monkeypatch.setattr(experiments, "run_experiment", spy)
         out_path = tmp_path / "traj.csv"
         code, _, _ = run(
             capsys, "simulate", "--model", "dimer-sigmoid", "--beta", "0.95",
@@ -815,7 +846,7 @@ class TestCsvWriter:
                 self.stdin = Stdin(self.stdin)
 
         monkeypatch.setattr(subprocess, "Popen", Recorded)
-        real = cli.run_experiment
+        real = experiments.run_experiment
 
         def solve(*args, **kwargs):
             seen.solving = True
@@ -829,7 +860,7 @@ class TestCsvWriter:
             seen.trajectories.append(summary.trajectory)
             return summary
 
-        monkeypatch.setattr(cli, "run_experiment", solve)
+        monkeypatch.setattr(experiments, "run_experiment", solve)
         return seen
 
     # the solver hands its rows over in blocks of 64; 150 rows are three
@@ -1104,7 +1135,7 @@ class TestHopfCurveCommand:
         def no_scan(p, coupling):
             raise AssertionError("the fold scan ran")
 
-        monkeypatch.setattr(experiments, "fold_voltages", no_scan)
+        monkeypatch.setattr(stability, "fold_voltages", no_scan)
         code, out, err = run(capsys, "hopf-curve", *band, "--I-points", "3")
         assert (code, out) == (2, "")
         assert err == f"configuration error: I_range must be finite, got {shown}\n"
@@ -1140,7 +1171,9 @@ def forbid(monkeypatch, work):
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
-    monkeypatch.setattr(cli, work, no_work)
+    # the solver's names are imported by the command that runs them
+    owner = {"run_experiment": experiments, "bifurcation_sweep": experiments, "solve_fde": fde}
+    monkeypatch.setattr(owner.get(work, cli), work, no_work)
 
 
 class TestSvgWithoutOut:
@@ -1211,6 +1244,25 @@ def test_console_script_entry_point():
     # bare invocation must fail cleanly with usage, not a traceback
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+def test_the_analysis_commands_leave_numpy_unloaded(tmp_path):
+    # the closed-form commands run on math alone, for every model; a fresh
+    # process, since the tests themselves load numpy
+    code = f"""
+import sys
+import dmlneuro
+assert "numpy" not in sys.modules, "import dmlneuro"
+from dmlneuro.cli import run_cli
+assert "numpy" not in sys.modules, "import dmlneuro.cli"
+for model in ([], ["--model", "dimer-linear"], ["--model", "dimer-sigmoid"]):
+    for command in ("equilibria", "stability", "beta-star", "hopf-curve"):
+        out = {str(tmp_path)!r} + "/" + command + ".csv"
+        assert run_cli([command, *model, "--I", "0.011", "--I-points", "20", "--out", out]) == 0
+        assert "numpy" not in sys.modules, (command, model)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -93,11 +93,48 @@ def scan_brackets_reference(f, lo, hi, step):
     for i in range(xs.size - 1):
         if vals[i] == 0.0:
             out.append((xs[i], xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
+        elif np.sign(vals[i]) * np.sign(vals[i + 1]) < 0.0:  # a product can overflow
             out.append((xs[i], xs[i + 1]))
     if vals[-1] == 0.0:
         out.append((xs[-1], xs[-1]))
     return out
+
+
+def block_slope(p, coupling, sign):
+    """The fold scan's function through the public curve functions:
+    -delta / gamma of the plus (sign 1.0) or minus (-1.0) block."""
+
+    def f(x):
+        d_self, d_other = coupling.partials(x, x)
+        return -i_infinity_derivative(x, p) + (d_self + sign * d_other)
+
+    return f
+
+
+def refined_grid_zeros(f):
+    """The zeros of f from every bracket of the scan grid, each read one
+    point at a time, refined and kept 1e-9 apart."""
+    zeros = []
+    for a, b in scan_brackets_reference(f, *DEFAULT_WINDOW, 1e-3):
+        x = _refine_root(f, float(a), float(b), f(float(a)), f(float(b)))
+        if not zeros or x - zeros[-1] > 1e-9:
+            zeros.append(x)
+    return zeros
+
+
+@st.composite
+def certified_couplings(draw):
+    """A coupling whose curvature_bound is below 6: any cell or linear pair,
+    and a sigmoid pair whose sigma is scaled into the bound."""
+    kind = draw(st.sampled_from(["cell", "linear", "sigmoid"]))
+    if kind == "cell":
+        return NoCoupling()
+    if kind == "linear":
+        return LinearCoupling(draw(st.floats(1e-6, 1.0)))
+    shape = SigmoidCoupling(1.0, draw(st.floats(-3.0, 3.0)), draw(st.floats(0.5, 40.0)),
+                            draw(st.floats(-1.0, 1.0)))
+    sigma = draw(st.floats(0.0, 0.999)) * 6.0 / shape.curvature_bound
+    return replace(shape, sigma=sigma)
 
 
 def bisect_reference(f, lo, hi):
@@ -226,7 +263,7 @@ class TestFindEquilibria2d:
     )
     def test_reference_points(self, I, expected):
         eq = find_symmetric_equilibria(DmlParams(I=I))
-        assert eq.points.shape == (len(expected), 2)
+        assert np.shape(eq.points) == (len(expected), 2)
         np.testing.assert_allclose(eq.points, expected, rtol=0, atol=1e-4)
 
     def test_fold_at_lower_current(self):
@@ -249,14 +286,14 @@ class TestFindEquilibria2d:
         for I in (0.0001, 0.011, 0.019):
             eq = find_symmetric_equilibria(DmlParams(I=I))
             assert {1: Branch.UNIQUE, 2: Branch.TWOFOLD, 3: Branch.THREEFOLD}[
-                eq.points.shape[0]
+                len(eq.points)
             ] is eq.branch
 
     def test_points_sorted_and_residuals_tiny(self):
         for I in (0.0001, 0.011, 0.019):
             p = DmlParams(I=I)
             eq = find_symmetric_equilibria(p)
-            xs = eq.points[:, 0]
+            xs = [x for x, _ in eq.points]
             assert (np.diff(xs) > 0).all()
             for x, y in eq.points:
                 assert np.abs(single(0.0, [x, y], p)).max() < 1e-10
@@ -273,7 +310,7 @@ class TestFindEquilibria2d:
         # brentq, xtol 1e-15; the closed-form window reaches it
         eq = find_symmetric_equilibria(DmlParams(I=-50.0))
         assert eq.branch is Branch.UNIQUE
-        assert eq.points[0, 0] == pytest.approx(-3.3790524258046433, abs=1e-12)
+        assert eq.points[0][0] == pytest.approx(-3.3790524258046433, abs=1e-12)
 
 
 class TestSymmetricEquilibria:
@@ -282,13 +319,13 @@ class TestSymmetricEquilibria:
         for theta in (1e-4, 1e-3, 1e-2, 1e-1):
             eq = find_symmetric_equilibria(P, LinearCoupling(theta))
             assert np.array_equal(eq.points, base.points)
-        assert base.points[0, 0] == pytest.approx(0.40772, abs=1e-4)
+        assert base.points[0][0] == pytest.approx(0.40772, abs=1e-4)
 
     def test_sigmoid_reference_roots(self):
         eq = find_symmetric_equilibria(P, SigmoidCoupling(sigma=0.001))
-        assert eq.points[0, 0] == pytest.approx(0.41279, abs=1e-4)
+        assert eq.points[0][0] == pytest.approx(0.41279, abs=1e-4)
         eq = find_symmetric_equilibria(P, SigmoidCoupling(sigma=0.0001))
-        assert eq.points[0, 0] == pytest.approx(0.40824, abs=1e-4)
+        assert eq.points[0][0] == pytest.approx(0.40824, abs=1e-4)
 
     def test_sigmoid_zero_strength_degenerates_to_single_cell(self):
         base = find_symmetric_equilibria(P)
@@ -296,9 +333,9 @@ class TestSymmetricEquilibria:
         assert np.array_equal(eq.points, base.points)
 
     def test_sigmoid_continuity_in_small_strength(self):
-        base = find_symmetric_equilibria(P).points[0, 0]
+        base = find_symmetric_equilibria(P).points[0][0]
         eq = find_symmetric_equilibria(P, SigmoidCoupling(sigma=1e-5))
-        assert abs(eq.points[0, 0] - base) < 1e-3
+        assert abs(eq.points[0][0] - base) < 1e-3
 
     def test_sigmoid_residuals_tiny(self):
         c = SigmoidCoupling(sigma=0.001)
@@ -324,9 +361,9 @@ class TestSymmetricEquilibria:
         I_fold, inward = (upper, -1e-9) if fold == "upper" else (lower, 1e-9)
         c = SigmoidCoupling(sigma=sigma)
         at_fold = find_symmetric_equilibria(DmlParams(I=I_fold), c)
-        assert at_fold.branch is Branch.TWOFOLD and at_fold.points.shape == (2, 2)
+        assert at_fold.branch is Branch.TWOFOLD and np.shape(at_fold.points) == (2, 2)
         inside = find_symmetric_equilibria(DmlParams(I=I_fold + inward), c)
-        assert inside.branch is Branch.THREEFOLD and inside.points.shape == (3, 2)
+        assert inside.branch is Branch.THREEFOLD and np.shape(inside.points) == (3, 2)
 
 
 # fold ("F") and branch-point ("B") currents of the pairs at the default
@@ -391,7 +428,7 @@ class TestCriticalPoints:
     def test_five_symmetric_equilibria(self):
         p, c = FIVE_ROOTS
         eq = find_symmetric_equilibria(p, c)
-        assert eq.branch is Branch.FIVEFOLD and eq.points.shape == (5, 2)
+        assert eq.branch is Branch.FIVEFOLD and np.shape(eq.points) == (5, 2)
         deltas = []
         for x, _ in eq.points:
             assert abs(p.I - i_infinity(x, p) + c.current(x, x)) <= 1e-15
@@ -455,52 +492,24 @@ class TestVectorisedScan:
         ),
         I=st.floats(-0.02, 0.04),
     )
-    # alpha * 1.5 past the overflow threshold, so the scan takes _exp's
-    # guard; its grid exponent 709.2 is finite in np.exp and inf in _exp
+    # alpha * 1.5 past the overflow threshold, so the scan takes _exp's guard
     @example(A=1e-4, alpha=600.0, gamma=1.0, coupling=SigmoidCoupling(0.01), I=0.01)
     # a grid exponent just below the threshold, whose slope's product overflows
     @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
+    # past the certificate: every grid point is read
+    @example(A=0.0041, alpha=5.276, gamma=0.3,
+             coupling=SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0), I=0.012)
     def test_the_shared_grid_and_the_inline_g_give_the_plain_bits(
         self, A, alpha, gamma, coupling, I
     ):
         p = DmlParams(I=I, A=A, alpha=alpha, gamma=gamma)
-        grid = np.linspace(*DEFAULT_WINDOW, 3001)
-
-        def scaled(sign):
-            # the slope through the public curve functions
-            def f(x):
-                d_self, d_other = coupling.partials(x, x)
-                return -i_infinity_derivative(x, p) + (d_self + sign * d_other)
-
-            return f
-
-        def block_zeros(sign):
-            zeros = []
-            for a, b, fa, fb in scan_brackets(scaled(sign), *DEFAULT_WINDOW, 1e-3):
-                x = _refine_root(scaled(sign), a, b, fa, fb)
-                if not zeros or x - zeros[-1] > 1e-9:
-                    zeros.append(x)
-            return zeros
-
-        scans = []
-
-        def kept(xs, vals):
-            scans.append((xs, vals))
-            return _sign_brackets(xs, vals)
-
+        # the scan's grid is numpy's
+        assert np.array(equilibria._SCAN_GRID).tobytes() == np.linspace(-1.5, 1.5, 3001).tobytes()
         for sign in (1.0, -1.0):
-            # warnings are errors: the scan warns of no overflow of its own
-            with mock.patch.object(equilibria, "_sign_brackets", kept):
-                zeros = equilibria._block_zeros(p, coupling, sign)
-            xs, vals = scans[-1]
-            # at a steep exponent the plain slope's product overflows
-            with np.errstate(over="ignore"):
-                assert xs.tobytes() == grid.tobytes()
-                assert vals.tobytes() == scaled(sign)(grid).tobytes()
-                # repr tells -0.0 from 0.0 and gives each float's shortest round trip
-                assert repr(zeros) == repr(block_zeros(sign))
-        with np.errstate(over="ignore"):
-            extrema = block_zeros(1.0)
+            f = block_slope(p, coupling, sign)
+            # repr tells -0.0 from 0.0 and gives each float's shortest round trip
+            assert repr(equilibria._block_zeros(p, coupling, sign)) == repr(
+                refined_grid_zeros(f))
 
         solve, stage_two = equilibria._refine_root, []
 
@@ -508,12 +517,53 @@ class TestVectorisedScan:
             stage_two.append(f)
             return solve(f, *bracket)
 
+        extrema = fold_voltages(p, coupling)
         with mock.patch.object(equilibria, "_refine_root", spy):
             equilibria._equilibria_at(p, coupling, extrema)
         xs = [*np.linspace(-3.0, 3.0, 601).tolist(), 2000.0]  # 2000: past the guard
         for g in stage_two:
             assert repr([g(x) for x in xs]) == repr(
                 [p.I - i_infinity(x, p) + coupling.current(x, x) for x in xs])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        A=st.floats(1e-6, 1.0),
+        alpha=st.floats(0.1, 1000.0),
+        gamma=st.floats(0.05, 2.0),
+        coupling=certified_couplings(),
+    )
+    @example(A=1e-4, alpha=600.0, gamma=1.0, coupling=SigmoidCoupling(0.01))
+    @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling())
+    # the bench's and the paper's pairs
+    @example(A=0.0041, alpha=5.276, gamma=0.3, coupling=SigmoidCoupling(3e-3))
+    @example(A=0.0041, alpha=5.276, gamma=0.3, coupling=LinearCoupling(0.008))
+    def test_the_bisected_scan_gives_the_brackets_of_the_whole_grid(
+        self, A, alpha, gamma, coupling
+    ):
+        # inside the certificate the scan reads about 50 grid values, and
+        # its brackets, end values included, are those of all 3001
+        assert coupling.curvature_bound < 6.0
+        p = DmlParams(A=A, alpha=alpha, gamma=gamma)
+        grid = np.linspace(*DEFAULT_WINDOW, 3001).tolist()
+        seen = []
+
+        def kept(xs, vals, starts=None):
+            brackets = _sign_brackets(xs, vals, starts)
+            seen.append((len(vals), brackets))
+            return brackets
+
+        for sign in (1.0, -1.0):
+            with mock.patch.object(equilibria, "_sign_brackets", kept):
+                equilibria._block_zeros(p, coupling, sign)
+            (read, brackets), = seen
+            seen.clear()
+            f = block_slope(p, coupling, sign)
+            values = [f(x) for x in grid]
+            assert [(a, b) for a, b, _, _ in brackets] == scan_brackets_reference(
+                f, *DEFAULT_WINDOW, 1e-3)
+            assert all((fa, fb) == (values[grid.index(a)], values[grid.index(b)])
+                       for a, b, fa, fb in brackets)
+            assert read <= 60
 
 
 def _never(x):
@@ -581,7 +631,7 @@ class TestRootSolve:
         assume(all(abs(g(x)) > 1e-6 for x in extrema))
         ends = [DEFAULT_WINDOW[0], *extrema, DEFAULT_WINDOW[1]]
         pieces = [(a, b) for a, b in zip(ends, ends[1:]) if g(a) * g(b) < 0.0]
-        roots = find_symmetric_equilibria(p, coupling).points[:, 0]
+        roots = [x for x, _ in find_symmetric_equilibria(p, coupling).points]
         assert len(roots) == len(pieces)
         for x, (a, b) in zip(roots, pieces):
             assert a < x < b
@@ -629,7 +679,7 @@ class TestRootSolve:
         signs = np.sign(g(xs))
         roots = sorted([*xs[signs == 0.0], *(brentq(g, xs[i], xs[i + 1], xtol=1e-15)
                                               for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0))])
-        found = find_symmetric_equilibria(p, coupling).points[:, 0]
+        found = [x for x, _ in find_symmetric_equilibria(p, coupling).points]
         assert len(found) == len(roots)
         np.testing.assert_allclose(found, roots, rtol=0, atol=1e-12)
 
@@ -663,6 +713,15 @@ class TestRootSolve:
             return 0.3 - x if x < 0.9 else -math.inf
 
         assert _refine_root(f, 0.0, 1.0, 0.3, -math.inf) == pytest.approx(0.3, abs=1e-14)
+
+    def test_a_bracket_that_closes_on_an_infinite_value_is_refused(self):
+        # a jump from a finite value to an infinite one is no root
+        def f(x):
+            return 1.0 if x < 0.7 else -math.inf
+
+        with pytest.raises(ConvergenceError, match=r"^f jumps to an infinite value near "
+                           r"x=0\.69\d* in the bracket \[0\.0, 1\.0\]$"):
+            _refine_root(f, 0.0, 1.0, 1.0, -math.inf)
 
 
 def test_y_infinity_matches_recovery_nullcline():

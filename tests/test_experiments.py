@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dmlneuro import experiments
+from dmlneuro import experiments, stability
 from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria, fold_voltages
 from dmlneuro.exceptions import (
     ConvergenceError,
@@ -268,25 +268,25 @@ class TestHopfCurve:
 
     def test_thresholds_inside_unit_interval(self):
         curve = hopf_curve(P, NoCoupling(), (0.016, 0.03), 50)
-        assert ((curve.beta_star_values > 0) & (curve.beta_star_values <= 1)).all()
+        assert all(0 < b <= 1 for b in curve.beta_star_values)
 
     def test_zero_strength_sigmoid_curve_identical_to_single_cell(self):
         base = hopf_curve(P, NoCoupling(), (0.016, 0.0235), 60)
         zero = hopf_curve(P, SigmoidCoupling(sigma=0.0), (0.016, 0.0235), 60)
-        assert np.abs(base.beta_star_values - zero.beta_star_values).max() < 1e-12
+        assert np.abs(np.subtract(base.beta_star_values, zero.beta_star_values)).max() < 1e-12
 
     def test_curves_shift_up_with_coupling_strength(self):
         previous = hopf_curve(P, SigmoidCoupling(sigma=0.0), (0.016, 0.0235), 40)
         for sigma in (0.0001, 0.0005, 0.001, 0.003):
             current = hopf_curve(P, SigmoidCoupling(sigma=sigma), (0.016, 0.0235), 40)
-            assert current.I_values.shape == previous.I_values.shape
-            assert (current.beta_star_values >= previous.beta_star_values).all()
+            assert len(current.I_values) == len(previous.I_values)
+            assert (np.array(current.beta_star_values) >= previous.beta_star_values).all()
             previous = current
 
     def test_linear_curve_matches_single_cell(self):
         base = hopf_curve(P, NoCoupling(), (0.016, 0.0235), 30)
         linear = hopf_curve(P, LinearCoupling(0.008), (0.016, 0.0235), 30)
-        assert np.abs(base.beta_star_values - linear.beta_star_values).max() < 1e-12
+        assert np.abs(np.subtract(base.beta_star_values, linear.beta_star_values)).max() < 1e-12
 
     def test_deterministic_bitwise(self):
         a = hopf_curve(P, NoCoupling(), (0.016, 0.03), 50)
@@ -307,7 +307,7 @@ class TestHopfCurve:
         c = SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0)
         curve = hopf_curve(P, c, (0.0, 0.03), 31)
         assert (0.012, "equilibrium branch is fivefold") in curve.omitted
-        assert curve.I_values.size == 14
+        assert len(curve.I_values) == 14
 
     @pytest.mark.parametrize(
         "band", [(0.016, np.inf), (np.nan, 0.0235), (-np.inf, np.inf)], ids=["inf", "nan", "both"]
@@ -323,7 +323,7 @@ class TestHopfCurve:
         def spy(*args, **kwargs):
             raise AssertionError("fold_voltages called")
 
-        monkeypatch.setattr(experiments, "fold_voltages", spy)
+        monkeypatch.setattr(stability, "fold_voltages", spy)
         with pytest.raises(GridMemoryError,
                            match=r"^the grid of 10000000000000 currents does not fit in memory$"):
             hopf_curve(P, NoCoupling(), (0.016, 0.03), 10**13)
@@ -333,15 +333,15 @@ class TestHopfCurve:
         def exhausted(p, coupling, extrema):
             raise ConvergenceError("no root")
 
-        monkeypatch.setattr(experiments, "_equilibria_at", exhausted)
+        monkeypatch.setattr(stability, "_equilibria_at", exhausted)
         curve = hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
-        assert curve.I_values.size == 0 and len(curve.omitted) == 3
+        assert curve.I_values == () and len(curve.omitted) == 3
         assert all("no root" in reason for _, reason in curve.omitted)
 
         def broken(p, coupling, extrema):
             raise TypeError("bug")
 
-        monkeypatch.setattr(experiments, "_equilibria_at", broken)
+        monkeypatch.setattr(stability, "_equilibria_at", broken)
         with pytest.raises(TypeError, match="bug"):
             hopf_curve(P, NoCoupling(), (0.018, 0.02), 3)
 
@@ -352,10 +352,29 @@ class TestHopfCurve:
             calls.append(p)
             return fold_voltages(p, coupling)
 
-        monkeypatch.setattr(experiments, "fold_voltages", spy)
+        monkeypatch.setattr(stability, "fold_voltages", spy)
         curve = hopf_curve(P, SigmoidCoupling(0.001), (0.005, 0.025), 40)
         assert len(calls) == 1
-        assert curve.I_values.size and curve.omitted
+        assert curve.I_values and curve.omitted
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(allow_nan=False, allow_infinity=False),
+        hi=st.floats(allow_nan=False, allow_infinity=False),
+        n=st.integers(1, 60),
+    )
+    @example(lo=0.016, hi=0.0235, n=100)  # the bench's band
+    @example(lo=0.019, hi=0.019, n=1)
+    @example(lo=-0.0, hi=-0.0, n=4)
+    @example(lo=0.0, hi=5e-324, n=3)  # a step that underflows to zero
+    @example(lo=-1e308, hi=1e308, n=1)  # a width that overflows
+    @example(lo=-1e308, hi=1e308, n=5)
+    def test_the_currents_are_numpy_s_linspace_bit_for_bit(self, lo, hi, n):
+        # a consumer that looks a current up in np.linspace's grid by its
+        # float finds every one, so none may be an ulp off
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, n)
+        assert np.array(stability._currents(lo, hi, n)).tobytes() == want.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -388,12 +407,12 @@ class TestHopfCurve:
             if eq.branch is not Branch.UNIQUE:
                 omitted.append((float(I), f"equilibrium branch is {eq.branch.value}"))
                 continue
-            result = beta_star(float(eq.points[0, 0]), p_at, coupling)
+            result = beta_star(float(eq.points[0][0]), p_at, coupling)
             if result.kind is not BetaStarKind.THRESHOLD:
                 omitted.append((float(I), result.kind.value))
                 continue
             kept_I.append(float(I))
             kept_beta.append(result.value)
-        assert curve.I_values.tolist() == kept_I
-        assert curve.beta_star_values.tolist() == kept_beta
+        assert curve.I_values == tuple(kept_I)
+        assert curve.beta_star_values == tuple(kept_beta)
         assert list(curve.omitted) == omitted

@@ -72,6 +72,34 @@ class TestParameterRecords:
         assert (c.v_s, c.lam, c.q) == (2.0, 10.0, -0.25)
 
 
+class TestCurvatureBound:
+    def test_values(self):
+        assert NoCoupling().curvature_bound == LinearCoupling(0.008).curvature_bound == 0.0
+        # sigma (lam^2 / (2 sqrt 3) + lam^3 (|v_s| + 1.5) / 8) at the defaults
+        assert SigmoidCoupling(1.0).curvature_bound == pytest.approx(466.37, abs=0.01)
+        assert SigmoidCoupling(3e-3).curvature_bound < 6.0 < SigmoidCoupling(0.013).curvature_bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=st.floats(0.0, 1.0), v_s=st.floats(-3.0, 3.0), lam=st.floats(0.1, 40.0),
+           q=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]))
+    @example(sigma=1.0, v_s=2.0, lam=10.0, q=-0.25, sign=1.0)  # the default shape
+    @example(sigma=1.0, v_s=-3.0, lam=40.0, q=1.5, sign=1.0)  # the steepest, at the far end
+    def test_it_bounds_the_curvature_of_the_partials_on_the_window(self, sigma, v_s, lam, q, sign):
+        # D = d_self + sign d_other at (x, x), differenced on a grid 2e-4
+        # apart; its fourth derivative, at most about 0.1 sigma lam^4
+        # (|v_s| + 2.5), bounds the difference's error by h^2 / 12 of it,
+        # and rounding adds 4 ulps of |D| over h^2
+        c = SigmoidCoupling(sigma, v_s, lam, q)
+        h = 2e-4
+        x = np.linspace(-1.5, 1.5, 15001)
+        d_self, d_other = c.partials(x, x)
+        D = d_self + sign * d_other
+        curvature = np.abs(D[2:] - 2.0 * D[1:-1] + D[:-2]) / (h * h)
+        slack = (0.1 * sigma * lam ** 4 * (abs(v_s) + 2.5) * h * h / 12.0
+                 + 4.0 * np.finfo(float).eps * np.abs(D).max() / (h * h))
+        assert curvature.max() <= c.curvature_bound + slack
+
+
 class TestScalarHelpers:
     # around the overflow threshold of exp, and far beyond it either way
     EDGES = [708.9, 709.0, 709.5, 800.0, -800.0, 1e6, -1e6, 1e300, -1e300]

@@ -200,17 +200,17 @@ class TestClassify:
 class TestBetaStar:
     def test_single_cell_reference_thresholds(self):
         eq = find_symmetric_equilibria(P)
-        result = beta_star(eq.points[0, 0], P)
+        result = beta_star(eq.points[0][0], P)
         assert result.kind is BetaStarKind.THRESHOLD
         assert result.value == pytest.approx(0.98233, abs=1e-4)
 
         p22 = DmlParams(I=0.022)
         eq22 = find_symmetric_equilibria(p22)
-        assert beta_star(eq22.points[0, 0], p22).value == pytest.approx(0.98772, abs=1e-4)
+        assert beta_star(eq22.points[0][0], p22).value == pytest.approx(0.98772, abs=1e-4)
 
     def test_linear_pair_threshold_is_theta_independent(self):
         eq = find_symmetric_equilibria(P)
-        x = eq.points[0, 0]
+        x = eq.points[0][0]
         base = beta_star(x, P).value
         values = [
             beta_star(x, P, LinearCoupling(theta)).value
@@ -223,7 +223,7 @@ class TestBetaStar:
         for sigma, expected in ((0.001, 0.98628), (0.0001, 0.98274)):
             c = SigmoidCoupling(sigma=sigma)
             eq = find_symmetric_equilibria(P, c)
-            result = beta_star(eq.points[0, 0], P, c)
+            result = beta_star(eq.points[0][0], P, c)
             assert result.kind is BetaStarKind.THRESHOLD
             assert result.value == pytest.approx(expected, abs=1e-4)
 
@@ -241,7 +241,7 @@ class TestBetaStar:
         # at the low-current equilibrium the trace is negative
         p = DmlParams(I=0.0001)
         eq = find_symmetric_equilibria(p)
-        result = beta_star(eq.points[0, 0], p)
+        result = beta_star(eq.points[0][0], p)
         assert result.kind is BetaStarKind.STABLE_FOR_ALL_ORDERS
         assert result.value is None
 
@@ -257,17 +257,17 @@ class TestBetaStar:
     def test_degenerate_determinant_is_undefined(self):
         p = DmlParams(I=I_MIN)
         eq = find_symmetric_equilibria(p)
-        result = beta_star(eq.points[-1, 0], p)  # the fold point
+        result = beta_star(eq.points[-1][0], p)  # the fold point
         assert result.kind is BetaStarKind.UNDEFINED
         assert result.value is None
-        assert result.blocks == indicators(eq.points[-1, 0], p)
+        assert result.blocks == indicators(eq.points[-1][0], p)
         assert result.block == result.blocks[0]
 
     def test_saddle_is_unstable_for_all_orders(self):
         # the middle of the cell's three equilibria at I = 0.011: its real
         # eigenvalue of argument 0 leaves no stable order
         p = DmlParams(I=0.011)
-        x_mid = find_symmetric_equilibria(p).points[1, 0]
+        x_mid = find_symmetric_equilibria(p).points[1][0]
         result = beta_star(x_mid, p)
         assert result.kind is BetaStarKind.UNSTABLE_FOR_ALL_ORDERS
         assert result.value is None
@@ -298,10 +298,10 @@ class TestBetaStar:
 
     def test_threshold_brackets_the_classification_flip(self):
         cases = [
-            (find_symmetric_equilibria(P).points[0, 0], NoCoupling()),
-            (find_symmetric_equilibria(P).points[0, 0], LinearCoupling(0.008)),
+            (find_symmetric_equilibria(P).points[0][0], NoCoupling()),
+            (find_symmetric_equilibria(P).points[0][0], LinearCoupling(0.008)),
             (
-                find_symmetric_equilibria(P, SigmoidCoupling(sigma=0.001)).points[0, 0],
+                find_symmetric_equilibria(P, SigmoidCoupling(sigma=0.001)).points[0][0],
                 SigmoidCoupling(sigma=0.001),
             ),
         ]
@@ -455,7 +455,7 @@ class TestSaddleNodeCondition:
         assert kind == "fold" and round(x, 3) == 0.286
         assert I == pytest.approx(0.003397079, abs=1e-9)
         eq = find_symmetric_equilibria(replace(P, I=I))
-        assert eq.branch is Branch.TWOFOLD and x in eq.points[:, 0]
+        assert eq.branch is Branch.TWOFOLD and x in [x_star for x_star, _ in eq.points]
         (_, delta), = indicators(x, P)
         assert abs(delta) < 1e-12
 
@@ -463,7 +463,7 @@ class TestSaddleNodeCondition:
         kind, x, I = critical_points(P)[0]
         assert kind == "fold" and I == pytest.approx(0.015417976, abs=1e-9)
         eq = find_symmetric_equilibria(replace(P, I=I))
-        assert eq.branch is Branch.TWOFOLD and x in eq.points[:, 0]
+        assert eq.branch is Branch.TWOFOLD and x in [x_star for x_star, _ in eq.points]
         (_, delta), = indicators(x, P)
         assert abs(delta) < 1e-12
 
