@@ -149,13 +149,18 @@ def _coerce(key: str, kind: str, value):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    groups = {name: common.add_argument_group(name)
+    commands = "\n".join(f"  {name:<12}{text}" for name, (_, text) in _COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="dmlneuro", description="Fractional-order denatured Morris-Lecar neuron toolkit",
+        epilog=f"commands:\n{commands}", formatter_class=argparse.RawDescriptionHelpFormatter)
+    # flags may come before the command or after it
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one listed below")
+    groups = {name: parser.add_argument_group(name)
               for name in ("model", "simulation", "ranges", "output")}
     groups["output"].add_argument("--config", type=str, help="JSON configuration file")
     for f in fields(RunConfig):
         if not f.metadata:
-            continue  # the subcommand
+            continue  # the command
         flag = dict(f.metadata)
         group = groups[flag.pop("group")]
         if f.type == "bool":
@@ -167,12 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     groups["simulation"].add_argument(
         "--use-fft", dest="use_fft", action="store_true", default=None,
         help="accepted for older command lines; no effect")
-
-    parser = argparse.ArgumentParser(
-        prog="dmlneuro", description="Fractional-order denatured Morris-Lecar neuron toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -183,7 +182,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("configuration file must hold a JSON object")
-        file_values.pop("command", None)  # the subcommand comes from the argv
+        file_values.pop("command", None)  # the command comes from the argv
         merged.update(file_values)
     merged.update((key, value) for key, value in vars(args).items()
                   if key not in ("config", "command") and value is not None)
@@ -519,9 +518,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_hopf_curve(cfg: RunConfig) -> int:
-    curve = hopf_curve(
-        cfg.params(), cfg.coupling(), (cfg.I_from, cfg.I_to), cfg.I_points
-    )
+    curve = hopf_curve(cfg.params(), cfg.coupling(), (cfg.I_from, cfg.I_to), cfg.I_points)
     value = cfg.coupling().value
     _emit(cfg, ["I", "beta_star", "coupling_value"],
           [[I, b, value] for I, b in zip(curve.I_values, curve.beta_star_values)], "%r,%r,%r")
@@ -567,7 +564,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-# subcommand -> (handler, help)
+# command -> (handler, help)
 _COMMANDS = {
     "simulate": (_cmd_simulate, "integrate one model instance"),
     "equilibria": (_cmd_equilibria, "equilibrium points and branch"),

@@ -201,19 +201,21 @@ def find_symmetric_equilibria(
     coupling's ``curvature_bound`` makes g' concave (about 45 of the 3001
     grid values read), then 4.0 evaluations of g' per 1e-3-wide bracket
     (cell, and sigmoid pair at sigma = 1e-3).  It does not depend on I, so
-    a sweep over currents runs it once.  The second works at the given
-    current: closed-form voltages from the coupling's ``current_bound``
-    bound every root, and the extrema split that window into pieces on
-    which g is taken as monotone (the outer ones too, past the scan
-    window), so a piece whose ends differ in sign brackets its one root, at
-    7.8 evaluations of g per root over currents in [-0.005, 0.025] (7.76
+    a sweep over currents runs it once.  The second runs at a bare current,
+    ``p.I`` here; a sweep passes each of its currents with one ``p``:
+    closed-form voltages from the coupling's ``current_bound`` bound every
+    root, and the extrema split that window into pieces on which g is
+    taken as monotone (the outer ones too, past the scan window), so a
+    piece whose ends differ in sign brackets its one root, at 7.8
+    evaluations of g per root over currents in [-0.005, 0.025] (7.76
     cell, 7.84 that pair).  An extremum where ``|g| <= FOLD_TOL`` is a
     tangency root (a fold, which a sign scan cannot see).  Ends without
     their signs, a NaN g, or a bracket that closes on a jump to an
     infinite value, as past the overflow guard of e^(alpha x) at a current
     near 1e307, raise :class:`ConvergenceError` naming I.
     """
-    return _equilibria_at(p, coupling, fold_voltages(p, coupling))
+    roots = _roots_at(p, coupling, fold_voltages(p, coupling), p.I)
+    return EquilibriumSet(tuple((x, y_infinity(x, p)) for x in roots), _BRANCHES[len(roots) - 1])
 
 
 def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
@@ -286,13 +288,14 @@ def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
     return zeros
 
 
-def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> EquilibriumSet:
-    """Stage two: the roots of g at ``p.I``, given the extrema of g."""
+def _roots_at(p: DmlParams, coupling: CouplingSpec, extrema, I: float) -> list:
+    """Stage two: the ascending roots of g at the bare current ``I``, given
+    the extrema of g; ``p.I`` is not read."""
     current = coupling.current
-    I, k, alpha = p.I, p.A / p.gamma, p.alpha
+    k, alpha = p.A / p.gamma, p.alpha
 
     def g(x):
-        # p.I - i_infinity(x, p) + current(x, x), with i_infinity and the
+        # I - i_infinity(x, p) + current(x, x), with i_infinity and the
         # overflow guard of _exp written inline, in their operations
         a = alpha * x
         i_inf = k * (math.exp(a) if a < _EXP_MAX else math.inf) - x * x * (1.0 - x)
@@ -322,5 +325,4 @@ def _equilibria_at(p: DmlParams, coupling: CouplingSpec, extrema) -> Equilibrium
                   if g0 < 0.0 < g1 or g1 < 0.0 < g0]
     except ConvergenceError as err:
         raise ConvergenceError(f"no equilibrium found for I={I!r}: {err}") from None
-    points = tuple((x, y_infinity(x, p)) for x in sorted(roots))
-    return EquilibriumSet(points=points, branch=_BRANCHES[len(roots) - 1])
+    return sorted(roots)

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .equilibria import Branch, _equilibria_at, fold_voltages
+from .equilibria import _BRANCHES, _roots_at, fold_voltages
 from .exceptions import DimensionMismatchError, NumericalError, _grid_allocation
 from .models import CouplingSpec, DmlParams, NoCoupling, _exp, check_order
 
@@ -209,33 +209,34 @@ def hopf_curve(
     Entirely closed-form.  The currents are ``np.linspace(*I_range,
     n_points)``.  The extrema of the equilibrium equation do not depend on
     the current, so they are found once per curve, by
-    :func:`fold_voltages`; each sampled current is then solved for its
-    equilibrium from them, as :func:`find_symmetric_equilibria` does, and
-    the critical order evaluated there.  Currents whose equilibrium is not
+    :func:`fold_voltages`; stage two of :func:`find_symmetric_equilibria`
+    then solves each sampled current, bare, with ``p`` as given, and the
+    critical order is evaluated there.  Currents whose equilibrium is not
     on the unique branch, or whose threshold is not a critical order, are
-    omitted with the branch or kind.  A non-finite band is a
-    ``ValueError``, and a band of more currents than can be allocated a
-    :class:`GridMemoryError`, both raised before the fold scan.
+    omitted with the branch or kind.  A band non-finite or wider than the
+    floats is a ``ValueError``, and one of more currents than can be
+    allocated a :class:`GridMemoryError`, all raised before the fold scan.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
     lo, hi = float(I_range[0]), float(I_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"I_range must be finite, got {(lo, hi)}")
+    if not math.isfinite(hi - lo):  # its grid would start at 0 * inf = nan
+        raise ValueError(f"I_range is wider than the floats, got {(lo, hi)}")
     currents = _currents(lo, hi, n_points)
     extrema = fold_voltages(p, coupling)
     kept_I, kept_beta, omitted = [], [], []
     for I in currents:
-        p_at = replace(p, I=I)
         try:
-            eq = _equilibria_at(p_at, coupling, extrema)
+            roots = _roots_at(p, coupling, extrema, I)
         except NumericalError as err:
             omitted.append((I, f"equilibrium search failed: {err}"))
             continue
-        if eq.branch is not Branch.UNIQUE:
-            omitted.append((I, f"equilibrium branch is {eq.branch.value}"))
+        if len(roots) != 1:
+            omitted.append((I, f"equilibrium branch is {_BRANCHES[len(roots) - 1].value}"))
             continue
-        result = beta_star(eq.points[0][0], p_at, coupling)
+        result = beta_star(roots[0], p, coupling)  # it reads no p.I
         if result.kind is not BetaStarKind.THRESHOLD:
             omitted.append((I, result.kind.value))
             continue

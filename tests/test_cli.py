@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -81,11 +82,55 @@ class TestRunConfig:
         assert getattr(from_flag, f.name) != getattr(RunConfig(command), f.name)
 
     def test_the_fields_are_every_flag(self):
-        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        # one parser: every field's flag, and the command a positional
+        parser = cli._build_parser()
         expected = {flag_of(f) for f in fields(RunConfig) if f.name != "command"}
-        for name, parser in sub.choices.items():
-            flags = {o for a in parser._actions for o in a.option_strings}
-            assert flags == expected | {"-h", "--help", "--config", "--use-fft"}, name
+        flags = {o for a in parser._actions for o in a.option_strings}
+        assert flags == expected | {"-h", "--help", "--config", "--use-fft"}
+        command, = (a for a in parser._actions if a.dest == "command")
+        assert command.option_strings == [] and list(command.choices) == list(cli._COMMANDS)
+
+
+class TestParser:
+    def test_help_names_each_command_with_its_description(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        for name, (_, text) in cli._COMMANDS.items():
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(text)}$", out, re.M), name
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_each_command_s_help_exits_0(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and out.startswith("usage: dmlneuro ")
+
+    def test_no_command_exits_2(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("dmlneuro: error: the following arguments are required: command\n")
+
+    def test_an_unknown_command_exits_2_with_the_choices(self, capsys):
+        code, out, err = run(capsys, "equilibrium")
+        assert (code, out) == (2, "")
+        # newer Pythons print the choices without quotes
+        head, choices = err.splitlines()[-1].split(" (choose from ")
+        assert head == "dmlneuro: error: argument command: invalid choice: 'equilibrium'"
+        assert choices.replace("'", "") == ", ".join(cli._COMMANDS) + ")"
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_flags_before_the_command_give_the_same_config(self, tmp_path, command):
+        # a negative current in exponent notation and a --y0 that starts
+        # with a negative value are joined to their flags in either place
+        flags = ["--model", "dimer-sigmoid", "--sigma", "0.002", "--I", "-7.851617706231516e-05",
+                 "--y0", "-0.1,0.1,-0.2,0.1", "--I-points", "7", "--out", str(tmp_path / "t.csv")]
+        parse = cli._build_parser().parse_args
+
+        def resolved(argv):
+            return cli._resolve_config(parse(cli._attach_negative_values(argv)))
+
+        after = resolved([command, *flags])
+        assert resolved([*flags, command]) == after
+        assert resolved([*flags[:6], command, *flags[6:]]) == after
+        assert after.command == command and after.I == -7.851617706231516e-05
 
 
 class TestBetaStarCommand:

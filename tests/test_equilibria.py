@@ -519,7 +519,7 @@ class TestVectorisedScan:
 
         extrema = fold_voltages(p, coupling)
         with mock.patch.object(equilibria, "_refine_root", spy):
-            equilibria._equilibria_at(p, coupling, extrema)
+            equilibria._roots_at(p, coupling, extrema, p.I)
         xs = [*np.linspace(-3.0, 3.0, 601).tolist(), 2000.0]  # 2000: past the guard
         for g in stage_two:
             assert repr([g(x) for x in xs]) == repr(
@@ -592,7 +592,7 @@ class TestRootSolve:
             stage = "folds"
             extrema = fold_voltages(p, coupling)
             stage = "roots"
-            equilibria._equilibria_at(p, coupling, extrema)
+            equilibria._roots_at(p, coupling, extrema, p.I)
         (fold_solves, fold_evals), (root_solves, root_evals) = counts["folds"], counts["roots"]
         assert fold_solves == 2 * 200 and root_solves >= 200
         assert fold_evals / fold_solves <= 5.0  # 4.0 for both models

@@ -84,11 +84,15 @@ class TestCurvatureBound:
            q=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]))
     @example(sigma=1.0, v_s=2.0, lam=10.0, q=-0.25, sign=1.0)  # the default shape
     @example(sigma=1.0, v_s=-3.0, lam=40.0, q=1.5, sign=1.0)  # the steepest, at the far end
+    # subnormal values of D: eps |D| underflows to 0, and so does the bound,
+    # while the difference is one subnormal step
+    @example(sigma=5e-324, v_s=0.0, lam=1.0, q=0.0, sign=1.0)
     def test_it_bounds_the_curvature_of_the_partials_on_the_window(self, sigma, v_s, lam, q, sign):
         # D = d_self + sign d_other at (x, x), differenced on a grid 2e-4
         # apart; its fourth derivative, at most about 0.1 sigma lam^4
         # (|v_s| + 2.5), bounds the difference's error by h^2 / 12 of it,
-        # and rounding adds 4 ulps of |D| over h^2
+        # and rounding adds 4 ulps of the largest |D| over h^2 (an ulp, not
+        # eps |D|, which underflows where D is subnormal)
         c = SigmoidCoupling(sigma, v_s, lam, q)
         h = 2e-4
         x = np.linspace(-1.5, 1.5, 15001)
@@ -96,7 +100,7 @@ class TestCurvatureBound:
         D = d_self + sign * d_other
         curvature = np.abs(D[2:] - 2.0 * D[1:-1] + D[:-2]) / (h * h)
         slack = (0.1 * sigma * lam ** 4 * (abs(v_s) + 2.5) * h * h / 12.0
-                 + 4.0 * np.finfo(float).eps * np.abs(D).max() / (h * h))
+                 + 4.0 * np.spacing(np.abs(D).max()) / (h * h))
         assert curvature.max() <= c.curvature_bound + slack
 
 
