@@ -19,10 +19,9 @@ from typing import Callable
 from .exceptions import ConvergenceError
 from .models import _EXP_MAX, CouplingSpec, DmlParams, NoCoupling, _exp
 
-DEFAULT_WINDOW = (-1.5, 1.5)
 FOLD_TOL = 1e-12  # absolute tolerance on I for the two-equilibrium fold branch
-_SCAN_STEP = 1e-3
 _XTOL = 1e-14  # the widest bracket a root solve returns
+_MAX_SPLITS = 100_000  # the fold search's budget, a third of a second
 # relative slack of stage two's closed-form right end, which covers the
 # rounding of log, pow and g itself (about 1e-15 each) many times over
 _END_SLACK = 1e-13
@@ -66,7 +65,7 @@ def y_infinity(x: float, p: DmlParams) -> float:
 def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> float:
     """Root of f in [lo, hi] by Chandrupatla's method: an exact zero, or the
     end with the smaller |f| of a bracket 1e-14 wide at most or of adjacent
-    floats.  The end values are the scan's, and a zero one is the root.
+    floats.  The end values are the caller's, and a zero one is the root.
 
     A step takes the inverse quadratic through the bracket and the point it
     last dropped where that is monotone, else the midpoint, 5e-15 inside the
@@ -117,76 +116,6 @@ def _refine_root(f: Callable, lo: float, hi: float, flo: float, fhi: float) -> f
             t = 0.5
 
 
-# the fold scan's grid, bit for bit np.linspace(*DEFAULT_WINDOW, 3001)
-_SCAN_GRID = tuple(
-    i * _SCAN_STEP + DEFAULT_WINDOW[0]
-    for i in range(int(round((DEFAULT_WINDOW[1] - DEFAULT_WINDOW[0]) / _SCAN_STEP)) + 1)
-)
-
-
-def _sign_brackets(xs, vals, starts=None):
-    """Sign-change brackets ``(a, b, f(a), f(b))`` of a function f whose
-    values on the ascending grid ``xs`` are ``vals``; a grid point where it
-    vanishes gives the degenerate bracket ``(x, x, 0, 0)``.  Only the grid
-    pairs that start at the ascending indices ``starts`` are read, all by
-    default."""
-    brackets = []
-    for i in range(len(xs)) if starts is None else starts:
-        a, fa = xs[i], vals[i]
-        if fa == 0.0:
-            brackets.append((a, a, 0.0, 0.0))
-        elif i + 1 < len(xs):
-            # signs are compared, never multiplied: a product can overflow
-            fb = vals[i + 1]
-            if fa < 0.0 < fb or fb < 0.0 < fa:
-                brackets.append((a, xs[i + 1], fa, fb))
-    return brackets
-
-
-class _OnGrid(dict):
-    """The values of ``f`` on the scan grid by index, each computed when
-    first read."""
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, i):
-        value = self[i] = self.f(_SCAN_GRID[i])
-        return value
-
-
-def _first(lo: int, hi: int, holds) -> int:
-    """The least i in [lo, hi) for which ``holds(i)``, or hi, for a test
-    that holds from some index on; ``holds(lo)`` is read first."""
-    if lo < hi and holds(lo):
-        return lo
-    lo += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
-def _concave_starts(vals) -> list:
-    """The grid indices that can start a bracket, for values that rise to a
-    maximum and then fall, as concave values do.  Each side of the maximum
-    holds at most one run of points at which the sign changes or the value
-    vanishes, and bisection finds it, reading about 45 values."""
-    n = len(_SCAN_GRID)
-    top = _first(0, n - 1, lambda i: vals[i + 1] <= vals[i])
-    # rising: negative below up, zero on [up, pos), positive from pos
-    up = _first(0, top + 1, lambda i: vals[i] >= 0.0)
-    pos = _first(up, top + 1, lambda i: vals[i] > 0.0)
-    # falling: positive below down, zero on [down, neg), negative from neg
-    down = _first(top, n, lambda i: vals[i] <= 0.0)
-    neg = _first(down, n, lambda i: vals[i] < 0.0)
-    return sorted({*range(max(up - 1, 0), pos), *range(max(down - 1, 0), neg)})
-
-
 def find_symmetric_equilibria(
     p: DmlParams, coupling: CouplingSpec = NoCoupling()
 ) -> EquilibriumSet:
@@ -196,17 +125,19 @@ def find_symmetric_equilibria(
     The voltages solve g(x) = I - i_infinity(x) + current(x, x) = 0, with
     the coupling's own synaptic current; the linear current vanishes there,
     so a linear pair shares the single cell's equilibria for any theta.
-    The search runs in two stages.  The first finds the extrema of g by a
-    sign scan of g' on a 1e-3 grid of the scan window, bisected where the
-    coupling's ``curvature_bound`` makes g' concave (about 45 of the 3001
-    grid values read), then 4.0 evaluations of g' per 1e-3-wide bracket
-    (cell, and sigmoid pair at sigma = 1e-3).  It does not depend on I, so
-    a sweep over currents runs it once.  The second runs at a bare current,
+    The search runs in two stages.  The first finds every extremum of g, a
+    zero of g', with no grid: g' < 0 outside a closed-form window, and the
+    coupling's ``partials_bound`` and ``curvature_bound`` bound how far g'
+    strays from its chord on a piece of it, so each piece is dropped,
+    refined as monotone or halved (17 evaluations of g' for the cell, 18
+    for the sigmoid pair at sigma = 1e-3).  It does not depend on I, so a
+    sweep over currents runs it once.  The second runs at a bare current,
     ``p.I`` here; a sweep passes each of its currents with one ``p``:
     closed-form voltages from the coupling's ``current_bound`` bound every
     root, and the extrema split that window into pieces on which g is
-    taken as monotone (the outer ones too, past the scan window), so a
-    piece whose ends differ in sign brackets its one root, at 7.8
+    monotone by proof (the outer ones too: g' keeps its sign past the
+    first and last extremum), so a piece whose ends differ in sign
+    brackets its one root, at 7.8
     evaluations of g per root over currents in [-0.005, 0.025] (7.76
     cell, 7.84 that pair).  An extremum where ``|g| <= FOLD_TOL`` is a
     tangency root (a fold, which a sign scan cannot see).  Ends without
@@ -219,8 +150,8 @@ def find_symmetric_equilibria(
 
 
 def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
-    """Voltages of the extrema of g on the scan window, ascending, or ``[]``
-    when g is monotone there.
+    """Voltages of the extrema of g over all x, ascending, or ``[]`` when g
+    is monotone.
 
     Since g'(x) = -delta_plus(x) / gamma, these are where the plus block's
     determinant vanishes, and ``i_infinity(x, p) - coupling.current(x, x)``
@@ -232,8 +163,8 @@ def fold_voltages(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
 
 
 def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list:
-    """Critical points ``(kind, x, I)`` of the symmetric branch on the scan
-    window, ascending in x, the fold first at a shared voltage.
+    """Critical points ``(kind, x, I)`` of the symmetric branch over all x,
+    ascending in x, the fold first at a shared voltage.
 
     A ``"fold"`` (saddle-node) is a zero of delta_plus, a ``"branch-point"``
     (symmetry breaking, pairs only) one of delta_minus.  On the diagonal
@@ -252,17 +183,24 @@ def critical_points(p: DmlParams, coupling: CouplingSpec = NoCoupling()) -> list
 
 def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
     """Zeros of the plus (``sign`` 1.0) or minus (-1.0) block determinant on
-    the diagonal, ascending: the sign changes of
-    s(x) = -delta/gamma = -i_infinity'(x) + d_self + sign * d_other on a
-    grid of the scan window, each refined on its bracket.
+    the diagonal, ascending: the zeros of s(x) = -delta/gamma =
+    -i_infinity'(x) + D(x), D = d_self + sign * d_other, found with no grid.
 
-    s'' = -6 - alpha^3 (A / gamma) e^(alpha x) + D'' with D'' bounded by the
-    coupling's ``curvature_bound``.  Below 6 it makes s concave, so the grid
-    values rise to their maximum and then fall, and bisection finds the
-    brackets a sign scan of every grid point would, at about 50 of its 3001
-    points; otherwise every point is read."""
+    With k = A / gamma and Dmax the coupling's ``partials_bound``,
+    s <= x (2 - 3x) + Dmax - alpha k e^(alpha x), so s < 0 outside the roots
+    of x (2 - 3x) + Dmax and wherever alpha k e^(alpha x) passes 1/3 + Dmax,
+    the most x (2 - 3x) + Dmax reaches; the rest is the window.  On a piece
+    [a, b] of it, w wide, |s''| <= M = 6 + alpha^3 k e^(alpha b) +
+    ``curvature_bound``: s strays from its chord by at most M w^2 / 8, so a
+    piece whose ends share a sign and clear that holds no zero, and the
+    slope of s varies by at most M w, so s is monotone where its ends differ
+    by more than M w^2 (and its rounding), and its sign change there, if
+    any, is refined by :func:`_refine_root`.  Any other piece is halved,
+    until M w^2 / 8 is down to the rounding of s: such a piece is a
+    tangency, a zero at its end of smaller |s|.  A NaN s, an infinite M,
+    or more than _MAX_SPLITS halvings raise :class:`ConvergenceError`."""
     # reads A, alpha, gamma and the coupling, never I; sign 1.0 leaves
-    # d_other exact, so the plus scan is g' bit for bit
+    # d_other exact, so the plus block's s is g' bit for bit
     partials = coupling.partials
     alpha = p.alpha
     scale = alpha * (p.A / p.gamma)
@@ -275,14 +213,44 @@ def _block_zeros(p: DmlParams, coupling: CouplingSpec, sign: float) -> list:
         return (-(scale * (math.exp(a) if a < _EXP_MAX else math.inf) - x * (2.0 - 3.0 * x))
                 + (d_self + sign * d_other))
 
-    if coupling.curvature_bound < 6.0:
-        vals = _OnGrid(s)
-        brackets = _sign_brackets(_SCAN_GRID, vals, _concave_starts(vals))
-    else:
-        brackets = _sign_brackets(_SCAN_GRID, [*map(s, _SCAN_GRID)])
-    zeros = []
-    for a, b, fa, fb in brackets:
-        x = _refine_root(s, a, b, fa, fb)
+    # logs one by one, since alpha k can underflow; alpha k e^(alpha x) is
+    # at most top on the window, so each M is at most 6 + alpha^2 top + D''
+    top, curvature = 1.0 / 3.0 + coupling.partials_bound, coupling.curvature_bound
+    root, log_k = math.sqrt(3.0 * top), math.log(p.A / p.gamma)
+    lo = (1.0 - root) / 3.0
+    hi = min((1.0 + root) / 3.0, (math.log(top) - math.log(alpha) - log_k) / alpha)
+    if not lo < hi:
+        return []
+    if not 6.0 + alpha * (alpha * top) + curvature < math.inf:
+        raise ConvergenceError(f"the fold search has no finite bound on s'' on [{lo!r}, {hi!r}]")
+    # s's terms near a zero are at most a few top, so it rounds by < noise
+    noise = math.ldexp(top, -48)
+    zeros, splits, pieces = [], 0, [(lo, hi, s(lo), s(hi))]
+    while pieces:
+        a, b, sa, sb = pieces.pop()  # the leftmost piece not yet read
+        if math.isnan(sa) or math.isnan(sb):
+            raise ConvergenceError(f"the block's slope is NaN on [{a!r}, {b!r}]")
+        e = alpha * b
+        bound = 6.0 + alpha * (alpha * min(scale * (math.exp(e) if e < _EXP_MAX else math.inf),
+                                           top)) + curvature
+        chord, mid = bound * (b - a) ** 2, 0.5 * (a + b)
+        same = (sa < 0.0) == (sb < 0.0) and sa != 0.0 != sb
+        if same and min(abs(sa), abs(sb)) > chord / 8.0:
+            continue
+        if abs(sb - sa) > chord + 2.0 * noise:  # monotone, rounding and all
+            if same:
+                continue
+            x = _refine_root(s, a, b, sa, sb)
+        elif chord <= 8.0 * noise or not a < mid < b:  # a tangency, to rounding
+            x = a if abs(sa) < abs(sb) else b
+        else:
+            splits += 1
+            if splits > _MAX_SPLITS:
+                raise ConvergenceError(f"the fold search halved {_MAX_SPLITS} pieces of "
+                                       f"[{lo!r}, {hi!r}], |s''| <= {bound!r}")
+            sm = s(mid)
+            pieces += [(mid, b, sm, sb), (a, mid, sa, sm)]
+            continue
         if not zeros or x - zeros[-1] > 1e-9:
             zeros.append(x)
     return zeros

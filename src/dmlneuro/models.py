@@ -17,10 +17,11 @@ equilibria and the stability blocks are derived:
   without one;
 - ``current_bound``: a B with ``current(x, x)`` at most max(B, 0) for
   x >= 0 and at least min(B, 0) for x <= 0, which bounds the equilibria;
-- ``curvature_bound``: a bound on |D''| over the equilibrium search's scan
-  window [-1.5, 1.5], D(x) the sum ``d_self + sign * d_other`` at
-  ``(x, x)`` for either sign; below 6 it certifies that the window holds
-  at most two folds and two branch points;
+- ``partials_bound`` and ``curvature_bound``: bounds over all x, for
+  either sign, on D(x), the sum ``d_self + sign * d_other`` at ``(x, x)``:
+  max(D, 0) <= ``partials_bound`` and |D''| <= ``curvature_bound``.  The
+  first confines the equilibrium search's fold window, the second bounds
+  how far the block's slope departs from its chord on a piece of it;
 - ``field``: the model's vector field ``rhs(t, state, p)`` in the
   solver's calling convention, ``p`` a :class:`DmlParams` record: a float
   body that adds the same current inline, takes any sequence of ``dim``
@@ -162,7 +163,7 @@ class NoCoupling:
     """Single isolated cell."""
 
     dim = 2
-    value = current_bound = curvature_bound = 0.0
+    value = current_bound = partials_bound = curvature_bound = 0.0
     v_s = None
 
     def current(self, x_self, x_other):
@@ -184,7 +185,7 @@ class LinearCoupling:
     dim = 4
     v_s = None
     current_bound = 0.0  # the current vanishes on the diagonal
-    curvature_bound = 0.0  # both partials are constant
+    partials_bound = curvature_bound = 0.0  # D is 0 or -2 theta
 
     def __post_init__(self):
         _check_finite(self)
@@ -238,14 +239,22 @@ class SigmoidCoupling:
         # the opening lies in (0, 1], and v_s - x is <= v_s on x >= 0, >= v_s on x <= 0
         return self.sigma * self.v_s
 
+    # on the diagonal, with z the opening at u = lam (x - q), D is
+    # sigma (-z + sign (v_s - x) lam z'(u)) and D'' is
+    # sigma lam^2 z''(u) (-1 - 2 sign) + sign sigma (v_s - x) lam^3 z'''(u),
+    # where v_s - x = (v_s - q) - u / lam; over all u, |z'| <= 1/4,
+    # |u z'| <= 0.224, |z''| <= 1 / (6 sqrt 3), |z'''| <= 1/8 and
+    # |u z'''| <= 0.10296
+
+    @property
+    def partials_bound(self) -> float:
+        return self.sigma * (self.lam * abs(self.v_s - self.q) + 1.0) / 4.0
+
     @property
     def curvature_bound(self) -> float:
-        # on the diagonal, with z the opening at u = lam (x - q), D'' is
-        # sigma lam^2 z''(u) (-1 - 2 sign) + sign sigma (v_s - x) lam^3 z'''(u);
-        # |z''| <= 1 / (6 sqrt 3), |z'''| <= 1 / 8, |v_s - x| <= |v_s| + 1.5
         lam = self.lam
-        return self.sigma * (lam * lam / (2.0 * math.sqrt(3.0))
-                             + lam * lam * lam * (abs(self.v_s) + 1.5) / 8.0)
+        return self.sigma * (lam * lam / (2.0 * math.sqrt(3.0)) + 0.103 * lam * lam
+                             + lam * lam * lam * abs(self.v_s - self.q) / 8.0)
 
     def current(self, x_self, x_other):
         return self.sigma * (self.v_s - x_self) * _sigmoid(self.lam * (x_other - self.q))

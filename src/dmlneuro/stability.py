@@ -215,7 +215,7 @@ def hopf_curve(
     on the unique branch, or whose threshold is not a critical order, are
     omitted with the branch or kind.  A band non-finite or wider than the
     floats is a ``ValueError``, and one of more currents than can be
-    allocated a :class:`GridMemoryError`, all raised before the fold scan.
+    allocated a :class:`GridMemoryError`, all raised before the fold search.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")

@@ -238,7 +238,7 @@ class TestConfigHandling:
             "currents-unindexable", "samples-unindexable"])
     def test_a_grid_too_long_to_allocate_exits_2(self, capsys, monkeypatch, argv, grid):
         def never(*args, **kwargs):
-            raise AssertionError("fold scan")
+            raise AssertionError("fold search")
 
         monkeypatch.setattr(equilibria, "_block_zeros", never)  # a Hopf curve's first work
         code, out, err = run(capsys, *argv, "--discard", "0", "--tail", "5")
@@ -504,15 +504,15 @@ class TestStabilityCommand:
         assert not any("undefined" in row for row in rows)
 
     def test_fold_row_reads_undefined(self, capsys):
-        # a fold current of the sigmoid pair, from critical_points; rounding
-        # leaves delta_plus = +1.4e-16 at its fold equilibrium
+        # the upper fold current of the sigmoid pair, from critical_points;
+        # rounding leaves delta_plus = +2.1e-17 at its fold equilibrium
         code, out, _ = run(capsys, "stability", "--model", "dimer-sigmoid", "--sigma", "0.003",
-                           "--I=-0.0017224275857504155")
+                           "--I=0.009845706254716551")
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 2
-        assert 0.0 < float(rows[1].split(",")[2]) <= 1e-12
-        assert rows[1].endswith(",saddle-node-degenerate,undefined")
+        assert 0.0 < float(rows[0].split(",")[2]) <= 1e-12
+        assert rows[0].endswith(",saddle-node-degenerate,undefined")
 
     def test_order_checked_before_the_equilibrium_search(self, capsys, monkeypatch):
         forbid(monkeypatch, "find_symmetric_equilibria")
@@ -1176,9 +1176,9 @@ class TestHopfCurveCommand:
         ids=["infinite-to", "nan-from"],
     )
     def test_non_finite_band_exits_2(self, capsys, monkeypatch, band, shown):
-        # rejected by its own name before the fold scan, with no numpy warning
+        # rejected by its own name before the fold search, with no numpy warning
         def no_scan(p, coupling):
-            raise AssertionError("the fold scan ran")
+            raise AssertionError("the fold search ran")
 
         monkeypatch.setattr(stability, "fold_voltages", no_scan)
         code, out, err = run(capsys, "hopf-curve", *band, "--I-points", "3")

@@ -10,10 +10,9 @@ from scipy.optimize import brentq
 
 from dmlneuro import equilibria
 from dmlneuro.equilibria import (
-    DEFAULT_WINDOW,
+    FOLD_TOL,
     Branch,
     _refine_root,
-    _sign_brackets,
     critical_points,
     find_symmetric_equilibria,
     fold_voltages,
@@ -78,11 +77,30 @@ def sigmoid_fold_currents(sigma):
     return h(upper), h(lower)
 
 
+# the reference scans' interval, which holds every fold of the drawn cases
+WINDOW = (-1.5, 1.5)
+
+
+def sign_brackets(xs, vals):
+    """Sign-change brackets ``(a, b, f(a), f(b))`` of a function f whose
+    values on the ascending grid ``xs`` are ``vals``; a grid point where it
+    vanishes gives the degenerate bracket ``(x, x, 0, 0)``."""
+    brackets = []
+    for i, (a, fa) in enumerate(zip(xs, vals)):
+        if fa == 0.0:
+            brackets.append((a, a, 0.0, 0.0))
+        elif i + 1 < len(xs):
+            fb = vals[i + 1]  # signs compared, never multiplied: a product can overflow
+            if fa < 0.0 < fb or fb < 0.0 < fa:
+                brackets.append((a, xs[i + 1], fa, fb))
+    return brackets
+
+
 def scan_brackets(f, lo, hi, step):
     """Sign-change brackets ``(a, b, f(a), f(b))`` of f on the grid of the
     given step over [lo, hi], f evaluated once on the whole grid."""
     xs = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
-    return _sign_brackets(xs, f(xs))
+    return sign_brackets(xs, f(xs))
 
 
 def scan_brackets_reference(f, lo, hi, step):
@@ -101,7 +119,7 @@ def scan_brackets_reference(f, lo, hi, step):
 
 
 def block_slope(p, coupling, sign):
-    """The fold scan's function through the public curve functions:
+    """The fold search's function through the public curve functions:
     -delta / gamma of the plus (sign 1.0) or minus (-1.0) block."""
 
     def f(x):
@@ -109,32 +127,6 @@ def block_slope(p, coupling, sign):
         return -i_infinity_derivative(x, p) + (d_self + sign * d_other)
 
     return f
-
-
-def refined_grid_zeros(f):
-    """The zeros of f from every bracket of the scan grid, each read one
-    point at a time, refined and kept 1e-9 apart."""
-    zeros = []
-    for a, b in scan_brackets_reference(f, *DEFAULT_WINDOW, 1e-3):
-        x = _refine_root(f, float(a), float(b), f(float(a)), f(float(b)))
-        if not zeros or x - zeros[-1] > 1e-9:
-            zeros.append(x)
-    return zeros
-
-
-@st.composite
-def certified_couplings(draw):
-    """A coupling whose curvature_bound is below 6: any cell or linear pair,
-    and a sigmoid pair whose sigma is scaled into the bound."""
-    kind = draw(st.sampled_from(["cell", "linear", "sigmoid"]))
-    if kind == "cell":
-        return NoCoupling()
-    if kind == "linear":
-        return LinearCoupling(draw(st.floats(1e-6, 1.0)))
-    shape = SigmoidCoupling(1.0, draw(st.floats(-3.0, 3.0)), draw(st.floats(0.5, 40.0)),
-                            draw(st.floats(-1.0, 1.0)))
-    sigma = draw(st.floats(0.0, 0.999)) * 6.0 / shape.curvature_bound
-    return replace(shape, sigma=sigma)
 
 
 def bisect_reference(f, lo, hi):
@@ -418,7 +410,7 @@ class TestCriticalPoints:
             def f(x):
                 return i_infinity_derivative(x, p) + 2.0 * coupling.theta
 
-            xs = np.linspace(*DEFAULT_WINDOW, 3001)
+            xs = np.linspace(*WINDOW, 3001)
             fs = [f(x) for x in xs]
             expected = [brentq(f, a, b, xtol=1e-15)
                         for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]) if fa * fb < 0.0]
@@ -492,78 +484,157 @@ class TestVectorisedScan:
         ),
         I=st.floats(-0.02, 0.04),
     )
-    # alpha * 1.5 past the overflow threshold, so the scan takes _exp's guard
+    # alpha * 1.5 past the overflow threshold, so s and g take _exp's guard
     @example(A=1e-4, alpha=600.0, gamma=1.0, coupling=SigmoidCoupling(0.01), I=0.01)
-    # a grid exponent just below the threshold, whose slope's product overflows
+    # an exponent just below the threshold, whose slope's product overflows
     @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
-    # past the certificate: every grid point is read
+    # the steep synapse of five equilibria
     @example(A=0.0041, alpha=5.276, gamma=0.3,
              coupling=SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0), I=0.012)
-    def test_the_shared_grid_and_the_inline_g_give_the_plain_bits(
-        self, A, alpha, gamma, coupling, I
-    ):
+    def test_the_inline_s_and_g_give_the_plain_bits(self, A, alpha, gamma, coupling, I):
         p = DmlParams(I=I, A=A, alpha=alpha, gamma=gamma)
-        # the scan's grid is numpy's
-        assert np.array(equilibria._SCAN_GRID).tobytes() == np.linspace(-1.5, 1.5, 3001).tobytes()
-        for sign in (1.0, -1.0):
-            f = block_slope(p, coupling, sign)
-            # repr tells -0.0 from 0.0 and gives each float's shortest round trip
-            assert repr(equilibria._block_zeros(p, coupling, sign)) == repr(
-                refined_grid_zeros(f))
-
-        solve, stage_two = equilibria._refine_root, []
+        solve, solved = equilibria._refine_root, []
 
         def spy(f, *bracket):
-            stage_two.append(f)
+            solved.append(f)
             return solve(f, *bracket)
+
+        xs = [*np.linspace(-3.0, 3.0, 601).tolist(), 2000.0]  # 2000: past the guard
+        for sign in (1.0, -1.0):
+            with mock.patch.object(equilibria, "_refine_root", spy):
+                equilibria._block_zeros(p, coupling, sign)
+            f = block_slope(p, coupling, sign)
+            # repr tells -0.0 from 0.0 and gives each float's shortest round trip
+            for s in solved:
+                assert repr([s(x) for x in xs]) == repr([f(x) for x in xs])
+            solved.clear()
 
         extrema = fold_voltages(p, coupling)
         with mock.patch.object(equilibria, "_refine_root", spy):
             equilibria._roots_at(p, coupling, extrema, p.I)
-        xs = [*np.linspace(-3.0, 3.0, 601).tolist(), 2000.0]  # 2000: past the guard
-        for g in stage_two:
+        for g in solved:
             assert repr([g(x) for x in xs]) == repr(
                 [p.I - i_infinity(x, p) + coupling.current(x, x) for x in xs])
 
-    @settings(max_examples=200, deadline=None)
+
+# the cell's cusp at the default alpha and gamma, where its two folds merge:
+# A_c = gamma x (2 - 3x) e^(-alpha x) / alpha at x, the lesser root of
+# 3 alpha x^2 - (2 alpha + 6) x + 2 (mpmath, 50 digits)
+A_CUSP = 0.0060092233135377645
+# A = A_c (1 - d) as a float: the fold voltages at that A, and the current
+# midway between the fold currents (mpmath, 50 digits)
+NEAR_CUSP = {
+    1e-6: (0.006009217304314451, 0.1392281302304364, 0.13960936282880698, 0.025070048055671413),
+    1e-7: (0.006009222712615433, 0.1393583966527764, 0.1394789529588094, 0.025070085673616217),
+    1e-8: (0.006009223253445531, 0.1393996060081881, 0.13943772925863773, 0.025070089435408976),
+}
+
+
+class TestFoldSearch:
+    @settings(max_examples=40, deadline=None)
     @given(
-        A=st.floats(1e-6, 1.0),
+        A=st.floats(1e-8, 1.0),
         alpha=st.floats(0.1, 1000.0),
         gamma=st.floats(0.05, 2.0),
-        coupling=certified_couplings(),
+        coupling=st.one_of(
+            st.just(NoCoupling()),
+            st.floats(1e-6, 1.0).map(LinearCoupling),
+            st.builds(SigmoidCoupling, st.floats(0.0, 0.05), st.floats(-3.0, 3.0),
+                      st.floats(0.5, 200.0), st.floats(-1.0, 1.0)),
+            # the family of the steep synapse of five equilibria
+            st.builds(SigmoidCoupling, st.floats(0.0, 0.005), st.just(2.0), st.just(100.0),
+                      st.floats(-0.3, 0.3)),
+        ),
+        sign=st.sampled_from([1.0, -1.0]),
     )
-    @example(A=1e-4, alpha=600.0, gamma=1.0, coupling=SigmoidCoupling(0.01))
-    @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling())
-    # the bench's and the paper's pairs
-    @example(A=0.0041, alpha=5.276, gamma=0.3, coupling=SigmoidCoupling(3e-3))
-    @example(A=0.0041, alpha=5.276, gamma=0.3, coupling=LinearCoupling(0.008))
-    def test_the_bisected_scan_gives_the_brackets_of_the_whole_grid(
-        self, A, alpha, gamma, coupling
-    ):
-        # inside the certificate the scan reads about 50 grid values, and
-        # its brackets, end values included, are those of all 3001
-        assert coupling.curvature_bound < 6.0
+    @example(A=0.0041, alpha=5.276, gamma=0.3,
+             coupling=SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0), sign=1.0)
+    @example(A=0.0041, alpha=5.276, gamma=0.3, coupling=SigmoidCoupling(1e-3), sign=-1.0)
+    @example(A=0.0041, alpha=5.276, gamma=0.3, coupling=LinearCoupling(0.008), sign=-1.0)
+    @example(A=1e-4, alpha=600.0, gamma=1.0, coupling=SigmoidCoupling(0.01), sign=1.0)
+    @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling(), sign=1.0)
+    @example(A=NEAR_CUSP[1e-8][0], alpha=5.276, gamma=0.3, coupling=NoCoupling(), sign=1.0)
+    def test_the_zeros_are_brentq_s_on_a_fine_scan(self, A, alpha, gamma, coupling, sign):
         p = DmlParams(A=A, alpha=alpha, gamma=gamma)
-        grid = np.linspace(*DEFAULT_WINDOW, 3001).tolist()
-        seen = []
+        f = block_slope(p, coupling, sign)
+        # these draws keep every zero in [-1.6, 2.2] (D <= 10); the scan
+        # reads [-3, 3] 1e-5 apart, up to where e^(alpha x) overflows
+        xs = np.linspace(-3.0, 3.0, 600001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = f(xs)
+        keep = np.isfinite(vals)
+        xs, vals = xs[keep], vals[keep]
+        # two zeros in one step hide from the scan, but then the extremum of
+        # s between them is within an eighth of a second difference of 0
+        turns = np.flatnonzero(np.diff(np.sign(np.diff(vals))) != 0.0) + 1
+        second = np.abs(vals[turns - 1] - 2.0 * vals[turns] + vals[turns + 1])
+        assume((np.abs(vals[turns]) > 8.0 * second).all())
+        changes = np.flatnonzero(((vals[:-1] < 0.0) & (vals[1:] > 0.0))
+                                 | ((vals[:-1] > 0.0) & (vals[1:] < 0.0)))
+        want = sorted([*xs[vals == 0.0], *(brentq(f, xs[i], xs[i + 1], xtol=1e-15)
+                                           for i in changes)])
+        got = equilibria._block_zeros(p, coupling, sign)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-        def kept(xs, vals, starts=None):
-            brackets = _sign_brackets(xs, vals, starts)
-            seen.append((len(vals), brackets))
-            return brackets
+    @pytest.mark.parametrize("d", NEAR_CUSP)
+    def test_both_folds_near_the_cusp(self, d):
+        # a 1e-3 grid of [-1.5, 1.5] saw neither: the pair is 3.8e-4 apart
+        # at d = 1e-6 and 3.8e-5 at 1e-8
+        A, x_max, x_min, _ = NEAR_CUSP[d]
+        assert A == pytest.approx(A_CUSP * (1.0 - d), rel=2e-16)
+        np.testing.assert_allclose(fold_voltages(DmlParams(A=A)), [x_max, x_min],
+                                   rtol=0, atol=1e-12)
 
-        for sign in (1.0, -1.0):
-            with mock.patch.object(equilibria, "_sign_brackets", kept):
-                equilibria._block_zeros(p, coupling, sign)
-            (read, brackets), = seen
-            seen.clear()
-            f = block_slope(p, coupling, sign)
-            values = [f(x) for x in grid]
-            assert [(a, b) for a, b, _, _ in brackets] == scan_brackets_reference(
-                f, *DEFAULT_WINDOW, 1e-3)
-            assert all((fa, fb) == (values[grid.index(a)], values[grid.index(b)])
-                       for a, b, fa, fb in brackets)
-            assert read <= 60
+    def test_threefold_between_the_fold_currents_near_the_cusp(self):
+        A, x_max, x_min, I = NEAR_CUSP[1e-6]
+        eq = find_symmetric_equilibria(DmlParams(A=A, I=I))
+        assert eq.branch is Branch.THREEFOLD
+        low, middle, high = (x for x, _ in eq.points)
+        assert low < x_max < middle < x_min < high
+
+    @pytest.mark.parametrize("d", [1e-7, 1e-8])
+    def test_a_fold_band_within_the_fold_tolerance_is_twofold(self, d):
+        # the fold currents are 1.8e-12 apart at d = 1e-7 and 5.6e-14 at
+        # 1e-8: every current between them is within FOLD_TOL of both, so
+        # both folds are tangency roots, and the root between them merges
+        A, x_max, x_min, I = NEAR_CUSP[d]
+        p = DmlParams(A=A, I=I)
+        assert 0.0 < i_infinity(x_max, p) - i_infinity(x_min, p) < 2.0 * FOLD_TOL
+        eq = find_symmetric_equilibria(p)
+        assert eq.branch is Branch.TWOFOLD
+        np.testing.assert_allclose([x for x, _ in eq.points], [x_max, x_min], rtol=0, atol=1e-12)
+
+    def test_a_tangency_at_rounding_is_one_zero(self):
+        # alpha k e^(alpha x) is 1e-302 at alpha = 1e-300, so with
+        # theta = 1/6 the minus block's s is -3 (x - 1/3)^2 - 1e-302, which
+        # rounds to 0 on a run of about 1e-8 around x = 1/3: one
+        # branch point, not one per float of the run
+        points = critical_points(DmlParams(alpha=1e-300), LinearCoupling(1.0 / 6.0))
+        assert [(kind, x) for kind, x, _ in points] == [
+            ("fold", 0.0), ("branch-point", pytest.approx(1.0 / 3.0, abs=1e-8)),
+            ("fold", pytest.approx(2.0 / 3.0, abs=1e-15))]
+
+    def test_a_nan_slope_is_refused(self):
+        class Gap(NoCoupling):
+            def partials(self, x_self, x_other):
+                return (math.nan, 0.0) if 0.1 < x_self < 0.2 else (0.0, 0.0)
+
+        with pytest.raises(ConvergenceError, match=r"^the block's slope is NaN on \["):
+            fold_voltages(P, Gap())
+
+    def test_an_unbounded_curvature_is_refused(self):
+        # lam^3 overflows: no finite bound on |s''|, and no search
+        with pytest.raises(ConvergenceError, match=r"^the fold search has no finite bound"):
+            fold_voltages(P, SigmoidCoupling(0.001, lam=1e300))
+        # an empty window needs none: alpha k e^(alpha x) > 1/3 on x >= 0
+        assert fold_voltages(DmlParams(alpha=1e160)) == []
+
+    def test_the_search_stops_at_its_budget(self, monkeypatch):
+        # lam = 100 takes 37 halvings at the default parameters
+        monkeypatch.setattr(equilibria, "_MAX_SPLITS", 36)
+        with pytest.raises(ConvergenceError, match=r"^the fold search halved 36 pieces of "):
+            fold_voltages(P, SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0))
 
 
 def _never(x):
@@ -573,30 +644,37 @@ def _never(x):
 class TestRootSolve:
     @pytest.mark.parametrize("coupling", [NoCoupling(), SigmoidCoupling(0.001)])
     def test_about_ten_evaluations_per_bracketed_root(self, monkeypatch, coupling):
-        solve = equilibria._refine_root
-        counts = {}  # stage: [solves, evaluations]
+        solve, partials = equilibria._refine_root, type(coupling).partials
+        roots = [0, 0]  # stage two's solves and evaluations of g
+        searches = []  # evaluations of s per fold search
 
         def counted(f, *bracket):
-            count = counts.setdefault(stage, [0, 0])
-            count[0] += 1
+            if stage == "folds":
+                return solve(f, *bracket)
+            roots[0] += 1
 
             def f_counted(x):
-                count[1] += 1
+                roots[1] += 1
                 return f(x)
 
             return solve(f_counted, *bracket)
 
+        def counted_partials(self, x_self, x_other):
+            searches[-1] += 1 if stage == "folds" else 0
+            return partials(self, x_self, x_other)
+
         monkeypatch.setattr(equilibria, "_refine_root", counted)
+        monkeypatch.setattr(type(coupling), "partials", counted_partials)
         for I in np.linspace(-0.005, 0.025, 200):
             p = DmlParams(I=float(I))
             stage = "folds"
+            searches.append(0)
             extrema = fold_voltages(p, coupling)
             stage = "roots"
             equilibria._roots_at(p, coupling, extrema, p.I)
-        (fold_solves, fold_evals), (root_solves, root_evals) = counts["folds"], counts["roots"]
-        assert fold_solves == 2 * 200 and root_solves >= 200
-        assert fold_evals / fold_solves <= 5.0  # 4.0 for both models
-        assert root_evals / root_solves <= 10.0  # 7.76 for the cell, 7.84 for the pair
+        assert len(extrema) == 2 and roots[0] >= 200
+        assert max(searches) <= 24  # 17 for the cell, 18 for the pair
+        assert roots[1] / roots[0] <= 10.0  # 7.76 for the cell, 7.84 for the pair
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -625,11 +703,11 @@ class TestRootSolve:
             return -i_infinity_derivative(x, p) + (d_self + d_other)
 
         extrema = [bisect_reference(gprime, a, b)
-                   for a, b, _, _ in scan_brackets(gprime, *DEFAULT_WINDOW, 1e-3)]
+                   for a, b, _, _ in scan_brackets(gprime, *WINDOW, 1e-3)]
         np.testing.assert_allclose(fold_voltages(p, coupling), extrema, rtol=0, atol=1e-13)
         # a root near a fold is ill-conditioned; the fold tests cover folds
         assume(all(abs(g(x)) > 1e-6 for x in extrema))
-        ends = [DEFAULT_WINDOW[0], *extrema, DEFAULT_WINDOW[1]]
+        ends = [WINDOW[0], *extrema, WINDOW[1]]
         pieces = [(a, b) for a, b in zip(ends, ends[1:]) if g(a) * g(b) < 0.0]
         roots = [x for x, _ in find_symmetric_equilibria(p, coupling).points]
         assert len(roots) == len(pieces)
@@ -659,7 +737,7 @@ class TestRootSolve:
     )
     # a far end where e^(alpha x) overflows, and one about 1e192 (both
     # once gave a wrong root with exit 0), and a slope that overflows in
-    # the fold scan
+    # the fold search
     @example(A=0.001, alpha=300.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
     @example(A=0.001, alpha=600.0, gamma=0.3, coupling=NoCoupling(), I=0.01)
     @example(A=0.01, alpha=1000.0, gamma=0.3, coupling=NoCoupling(), I=0.01)

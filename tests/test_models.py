@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmlneuro.equilibria import critical_points, i_infinity_derivative
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
@@ -74,34 +75,89 @@ class TestParameterRecords:
 
 class TestCurvatureBound:
     def test_values(self):
-        assert NoCoupling().curvature_bound == LinearCoupling(0.008).curvature_bound == 0.0
-        # sigma (lam^2 / (2 sqrt 3) + lam^3 (|v_s| + 1.5) / 8) at the defaults
-        assert SigmoidCoupling(1.0).curvature_bound == pytest.approx(466.37, abs=0.01)
-        assert SigmoidCoupling(3e-3).curvature_bound < 6.0 < SigmoidCoupling(0.013).curvature_bound
+        for c in (NoCoupling(), LinearCoupling(0.008)):
+            assert c.partials_bound == c.curvature_bound == 0.0
+        # sigma (lam |v_s - q| + 1) / 4 and
+        # sigma lam^2 (1 / (2 sqrt 3) + 0.103 + lam |v_s - q| / 8) at the defaults
+        assert SigmoidCoupling(1.0).partials_bound == 5.875
+        assert SigmoidCoupling(1.0).curvature_bound == pytest.approx(320.42, abs=0.01)
+        # the paper's pair, and the steep synapse of five equilibria
+        assert SigmoidCoupling(1e-3).curvature_bound == pytest.approx(0.32042, abs=1e-5)
+        steep = SigmoidCoupling(0.0016102620275609393, lam=100.0, q=0.0)
+        assert steep.curvature_bound == pytest.approx(408.87, abs=0.01)
+        assert steep.partials_bound == pytest.approx(0.08091, abs=1e-5)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(sigma=st.floats(0.0, 1.0), v_s=st.floats(-3.0, 3.0), lam=st.floats(0.1, 40.0),
            q=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]))
     @example(sigma=1.0, v_s=2.0, lam=10.0, q=-0.25, sign=1.0)  # the default shape
     @example(sigma=1.0, v_s=-3.0, lam=40.0, q=1.5, sign=1.0)  # the steepest, at the far end
+    # v_s = q: the whole bound is its lam^2 terms, |u z'''| peaking at
+    # u = -2.67, x = -5.3, far outside the fold window
+    @example(sigma=1.0, v_s=0.0, lam=0.5, q=0.0, sign=-1.0)
     # subnormal values of D: eps |D| underflows to 0, and so does the bound,
     # while the difference is one subnormal step
     @example(sigma=5e-324, v_s=0.0, lam=1.0, q=0.0, sign=1.0)
-    def test_it_bounds_the_curvature_of_the_partials_on_the_window(self, sigma, v_s, lam, q, sign):
-        # D = d_self + sign d_other at (x, x), differenced on a grid 2e-4
-        # apart; its fourth derivative, at most about 0.1 sigma lam^4
-        # (|v_s| + 2.5), bounds the difference's error by h^2 / 12 of it,
-        # and rounding adds 4 ulps of the largest |D| over h^2 (an ulp, not
-        # eps |D|, which underflows where D is subnormal)
+    def test_it_bounds_the_curvature_of_the_partials_on_the_line(self, sigma, v_s, lam, q, sign):
+        # D = d_self + sign d_other at (x, x), differenced 2e-4 apart on
+        # [-50, 50], past which the opening's derivatives fall below e^-4
+        # even at lam = 0.1.  D'''' = sigma (lam^4 z4(u) (-1 - 3 sign)
+        # + sign (v_s - x) lam^5 z5(u)), z4 and z5 the opening's fourth and
+        # fifth derivatives (|z4| <= 0.128, |z5| <= 1/4), bounds the
+        # difference's error by h^2 / 12 of it, and rounding adds 4 ulps of
+        # the largest |D| over h^2 (an ulp, not eps |D|, which underflows
+        # where D is subnormal)
         c = SigmoidCoupling(sigma, v_s, lam, q)
         h = 2e-4
-        x = np.linspace(-1.5, 1.5, 15001)
+        x = np.linspace(-50.0, 50.0, 500001)
         d_self, d_other = c.partials(x, x)
         D = d_self + sign * d_other
         curvature = np.abs(D[2:] - 2.0 * D[1:-1] + D[:-2]) / (h * h)
-        slack = (0.1 * sigma * lam ** 4 * (abs(v_s) + 2.5) * h * h / 12.0
-                 + 4.0 * np.spacing(np.abs(D).max()) / (h * h))
+        fourth = sigma * lam ** 4 * (4.0 * 0.128 + (abs(v_s) + 50.0) * lam / 4.0)
+        slack = fourth * h * h / 12.0 + 4.0 * np.spacing(np.abs(D).max()) / (h * h)
         assert curvature.max() <= c.curvature_bound + slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(0.0, 1.0), v_s=st.floats(-3.0, 3.0), lam=st.floats(0.1, 200.0),
+           q=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]))
+    @example(sigma=1.0, v_s=2.0, lam=10.0, q=-0.25, sign=1.0)  # the default shape
+    # v_s = q: D's positive part is sigma (q - x) lam z' alone, at most
+    # 0.224 sigma, at u = -1.54 for the plus block
+    @example(sigma=1.0, v_s=0.0, lam=1.0, q=0.0, sign=1.0)
+    def test_partials_bound_bounds_d_on_the_line(self, sigma, v_s, lam, q, sign):
+        c = SigmoidCoupling(sigma, v_s, lam, q)
+        x = np.linspace(-60.0, 60.0, 120001)
+        d_self, d_other = c.partials(x, x)
+        D = d_self + sign * d_other
+        assert c.partials_bound >= 0.0
+        assert D.max() <= c.partials_bound * (1.0 + 1e-15)
+
+
+class TestFoldWindow:
+    # for the cell and the linear pair D = d_self +- d_other is 0 or
+    # -2 theta, so s(x) = x (2 - 3x) - alpha k e^(alpha x) + D < x (2 - 3x),
+    # which is <= 0 outside [0, 2/3]: no zero of either block lies there
+    @settings(max_examples=60, deadline=None)
+    @given(A=st.floats(1e-8, 1.0), alpha=st.floats(0.1, 1000.0), gamma=st.floats(0.05, 2.0),
+           theta=st.one_of(st.none(), st.floats(1e-6, 1.0)))
+    @example(A=0.0041, alpha=5.276, gamma=0.3, theta=None)
+    @example(A=0.0041, alpha=5.276, gamma=0.3, theta=0.008)
+    def test_no_fold_or_branch_point_of_the_cell_or_linear_pair_lies_outside(
+        self, A, alpha, gamma, theta
+    ):
+        p = DmlParams(A=A, alpha=alpha, gamma=gamma)
+        c = NoCoupling() if theta is None else LinearCoupling(theta)
+        x = np.concatenate([np.linspace(-50.0, 0.0, 5001)[:-1],
+                            np.linspace(2.0 / 3.0, 50.0, 5001)[1:]])
+        assert (x * (2.0 - 3.0 * x) <= 0.0).all()
+        d_self, d_other = c.partials(x, x)
+        assert c.partials_bound == 0.0
+        for sign in (1.0, -1.0):
+            D = d_self + sign * d_other
+            assert np.all(D <= 0.0)
+            with np.errstate(over="ignore"):
+                assert (-i_infinity_derivative(x, p) + D < 0.0).all()
+        assert all(0.0 <= x <= 2.0 / 3.0 for _, x, _ in critical_points(p, c))
 
 
 class TestScalarHelpers:
