@@ -234,33 +234,37 @@ def _csv_rows(fh, rows, line: Optional[str] = None) -> None:
 
 
 class _CsvStream:
-    """A float64 table of ``rows`` rows whose leading rows a helper
-    interpreter may format.
+    """A float64 table, fed in pieces of rows as it is computed, whose CSV
+    text a helper interpreter may format.
 
-    ``feed`` hands the helper whole ``_CSV_CHUNK``s of rows while the table
-    is still being computed, if the table is longer than
-    ``_CSV_SPLIT_ROWS``; a shorter one is not worth the helper's start-up.
-    ``write`` writes the table, finished or cut short: it waits for the
-    helper, copies its text if it exited 0, and formats the rest of the rows
-    here.  So only the rest need be built as one array.  A table that was
-    never fed is formatted here alone.
+    ``feed`` copies the rows into one ``_CSV_CHUNK``-row buffer.  Each full
+    chunk is appended raw to a spill file and, if the table is longer than
+    ``_CSV_SPLIT_ROWS``, sent to the helper; a shorter table is not worth
+    the helper's start-up.  ``write`` writes the table, finished or cut
+    short: it waits for the helper, copies its text if it exited 0, and
+    formats here, from the spill, every chunk the helper did not deliver,
+    then the partial chunk.  So the stream holds one chunk of rows, and the
+    spill takes 8 bytes per value of temporary disk, about 24 per row of
+    the cell.
 
-    The helper starts at the first rows handed over.  It reads raw doubles
-    from a pipe and writes their text, by the template of ``_csv_rows``,
-    to a temporary file rather than back through a pipe, so it never waits
-    on this process.  The pipe holds 1 MiB, about ten chunks of the cell's
+    The helper starts at the first full chunk.  It reads raw doubles from
+    a pipe and writes their text, by the template of ``_csv_rows``, to a
+    temporary file rather than back through a pipe, so it never waits on
+    this process.  The pipe holds 1 MiB, about ten chunks of the cell's
     rows, so the helper can fall that far behind before a send waits on it;
     a platform that cannot resize a pipe keeps its default size.  If the
     helper cannot start (a failed resize included), a send to it fails, or
-    it exits non-zero, every row it was given is formatted here and its
-    text is discarded.  ``close`` reaps it; the stream is a context
-    manager for that.
+    it exits non-zero, every row it was given is formatted here from the
+    spill and its text is discarded.  ``close`` reaps it; the stream is a
+    context manager for that.
     """
 
     def __init__(self, rows: int):
         self.helper = None
         self.text = None  # the helper's output file
-        self.sent = 0  # rows handed to the helper
+        self.spill = None  # every full chunk, raw
+        self.chunk = None  # the chunk being filled, one row per table row
+        self.rows = 0  # rows fed
         # every row is formatted here: a short table, or no helper could
         # start, or a send failed
         self.local = rows <= _CSV_SPLIT_ROWS
@@ -272,61 +276,81 @@ class _CsvStream:
         self.close()
 
     def feed(self, times, states) -> None:
-        """Hand over the whole chunks of the final rows ``(times, states)``,
-        numpy arrays, that the helper has not had yet."""
+        """Append the rows ``(times, states)``, numpy arrays, to the table."""
+        import numpy as np
+
+        if self.chunk is None:
+            self.chunk = np.empty((_CSV_CHUNK, 1 + states.shape[1]))
+        done = 0
+        while done < len(times):
+            at = self.rows % _CSV_CHUNK
+            n = min(_CSV_CHUNK - at, len(times) - done)
+            self.chunk[at : at + n, 0] = times[done : done + n]
+            self.chunk[at : at + n, 1:] = states[done : done + n]
+            self.rows += n
+            done += n
+            if at + n == _CSV_CHUNK:
+                self._spill()
+
+    def _spill(self) -> None:
+        """Append the full chunk to the spill and send it to the helper."""
         import subprocess
         import tempfile
 
-        import numpy as np
-
-        stop = self.sent + (len(times) - self.sent) // _CSV_CHUNK * _CSV_CHUNK
-        if stop == self.sent or self.local:
+        if self.spill is None:
+            self.spill = tempfile.TemporaryFile()
+        self.spill.write(self.chunk.data)
+        if self.local:
             return
-        rows = np.column_stack((times[self.sent : stop], states[self.sent : stop]))
         try:
             if self.helper is None:
                 self.text = tempfile.TemporaryFile("w+", encoding="ascii", newline="")
                 self.helper = subprocess.Popen(
-                    [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(rows.shape[1]), str(_CSV_CHUNK)],
+                    [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(self.chunk.shape[1]),
+                     str(_CSV_CHUNK)],
                     stdin=subprocess.PIPE, stdout=self.text, stderr=subprocess.DEVNULL,
                     pipesize=1 << 20,
                 )
-            self.helper.stdin.write(rows.data)
+            self.helper.stdin.write(self.chunk.data)
             self.helper.stdin.flush()
         except OSError:
-            self.local = True
-            self.close()
-            return
-        self.sent = stop
+            self.local = True  # the helper's text goes unused; close reaps it
 
-    def write(self, fh, times, states) -> None:
-        """Write the table's rows ``(times, states)``, numpy arrays: end the
-        helper's input and wait for it, copy its text of the rows it was
-        handed if it exited 0, and format the rest here."""
+    def write(self, fh) -> None:
+        """Write the rows fed: end the helper's input and wait for it, copy
+        its text of every full chunk if it exited 0, or else format those
+        chunks here from the spill, and format the partial chunk here."""
         import shutil
 
         import numpy as np
 
-        done = 0
-        if self.helper is not None:
+        spill = self.spill
+        if self.helper is not None and not self.local:
             self.helper.stdin.close()
             if self.helper.wait() == 0:
-                done = self.sent
                 self.text.seek(0)
                 shutil.copyfileobj(self.text, fh)
-        _csv_rows(fh, np.column_stack((times[done:], states[done:])))
+                spill = None
+        if spill is not None:
+            cols = self.chunk.shape[1]
+            spill.seek(0)
+            while data := spill.read(8 * cols * _CSV_CHUNK):
+                _csv_rows(fh, np.frombuffer(data).reshape(-1, cols))
+        if self.chunk is not None:
+            _csv_rows(fh, self.chunk[: self.rows % _CSV_CHUNK])
 
     def close(self) -> None:
-        """Kill the helper if it still runs, wait for it and drop its text."""
+        """Kill the helper if it still runs, wait for it, and drop its text
+        and the spill."""
         if self.helper is not None:
             self.helper.kill()
             # after a failed send, closing flushes its bytes again, and fails
             with contextlib.suppress(OSError):
                 self.helper.stdin.close()
             self.helper.wait()
-        if self.text is not None:
-            self.text.close()
-        self.helper = self.text = None
+        for file in (self.text, self.spill):
+            if file is not None:
+                file.close()
 
 
 # fixed 800x500 viewport; purely presentational output, skipped with a
@@ -393,38 +417,43 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         raise InsufficientSamplesError(
             f"discard ({cfg.discard}) + tail ({cfg.tail}) exceeds the {rows} grid samples"
         )
-    failure = None
-    # a long trajectory's rows go to the CSV helper while the solve runs
+    failure, plotted = None, []
+
+    def feed(times, states):
+        if cfg.svg:  # the plot's rows: those from --discard on
+            skip = max(cfg.discard - stream.rows, 0)
+            plotted.append((times[skip:].copy(), states[skip:, ::2].copy()))
+        stream.feed(times, states)
+
+    # the rows go to the CSV stream, and to the helper, while the solve runs
     with _CsvStream(rows) as stream:
         try:
             summary = run_experiment(cfg.params(), coupling, cfg.beta, config, y0=cfg.y0,
-                                     tail=cfg.tail, _on_rows=stream.feed)
-            traj = summary.trajectory
+                                     tail=cfg.tail, _on_rows=feed)
         except NonFiniteStateError as err:
             # the finite prefix goes where the whole run would have gone
-            failure, traj = err, err.trajectory
-        if traj is not None:
-            with _output(cfg) as fh:
-                fh.write("t,x,y\n" if coupling.dim == 2 else "t,x1,y1,x2,y2\n")
-                stream.write(fh, traj.times, traj.states)
+            failure = err
+        with _output(cfg) as fh:
+            fh.write("t,x,y\n" if coupling.dim == 2 else "t,x1,y1,x2,y2\n")
+            stream.write(fh)
     if failure is not None:
-        kept = 0 if traj is None else len(traj.times)
-        print(f"numerical failure: {failure}; {kept} finite rows written to "
+        print(f"numerical failure: {failure}; {stream.rows} finite rows written to "
               f"{cfg.out or 'stdout'}", file=sys.stderr)
         return 1
     if cfg.out:
         record = {
             "converged": summary.converged,
             "tail_amplitude_x": summary.tail_amplitude_x,
-            "final_state": [float(v) for v in traj.states[-1]],
+            "final_state": [float(v) for v in summary.trajectory.states[-1]],
         }
         if summary.excitatory_ok is not None:
             record["excitatory_ok"] = summary.excitatory_ok
         sys.stdout.write(json.dumps(record) + "\n")
     if cfg.svg:
-        kept = traj.states[cfg.discard :]
-        times = traj.times[cfg.discard :]
-        _svg_plot(_svg_path(cfg), [(times, v) for v in kept[:, ::2].T])
+        import numpy as np
+
+        times, voltages = (np.concatenate(parts) for parts in zip(*plotted))
+        _svg_plot(_svg_path(cfg), [(times, v) for v in voltages.T])
     return 0
 
 

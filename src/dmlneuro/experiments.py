@@ -2,8 +2,10 @@
 
 The simulation protocol follows the reference setup: integrate on a uniform
 grid and judge convergence or sustained oscillation from the peak-to-peak
-spread of the voltage over a tail window.  A run keeps its whole trajectory;
-the command line cuts the initial transient from its phase-portrait plot.
+spread of the voltage over a tail window.  A library run keeps its whole
+trajectory; a run whose rows are handed out as they come keeps only its
+tail, and the command line keeps, for its plot, the rows past the initial
+transient.
 Hopf curves, which are closed-form, live in :mod:`dmlneuro.stability` and
 are re-exported here.
 """
@@ -31,7 +33,8 @@ DEFAULT_Y0_DIMER = (0.1, 0.1, -0.2, 0.1)
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """One long run: the trajectory plus tail-window diagnostics.
+    """One long run: the trajectory, or only its tail window for a run
+    whose rows were handed out, plus tail-window diagnostics.
 
     ``tail_amplitude_x`` is the largest peak-to-peak voltage spread over the
     tail window (across both neurons for a pair); ``excitatory_ok`` reports
@@ -82,7 +85,10 @@ def run_experiment(
 ) -> SimulationSummary:
     """Integrate one model instance and summarize its last ``tail`` samples.
 
-    ``_on_rows`` is handed to :func:`solve_fde` as it is.
+    With ``_on_rows``, :func:`solve_fde` hands each piece of rows to it, in
+    order, and the run keeps from them only its last ``tail`` rows and its
+    highest voltage: ``summary.trajectory`` is then the tail window, and
+    the summary's other fields are those of a run that kept every row.
     """
     y0 = _resolve_y0(y0, coupling.dim)
     n_samples = config.n_steps + 1
@@ -90,19 +96,40 @@ def run_experiment(
         raise ValueError(f"tail must be >= 1, got {tail}")
     if tail > n_samples:
         raise InsufficientSamplesError(f"tail ({tail}) exceeds the {n_samples} grid samples")
-    traj = solve_fde(coupling.field, beta, config, y0, p, _on_rows=_on_rows)
-    voltages = traj.states[:, ::2]
-    tail_block = voltages[-tail:]
+    if _on_rows is None:
+        traj = solve_fde(coupling.field, beta, config, y0, p)
+        top = traj.states[:, ::2].max()
+    else:
+        traj, top = _streamed(coupling, beta, config, y0, p, tail, _on_rows)
+    tail_block = traj.states[-tail:, ::2]
     amplitude = float((tail_block.max(axis=0) - tail_block.min(axis=0)).max())
     excitatory = None
     if coupling.v_s is not None:
-        excitatory = bool(coupling.v_s > voltages.max())
+        excitatory = bool(coupling.v_s > top)
     return SimulationSummary(
         trajectory=traj,
         tail_amplitude_x=amplitude,
         converged=amplitude < AMPLITUDE_TOL,
         excitatory_ok=excitatory,
     )
+
+
+def _streamed(coupling, beta, config, y0, p, tail, on_rows):
+    """Solve, handing each piece of rows to ``on_rows``: the last ``tail``
+    rows as a trajectory, and the highest voltage."""
+    kept, top = [], -math.inf  # copies of the pieces' last rows, oldest first
+
+    def keep(times, states):
+        nonlocal top
+        top = max(top, states[:, ::2].max())
+        kept.append((times[-tail:].copy(), states[-tail:].copy()))
+        while sum(len(t) for t, _ in kept[1:]) >= tail:
+            del kept[0]
+        on_rows(times, states)
+
+    solve_fde(coupling.field, beta, config, y0, p, _on_rows=keep)
+    times, states = (np.concatenate(rows)[-tail:] for rows in zip(*kept))
+    return Trajectory(times, states), top
 
 
 def _beta_grid(beta_range, beta_step):

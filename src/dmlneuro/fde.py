@@ -15,8 +15,9 @@ product into Python floats and evaluates the field four times, with
 unrolled float sums between them.  Each evaluation runs a field body
 inline: a model's own, or, for any other callable, a wrapped model field
 included, a generated body that calls it, with the same bits.  A run of N
-steps costs O(N (r + Q)) for Q (about 145) exponents, and its only arrays
-of length N are its times and states.
+steps costs O(N (r + Q)) for Q (about 145) exponents.  A solve keeps its
+times and states, its only arrays of length N; one that hands its rows out
+as it goes keeps only one piece of them, ``_PIECE`` blocks long.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .models import SolverConfig, check_order
 # Block length r: a node sums its own block directly, the block before it by
 # the kernel and all older nodes through the sums of exponentials.
 _BLOCK = 64
+# blocks per piece: a solve that hands its rows out steps into a buffer of
+# one piece and hands each piece over once it is full
+_PIECE = 64
 
 
 @dataclass(frozen=True)
@@ -147,14 +151,14 @@ _compiled = lru_cache(maxsize=32)(lambda source: compile(source, "<pair step>", 
 def _call_body(dim: int) -> tuple:
     """The body ``(state, source, out)`` that calls ``rhs`` at step m's time
     on a list of the state's floats and rejects an output of any other
-    length; it reads ``rhs``, ``params``, ``t_start``, ``h`` and ``times``."""
+    length; it reads ``rhs``, ``params``, ``t_start`` and ``h``."""
     state, out = (tuple(f"{x}{i}" for i in range(dim)) for x in "yr")
     return state, (
         "t = t_start + h * m\n"
         f"out = rhs(t, [{', '.join(state)}], params)\n"
         f"if len(out) != {dim}:\n"
         "    raise DimensionMismatchError(\n"
-        '        f"rhs returned a sequence of the wrong length at t = {times[m]:g} "\n'
+        '        f"rhs returned a sequence of the wrong length at t = {t:g} "\n'
         f'        f"(step {{m}}); expected {dim} values")\n'
         f"{', '.join(out)}, = out\n"
     ), out
@@ -202,8 +206,8 @@ def _pair_step(dim: int, body, **bound) -> Callable:
     )
     scope = dict(bound, DimensionMismatchError=DimensionMismatchError)
     exec(_compiled(source), scope)
-    # popped, so that the step and its globals, which hold ``times``, form no
-    # cycle: they go with the solve, not at a later garbage collection
+    # popped, so that the step and its globals, which hold the block buffer,
+    # form no cycle: they go with the solve, not at a later garbage collection
     return scope.pop("step")
 
 
@@ -260,30 +264,38 @@ def solve_fde(
     numpy.  The same step takes node 1 of the first block, whose partner is
     node 0, a block that ends on the first node of a pair, and the unpaired
     last node of an odd r.  The block's states are stored once per block,
-    by one slice store of a flat float list.  Beside the returned times and
-    states, a solve holds O(r (r + Q)) floats for Q exponents.
+    by one slice store of a flat float list.  Beside the times and states
+    it keeps, a solve holds O(r (r + Q)) floats for Q exponents.
 
     Raises ``ValueError`` for a non-finite ``y0`` and
-    :class:`GridMemoryError` for a grid whose times and states cannot be
-    allocated or indexed, both before any work, :class:`NonFiniteStateError`
-    (carrying the finite part of the trajectory) at the first non-finite
-    state after it, and :class:`DimensionMismatchError` when ``rhs`` output
-    and ``y0`` disagree, at node 0 or at any later node: the call body
-    rejects an output of any other length at the step that returned it, and
-    a spliced body always gives ``dim`` floats.  The finiteness check runs
-    once per block of ``_BLOCK`` steps, so ``rhs`` may be evaluated at
-    non-finite states before the error is raised; the block's states are
-    scanned one by one only when their sum is not finite.  A ``ValueError``
-    that ``rhs`` raises itself propagates as it is.
+    :class:`GridMemoryError` for a grid whose times and states could not be
+    allocated or indexed whole, both before any work,
+    :class:`NonFiniteStateError` (carrying the finite part of the
+    trajectory) at the first non-finite state after it, and
+    :class:`DimensionMismatchError` when ``rhs`` output and ``y0`` disagree,
+    at node 0 or at any later node: the call body rejects an output of any
+    other length at the step that returned it, and a spliced body always
+    gives ``dim`` floats.  The finiteness check runs once per block of
+    ``_BLOCK`` steps, so ``rhs`` may be evaluated at non-finite states
+    before the error is raised; the block's states are scanned one by one
+    only when their sum is not finite.  A ``ValueError`` that ``rhs``
+    raises itself propagates as it is.
 
-    The private hook ``_on_rows(times, states)``, when given, is called once
-    per block, after that block passes the finiteness check, with views of
-    every row final so far.  Each call's rows are therefore a prefix of the
-    returned trajectory, or of the finite part a blow-up carries.  The
-    command line uses it to hand a long trajectory's rows to a helper
-    process, which formats their CSV text while the solve runs; the bytes
-    match the one-process text, the helper is reaped on every path out of
-    the command, and nothing configures it.
+    The private hook ``_on_rows(times, states)``, when given, makes the
+    solve keep no array of the run's length.  It steps into a buffer of one
+    piece, ``_PIECE`` whole blocks, builds that piece's times, and hands
+    each piece over once it is full, the last one when the run ends: every
+    row once, in order, as views that the next piece overwrites, so a
+    caller copies what it keeps.  On a blow-up the finite rows of the piece
+    in hand are handed over before the error is raised, so the calls' rows
+    make up the trajectory, or its finite part.  The solve then returns,
+    and a blow-up carries, only the rows of its last piece, which may be
+    none.  A grid that could not be held whole is still refused, by an
+    allocation of its size that is never touched.  The command line uses
+    the hook to hand a long trajectory's rows to a helper process, which
+    formats their CSV text while the solve runs; the bytes match the
+    one-process text, the helper is reaped on every path out of the
+    command, and nothing configures it.
     """
     beta = check_order(order)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -295,9 +307,15 @@ def solve_fde(
     n_steps = config.n_steps
     h = config.h
     t_start = config.t_start
+    # the rows a solve holds: all of them, or, streamed, one piece
+    piece = n_steps + 1 if _on_rows is None else min(n_steps + 1, _PIECE * _BLOCK)
     with _grid_allocation(n_steps + 1, "samples"):
-        times = t_start + h * np.arange(n_steps + 1)
-        states = np.empty((n_steps + 1, dim))
+        if piece <= n_steps:
+            # the whole grid must fit all the same; never touched, this
+            # allocation costs no resident memory
+            np.empty((n_steps + 1, dim + 1))
+        times = _times(0, piece, h, t_start)
+        states = np.empty((piece, dim))
 
     f0 = np.asarray(rhs(t_start, y0.tolist(), params), dtype=float)
     if f0.shape != (dim,):
@@ -352,7 +370,7 @@ def solve_fde(
     # a model's field hands over its body, any other callable a call body
     splice = getattr(rhs, "splice", None)
     body, names = splice(params) if splice is not None else (
-        _call_body(dim), dict(rhs=rhs, params=params, t_start=t_start, h=h, times=times))
+        _call_body(dim), dict(rhs=rhs, params=params, t_start=t_start, h=h))
     step = _pair_step(dim, body, **names, ca=ca, kb1=float(kb[1]), ka1=float(ka[1]),
                       pairs=pairs, store=store, first=f0.tolist())
 
@@ -378,6 +396,7 @@ def solve_fde(
     B[-2], B[-1] = y0, f0
     states[0] = y0
     flat = states.reshape(-1)  # a view: the block's states go in by one store
+    p0 = 0  # the first row of the piece in hand, which holds the rows from p0 on
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for q0 in range(0, n_steps + 1, r):
@@ -400,24 +419,39 @@ def solve_fde(
                 nodes[0, 2] = f0
             lo, stop = max(q0, 1), min(q0 + r, n_steps + 1)
             block = step(q0, stop)
-            flat[lo * dim : stop * dim] = block
+            flat[(lo - p0) * dim : (stop - p0) * dim] = block
 
             # the sum is finite only if every state is; a non-finite sum,
             # which finite states can also give by overflow, runs the scan
             if not math.isfinite(sum(block)):
-                finite = np.isfinite(states[lo:stop]).all(axis=1)
+                finite = np.isfinite(states[lo - p0 : stop - p0]).all(axis=1)
                 if not finite.all():
                     m = lo + int(finite.argmin())
-                    partial = Trajectory(times[:m].copy(), states[:m].copy())
+                    partial = Trajectory(times[: m - p0], states[: m - p0])
+                    if _on_rows is not None and m > p0:
+                        _on_rows(partial.times, partial.states)
                     raise NonFiniteStateError(
-                        f"non-finite state at t = {times[m]:g} (step {m}); "
+                        f"non-finite state at t = {t_start + h * m:g} (step {m}); "
                         "returning the finite part of the trajectory",
                         trajectory=partial,
                     )
-            if _on_rows is not None:
-                _on_rows(times[:stop], states[:stop])
+            if stop - p0 == len(times):
+                if _on_rows is not None:
+                    _on_rows(times, states[: len(times)])
+                if stop <= n_steps:
+                    p0 = stop
+                    times = _times(p0, min(p0 + piece, n_steps + 1), h, t_start)
 
-    return Trajectory(times, states)
+    return Trajectory(times, states[: len(times)])
+
+
+def _times(start: int, stop: int, h: float, t_start: float) -> np.ndarray:
+    """The times of rows ``start`` to ``stop - 1``, ``t_start + h * k``,
+    built in place: no integer grid and no product beside them."""
+    times = np.arange(start, stop, dtype=float)
+    times *= h
+    times += t_start
+    return times
 
 
 def mittag_leffler(order, z: float) -> float:

@@ -631,6 +631,16 @@ class TestSimulateCommand:
         assert 'viewBox="0 0 800 500"' in svg
         assert svg.count("<polyline") == 1
 
+    def test_svg_plots_the_kept_run_from_discard_on(self, tmp_path, capsys, experiment_calls):
+        # 9001 rows, three pieces; the plot starts inside the second
+        code, _, _ = run(capsys, *simulate_argv(9001, dim=4)[:-4], "--discard", "5000",
+                         "--tail", "10", "--out", str(tmp_path / "run.csv"), "--svg")
+        assert code == 0
+        traj = kept_run(*experiment_calls[0])
+        cli._svg_plot(str(tmp_path / "kept.svg"),
+                      [(traj.times[5000:], v) for v in traj.states[5000:, ::2].T])
+        assert (tmp_path / "run.svg").read_bytes() == (tmp_path / "kept.svg").read_bytes()
+
     def test_svg_of_a_pair_draws_both_voltages(self, tmp_path, capsys):
         out_path = tmp_path / "pair.csv"
         code, _, _ = run(
@@ -693,17 +703,44 @@ def simulate_argv(n_rows, dim=2):
             "--t-end", repr((n_rows - 1) / 20), "--discard", "0", "--tail", "10"]
 
 
-def stream_to_file(tmp_path, table):
+def stream_to_file(tmp_path, table, piece=11):
     """The bytes a ``_CsvStream`` writes, after a header, for a float table
-    fed whole to it, and the row-by-row bytes."""
+    fed to it in pieces of ``piece`` rows, and the row-by-row bytes."""
     header = [f"c{i}" for i in range(table.shape[1])]
     out_path = tmp_path / "table.csv"
-    times, states = table[:, 0], table[:, 1:]
     with cli._CsvStream(len(table)) as stream, open(out_path, "w", encoding="utf-8", newline="") as fh:
-        stream.feed(times, states)
+        for start in range(0, len(table), piece):
+            stream.feed(table[start : start + piece, 0], table[start : start + piece, 1:])
         fh.write(",".join(header) + "\n")
-        stream.write(fh, times, states)
+        stream.write(fh)
     return out_path.read_bytes(), row_by_row_csv(header, table)
+
+
+RUN_EXPERIMENT = experiments.run_experiment  # as imported, before any test patches it
+
+
+def kept_run(args, kwargs):
+    """The trajectory of a ``run_experiment`` call run again without its
+    ``_on_rows``, which keeps every row: the whole run, or the finite part
+    that a blow-up carries."""
+    kwargs = {key: value for key, value in kwargs.items() if key != "_on_rows"}
+    try:
+        return RUN_EXPERIMENT(*args, **kwargs).trajectory
+    except NonFiniteStateError as err:
+        return err.trajectory
+
+
+@pytest.fixture
+def experiment_calls(monkeypatch):
+    """The arguments ``(args, kwargs)`` of each ``run_experiment`` call."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return RUN_EXPERIMENT(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_experiment", spy)
+    return calls
 
 
 class TestCsvWriter:
@@ -713,15 +750,8 @@ class TestCsvWriter:
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
 
-    def test_trajectory_bytes_match_the_row_by_row_writer(self, tmp_path, capsys, monkeypatch):
-        runs = []
-        real = experiments.run_experiment
-
-        def spy(*args, **kwargs):
-            runs.append(real(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(experiments, "run_experiment", spy)
+    def test_trajectory_bytes_match_the_row_by_row_writer(self, tmp_path, capsys,
+                                                          experiment_calls):
         out_path = tmp_path / "traj.csv"
         code, _, _ = run(
             capsys, "simulate", "--model", "dimer-sigmoid", "--beta", "0.95",
@@ -729,23 +759,21 @@ class TestCsvWriter:
             "--out", str(out_path),
         )
         assert code == 0
-        traj = runs[0].trajectory
+        traj = kept_run(*experiment_calls[0])
         rows = ([t, *state] for t, state in zip(traj.times, traj.states))
         expected = row_by_row_csv(["t", "x1", "y1", "x2", "y2"], rows)
         assert out_path.read_bytes() == expected
 
     def test_special_floats_match_the_row_by_row_writer(self, tmp_path):
+        # a table too short for the helper: this process formats every
+        # chunk, from the spill, and then the partial one
         table = np.array([
             [0.0, -0.0, 1e-300, -5e-324],
             [np.nan, np.inf, -np.inf, 1.7976931348623157e308],
             [0.1, 1 / 3, -2.5e-17, 123456789.0],
         ] * 5)
-        out_path = tmp_path / "special.csv"
-        # a stream that was never fed formats the whole table in this process
-        with cli._CsvStream(len(table)) as stream, open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("a,b,c,d\n")
-            stream.write(fh, table[:, 0], table[:, 1:])
-        assert out_path.read_bytes() == row_by_row_csv(list("abcd"), table)
+        written, expected = stream_to_file(tmp_path, table)
+        assert written == expected
 
     @pytest.mark.parametrize("argv", [
         ("equilibria", "--model", "dimer-sigmoid", "--sigma", "0.003", "--I", "0.0098"),
@@ -809,26 +837,19 @@ class TestCsvWriter:
         assert len(helpers) == 1 and helpers[0].returncode == 0
 
     def test_blow_up_in_the_first_block_starts_no_helper(self, tmp_path, capsys, monkeypatch,
-                                                         helpers):
-        # a streamed run with three finite rows: the solver hands rows over
-        # only once a block of 64 passes its finiteness check
+                                                         helpers, sends):
+        # a streamed run with three finite rows, handed over only at the
+        # blow-up: they fill no chunk of 4, so no helper starts
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 2)
-        monkeypatch.setattr(cli, "_CSV_CHUNK", 1)
-        tables = []
-        real = cli._CsvStream.write
-
-        def spy(stream, fh, times, states):
-            tables.append(np.column_stack((times, states)))
-            real(stream, fh, times, states)
-
-        monkeypatch.setattr(cli._CsvStream, "write", spy)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 4)
         out_path = tmp_path / "boom.csv"
         code, _, err = run(
             capsys, "simulate", "--I", "1e3", "--beta", "0.9", "--t-end", "5",
             "--h", "0.01", "--discard", "0", "--tail", "10", "--out", str(out_path),
         )
         assert code == 1 and "3 finite rows" in err
-        assert out_path.read_bytes() == row_by_row_csv(["t", "x", "y"], tables[0])
+        assert len(sends.trajectories[0].times) == 3
+        assert out_path.read_bytes() == trajectory_csv(sends.trajectories[0])
         assert helpers == []
 
     def test_mixed_rows_start_no_helper(self, tmp_path, capsys, helpers):
@@ -871,7 +892,8 @@ class TestCsvWriter:
     @pytest.fixture
     def sends(self, monkeypatch, helpers):
         """Each write to a helper's stdin, as whether the solve was still
-        running then; and the trajectory, or finite part, of each solve."""
+        running then; and the trajectory, or finite part, of each solve, as
+        the same run gives it when it keeps every row."""
         seen = SimpleNamespace(solving=False, writes=[], trajectories=[])
 
         class Stdin:
@@ -897,12 +919,12 @@ class TestCsvWriter:
             seen.solving = True
             try:
                 summary = real(*args, **kwargs)
-            except NonFiniteStateError as err:
-                seen.trajectories.append(err.trajectory)
+            except NonFiniteStateError:
+                seen.trajectories.append(kept_run(args, kwargs))
                 raise
             finally:
                 seen.solving = False
-            seen.trajectories.append(summary.trajectory)
+            seen.trajectories.append(kept_run(args, kwargs))
             return summary
 
         monkeypatch.setattr(experiments, "run_experiment", solve)
@@ -1000,26 +1022,12 @@ class TestCsvWriter:
     @pytest.mark.parametrize("fault", ["short row", "interrupt", "non-finite"])
     def test_helper_is_reaped_when_the_solve_fails(self, tmp_path, capsys, monkeypatch, helpers,
                                                    sends, fault):
-        # the field fails at about step 200, after three blocks went over
+        # the field fails at about step 4500, after the first piece of 4096
+        # rows went over
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
-        real = experiments.solve_fde
-
-        def faulty(rhs, order, config, y0, *args, **kwargs):
-            dim = len(y0)
-            calls = itertools.count()
-
-            def field(t, y, p):
-                if next(calls) < 400:
-                    return rhs(t, y, p)
-                if fault == "interrupt":
-                    raise KeyboardInterrupt
-                return [0.0] if fault == "short row" else [math.nan] * dim
-
-            return real(field, order, config, y0, *args, **kwargs)
-
-        monkeypatch.setattr(experiments, "solve_fde", faulty)
+        fail_from(monkeypatch, 9000, fault)
         out_path = tmp_path / "traj.csv"
-        argv = [*simulate_argv(1001), "--out", str(out_path)]
+        argv = [*simulate_argv(6001), "--out", str(out_path)]
         if fault == "interrupt":
             with pytest.raises(KeyboardInterrupt):
                 run_cli(argv)
@@ -1033,9 +1041,50 @@ class TestCsvWriter:
         elif fault == "non-finite":
             partial = sends.trajectories[0]
             assert code == 1 and f"{len(partial.times)} finite rows" in err
-            assert 192 < len(partial.times) < 256
+            assert 4096 + 384 < len(partial.times) < 4096 + 448
             assert out_path.read_bytes() == trajectory_csv(partial)
             assert helpers[0].returncode == 0
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="runs a shell script as the helper")
+    def test_late_blow_up_after_a_failed_helper_is_formatted_from_the_spill(
+            self, tmp_path, capsys, monkeypatch, helpers, sends):
+        # the helper exits at once; the run blows up at about step 5000, in
+        # its second piece, so every chunk of the finite rows comes back
+        # from the spill and the partial chunk after them
+        script = tmp_path / "dying-helper"
+        script.write_text("#!/bin/sh\nexit 1\n")
+        script.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(script))
+        monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
+        fail_from(monkeypatch, 10_000, "non-finite")
+        out_path = tmp_path / "traj.csv"
+        code, _, err = run(capsys, *simulate_argv(6001), "--out", str(out_path))
+        partial = sends.trajectories[0]
+        assert code == 1 and f"{len(partial.times)} finite rows" in err
+        assert 4096 < len(partial.times) < 6001 and len(partial.times) % 7
+        assert out_path.read_bytes() == trajectory_csv(partial)
+        assert len(helpers) == 1 and helpers[0].returncode not in (None, 0)
+
+
+def fail_from(monkeypatch, call, fault):
+    """Make every solve's field fail from its ``call``-th evaluation on:
+    by a short row, an interrupt or a non-finite row."""
+    real = experiments.solve_fde
+
+    def faulty(rhs, order, config, y0, *args, **kwargs):
+        dim = len(y0)
+        calls = itertools.count()
+
+        def field(t, y, p):
+            if next(calls) < call:
+                return rhs(t, y, p)
+            if fault == "interrupt":
+                raise KeyboardInterrupt
+            return [0.0] if fault == "short row" else [math.nan] * dim
+
+        return real(field, order, config, y0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_fde", faulty)
 
 
 class TestSweepCommand:

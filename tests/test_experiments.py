@@ -113,6 +113,53 @@ class TestRunExperiment:
             run_experiment(P, NoCoupling(), 0.9, SHORT, y0=[0.1] * 4, tail=10)
 
 
+class TestStreamedRun:
+    """A run that hands its rows out keeps only its tail and its highest
+    voltage, and summarizes them as a run that kept every row."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        model=st.sampled_from(["single", "linear", "sigmoid"]),
+        # up to three pieces of 4096 rows and a part of a fourth
+        rows=st.integers(2, 3 * 4096 + 100),
+        tail_at=st.floats(0.0, 1.0),
+        beta=st.floats(0.6, 1.0),
+        # reversal potentials below the start, inside the run, between the
+        # run's peak and the peak of its later pieces, and above it all
+        v_s=st.sampled_from([0.05, 0.3, 0.45, 2.0]),
+    )
+    # at beta = 0.9 the sigmoid pair peaks at 0.5009 in the first piece and
+    # at 0.4125 after it: v_s = 0.45 fails only a run that saw the first
+    @example(model="sigmoid", rows=9000, tail_at=0.0, beta=0.9, v_s=0.45)
+    @example(model="sigmoid", rows=4096, tail_at=1.0, beta=0.9, v_s=0.3)
+    @example(model="single", rows=2 * 4096 + 1, tail_at=0.0, beta=1.0, v_s=2.0)
+    @example(model="linear", rows=3 * 4096, tail_at=0.4, beta=0.95, v_s=2.0)
+    def test_the_summary_is_the_kept_run_s(self, model, rows, tail_at, beta, v_s):
+        coupling = {"single": NoCoupling(), "linear": LinearCoupling(0.008),
+                    "sigmoid": SigmoidCoupling(0.001, v_s=v_s)}[model]
+        cfg = SolverConfig(0.0, 0.05 * (rows - 1), 0.05)
+        assert cfg.n_steps + 1 == rows
+        tail = 1 + round(tail_at * (rows - 1))
+        kept = run_experiment(P, coupling, beta, cfg, tail=tail)
+        handed = []
+        streamed = run_experiment(P, coupling, beta, cfg, tail=tail,
+                                  _on_rows=lambda times, states: handed.append(len(times)))
+        assert sum(handed) == rows
+        assert streamed.tail_amplitude_x == kept.tail_amplitude_x
+        assert streamed.converged == kept.converged
+        assert streamed.excitatory_ok == kept.excitatory_ok
+        # the streamed trajectory is the tail window, bit for bit
+        assert np.array_equal(streamed.trajectory.times, kept.trajectory.times[-tail:])
+        assert np.array_equal(streamed.trajectory.states, kept.trajectory.states[-tail:])
+
+    def test_the_rows_go_on_to_the_hook_in_order(self):
+        pieces = []
+        run_experiment(P, NoCoupling(), 0.9, FAST, tail=500,
+                       _on_rows=lambda times, states: pieces.append(states.copy()))
+        whole = solve_fde(NoCoupling().field, 0.9, FAST, [0.1, 0.1], P)
+        assert np.array_equal(np.concatenate(pieces), whole.states)
+
+
 class TestBifurcationSweep:
     def test_degenerate_single_point_equals_plain_run(self):
         scan = bifurcation_sweep(

@@ -477,14 +477,14 @@ def check_finite_prefix(field):
     return first_bad
 
 
-def infinite_f_at(target):
+def infinite_f_at(target, h=BLOW_UP_CFG.h):
     """The decay field, except that its output at node ``target``'s
-    corrected state is infinite: the state there stays finite, and the
-    next one is the first non-finite state."""
+    corrected state, on a grid of step ``h`` from 0, is infinite: the state
+    there stays finite, and the next one is the first non-finite state."""
     evaluations = collections.Counter()
 
     def field(t, y, p):
-        node = round(t / BLOW_UP_CFG.h)
+        node = round(t / h)
         evaluations[node] += 1
         # the second evaluation at a node is the one at its corrected state
         if node == target and evaluations[node] % 2 == 0:
@@ -601,17 +601,8 @@ class TestExponentialHistory:
 
     @pytest.mark.slow
     def test_peak_memory_is_the_output(self):
-        # tracemalloc looks up the line of every allocation it records; on
-        # CPython 3.11 that scans the line table of a long function unless a
-        # traced call has built its line array, so one short solve under a
-        # no-op profile function first keeps this test to seconds
         p, cfg = DmlParams(I=0.019), SolverConfig(0.0, 2000.0, 0.01)
-        previous = sys.getprofile()
-        sys.setprofile(lambda *args: None)
-        try:
-            solve_fde(single_field, 0.9, SolverConfig(0.0, 1.0, 0.01), [0.1, 0.1], p)
-        finally:
-            sys.setprofile(previous)
+        warm_up_line_tables(single_field, p)
         tracemalloc.start()
         try:
             traj = solve_fde(single_field, 0.9, cfg, [0.1, 0.1], p)
@@ -620,6 +611,28 @@ class TestExponentialHistory:
             tracemalloc.stop()
         assert traj.states.shape == (cfg.n_steps + 1, 2)
         assert peak <= 1.5 * (traj.times.nbytes + traj.states.nbytes)
+
+    @pytest.mark.slow
+    def test_a_late_blow_up_carries_its_prefix_without_a_copy(self):
+        # the field turns non-finite in the last block of 2e5 steps: the
+        # finite part is a slice of the solve's arrays, not a second copy
+        cfg = SolverConfig(0.0, 2000.0, 0.01)
+
+        def field(t, y, p):
+            return [-y[0], -y[1]] if t < 1999.7 else [math.nan, math.nan]
+
+        warm_up_line_tables(field, None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteStateError) as info:
+                solve_fde(field, 0.9, cfg, [0.1, 0.1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        partial = info.value.trajectory
+        assert cfg.n_steps - fde._BLOCK < len(partial.times) < cfg.n_steps
+        output = (cfg.n_steps + 1) * 3 * 8  # the times and states of every step
+        assert peak <= 1.2 * output
 
     def test_a_solve_frees_its_arrays_by_reference_count(self):
         # nothing of a solve lives on in a reference cycle, so repeated runs
@@ -634,6 +647,125 @@ class TestExponentialHistory:
             assert times() is None and states() is None
         finally:
             gc.enable()
+
+
+def warm_up_line_tables(rhs, p):
+    """Solve a few steps of ``rhs``, kept and streamed, under a no-op
+    profile function.  tracemalloc looks up the line of every allocation it
+    records; on CPython 3.11 that scans the line table of a long function
+    unless a traced call has built its line array, which keeps a traced
+    long solve to seconds."""
+    previous = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        for on_rows in (None, lambda times, states: None):
+            solve_fde(rhs, 0.9, SolverConfig(0.0, 1.0, 0.01), [0.1, 0.1], p, _on_rows=on_rows)
+    finally:
+        sys.setprofile(previous)
+
+
+def streamed(rhs, beta, cfg, y0, p=None, **kwargs):
+    """Solve with ``_on_rows``: the copies of the pieces handed over, the
+    trajectory returned, or the error raised, and the error."""
+    pieces = []
+
+    def on_rows(times, states):
+        pieces.append((times.copy(), states.copy()))
+
+    try:
+        last = solve_fde(rhs, beta, cfg, y0, p, _on_rows=on_rows, **kwargs)
+    except NonFiniteStateError as err:
+        return pieces, err.trajectory, err
+    return pieces, last, None
+
+
+class TestStreamedRows:
+    P = DmlParams(I=0.019)
+
+    # one piece is 4096 rows: a run shorter than one, one that ends on a
+    # piece's last row, one that ends a row past it, and one mid-block
+    @pytest.mark.parametrize("rows", [100, 2 * 4096, 2 * 4096 + 1, 3 * 4096 + 37])
+    @pytest.mark.parametrize("coupling", [NoCoupling(), SigmoidCoupling(0.001)],
+                             ids=["single", "sigmoid"])
+    def test_the_pieces_are_the_kept_rows_once_in_order(self, rows, coupling):
+        assert fde._PIECE * fde._BLOCK == 4096
+        cfg = SolverConfig(3.0, 3.0 + 0.05 * (rows - 1), 0.05)
+        y0 = [0.1, 0.1, -0.2, 0.1][: coupling.dim]
+        kept = solve_fde(coupling.field, 0.9, cfg, y0, self.P)
+        pieces, last, _ = streamed(coupling.field, 0.9, cfg, y0, self.P)
+        assert [len(t) for t, _ in pieces[:-1]] == [4096] * (len(pieces) - 1)
+        assert np.array_equal(np.concatenate([t for t, _ in pieces]), kept.times)
+        assert np.array_equal(np.concatenate([s for _, s in pieces]), kept.states)
+        # the solve returns its last piece
+        assert np.array_equal(last.times, pieces[-1][0])
+        assert np.array_equal(last.states, pieces[-1][1])
+
+    # the first non-finite state falls in the first piece, on the first row
+    # of the second, and inside the second
+    @pytest.mark.parametrize("first_bad", [300, 4096, 5000])
+    def test_a_blow_up_hands_over_the_finite_rows_first(self, first_bad):
+        cfg = SolverConfig(0.0, 60.0, 0.01)
+        with pytest.raises(NonFiniteStateError) as info:
+            solve_fde(infinite_f_at(first_bad - 1, cfg.h), 0.9, cfg, [1.0])
+        kept = info.value.trajectory
+        pieces, carried, err = streamed(infinite_f_at(first_bad - 1, cfg.h), 0.9, cfg, [1.0])
+        assert str(err) == str(info.value)
+        assert len(kept.times) == first_bad
+        assert np.array_equal(np.concatenate([t for t, _ in pieces]), kept.times)
+        assert np.array_equal(np.concatenate([s for _, s in pieces]), kept.states)
+        # the error carries the finite rows of the piece it stopped in
+        assert np.array_equal(carried.states, kept.states[first_bad // 4096 * 4096 :])
+
+    # three grids, the full-resolution one included, and a grid that starts
+    # off zero: built in place, the times are the bits of t_start + h * k
+    @pytest.mark.parametrize("t_start, h, rows", [(0.0, 0.01, 600_001), (0.0, 0.05, 30_001),
+                                                  (5.0, 0.003, 100_003)])
+    def test_the_times_are_the_grid_bits(self, t_start, h, rows):
+        grid = t_start + h * np.arange(rows)
+        assert np.array_equal(fde._times(0, rows, h, t_start), grid)
+        pieces = [fde._times(k, min(k + 4096, rows), h, t_start) for k in range(0, rows, 4096)]
+        assert np.array_equal(np.concatenate(pieces), grid)
+
+    def test_the_times_take_no_grid_beside_them(self):
+        # no integer grid and no product: a solve of one state keeps times
+        # and states of 16 bytes a row, and its times alone never took more
+        tracemalloc.start()
+        try:
+            times = fde._times(0, 10**6, 0.01, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.01 * times.nbytes
+
+    @pytest.mark.slow
+    def test_a_streamed_solve_holds_no_row_count_of_memory(self):
+        # from its first hand-over on, a streamed solve holds one piece and
+        # its history, whatever the run's length: its peak, with what it
+        # held then, is the same for 2e4 steps as for 2e5.  The peak before
+        # that hand-over is left out: the solve then allocates, and never
+        # touches, an array of the grid's size, to refuse a grid that could
+        # not be held whole
+        warm_up_line_tables(single_field, self.P)
+        peaks = []
+        for n_steps in (20_000, 200_000):
+            handed = []
+
+            def on_rows(times, states):
+                if not handed:
+                    tracemalloc.reset_peak()
+                handed.append(len(times))
+
+            tracemalloc.start()
+            try:
+                solve_fde(single_field, 0.9, SolverConfig(0.0, 0.01 * n_steps, 0.01),
+                          [0.1, 0.1], self.P, _on_rows=on_rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(handed) == n_steps + 1
+        # the history's exponents grow with log N: a few kilobytes
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert peaks[1] < 0.25 * (200_001 * 3 * 8)
 
 
 class TestFieldContract:
@@ -874,16 +1006,19 @@ class TestSplicedBodies:
 
     def test_a_grid_too_long_to_allocate_is_a_typed_error(self):
         # 1e15 + 1 samples: the allocation fails at once, before any field
-        # evaluation
+        # evaluation; a streamed solve would hold one piece of the grid, but
+        # a grid that could not be held whole is refused all the same
         calls = []
 
         def field(t, y, p):
             calls.append(t)
             return decay(t, y, p)
 
-        with pytest.raises(GridMemoryError, match=r"^the grid of 1000000000000001 samples "
-                                                   r"does not fit in memory$"):
-            solve_fde(field, 0.9, SolverConfig(0.0, 1e15, 1.0), [0.1, 0.1])
+        for on_rows in (None, pytest.fail):
+            with pytest.raises(GridMemoryError, match=r"^the grid of 1000000000000001 samples "
+                                                       r"does not fit in memory$"):
+                solve_fde(field, 0.9, SolverConfig(0.0, 1e15, 1.0), [0.1, 0.1],
+                          _on_rows=on_rows)
         assert calls == []
 
 
