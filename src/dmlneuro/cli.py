@@ -234,36 +234,36 @@ def _csv_rows(fh, rows, line: Optional[str] = None) -> None:
 
 
 class _CsvStream:
-    """A float64 table, fed in pieces of rows as it is computed, whose CSV
-    text a helper interpreter may format.
+    """A float64 table, ``rows`` by ``cols``, fed in pieces of rows as it is
+    computed, whose CSV text a helper interpreter may format.
 
-    ``feed`` copies the rows into one ``_CSV_CHUNK``-row buffer.  Each full
-    chunk is appended raw to a spill file and, if the table is longer than
-    ``_CSV_SPLIT_ROWS``, sent to the helper; a shorter table is not worth
-    the helper's start-up.  ``write`` writes the table, finished or cut
-    short: it waits for the helper, copies its text if it exited 0, and
-    formats here, from the spill, every chunk the helper did not deliver,
-    then the partial chunk.  So the stream holds one chunk of rows, and the
-    spill takes 8 bytes per value of temporary disk, about 24 per row of
-    the cell.
+    ``feed`` appends each piece raw to a spill file and, if the table is
+    longer than ``_CSV_SPLIT_ROWS``, sends it to the helper; a shorter table
+    is not worth the helper's start-up.  ``write`` writes the table,
+    finished or cut short: it waits for the helper and copies its text if it
+    exited 0, or else formats every row here from the spill.  So the stream
+    holds no rows, and the spill takes 8 bytes per value of temporary disk,
+    about 24 per row of the cell.
 
-    The helper starts at the first full chunk.  It reads raw doubles from
-    a pipe and writes their text, by the template of ``_csv_rows``, to a
-    temporary file rather than back through a pipe, so it never waits on
-    this process.  The pipe holds 1 MiB, about ten chunks of the cell's
-    rows, so the helper can fall that far behind before a send waits on it;
-    a platform that cannot resize a pipe keeps its default size.  If the
-    helper cannot start (a failed resize included), a send to it fails, or
-    it exits non-zero, every row it was given is formatted here from the
-    spill and its text is discarded.  ``close`` reaps it; the stream is a
-    context manager for that.
+    The helper starts at the first piece.  It reads raw doubles from a pipe,
+    ``_CSV_CHUNK`` rows per read whatever the size of each send, and writes
+    their text, by the template of ``_csv_rows``, to a temporary file rather
+    than back through a pipe, so it never waits on this process.  The pipe
+    holds 1 MiB, about ten pieces of the cell's rows, so the helper can fall
+    that far behind before a send waits on it; a platform that cannot
+    resize a pipe keeps its default size.  If the helper cannot start (a
+    failed resize included), a send to it fails, or it exits non-zero, every
+    row is formatted here from the spill and its text is discarded.
+    ``close`` reaps it; the stream is a context manager for that.
     """
 
-    def __init__(self, rows: int):
+    def __init__(self, rows: int, cols: int):
+        import tempfile
+
         self.helper = None
         self.text = None  # the helper's output file
-        self.spill = None  # every full chunk, raw
-        self.chunk = None  # the chunk being filled, one row per table row
+        self.spill = tempfile.TemporaryFile()  # every row fed, raw
+        self.cols = cols
         self.rows = 0  # rows fed
         # every row is formatted here: a short table, or no helper could
         # start, or a send failed
@@ -277,67 +277,47 @@ class _CsvStream:
 
     def feed(self, times, states) -> None:
         """Append the rows ``(times, states)``, numpy arrays, to the table."""
-        import numpy as np
-
-        if self.chunk is None:
-            self.chunk = np.empty((_CSV_CHUNK, 1 + states.shape[1]))
-        done = 0
-        while done < len(times):
-            at = self.rows % _CSV_CHUNK
-            n = min(_CSV_CHUNK - at, len(times) - done)
-            self.chunk[at : at + n, 0] = times[done : done + n]
-            self.chunk[at : at + n, 1:] = states[done : done + n]
-            self.rows += n
-            done += n
-            if at + n == _CSV_CHUNK:
-                self._spill()
-
-    def _spill(self) -> None:
-        """Append the full chunk to the spill and send it to the helper."""
         import subprocess
         import tempfile
 
-        if self.spill is None:
-            self.spill = tempfile.TemporaryFile()
-        self.spill.write(self.chunk.data)
+        import numpy as np
+
+        piece = np.column_stack((times, states))
+        self.rows += len(piece)
+        self.spill.write(piece.data)
         if self.local:
             return
         try:
             if self.helper is None:
                 self.text = tempfile.TemporaryFile("w+", encoding="ascii", newline="")
                 self.helper = subprocess.Popen(
-                    [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(self.chunk.shape[1]),
+                    [sys.executable, "-I", "-S", "-c", _CSV_HELPER, str(self.cols),
                      str(_CSV_CHUNK)],
                     stdin=subprocess.PIPE, stdout=self.text, stderr=subprocess.DEVNULL,
                     pipesize=1 << 20,
                 )
-            self.helper.stdin.write(self.chunk.data)
+            self.helper.stdin.write(piece.data)
             self.helper.stdin.flush()
         except OSError:
             self.local = True  # the helper's text goes unused; close reaps it
 
     def write(self, fh) -> None:
-        """Write the rows fed: end the helper's input and wait for it, copy
-        its text of every full chunk if it exited 0, or else format those
-        chunks here from the spill, and format the partial chunk here."""
+        """Write the rows fed: end the helper's input and wait for it, and
+        copy its text if it exited 0, or else format every row here from the
+        spill."""
         import shutil
 
         import numpy as np
 
-        spill = self.spill
         if self.helper is not None and not self.local:
             self.helper.stdin.close()
             if self.helper.wait() == 0:
                 self.text.seek(0)
                 shutil.copyfileobj(self.text, fh)
-                spill = None
-        if spill is not None:
-            cols = self.chunk.shape[1]
-            spill.seek(0)
-            while data := spill.read(8 * cols * _CSV_CHUNK):
-                _csv_rows(fh, np.frombuffer(data).reshape(-1, cols))
-        if self.chunk is not None:
-            _csv_rows(fh, self.chunk[: self.rows % _CSV_CHUNK])
+                return
+        self.spill.seek(0)
+        while data := self.spill.read(8 * self.cols * _CSV_CHUNK):
+            _csv_rows(fh, np.frombuffer(data).reshape(-1, self.cols))
 
     def close(self) -> None:
         """Kill the helper if it still runs, wait for it, and drop its text
@@ -348,9 +328,9 @@ class _CsvStream:
             with contextlib.suppress(OSError):
                 self.helper.stdin.close()
             self.helper.wait()
-        for file in (self.text, self.spill):
-            if file is not None:
-                file.close()
+        self.spill.close()
+        if self.text is not None:
+            self.text.close()
 
 
 # fixed 800x500 viewport; purely presentational output, skipped with a
@@ -426,7 +406,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         stream.feed(times, states)
 
     # the rows go to the CSV stream, and to the helper, while the solve runs
-    with _CsvStream(rows) as stream:
+    with _CsvStream(rows, 1 + coupling.dim) as stream:
         try:
             summary = run_experiment(cfg.params(), coupling, cfg.beta, config, y0=cfg.y0,
                                      tail=cfg.tail, _on_rows=feed)

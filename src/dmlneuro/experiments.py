@@ -6,8 +6,6 @@ spread of the voltage over a tail window.  A library run keeps its whole
 trajectory; a run whose rows are handed out as they come keeps only its
 tail, and the command line keeps, for its plot, the rows past the initial
 transient.
-Hopf curves, which are closed-form, live in :mod:`dmlneuro.stability` and
-are re-exported here.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 from .exceptions import InsufficientSamplesError, NonFiniteStateError, _grid_allocation
 from .fde import Trajectory, solve_fde
 from .models import DEFAULT_TAIL, CouplingSpec, DmlParams, SolverConfig, check_order
-from .stability import HopfCurve, hopf_curve  # noqa: F401  (their former home)
 
 # peak-to-peak voltage spread below which a tail counts as converged, at or
 # above which it counts as oscillating

@@ -37,7 +37,7 @@ from .exceptions import (
     NonFiniteStateError,
     _grid_allocation,
 )
-from .models import SolverConfig, check_order
+from .models import check_order
 
 # Block length r: a node sums its own block directly, the block before it by
 # the kernel and all older nodes through the sums of exponentials.

@@ -248,7 +248,9 @@ class SigmoidCoupling:
 
     @property
     def partials_bound(self) -> float:
-        return self.sigma * (self.lam * abs(self.v_s - self.q) + 1.0) / 4.0
+        # plus 4x D's rounding at a subnormal sigma, lam / 4 + 3 steps; a normal sigma absorbs it
+        return (self.sigma * (self.lam * abs(self.v_s - self.q) + 1.0) / 4.0
+                + (self.lam + 12.0) * 5e-324)
 
     @property
     def curvature_bound(self) -> float:

@@ -21,23 +21,24 @@ from dmlneuro.equilibria import (
     i_infinity_derivative,
     y_infinity,
 )
-from dmlneuro.fde import SolverConfig, mittag_leffler, solve_fde
+from dmlneuro.fde import mittag_leffler, solve_fde
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
+    SolverConfig,
 )
 from dmlneuro.experiments import (
     AMPLITUDE_TOL,
     bifurcation_sweep,
-    hopf_curve,
     run_experiment,
 )
 from dmlneuro.stability import (
     Classification,
     beta_star,
     classify,
+    hopf_curve,
     indicators,
     jacobian,
 )

@@ -703,14 +703,16 @@ def simulate_argv(n_rows, dim=2):
             "--t-end", repr((n_rows - 1) / 20), "--discard", "0", "--tail", "10"]
 
 
-def stream_to_file(tmp_path, table, piece=11):
+def stream_to_file(tmp_path, table, sizes=None):
     """The bytes a ``_CsvStream`` writes, after a header, for a float table
-    fed to it in pieces of ``piece`` rows, and the row-by-row bytes."""
+    fed to it in pieces of ``sizes`` rows, by default 11 each, and the
+    row-by-row bytes."""
     header = [f"c{i}" for i in range(table.shape[1])]
     out_path = tmp_path / "table.csv"
-    with cli._CsvStream(len(table)) as stream, open(out_path, "w", encoding="utf-8", newline="") as fh:
-        for start in range(0, len(table), piece):
-            stream.feed(table[start : start + piece, 0], table[start : start + piece, 1:])
+    stops = range(11, len(table) + 11, 11) if sizes is None else np.cumsum(sizes)
+    with cli._CsvStream(*table.shape) as stream, open(out_path, "w", encoding="utf-8", newline="") as fh:
+        for start, stop in zip([0, *stops], stops):
+            stream.feed(table[start:stop, 0], table[start:stop, 1:])
         fh.write(",".join(header) + "\n")
         stream.write(fh)
     return out_path.read_bytes(), row_by_row_csv(header, table)
@@ -765,8 +767,8 @@ class TestCsvWriter:
         assert out_path.read_bytes() == expected
 
     def test_special_floats_match_the_row_by_row_writer(self, tmp_path):
-        # a table too short for the helper: this process formats every
-        # chunk, from the spill, and then the partial one
+        # a table too short for the helper: this process formats every row,
+        # from the spill, 7 rows at a time and then the last 1
         table = np.array([
             [0.0, -0.0, 1e-300, -5e-324],
             [np.nan, np.inf, -np.inf, 1.7976931348623157e308],
@@ -815,8 +817,8 @@ class TestCsvWriter:
         monkeypatch.setattr(subprocess, "Popen", Spy)
         return started
 
-    # chunks of 30 rows, and tables longer than 29 rows streamed: the helper
-    # gets none, all, all but one, or all but the last 10 of the table
+    # chunks of 30 rows, and tables longer than 29 rows streamed in pieces
+    # of 11: no helper, or one whose last read holds 30, 1 or 10 rows
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("n", [29, 30, 31, 100])
     def test_split_bytes_match_the_row_by_row_writer(self, tmp_path, monkeypatch, helpers, n,
@@ -836,10 +838,10 @@ class TestCsvWriter:
         assert written == expected
         assert len(helpers) == 1 and helpers[0].returncode == 0
 
-    def test_blow_up_in_the_first_block_starts_no_helper(self, tmp_path, capsys, monkeypatch,
-                                                         helpers, sends):
+    def test_blow_up_in_the_first_block_is_streamed(self, tmp_path, capsys, monkeypatch, helpers,
+                                                    sends):
         # a streamed run with three finite rows, handed over only at the
-        # blow-up: they fill no chunk of 4, so no helper starts
+        # blow-up: the helper starts for them, and its last read is short
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 2)
         monkeypatch.setattr(cli, "_CSV_CHUNK", 4)
         out_path = tmp_path / "boom.csv"
@@ -850,7 +852,8 @@ class TestCsvWriter:
         assert code == 1 and "3 finite rows" in err
         assert len(sends.trajectories[0].times) == 3
         assert out_path.read_bytes() == trajectory_csv(sends.trajectories[0])
-        assert helpers == []
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+        assert sends.writes == [True]
 
     def test_mixed_rows_start_no_helper(self, tmp_path, capsys, helpers):
         code, _, _ = run(
@@ -878,6 +881,19 @@ class TestCsvWriter:
         assert written == expected
         assert helpers == []
 
+    # each piece is one send, of whatever length; the helper reads chunks of
+    # 7 rows or of the real 4096
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    @pytest.mark.parametrize("sizes", [[1, 4097, 5, 30], [4096, 4096, 1], [7] * 50, [9000]])
+    def test_uneven_pieces_through_a_helper_match_the_row_by_row_writer(
+            self, tmp_path, monkeypatch, helpers, sends, sizes, chunk):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        table = np.random.default_rng(len(sizes)).standard_normal((sum(sizes), 3)) * [1, 1e3, 1e-3]
+        written, expected = stream_to_file(tmp_path, table, sizes)
+        assert written == expected
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+        assert sends.sizes == [24 * n for n in sizes]
+
     @pytest.mark.skipif(sys.platform == "win32", reason="runs a shell script as the helper")
     def test_failed_helper_output_is_discarded(self, tmp_path, monkeypatch, helpers):
         script = tmp_path / "failing-helper"
@@ -892,9 +908,10 @@ class TestCsvWriter:
     @pytest.fixture
     def sends(self, monkeypatch, helpers):
         """Each write to a helper's stdin, as whether the solve was still
-        running then; and the trajectory, or finite part, of each solve, as
-        the same run gives it when it keeps every row."""
-        seen = SimpleNamespace(solving=False, writes=[], trajectories=[])
+        running then and as its size in bytes; and the trajectory, or finite
+        part, of each solve, as the same run gives it when it keeps every
+        row."""
+        seen = SimpleNamespace(solving=False, writes=[], sizes=[], trajectories=[])
 
         class Stdin:
             def __init__(self, pipe):
@@ -902,6 +919,7 @@ class TestCsvWriter:
 
             def write(self, data):
                 seen.writes.append(seen.solving)
+                seen.sizes.append(memoryview(data).nbytes)
                 return self.pipe.write(data)
 
             def __getattr__(self, name):
@@ -930,12 +948,14 @@ class TestCsvWriter:
         monkeypatch.setattr(experiments, "run_experiment", solve)
         return seen
 
-    # the solver hands its rows over in blocks of 64; 150 rows are three
-    # chunks of 50, and tables longer than 100 rows are streamed
+    # the solver hands its rows over in pieces of one block, 64 rows, which
+    # the helper reads in chunks of 50; tables longer than 100 rows are
+    # streamed
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("n", [99, 100, 101, 149, 150, 151])
     def test_streamed_bytes_match_the_row_by_row_writer(self, tmp_path, capsys, monkeypatch,
                                                         helpers, sends, n, dim):
+        monkeypatch.setattr(fde, "_PIECE", 1)
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 100)
         monkeypatch.setattr(cli, "_CSV_CHUNK", 50)
         out_path = tmp_path / "traj.csv"
@@ -945,8 +965,10 @@ class TestCsvWriter:
         assert out_path.read_bytes() == trajectory_csv(sends.trajectories[0])
         assert len(helpers) == (n > 100)
         assert all(p.returncode == 0 for p in helpers)
-        # every chunk went over while the solve ran, none after it
-        assert sends.writes == [True] * (n // 50 if n > 100 else 0)
+        # one send per piece, each while the solve ran, none after it
+        pieces = [64] * (n // 64) + [n % 64] * (n % 64 > 0) if n > 100 else []
+        assert sends.sizes == [8 * (1 + dim) * rows for rows in pieces]
+        assert sends.writes == [True] * len(pieces)
 
     def test_streamed_stdout_matches_the_row_by_row_writer(self, capsys, monkeypatch, helpers,
                                                            sends):
@@ -1010,6 +1032,7 @@ class TestCsvWriter:
                 self.stdin.write = write
 
         monkeypatch.setattr(subprocess, "Popen", Breaking)
+        monkeypatch.setattr(fde, "_PIECE", 1)  # 500 rows in 8 pieces
         monkeypatch.setattr(cli, "_CSV_SPLIT_ROWS", 30)
         out_path = tmp_path / "traj.csv"
         code, _, _ = run(capsys, *simulate_argv(500), "--out", str(out_path))
@@ -1049,8 +1072,8 @@ class TestCsvWriter:
     def test_late_blow_up_after_a_failed_helper_is_formatted_from_the_spill(
             self, tmp_path, capsys, monkeypatch, helpers, sends):
         # the helper exits at once; the run blows up at about step 5000, in
-        # its second piece, so every chunk of the finite rows comes back
-        # from the spill and the partial chunk after them
+        # its second piece, so every finite row comes back from the spill,
+        # whose last read is short
         script = tmp_path / "dying-helper"
         script.write_text("#!/bin/sh\nexit 1\n")
         script.chmod(0o755)

@@ -14,20 +14,20 @@ from dmlneuro.exceptions import (
     InsufficientSamplesError,
     NumericalError,
 )
-from dmlneuro.fde import SolverConfig, Trajectory, solve_fde
+from dmlneuro.fde import Trajectory, solve_fde
 from dmlneuro.models import (
     DmlParams,
     LinearCoupling,
     NoCoupling,
     SigmoidCoupling,
+    SolverConfig,
 )
 from dmlneuro.experiments import (
     AMPLITUDE_TOL,
     bifurcation_sweep,
-    hopf_curve,
     run_experiment,
 )
-from dmlneuro.stability import BetaStarKind, beta_star
+from dmlneuro.stability import BetaStarKind, beta_star, hopf_curve
 
 P = DmlParams(I=0.019)
 # desk-scale grid: same dichotomy as the full protocol at a fraction of the cost

@@ -21,13 +21,15 @@ from dmlneuro.exceptions import (
     GridMemoryError,
     NonFiniteStateError,
 )
-from dmlneuro.fde import (
+from dmlneuro.fde import mittag_leffler, solve_fde
+from dmlneuro.models import (
+    DmlParams,
+    LinearCoupling,
+    NoCoupling,
+    SigmoidCoupling,
     SolverConfig,
     check_order,
-    mittag_leffler,
-    solve_fde,
 )
-from dmlneuro.models import DmlParams, LinearCoupling, NoCoupling, SigmoidCoupling
 
 single_field = NoCoupling().field
 

@@ -124,6 +124,10 @@ class TestCurvatureBound:
     # v_s = q: D's positive part is sigma (q - x) lam z' alone, at most
     # 0.224 sigma, at u = -1.54 for the plus block
     @example(sigma=1.0, v_s=0.0, lam=1.0, q=0.0, sign=1.0)
+    # a subnormal sigma: sigma (v_s - x) rounds by half a step, which lam z'
+    # multiplies, while eps times the bound underflows
+    @example(sigma=5e-324, v_s=0.5, lam=6.0, q=2.0, sign=-1.0)
+    @example(sigma=5e-324, v_s=1.735485289516058, lam=200.0, q=0.23099033048522566, sign=1.0)
     def test_partials_bound_bounds_d_on_the_line(self, sigma, v_s, lam, q, sign):
         c = SigmoidCoupling(sigma, v_s, lam, q)
         x = np.linspace(-60.0, 60.0, 120001)
