@@ -307,17 +307,23 @@ class _CsvStream:
         spill."""
         import shutil
 
-        import numpy as np
-
         if self.helper is not None and not self.local:
             self.helper.stdin.close()
             if self.helper.wait() == 0:
                 self.text.seek(0)
                 shutil.copyfileobj(self.text, fh)
                 return
-        self.spill.seek(0)
+        for rows in self.read():
+            _csv_rows(fh, rows)
+
+    def read(self, start: int = 0):
+        """Yield the rows fed from row ``start`` on, read back from the
+        spill ``_CSV_CHUNK`` at a time, as float arrays of ``cols`` columns."""
+        import numpy as np
+
+        self.spill.seek(8 * self.cols * start)
         while data := self.spill.read(8 * self.cols * _CSV_CHUNK):
-            _csv_rows(fh, np.frombuffer(data).reshape(-1, self.cols))
+            yield np.frombuffer(data).reshape(-1, self.cols)
 
     def close(self) -> None:
         """Kill the helper if it still runs, wait for it, and drop its text
@@ -333,52 +339,79 @@ class _CsvStream:
             self.text.close()
 
 
-# fixed 800x500 viewport; purely presentational output, skipped with a
-# note on stderr when no point is finite
-def _svg_plot(path: str, series, kind: str = "line") -> None:
+def _svg_plot(path: str, pieces, kind: str = "line") -> None:
+    """Write a fixed 800x500 plot of one or more series that share their x
+    values, as a polyline each or, for ``kind="scatter"``, as circles.
+
+    ``pieces()`` yields the rows in order as pairs ``(x, ys)``: ``x`` a
+    float array and ``ys`` one column per series, or one array for one
+    series.  The plot reads them once for the bounds and then once per
+    series, and formats and writes ``_CSV_CHUNK`` points at a time, so it
+    holds one chunk of text however many rows there are.  A point is drawn
+    where both of its coordinates are finite; purely presentational output,
+    skipped with a note on stderr when no point is finite.
+    """
     import numpy as np
 
+    def chunks():
+        for x, ys in pieces():
+            x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
+            if ys.ndim == 1:  # one series
+                ys = ys[:, None]
+            for start in range(0, len(x), _CSV_CHUNK):
+                yield x[start : start + _CSV_CHUNK], ys[start : start + _CSV_CHUNK]
+
     width, height, margin = 800.0, 500.0, 45.0
-    xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    finite = np.isfinite(xs_all) & np.isfinite(ys_all)
-    if not finite.any():
+    x_lo = y_lo = np.inf
+    x_hi = y_hi = -np.inf
+    n_series = 0
+    for x, ys in chunks():
+        n_series = ys.shape[1]
+        ok = np.isfinite(x)[:, None] & np.isfinite(ys)
+        if ok.any():
+            xs = x[ok.any(axis=1)]
+            x_lo, x_hi = min(x_lo, xs.min()), max(x_hi, xs.max())
+            y_lo, y_hi = min(y_lo, ys[ok].min()), max(y_hi, ys[ok].max())
+    if x_lo > x_hi:
         print("no finite samples to plot; SVG skipped", file=sys.stderr)
         return
-    x_lo, x_hi = xs_all[finite].min(), xs_all[finite].max()
-    y_lo, y_hi = ys_all[finite].min(), ys_all[finite].max()
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
     colors = ("#1f77b4", "#2ca02c", "#000000", "#d62728")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-    ]
-    for i, (xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        ok = np.isfinite(xs) & np.isfinite(ys)
-        color = colors[i % len(colors)]
-        # viewport coordinates, interleaved x, y
-        xy = np.column_stack((
-            margin + (xs[ok] - x_lo) / x_span * (width - 2 * margin),
-            height - margin - (ys[ok] - y_lo) / y_span * (height - 2 * margin),
-        )).ravel().tolist()
-        if kind == "scatter":
-            if xy:  # an empty part would write a blank line
-                circle = f'<circle cx="%.2f" cy="%.2f" r="1" fill="{color}"/>'
-                parts.append("\n".join([circle] * (len(xy) // 2)) % tuple(xy))
-        else:
-            pts = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">\n'
+            f'<rect width="{width:g}" height="{height:g}" fill="white"/>\n'
+            f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+            f'y2="{height - margin}" stroke="black"/>\n'
+            f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+            f'y2="{height - margin}" stroke="black"/>\n'
+        )
+        for i in range(n_series):
+            color = colors[i % len(colors)]
+            # a circle per line, or a polyline's points one space apart
+            if kind == "scatter":
+                point, sep = f'<circle cx="%.2f" cy="%.2f" r="1" fill="{color}"/>\n', ""
+            else:
+                point, sep = "%.2f,%.2f", " "
+                fh.write('<polyline points="')
+            gap = ""  # before a chunk's points: the separator, from the second chunk on
+            for x, ys in chunks():
+                y = ys[:, i]
+                ok = np.isfinite(x) & np.isfinite(y)
+                if not ok.any():
+                    continue
+                # viewport coordinates, interleaved x, y
+                xy = tuple(np.column_stack((
+                    margin + (x[ok] - x_lo) / x_span * (width - 2 * margin),
+                    height - margin - (y[ok] - y_lo) / y_span * (height - 2 * margin),
+                )).ravel().tolist())
+                fh.write(gap + sep.join([point] * (len(xy) // 2)) % xy)
+                gap = sep
+            if kind != "scatter":
+                fh.write(f'" fill="none" stroke="{color}"/>\n')
+        fh.write("</svg>\n")
 
 
 def _svg_path(cfg: RunConfig) -> str:
@@ -397,43 +430,34 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         raise InsufficientSamplesError(
             f"discard ({cfg.discard}) + tail ({cfg.tail}) exceeds the {rows} grid samples"
         )
-    failure, plotted = None, []
-
-    def feed(times, states):
-        if cfg.svg:  # the plot's rows: those from --discard on
-            skip = max(cfg.discard - stream.rows, 0)
-            plotted.append((times[skip:].copy(), states[skip:, ::2].copy()))
-        stream.feed(times, states)
-
+    failure = None
     # the rows go to the CSV stream, and to the helper, while the solve runs
     with _CsvStream(rows, 1 + coupling.dim) as stream:
         try:
             summary = run_experiment(cfg.params(), coupling, cfg.beta, config, y0=cfg.y0,
-                                     tail=cfg.tail, _on_rows=feed)
+                                     tail=cfg.tail, _on_rows=stream.feed)
         except NonFiniteStateError as err:
             # the finite prefix goes where the whole run would have gone
             failure = err
         with _output(cfg) as fh:
             fh.write("t,x,y\n" if coupling.dim == 2 else "t,x1,y1,x2,y2\n")
             stream.write(fh)
-    if failure is not None:
-        print(f"numerical failure: {failure}; {stream.rows} finite rows written to "
-              f"{cfg.out or 'stdout'}", file=sys.stderr)
-        return 1
-    if cfg.out:
-        record = {
-            "converged": summary.converged,
-            "tail_amplitude_x": summary.tail_amplitude_x,
-            "final_state": [float(v) for v in summary.trajectory.states[-1]],
-        }
-        if summary.excitatory_ok is not None:
-            record["excitatory_ok"] = summary.excitatory_ok
-        sys.stdout.write(json.dumps(record) + "\n")
-    if cfg.svg:
-        import numpy as np
-
-        times, voltages = (np.concatenate(parts) for parts in zip(*plotted))
-        _svg_plot(_svg_path(cfg), [(times, v) for v in voltages.T])
+        if failure is not None:
+            print(f"numerical failure: {failure}; {stream.rows} finite rows written to "
+                  f"{cfg.out or 'stdout'}", file=sys.stderr)
+            return 1
+        if cfg.out:
+            record = {
+                "converged": summary.converged,
+                "tail_amplitude_x": summary.tail_amplitude_x,
+                "final_state": [float(v) for v in summary.trajectory.states[-1]],
+            }
+            if summary.excitatory_ok is not None:
+                record["excitatory_ok"] = summary.excitatory_ok
+            sys.stdout.write(json.dumps(record) + "\n")
+        if cfg.svg:  # the voltages from --discard on, read back from the spill
+            _svg_plot(_svg_path(cfg),
+                      lambda: ((rows[:, 0], rows[:, 1::2]) for rows in stream.read(cfg.discard)))
     return 0
 
 
@@ -501,24 +525,24 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         cfg.params(), cfg.coupling(), (cfg.beta_from, cfg.beta_to), cfg.beta_step,
         cfg.solver_config(), y0=cfg.y0, tail_window=cfg.tail,
     )
-    n_beta, n_tail, n_cells = scan.tail_samples.shape
-    # one row per order, neuron and tail sample, in that nesting
-    columns = [
-        np.repeat(scan.beta_values, n_cells * n_tail),
-        np.tile(np.arange(n_tail), n_beta * n_cells),
-        scan.tail_samples.transpose(0, 2, 1).reshape(-1),
-    ]
+    _, n_tail, n_cells = scan.tail_samples.shape
     header, line = ["beta", "sample_index", "x"], "%r,%d,%r"
     if n_cells > 1:
-        columns.append(np.tile(np.repeat(np.arange(1, n_cells + 1), n_tail), n_beta))
         header, line = header + ["neuron"], line + ",%d"
-    _emit(cfg, header, np.column_stack(columns), line)
+    # one row per order, neuron and tail sample, in that nesting, written
+    # one order at a time
+    with _output(cfg) as fh:
+        fh.write(",".join(header) + "\n")
+        for beta, tails in zip(scan.beta_values, scan.tail_samples):
+            columns = [np.full(n_cells * n_tail, beta), np.tile(np.arange(n_tail), n_cells),
+                       tails.T.reshape(-1)]
+            if n_cells > 1:
+                columns.append(np.repeat(np.arange(1, n_cells + 1), n_tail))
+            _csv_rows(fh, np.column_stack(columns), line)
     if cfg.svg:
-        series = [
-            (np.repeat(scan.beta_values, n_tail), scan.tail_samples[:, :, nv].reshape(-1))
-            for nv in range(n_cells)
-        ]
-        _svg_plot(_svg_path(cfg), series, kind="scatter")
+        _svg_plot(_svg_path(cfg), lambda: ((np.full(n_tail, beta), tails) for beta, tails
+                                           in zip(scan.beta_values, scan.tail_samples)),
+                  kind="scatter")
     if scan.failed.any():
         bad = ", ".join(map(repr, scan.beta_values[scan.failed].tolist()))
         print(f"numerical failure at beta = {bad} (cells flagged as nan)", file=sys.stderr)
@@ -534,7 +558,7 @@ def _cmd_hopf_curve(cfg: RunConfig) -> int:
     for I, reason in curve.omitted:
         print(f"omitted I={I!r}: {reason}", file=sys.stderr)
     if cfg.svg:
-        _svg_plot(_svg_path(cfg), [(curve.I_values, curve.beta_star_values)])
+        _svg_plot(_svg_path(cfg), lambda: [(curve.I_values, curve.beta_star_values)])
     return 0
 
 

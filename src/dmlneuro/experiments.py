@@ -3,9 +3,9 @@
 The simulation protocol follows the reference setup: integrate on a uniform
 grid and judge convergence or sustained oscillation from the peak-to-peak
 spread of the voltage over a tail window.  A library run keeps its whole
-trajectory; a run whose rows are handed out as they come keeps only its
-tail, and the command line keeps, for its plot, the rows past the initial
-transient.
+trajectory; a run whose rows are handed out as they come, as each order of
+a sweep and the command line's run are, keeps only its tail, so their
+memory does not grow with the run's length.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ class BifurcationScan:
 
     ``tail_samples[k]`` holds the last W voltage samples (one column per
     neuron) at ``beta_values[k]``; ``final_states[k]`` is the state that
-    order ended in and the next one starts from; failed cells are NaN-filled
-    and flagged.
+    order ended in and the next one starts from, its last finite state if
+    it blew up; failed cells are NaN-filled and flagged.  The scan is all a
+    sweep keeps: O(W) floats per order, whatever the run's length.
     """
 
     beta_values: np.ndarray
@@ -85,7 +86,8 @@ def run_experiment(
     With ``_on_rows``, :func:`solve_fde` hands each piece of rows to it, in
     order, and the run keeps from them only its last ``tail`` rows and its
     highest voltage: ``summary.trajectory`` is then the tail window, and
-    the summary's other fields are those of a run that kept every row.
+    the summary's other fields are those of a run that kept every row.  A
+    :class:`NonFiniteStateError` then carries the last ``tail`` finite rows.
     """
     y0 = _resolve_y0(y0, coupling.dim)
     n_samples = config.n_steps + 1
@@ -113,7 +115,9 @@ def run_experiment(
 
 def _streamed(coupling, beta, config, y0, p, tail, on_rows):
     """Solve, handing each piece of rows to ``on_rows``: the last ``tail``
-    rows as a trajectory, and the highest voltage."""
+    rows as a trajectory, and the highest voltage.  A blow-up is raised
+    again carrying the last ``tail`` finite rows, not only those of the
+    solver's last piece, which may be none."""
     kept, top = [], -math.inf  # copies of the pieces' last rows, oldest first
 
     def keep(times, states):
@@ -124,9 +128,16 @@ def _streamed(coupling, beta, config, y0, p, tail, on_rows):
             del kept[0]
         on_rows(times, states)
 
-    solve_fde(coupling.field, beta, config, y0, p, _on_rows=keep)
-    times, states = (np.concatenate(rows)[-tail:] for rows in zip(*kept))
-    return Trajectory(times, states), top
+    def tail_window():
+        return Trajectory(*(np.concatenate(rows)[-tail:] for rows in zip(*kept)))
+
+    try:
+        solve_fde(coupling.field, beta, config, y0, p, _on_rows=keep)
+    except NonFiniteStateError as err:
+        # y0 is finite, so at least row 0 was handed over
+        err.trajectory = tail_window()
+        raise
+    return tail_window(), top
 
 
 def _beta_grid(beta_range, beta_step):
@@ -161,9 +172,11 @@ def bifurcation_sweep(
     """Continuation sweep over the fractional order at the current ``p.I``.
 
     Runs descend from the top of the range, each warm-started from the
-    previous run's final state, and run by :func:`run_experiment`.  A run
-    that blows up leaves a NaN-filled, flagged cell and the sweep continues
-    from the last finite state.  An order grid of more orders than can be
+    previous run's final state, and run by :func:`run_experiment`, which
+    hands each order's rows out as they come and keeps only its tail window:
+    a sweep's memory does not grow with the run's length.  A run that blows
+    up leaves a NaN-filled, flagged cell and the sweep continues from that
+    order's last finite state.  An order grid of more orders than can be
     allocated is a :class:`GridMemoryError`, raised before the first solve.
     """
     current = _resolve_y0(y0, coupling.dim)
@@ -172,16 +185,15 @@ def bifurcation_sweep(
     failed = np.zeros(betas.size, dtype=bool)
     for k, beta in enumerate(betas):
         try:
-            run = run_experiment(p, coupling, beta, config, current, tail=tail_window)
+            run = run_experiment(p, coupling, beta, config, current, tail=tail_window,
+                                 _on_rows=lambda times, states: None)
         except NonFiniteStateError as err:
             failed[k] = True
             tails.append(np.full((tail_window, coupling.dim // 2), np.nan))
-            if err.trajectory is not None and err.trajectory.states.shape[0] > 0:
-                current = err.trajectory.states[-1].copy()
+            current = err.trajectory.states[-1]
         else:
-            tails.append(run.trajectory.states[-tail_window:, ::2].copy())
-            current = run.trajectory.states[-1].copy()
-            del run  # so the next solve does not run beside this one's arrays
+            tails.append(run.trajectory.states[:, ::2])
+            current = run.trajectory.states[-1]
         finals.append(current)
     return BifurcationScan(
         beta_values=betas,

@@ -37,6 +37,9 @@ from .exceptions import (
     NonFiniteStateError,
     _grid_allocation,
 )
+# the solver's config is named through its module: the hints resolve, and
+# the config has one import path
+from . import models
 from .models import check_order
 
 # Block length r: a node sums its own block directly, the block before it by
@@ -214,7 +217,7 @@ def _pair_step(dim: int, body, **bound) -> Callable:
 def solve_fde(
     rhs: Callable,
     order,
-    config: SolverConfig,
+    config: models.SolverConfig,
     y0,
     params=None,
     *,
@@ -291,7 +294,8 @@ def solve_fde(
     make up the trajectory, or its finite part.  The solve then returns,
     and a blow-up carries, only the rows of its last piece, which may be
     none.  A grid that could not be held whole is still refused, by an
-    allocation of its size that is never touched.  The command line uses
+    allocation of its size that is never touched.  Each order of a sweep
+    runs on the hook and keeps only its tail.  The command line uses
     the hook to hand a long trajectory's rows to a helper process, which
     formats their CSV text while the solve runs; the bytes match the
     one-process text, the helper is reaped on every path out of the

@@ -637,8 +637,8 @@ class TestSimulateCommand:
                          "--tail", "10", "--out", str(tmp_path / "run.csv"), "--svg")
         assert code == 0
         traj = kept_run(*experiment_calls[0])
-        cli._svg_plot(str(tmp_path / "kept.svg"),
-                      [(traj.times[5000:], v) for v in traj.states[5000:, ::2].T])
+        whole_svg(str(tmp_path / "kept.svg"),
+                  [(traj.times[5000:], v) for v in traj.states[5000:, ::2].T])
         assert (tmp_path / "run.svg").read_bytes() == (tmp_path / "kept.svg").read_bytes()
 
     def test_svg_of_a_pair_draws_both_voltages(self, tmp_path, capsys):
@@ -719,6 +719,50 @@ def stream_to_file(tmp_path, table, sizes=None):
 
 
 RUN_EXPERIMENT = experiments.run_experiment  # as imported, before any test patches it
+
+
+def whole_svg(path, series, kind="line"):
+    """The plot as one string, as the writer built it before it wrote in
+    chunks: ``series`` is a list of ``(xs, ys)`` arrays."""
+    width, height, margin = 800.0, 500.0, 45.0
+    xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
+    ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
+    finite = np.isfinite(xs_all) & np.isfinite(ys_all)
+    if not finite.any():
+        print("no finite samples to plot; SVG skipped", file=sys.stderr)
+        return
+    x_lo, x_hi = xs_all[finite].min(), xs_all[finite].max()
+    y_lo, y_hi = ys_all[finite].min(), ys_all[finite].max()
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+    colors = ("#1f77b4", "#2ca02c", "#000000", "#d62728")
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">',
+        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+    ]
+    for i, (xs, ys) in enumerate(series):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        ok = np.isfinite(xs) & np.isfinite(ys)
+        color = colors[i % len(colors)]
+        xy = np.column_stack((
+            margin + (xs[ok] - x_lo) / x_span * (width - 2 * margin),
+            height - margin - (ys[ok] - y_lo) / y_span * (height - 2 * margin),
+        )).ravel().tolist()
+        if kind == "scatter":
+            if xy:
+                circle = f'<circle cx="%.2f" cy="%.2f" r="1" fill="{color}"/>'
+                parts.append("\n".join([circle] * (len(xy) // 2)) % tuple(xy))
+        else:
+            pts = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def kept_run(args, kwargs):
@@ -1170,6 +1214,34 @@ class TestSweepCommand:
         assert err == ("numerical failure at beta = 1.0, 0.9299999999999999 "
                        "(cells flagged as nan)\n")
 
+    @pytest.mark.parametrize("model", ["single", "dimer-sigmoid"])
+    def test_csv_is_the_row_by_row_table_of_the_scan(self, tmp_path, capsys, monkeypatch,
+                                                      model):
+        # written one order at a time; the order 0.99 blows up at once and
+        # its rows are nan
+        real = experiments.solve_fde
+
+        def solve(rhs, order, *args, **kwargs):
+            if order == 0.99:
+                rhs = lambda t, y, p: [math.nan] * len(y)  # noqa: E731
+            return real(rhs, order, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_fde", solve)
+        cfg = RunConfig(command="sweep", model=model, beta_from=0.97, beta_to=1.0,
+                        beta_step=0.01, t_end=10.0, h=0.05, tail=30)
+        argv = [f"{flag_of(f)}={getattr(cfg, f.name)}" for f in fields(cfg)
+                if f.name in ("model", "beta_from", "beta_to", "beta_step", "t_end", "h", "tail")]
+        code, _, _ = run(capsys, "sweep", *argv, "--out", str(tmp_path / "sweep.csv"))
+        scan = experiments.bifurcation_sweep(cfg.params(), cfg.coupling(), (0.97, 1.0), 0.01,
+                                             cfg.solver_config(), tail_window=30)
+        assert code == 1 and scan.failed.tolist() == [False, True, False, False]
+        cells = scan.tail_samples.shape[2]
+        header = ["beta", "sample_index", "x"] + ["neuron"] * (cells > 1)
+        rows = ([float(beta), k, float(tails[k, n])] + [n + 1] * (cells > 1)
+                for beta, tails in zip(scan.beta_values, scan.tail_samples)
+                for n in range(cells) for k in range(30))
+        assert (tmp_path / "sweep.csv").read_bytes() == row_by_row_csv(header, rows)
+
     def test_sweep_svg_scatter(self, tmp_path, capsys):
         out_path = tmp_path / "scan.csv"
         code, _, _ = run(
@@ -1179,6 +1251,79 @@ class TestSweepCommand:
         )
         assert code == 0
         assert "<circle" in (tmp_path / "scan.svg").read_text()
+
+
+CHUNK = cli._CSV_CHUNK
+
+
+def plotted_points(n, n_series, seed=0):
+    """``n`` rows of x and ``n_series`` y columns, with NaN and infinite
+    values mixed into both."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.0, 1.0, n)) - 3.0
+    ys = rng.normal(size=(n, n_series))
+    for values in (x, ys):
+        flat = values.reshape(-1)
+        for bad in (math.nan, math.inf, -math.inf):
+            flat[rng.integers(0, flat.size, flat.size // 13)] = bad
+    return x, ys
+
+
+def split(x, ys, sizes):
+    """``pieces()`` for the chunked writer: the rows in pieces of ``sizes``
+    rows, cycled."""
+    def pieces():
+        start = 0
+        for size in itertools.cycle(sizes):
+            if start >= len(x):
+                return
+            yield x[start : start + size], ys[start : start + size]
+            start += size
+
+    return pieces
+
+
+class TestSvgWriter:
+    """The chunked writer gives the bytes of the one-string writer."""
+
+    def both(self, tmp_path, capsys, x, ys, kind, sizes=(CHUNK,)):
+        cli._svg_plot(str(tmp_path / "chunked.svg"), split(x, ys, sizes), kind)
+        chunked = capsys.readouterr().err
+        whole_svg(str(tmp_path / "whole.svg"), [(x, y) for y in ys.T], kind)
+        assert capsys.readouterr().err == chunked
+        files = [tmp_path / f"{name}.svg" for name in ("chunked", "whole")]
+        assert files[0].exists() == files[1].exists()
+        return [f.read_bytes() if f.exists() else None for f in files], chunked
+
+    # the rows reach the writer in pieces of the chunk size, and in pieces
+    # of 7 rows and of 2 chunks less 3 rows, across the chunk bounds
+    @pytest.mark.parametrize("sizes", [(CHUNK,), (7, 2 * CHUNK - 3)], ids=["chunks", "ragged"])
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("n_series", [1, 2])
+    @pytest.mark.parametrize("kind", ["line", "scatter"])
+    def test_same_bytes_as_the_one_string_writer(self, tmp_path, capsys, kind, n_series, n,
+                                                 sizes):
+        x, ys = plotted_points(n, n_series, seed=n)
+        (chunked, whole), err = self.both(tmp_path, capsys, x, ys, kind, sizes)
+        assert chunked == whole
+        assert (chunked is None) == (n == 0)
+        assert err == ("no finite samples to plot; SVG skipped\n" if n == 0 else "")
+
+    @pytest.mark.parametrize("kind", ["line", "scatter"])
+    def test_no_finite_point_skips_the_plot(self, tmp_path, capsys, kind):
+        x, ys = plotted_points(CHUNK + 5, 2)
+        ys[np.isfinite(x)] = math.nan
+        (chunked, whole), err = self.both(tmp_path, capsys, x, ys, kind, (100,))
+        assert chunked is whole is None
+        assert err == "no finite samples to plot; SVG skipped\n"
+
+    def test_a_line_with_no_finite_point_writes_no_points(self, tmp_path, capsys):
+        x, ys = plotted_points(CHUNK + 5, 2)
+        ys[:, 1] = math.inf
+        (chunked, whole), _ = self.both(tmp_path, capsys, x, ys, "line", (100,))
+        assert chunked == whole
+        assert chunked.count(b'<polyline points="" fill="none"') == 1
+        assert chunked.count(b"<polyline") == 2
 
 
 class TestHopfCurveCommand:

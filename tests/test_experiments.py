@@ -1,3 +1,8 @@
+import itertools
+import math
+import sys
+import tracemalloc
+import typing
 import weakref
 from dataclasses import replace
 
@@ -6,12 +11,13 @@ import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from dmlneuro import experiments, stability
+from dmlneuro import experiments, fde, stability
 from dmlneuro.equilibria import Branch, critical_points, find_symmetric_equilibria, fold_voltages
 from dmlneuro.exceptions import (
     ConvergenceError,
     GridMemoryError,
     InsufficientSamplesError,
+    NonFiniteStateError,
     NumericalError,
 )
 from dmlneuro.fde import Trajectory, solve_fde
@@ -273,6 +279,127 @@ class TestBifurcationSweep:
             bifurcation_sweep(
                 P, NoCoupling(), (0.9, 1.0), 0.05, SHORT, tail_window=5000
             )
+
+
+def nan_from(monkeypatch, bad_beta, call):
+    """Make the solve at order ``bad_beta`` return NaN fields from its
+    ``call``-th field evaluation on; the other orders solve as they are."""
+    real = experiments.solve_fde
+
+    def faulty(rhs, order, config, y0, *args, **kwargs):
+        if order != bad_beta:
+            return real(rhs, order, config, y0, *args, **kwargs)
+        calls = itertools.count()
+
+        def field(t, y, p):
+            return rhs(t, y, p) if next(calls) < call else [math.nan] * len(y0)
+
+        return real(field, order, config, y0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_fde", faulty)
+
+
+class TestStreamedSweep:
+    """Each order of a sweep hands its rows out and keeps only its tail."""
+
+    @pytest.mark.parametrize("first_bad", [320, 350, 64])
+    def test_a_blow_up_restarts_the_next_order_from_its_last_finite_state(
+            self, monkeypatch, first_bad):
+        # pieces of one block, 64 rows: the middle order's first non-finite
+        # state opens a piece (320 and 64), so that the solver's last piece
+        # is empty, or falls inside one (350)
+        monkeypatch.setattr(fde, "_PIECE", 1)
+        c, betas, tail = SigmoidCoupling(sigma=0.001), [1.0, 0.99, 0.98], 50
+        # node n's first field evaluation, after node 0's one and two per
+        # node before it, is the 2n - 1-th: its NaN makes node n non-finite
+        nan_from(monkeypatch, betas[1], 2 * first_bad - 1)
+        scan = bifurcation_sweep(P, c, (0.98, 1.0), 0.01, SHORT, tail_window=tail)
+        np.testing.assert_allclose(scan.beta_values, betas, atol=1e-12)
+        # the same orders, each kept whole and chained by hand
+        current, finals, tails = np.array([0.1, 0.1, -0.2, 0.1]), [], []
+        for beta in scan.beta_values:
+            try:
+                run = run_experiment(P, c, beta, SHORT, current, tail=tail)
+            except NonFiniteStateError as err:
+                assert len(err.trajectory.times) == first_bad
+                tails.append(np.full((tail, 2), np.nan))
+                current = err.trajectory.states[-1]
+            else:
+                tails.append(run.trajectory.states[-tail:, ::2])
+                current = run.trajectory.states[-1]
+            finals.append(current)
+        assert scan.failed.tolist() == [False, True, False]
+        assert np.array_equal(scan.final_states, np.array(finals))
+        assert np.array_equal(scan.tail_samples, np.array(tails), equal_nan=True)
+        assert not np.array_equal(scan.final_states[1], scan.final_states[0])
+
+    def test_a_blow_up_carries_the_tail_it_kept(self, monkeypatch):
+        # the solver's own error carries only its last piece, empty here
+        monkeypatch.setattr(fde, "_PIECE", 1)
+        nan_from(monkeypatch, 0.95, 2 * 320 - 1)
+        with pytest.raises(NonFiniteStateError) as kept:
+            run_experiment(P, NoCoupling(), 0.95, SHORT, tail=100)
+        with pytest.raises(NonFiniteStateError) as streamed:
+            run_experiment(P, NoCoupling(), 0.95, SHORT, tail=100,
+                           _on_rows=lambda times, states: None)
+        assert str(streamed.value) == str(kept.value)
+        whole = kept.value.trajectory
+        assert np.array_equal(streamed.value.trajectory.times, whole.times[-100:])
+        assert np.array_equal(streamed.value.trajectory.states, whole.states[-100:])
+
+    @pytest.mark.slow
+    def test_a_streamed_sweep_holds_no_row_count_of_memory(self, monkeypatch):
+        # each solve's peak, from its first hand-over to its end, with what
+        # the sweep held then, is the same for 2e4 steps as for 2e5.  Before
+        # that hand-over a solve allocates, and never touches, an array of
+        # the grid's size, to refuse a grid that could not be held whole
+        peaks = []
+
+        def solve(*args, _on_rows=None):
+            handed = []
+
+            def on_rows(times, states):
+                if not handed:
+                    tracemalloc.reset_peak()
+                handed.append(len(times))
+                _on_rows(times, states)
+
+            try:
+                return solve_fde(*args, _on_rows=on_rows if _on_rows else None)
+            finally:
+                peaks[-1] = max(peaks[-1], tracemalloc.get_traced_memory()[1])
+
+        # tracemalloc looks up the line of every allocation; on CPython 3.11
+        # that scans the line table of the long pair step unless a call
+        # under a profile function has built its line array
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            bifurcation_sweep(P, NoCoupling(), (1.0, 1.0), 0.01, SolverConfig(0.0, 1.0, 0.01),
+                              tail_window=5)
+        finally:
+            sys.setprofile(previous)
+        monkeypatch.setattr(experiments, "solve_fde", solve)
+        for n_steps in (20_000, 200_000):
+            peaks.append(0)
+            tracemalloc.start()
+            try:
+                scan = bifurcation_sweep(P, NoCoupling(), (0.99, 1.0), 0.01,
+                                         SolverConfig(0.0, 0.01 * n_steps, 0.01), tail_window=500)
+            finally:
+                tracemalloc.stop()
+            assert scan.tail_samples.shape == (2, 500, 1)
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert peaks[1] < 0.25 * (200_001 * 3 * 8)
+
+
+class TestAnnotations:
+    def test_the_hints_resolve(self):
+        for function in (solve_fde, run_experiment, bifurcation_sweep):
+            assert typing.get_type_hints(function)["config"] is SolverConfig
+        # the config has one import path
+        with pytest.raises(ImportError):
+            from dmlneuro.fde import SolverConfig as _  # noqa: F401
 
 
 class TestSweepOnset:
